@@ -91,27 +91,11 @@ def _criterion_3() -> Tuple[bool, str]:
     Combined graph, copies k <= 4, 300 steps each, on the per-copy restricted
     subgraph (exactness of the restriction is covered by the unit tests).
     """
+    runs = [("combined", k) for k in range(5)] + [("g0", 0), ("gk", 2)]
     mismatches = []
     checked = 0
-    for k in range(5):
-        spine = ladder.make_entry_spine(k)
-        x = SparseVector.unit(ladder.SOURCE)
-        target = ladder.sink(k)
-        for n in range(1, 301):
-            x = graphop.apply(spine, x)
-            got = x[target]
-            want = ladder.orbit_predicate("combined", k, n)
-            checked += 1
-            if got != want:
-                mismatches.append((k, n, got, want))
-    for kind, k in (("g0", 0), ("gk", 2)):
-        graph = ladder.make_g0() if kind == "g0" else ladder.make_gk(k)
-        x = SparseVector.unit(ladder.entry(k))
-        target = ladder.sink(k)
-        for n in range(1, 301):
-            x = graphop.apply(graph, x)
-            got = x[target]
-            want = ladder.orbit_predicate(kind, k, n)
+    for kind, k in runs:
+        for n, got, want in ladder.sink_readings(kind, k, 300):
             checked += 1
             if got != want:
                 mismatches.append((kind, k, n, got, want))
@@ -199,7 +183,8 @@ def _criterion_8() -> Tuple[bool, str]:
 def _path_sums(graph, u, n_max: int) -> Dict[Tuple, Dict]:
     """Sum of path weights from u, keyed by length then endpoint.
 
-    Explicit stack walk over out-edges, independent of the matrix route."""
+    Explicit stack walk over out-edges: the deliberate second route that
+    criterion 9 compares against ``graphop.apply``."""
     sums: Dict[int, Dict] = {n: {} for n in range(n_max + 1)}
     frames = [(u, 0, ONE)]
     while frames:

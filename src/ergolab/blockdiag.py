@@ -95,14 +95,18 @@ def block_cesaro(m: int, n: int, p: int) -> Block2x2:
     """Average of the first n powers of t_block(m)**p, via the projection split.
 
     Equals U + c * V with c = cesaro_geometric(a_coeff(m), p, n); exact for
-    every argument.  The independent route that multiplies matrices and
+    every argument.  The deliberate second route that multiplies matrices and
     averages them literally is :func:`block_cesaro_literal`.
     """
     return U + V.scale(cesaro_geometric(a_coeff(m), p, n))
 
 
 def block_cesaro_literal(m: int, n: int, p: int) -> Block2x2:
-    """Same average by repeated matrix multiplication and literal summation."""
+    """Same average by repeated matrix multiplication and literal summation.
+
+    Deliberate second route for :func:`block_cesaro`; the tests and
+    acceptance criterion 12 compare the two.
+    """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if p < 1:
@@ -129,44 +133,57 @@ def b_coeff(m: int, n: int, j: int) -> Fraction:
     return cesaro_geometric(a_coeff(m), 2 * j, n)
 
 
-def sup_deviation(m_max: int, n: int, p: int) -> Fraction:
-    """Largest deviation of a block average from its limit projection.
-
-    max over m <= m_max of the sup-operator-norm of block_cesaro(m, n, p) - U.
-    For odd p this decays like 2/n uniformly in m_max; for even p it does
-    not decay at all once m_max grows with n.
-    """
-    if m_max < 1:
-        raise ValueError(f"m_max must be positive, got {m_max}")
-    best = ZERO
-    for m in range(1, m_max + 1):
-        dev = (block_cesaro(m, n, p) - U).inf_norm()
-        if dev > best:
-            best = dev
-    return best
+def block_deviation(m: int, n: int, p: int) -> Fraction:
+    """Sup-operator-norm of block_cesaro(m, n, p) - U: how far block m's
+    average is from its limit projection."""
+    return (block_cesaro(m, n, p) - U).inf_norm()
 
 
-def sup_deviation_float(m_max: int, n: int, p: int) -> float:
-    """Double-precision version of :func:`sup_deviation` for quick sweeps.
+def block_deviation_float(m: int, n: int, p: int) -> float:
+    """:func:`block_deviation` in IEEE doubles, from the closed form.
 
-    Evaluates the same closed form in IEEE doubles.  The per-block relative
+    The deviation is |c| with c the V-coefficient cesaro_geometric(a_m, p, n);
+    for even p that is c itself, the diagonal coefficient b.  The relative
     error is far below 1e-9 for the parameter ranges used here; results of
     record should still come from the exact version.
+    """
+    r = (-(1.0 - 1.0 / m)) ** p
+    if r == 1.0:
+        return 1.0
+    return abs((1.0 - r**n) / ((1.0 - r) * n))
+
+
+def deviation_argmax(deviation, m_max: int, n: int, p: int):
+    """(m, value) for the block m <= m_max whose average deviates most.
+
+    ``deviation`` is :func:`block_deviation` or :func:`block_deviation_float`;
+    ties go to the smallest m.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive integers")
-    best = 0.0
-    for m in range(1, m_max + 1):
-        r = (-(1.0 - 1.0 / m)) ** p
-        if r == 1.0:
-            dev = 1.0
-        else:
-            dev = abs((1.0 - r**n) / ((1.0 - r) * n))
-        if dev > best:
-            best = dev
-    return best
+    best_m, best = 1, deviation(1, n, p)
+    for m in range(2, m_max + 1):
+        value = deviation(m, n, p)
+        if value > best:
+            best_m, best = m, value
+    return best_m, best
+
+
+def sup_deviation(m_max: int, n: int, p: int) -> Fraction:
+    """Largest deviation of a block average from its limit projection.
+
+    max over m <= m_max of :func:`block_deviation`.  For odd p this decays
+    like 2/n uniformly in m_max; for even p it does not decay at all once
+    m_max grows with n.
+    """
+    return deviation_argmax(block_deviation, m_max, n, p)[1]
+
+
+def sup_deviation_float(m_max: int, n: int, p: int) -> float:
+    """Double-precision version of :func:`sup_deviation` for quick sweeps."""
+    return deviation_argmax(block_deviation_float, m_max, n, p)[1]
 
 
 def witness_apply(m_max: int, n: int, j: int) -> List[Fraction]:

@@ -11,12 +11,10 @@ Subcommands::
 Tabular commands emit CSV by default (header row, LF line endings); pass
 ``--format json`` for a structurally identical JSON document.  Every value
 column carries the exact fraction and a decimal rendered from it, so exact
-output is bit-reproducible across runs and parallelism levels.
+output is bit-reproducible across runs.
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage error, 3 a
-computation exceeded its configured budget.  The environment variable
-ERGOLAB_THREADS (a positive integer, default 1) caps worker threads for the
-block deviation sweep; results do not depend on it.
+computation exceeded its configured budget.
 """
 
 from __future__ import annotations
@@ -25,9 +23,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -53,20 +49,6 @@ class RunConfig:
     out: Optional[str] = None
     mode: str = "exact"
     max_support: Optional[int] = None
-    threads: int = 1
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("ERGOLAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"ERGOLAB_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"ERGOLAB_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _parse_fraction(raw: str, what: str) -> Fraction:
@@ -145,35 +127,18 @@ def _cmd_orbit(args, cfg: RunConfig) -> int:
     _require_positive(args.n_max, "--n-max")
     if args.k_max < 0:
         raise UsageError(f"--k-max must be nonnegative, got {args.k_max}")
-    rows: List[Tuple[str, ...]] = []
-    all_match = True
     if args.graph == "combined":
-        for k in range(args.k_max + 1):
-            spine = ladder.make_entry_spine(k)
-            x = SparseVector.unit(ladder.SOURCE)
-            target = ladder.sink(k)
-            for n in range(1, args.n_max + 1):
-                x = graphop.apply(spine, x)
-                got = x[target]
-                want = ladder.orbit_predicate("combined", k, n)
-                match = got == want
-                all_match = all_match and match
-                rows.append((str(n), str(k), fraction_str(got), str(want), str(int(match))))
+        runs = [("combined", k) for k in range(args.k_max + 1)]
     else:
         graph = _make_graph(args.graph, args.k)
-        k = graph.copy_index
-        x = SparseVector.unit(ladder.entry(k))
-        target = ladder.sink(k)
-        for n in range(1, args.n_max + 1):
-            x = graphop.apply(graph, x)
-            got = x[target]
-            want = ladder.orbit_predicate(graph.kind, k, n)
-            match = got == want
-            all_match = all_match and match
-            rows.append((str(n), str(k), fraction_str(got), str(want), str(int(match))))
+        runs = [(graph.kind, graph.copy_index)]
+    rows: List[Tuple[str, ...]] = []
+    for kind, k in runs:
+        for n, got, want in ladder.sink_readings(kind, k, args.n_max):
+            rows.append((str(n), str(k), fraction_str(got), str(want), str(int(got == want))))
     rows.sort(key=lambda row: (int(row[0]), int(row[1])))
     _emit(cfg, ("n", "k", "simulated", "predicate", "match"), rows)
-    return EXIT_OK if all_match else EXIT_CHECK_FAILED
+    return EXIT_OK if all(row[4] == "1" for row in rows) else EXIT_CHECK_FAILED
 
 
 _FACTORS = {"1": ONE, "-1": -ONE, "i": complex(0, 1), "-i": complex(0, -1)}
@@ -188,53 +153,41 @@ def _cmd_cesaro(args, cfg: RunConfig) -> int:
     start = args.start
     if args.x is not None:
         start = "source" if args.x == "e_s" else "entry"
-    rows: List[Tuple[str, ...]] = []
-    worst = None
+    results = []  # (power, n, sup norm)
     if args.graph == "combined" and start == "source":
         for power in powers:
             values = sweeps.combined_cesaro_sup_norms(schedule, step_power=power, factor=factor)
-            for n in sorted(values):
-                value = values[n]
-                exact = isinstance(value, Fraction)
-                rows.append(
-                    (
-                        str(power),
-                        str(n),
-                        fraction_str(value) if exact else _decimal(value),
-                        _decimal(value),
-                    )
-                )
-                if worst is None or value > worst:
-                    worst = value
+            results += [(power, n, values[n]) for n in sorted(values)]
     else:
         if start == "source":
             raise UsageError("--start source needs --graph combined")
+        if graph.copy_index is None:
+            raise UsageError("--start entry needs --graph g0 or --graph gk")
         if isinstance(factor, complex):
             raise UsageError("complex factors need --graph combined --start source")
         x = SparseVector.unit(ladder.entry(graph.copy_index))
+        op = ergodic.graph_handle(graph)
         for power in powers:
-
-            def stepped_apply(v, _p=power):
-                for _ in range(_p):
-                    v = graphop.apply(graph, v)
-                return v if factor == ONE else v.scale(factor)
-
-            handle = ergodic.OperatorHandle(
-                apply=stepped_apply, description=f"{graph.description} ** {power}"
-            )
+            handle = ergodic.stepped_handle(op, power, factor)
             try:
                 trace = ergodic.cesaro_trace(
                     handle, x, schedule, max_support=cfg.max_support, engine="generic"
                 )
             except ergodic.BudgetExceeded:
                 return EXIT_BUDGET
-            for record in trace.records:
-                value = record.sup_norm
-                rows.append((str(power), str(record.n), fraction_str(value), _decimal(value)))
-                if worst is None or value > worst:
-                    worst = value
+            results += [(power, record.n, record.sup_norm) for record in trace.records]
+    rows = [
+        (
+            str(power),
+            str(n),
+            fraction_str(value) if isinstance(value, Fraction) else _decimal(value),
+            _decimal(value),
+        )
+        for power, n, value in results
+    ]
     _emit(cfg, ("power", "n", "sup_norm", "sup_norm_decimal"), rows)
-    if bound is not None and worst is not None:
+    if bound is not None:
+        worst = max(value for _, _, value in results)
         exceeded = (
             float(worst) > float(bound) + ergodic.FLOAT_TOL
             if isinstance(worst, float)
@@ -243,40 +196,6 @@ def _cmd_cesaro(args, cfg: RunConfig) -> int:
         if exceeded:
             return EXIT_CHECK_FAILED
     return EXIT_OK
-
-
-# exact deviation of one block from its limit projection
-def _exact_block_deviation(m: int, n: int, p: int) -> Fraction:
-    return (blockdiag.block_cesaro(m, n, p) - blockdiag.U).inf_norm()
-
-
-def _deviation_argmax(m_max: int, n: int, p: int, mode: str, threads: int):
-    """(attaining m, deviation) for the worst block; deterministic in threads."""
-
-    def scan(lo: int, hi: int):
-        best_m, best_v = lo, None
-        for m in range(lo, hi + 1):
-            if mode == "float":
-                a = 1.0 - 1.0 / m
-                r = (-a) ** p
-                value = 1.0 if r == 1.0 else abs((1.0 - r**n) / ((1.0 - r) * n))
-            else:
-                value = _exact_block_deviation(m, n, p)
-            if best_v is None or value > best_v:
-                best_m, best_v = m, value
-        return best_m, best_v
-
-    if threads <= 1 or m_max < 128:
-        return scan(1, m_max)
-    chunk = (m_max + threads - 1) // threads
-    ranges = [(lo, min(lo + chunk - 1, m_max)) for lo in range(1, m_max + 1, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(lambda r: scan(*r), ranges))
-    best_m, best_v = partials[0]
-    for m, v in partials[1:]:
-        if v > best_v:
-            best_m, best_v = m, v
-    return best_m, best_v
 
 
 def _cmd_block(args, cfg: RunConfig) -> int:
@@ -292,8 +211,11 @@ def _cmd_block(args, cfg: RunConfig) -> int:
     values = []
     if args.deviation:
         p = args.p
+        deviation = (
+            blockdiag.block_deviation_float if cfg.mode == "float" else blockdiag.block_deviation
+        )
         for n in sorted(set(windows)):
-            m_at, value = _deviation_argmax(args.m_max, n, p, cfg.mode, cfg.threads)
+            m_at, value = blockdiag.deviation_argmax(deviation, args.m_max, n, p)
             values.append(value)
             shown = _decimal(value) if cfg.mode == "float" else fraction_str(value)
             rows.append((str(m_at), str(n), str(p), shown, _decimal(value)))
@@ -301,9 +223,7 @@ def _cmd_block(args, cfg: RunConfig) -> int:
         p = 2 * args.j
         for n in sorted(set(windows)):
             if cfg.mode == "float":
-                a = 1.0 - 1.0 / n
-                r = a**p
-                value = 1.0 if r == 1.0 else (1.0 - r**n) / ((1.0 - r) * n)
+                value = blockdiag.block_deviation_float(n, n, p)
                 shown = _decimal(value)
             else:
                 value = blockdiag.b_coeff(n, n, args.j)
@@ -429,7 +349,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out=args.out,
             mode=getattr(args, "mode", "exact"),
             max_support=getattr(args, "max_support", None),
-            threads=_threads_from_env(),
         )
         if args.command == "norms":
             return _cmd_norms(args, cfg)

@@ -10,7 +10,7 @@ average of a signed geometric sequence in closed form.
 
 from __future__ import annotations
 
-import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Tuple
 
@@ -33,6 +33,18 @@ def as_rational(value) -> Fraction:
     return Fraction(value)
 
 
+def _geometric_ratio(a, p: int, n: int) -> Fraction:
+    """Check the arguments of a geometric average and return r = (-a)**p."""
+    a = as_rational(a)
+    if not ZERO <= a <= ONE:
+        raise ValueError(f"a must lie in [0, 1], got {a}")
+    if p < 1:
+        raise ValueError(f"p must be a positive integer, got {p}")
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    return (-a) ** p
+
+
 def cesaro_geometric(a, p: int, n: int) -> Fraction:
     """Average of the first n powers of (-a)**p, exactly.
 
@@ -44,14 +56,7 @@ def cesaro_geometric(a, p: int, n: int) -> Fraction:
     and the average is at most 2/n in absolute value.  For even p no such
     decay holds: with a close to 1 the average stays near 1.
     """
-    a = as_rational(a)
-    if not ZERO <= a <= ONE:
-        raise ValueError(f"a must lie in [0, 1], got {a}")
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    r = (-a) ** p
+    r = _geometric_ratio(a, p, n)
     if r == ONE:
         return ONE
     return (ONE - r**n) / ((ONE - r) * n)
@@ -60,17 +65,10 @@ def cesaro_geometric(a, p: int, n: int) -> Fraction:
 def cesaro_geometric_sum(a, p: int, n: int) -> Fraction:
     """Same average as :func:`cesaro_geometric` but by literal summation.
 
-    Kept as an independent route for cross-checking the closed form; tests
+    Deliberate second route for cross-checking the closed form; tests
     compare the two on wide parameter grids.
     """
-    a = as_rational(a)
-    if not ZERO <= a <= ONE:
-        raise ValueError(f"a must lie in [0, 1], got {a}")
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    r = (-a) ** p
+    r = _geometric_ratio(a, p, n)
     total = ZERO
     power = ONE
     for _ in range(n):
@@ -237,14 +235,9 @@ def _int_str(n: int) -> str:
     try:
         return str(n)
     except ValueError:
-        # the interpreter caps huge int-to-str conversions by default; exact
-        # output legitimately needs them, so lift the cap for this one call
-        limit = sys.get_int_max_str_digits()
-        try:
-            sys.set_int_max_str_digits(0)
-            return str(n)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        # the interpreter caps int-to-str conversions by default; Decimal
+        # converts exactly with no cap and leaves the interpreter setting alone
+        return str(Decimal(n))
 
 
 def fraction_str(value: Fraction) -> str:

@@ -125,11 +125,11 @@ def graph_from_edges(
     )
 
 
-def apply(graph: C0Graph, x: SparseVector) -> SparseVector:
-    """Image of x under the graph operator: push mass along out-edges."""
+def _push(edges, x: SparseVector) -> SparseVector:
+    """Move each entry of x along the edges the oracle gives, weighted."""
     out: dict = {}
     for u, xu in x.items():
-        for v, w in graph.successors(u):
+        for v, w in edges(u):
             contrib = xu * w
             cur = out.get(v)
             if cur is None:
@@ -143,22 +143,14 @@ def apply(graph: C0Graph, x: SparseVector) -> SparseVector:
     return SparseVector._from_clean(out)
 
 
+def apply(graph: C0Graph, x: SparseVector) -> SparseVector:
+    """Image of x under the graph operator: push mass along out-edges."""
+    return _push(graph.successors, x)
+
+
 def apply_adjoint(graph: C0Graph, y: SparseVector) -> SparseVector:
     """Image of y under the adjoint: pull mass backwards along in-edges."""
-    out: dict = {}
-    for v, yv in y.items():
-        for u, w in graph.predecessors(v):
-            contrib = yv * w
-            cur = out.get(u)
-            if cur is None:
-                out[u] = contrib
-            else:
-                cur = cur + contrib
-                if cur:
-                    out[u] = cur
-                else:
-                    del out[u]
-    return SparseVector._from_clean(out)
+    return _push(graph.predecessors, y)
 
 
 def power_apply(graph: C0Graph, x: SparseVector, n: int) -> SparseVector:
@@ -179,7 +171,9 @@ def operator_norm_truncated(graph: C0Graph, n_trunc: int) -> Fraction:
     """Sup norm of the image of the indicator of the first n_trunc vertices.
 
     By positivity this increases with n_trunc toward the operator norm, so
-    any single value is a certified lower bound.
+    any single value is a certified lower bound.  Deliberate second route:
+    it goes through :func:`apply`, while :func:`operator_norm_profile` sums
+    columns directly, and the tests compare the two.
     """
     return apply(graph, truncation_indicator(graph, n_trunc)).sup_norm()
 
@@ -241,34 +235,16 @@ class Path:
         return self.vertices[-1]
 
 
-def enumerate_paths(graph: C0Graph, u: Vertex, v: Vertex, n: int) -> List[Path]:
-    """All directed paths from u to v of length exactly n, with weights.
-
-    Depth-first over out-edges; intended for short lengths where the number
-    of partial paths stays manageable.
-    """
-    if n < 0:
-        raise ValueError(f"path length must be nonnegative, got {n}")
-    found: List[Path] = []
-    # iterative DFS carrying the running weight alongside the vertex tuple
-    frames: List[Tuple[Tuple[Vertex, ...], Fraction]] = [((u,), ONE)]
-    while frames:
-        path, weight = frames.pop()
-        depth = len(path) - 1
-        if depth == n:
-            if path[-1] == v:
-                found.append(Path(path, weight))
-            continue
-        for target, w in graph.successors(path[-1]):
-            frames.append((path + (target,), weight * w))
-    found.sort(key=lambda p: tuple(repr(x) for x in p.vertices))
-    return found
-
-
 def enumerate_paths_up_to(
     graph: C0Graph, u: Vertex, v: Vertex, n_max: int
 ) -> List[Path]:
-    """All paths from u to v of every length 0..n_max, in one traversal."""
+    """All paths from u to v of every length 0..n_max, in one traversal.
+
+    Depth-first over out-edges; intended for short lengths where the number
+    of partial paths stays manageable.  Sorted by length, then vertices.
+    """
+    if n_max < 0:
+        raise ValueError(f"path length must be nonnegative, got {n_max}")
     found: List[Path] = []
     frames: List[Tuple[Tuple[Vertex, ...], Fraction]] = [((u,), ONE)]
     while frames:
@@ -281,6 +257,11 @@ def enumerate_paths_up_to(
             frames.append((path + (target,), weight * w))
     found.sort(key=lambda p: (p.length, tuple(repr(x) for x in p.vertices)))
     return found
+
+
+def enumerate_paths(graph: C0Graph, u: Vertex, v: Vertex, n: int) -> List[Path]:
+    """All directed paths from u to v of length exactly n, with weights."""
+    return [p for p in enumerate_paths_up_to(graph, u, v, n) if p.length == n]
 
 
 def path_weight(graph: C0Graph, vertices: Sequence[Vertex]) -> Fraction:
@@ -304,43 +285,15 @@ class PathCount:
     max_weight: Fraction
 
 
-def count_paths_to(graph: C0Graph, v: Vertex, n: int, n_trunc: int) -> PathCount:
-    """Paths of length n ending at v that start among the first n_trunc vertices.
-
-    Walks the graph backwards from v with a level of (count, max weight)
-    cells, then aggregates over the admissible starting vertices.  Exact and
-    much cheaper than forward enumeration.
-    """
-    if n < 0:
-        raise ValueError(f"path length must be nonnegative, got {n}")
-    level: dict = {v: (1, ONE)}
-    for _ in range(n):
-        nxt: dict = {}
-        for y, (cnt, mw) in level.items():
-            for x, w in graph.predecessors(y):
-                wmw = w * mw
-                cur = nxt.get(x)
-                if cur is None:
-                    nxt[x] = (cnt, wmw)
-                else:
-                    nxt[x] = (cur[0] + cnt, wmw if wmw > cur[1] else cur[1])
-        level = nxt
-        if not level:
-            break
-    total = 0
-    best = ZERO
-    for x, (cnt, mw) in level.items():
-        if graph.index_of_vertex(x) < n_trunc:
-            total += cnt
-            if mw > best:
-                best = mw
-    return PathCount(total, best)
-
-
 def count_paths_profile(
     graph: C0Graph, v: Vertex, n_max: int, n_trunc: int
 ) -> List[PathCount]:
-    """PathCount for every length 0..n_max into v, in one backward sweep."""
+    """PathCount for every length 0..n_max into v, in one backward sweep.
+
+    Walks the graph backwards from v with a level of (count, max weight)
+    cells and aggregates each level over the admissible starting vertices.
+    Exact and much cheaper than forward enumeration.
+    """
     profile: List[PathCount] = []
     level: dict = {v: (1, ONE)}
     for _ in range(n_max + 1):
@@ -366,6 +319,13 @@ def count_paths_profile(
             profile.extend(PathCount(0, ZERO) for _ in range(n_max - len(profile) + 1))
             break
     return profile
+
+
+def count_paths_to(graph: C0Graph, v: Vertex, n: int, n_trunc: int) -> PathCount:
+    """Paths of length n ending at v that start among the first n_trunc vertices."""
+    if n < 0:
+        raise ValueError(f"path length must be nonnegative, got {n}")
+    return count_paths_profile(graph, v, n, n_trunc)[n]
 
 
 @dataclass

@@ -28,7 +28,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import List, Optional, Tuple
 
-from .core import HALF, ONE, TWO
+from . import graphop
+from .core import HALF, ONE, TWO, SparseVector
 from .graphop import C0Graph, Vertex
 
 SOURCE: Vertex = ("S",)
@@ -132,42 +133,65 @@ class LadderFamilyGraph(C0Graph):
         self.copy_index = copy_index
 
 
-def _copy_successors(k: int, v: Vertex):
-    """Out-edges of a vertex inside copy k, excluding the entry chain."""
+def _successors(v: Vertex):
+    """Out-edges of a vertex of the combined graph."""
     tag = v[0]
+    if tag == "S":
+        return ((entry(0), ONE),)
+    if tag == "E":
+        k = v[1]
+        return ((entry(k + 1), ONE), (top(k, k + 1), ONE))
     if tag == "T":
-        _, _, n = v
-        return (
-            (top(k, n + 1), ONE),
-            (bottom(k, rung_position(n)), HALF),
-        )
+        _, k, n = v
+        return ((top(k, n + 1), ONE), (bottom(k, rung_position(n)), HALF))
     if tag == "B":
-        _, _, j = v
+        _, k, j = v
         target = sink(k) if j == 1 else bottom(k, j - 1)
         return ((target, bottom_weight(j)),)
     if tag == "V":
         return ()
-    raise ValueError(f"vertex {v!r} does not belong to copy {k}")
+    raise ValueError(f"not a ladder vertex: {v!r}")
 
 
-def _copy_predecessors(k: int, v: Vertex):
-    """In-edges of a top, bottom or sink vertex of copy k, minus the entry edge."""
+def _predecessors(v: Vertex):
+    """In-edges of a vertex of the combined graph."""
     tag = v[0]
+    if tag == "S":
+        return ()
+    if tag == "E":
+        k = v[1]
+        return ((SOURCE, ONE),) if k == 0 else ((entry(k - 1), ONE),)
     if tag == "T":
-        _, _, n = v
-        if n == k + 1:
-            return None  # fed by the entry vertex; caller supplies that edge
-        return ((top(k, n - 1), ONE),)
+        _, k, n = v
+        return ((entry(k) if n == k + 1 else top(k, n - 1), ONE),)
     if tag == "B":
-        _, _, j = v
+        _, k, j = v
         edges = [(bottom(k, j + 1), bottom_weight(j + 1))]
         i = rung_index(j)
         if i is not None and i >= k + 1:
             edges.append((top(k, i), HALF))
         return tuple(edges)
     if tag == "V":
-        return ((bottom(k, 1), bottom_weight(1)),)
-    raise ValueError(f"vertex {v!r} does not belong to copy {k}")
+        return ((bottom(v[1], 1), bottom_weight(1)),)
+    raise ValueError(f"not a ladder vertex: {v!r}")
+
+
+def _restricted(oracle, keep, where: str):
+    """``oracle`` on a vertex set ``keep`` that holds whole copies.
+
+    Vertices outside the set are rejected and edges leaving it are dropped.
+    Only the source and entry vertices have edges between copies, so only
+    their edge lists need filtering.
+    """
+
+    def edges(v: Vertex):
+        if not keep(v):
+            raise ValueError(f"vertex {v!r} is not in {where}")
+        if v[0] in ("S", "E"):
+            return tuple((u, w) for u, w in oracle(v) if keep(u))
+        return oracle(v)
+
+    return edges
 
 
 def _standalone_enumerate(k: int, i: int) -> Vertex:
@@ -200,28 +224,16 @@ def _standalone_index(k: int, v: Vertex) -> int:
 
 
 def _make_standalone(k: int) -> LadderFamilyGraph:
-    def successors(v: Vertex):
-        if v[0] == "E":
-            if v[1] != k:
-                raise ValueError(f"vertex {v!r} is not in copy {k}")
-            return ((top(k, k + 1), ONE),)
-        return _copy_successors(k, v)
+    """Copy k on its own: the combined graph restricted to E(k) and copy k."""
 
-    def predecessors(v: Vertex):
-        if v[0] == "E":
-            if v[1] != k:
-                raise ValueError(f"vertex {v!r} is not in copy {k}")
-            return ()
-        edges = _copy_predecessors(k, v)
-        if edges is None:
-            return ((entry(k), ONE),)
-        return edges
+    def keep(v: Vertex) -> bool:
+        return v[0] != "S" and v[1] == k
 
     return LadderFamilyGraph(
         kind="g0" if k == 0 else "gk",
         copy_index=k,
-        successors=successors,
-        predecessors=predecessors,
+        successors=_restricted(_successors, keep, f"copy {k}"),
+        predecessors=_restricted(_predecessors, keep, f"copy {k}"),
         enumerate_vertex=lambda i: _standalone_enumerate(k, i),
         index_of_vertex=lambda v: _standalone_index(k, v),
         description=f"ladder copy {k}",
@@ -290,33 +302,11 @@ def make_counterexample() -> LadderFamilyGraph:
     The entry chain E(0) -> E(1) -> ... carries weight-1 edges, every E(k)
     also feeds the top chain of copy k, and the source feeds E(0).
     """
-
-    def successors(v: Vertex):
-        tag = v[0]
-        if tag == "S":
-            return ((entry(0), ONE),)
-        if tag == "E":
-            k = v[1]
-            return ((entry(k + 1), ONE), (top(k, k + 1), ONE))
-        return _copy_successors(v[1], v)
-
-    def predecessors(v: Vertex):
-        tag = v[0]
-        if tag == "S":
-            return ()
-        if tag == "E":
-            k = v[1]
-            return ((SOURCE, ONE),) if k == 0 else ((entry(k - 1), ONE),)
-        edges = _copy_predecessors(v[1], v)
-        if edges is None:
-            return ((entry(v[1]), ONE),)
-        return edges
-
     return LadderFamilyGraph(
         kind="combined",
         copy_index=None,
-        successors=successors,
-        predecessors=predecessors,
+        successors=_successors,
+        predecessors=_predecessors,
         enumerate_vertex=_combined_enumerate,
         index_of_vertex=_combined_index,
         description="combined ladder graph",
@@ -326,37 +316,17 @@ def make_counterexample() -> LadderFamilyGraph:
 def make_entry_spine(copy: int = 0) -> C0Graph:
     """The combined graph restricted to the source, entry chain and one copy.
 
-    This is the induced subgraph on {S, all E(i)} plus the top chain, bottom
-    chain and sink of the chosen copy.  No path of the combined graph leaves
-    this vertex set and returns, so orbits restricted to these coordinates
-    agree with orbits computed in the full graph.
+    This is the induced subgraph on spine_vertex_set(copy): {S, all E(i)}
+    plus the top chain, bottom chain and sink of the chosen copy.  Its
+    oracles are the combined graph's, with edges leaving the set dropped and
+    vertices outside it rejected.  No path of the combined graph leaves this
+    vertex set and returns, so orbits restricted to these coordinates agree
+    with orbits computed in the full graph.
     """
     if copy < 0:
         raise ValueError(f"copy index must be nonnegative, got {copy}")
-
-    def successors(v: Vertex):
-        tag = v[0]
-        if tag == "S":
-            return ((entry(0), ONE),)
-        if tag == "E":
-            k = v[1]
-            edges = [(entry(k + 1), ONE)]
-            if k == copy:
-                edges.append((top(copy, copy + 1), ONE))
-            return tuple(edges)
-        return _copy_successors(copy, v)
-
-    def predecessors(v: Vertex):
-        tag = v[0]
-        if tag == "S":
-            return ()
-        if tag == "E":
-            k = v[1]
-            return ((SOURCE, ONE),) if k == 0 else ((entry(k - 1), ONE),)
-        edges = _copy_predecessors(copy, v)
-        if edges is None:
-            return ((entry(copy), ONE),)
-        return edges
+    keep = spine_vertex_set(copy)
+    where = f"the entry spine of copy {copy}"
 
     def enum(i: int) -> Vertex:
         if i == 0:
@@ -382,11 +352,11 @@ def make_entry_spine(copy: int = 0) -> C0Graph:
             return 3 + 3 * (v[2] - copy - 1)
         if tag == "B" and v[1] == copy:
             return 4 + 3 * (v[2] - 1)
-        raise ValueError(f"vertex {v!r} is not on the entry spine of copy {copy}")
+        raise ValueError(f"vertex {v!r} is not in {where}")
 
     return C0Graph(
-        successors=successors,
-        predecessors=predecessors,
+        successors=_restricted(_successors, keep, where),
+        predecessors=_restricted(_predecessors, keep, where),
         enumerate_vertex=enum,
         index_of_vertex=index_of,
         description=f"entry spine of copy {copy}",
@@ -435,3 +405,21 @@ def orbit_predicate(kind: str, k: int, n: int) -> int:
         m = n.bit_length() - 3
         return 1 if m >= k else 0
     raise ValueError(f"unknown graph kind {kind!r}")
+
+
+def sink_readings(kind: str, k: int, n_max: int):
+    """Yield (n, simulated, predicted) sink readings for n = 1..n_max.
+
+    simulated is the V(k) coordinate of the n-th orbit vector and predicted
+    is orbit_predicate(kind, k, n).  For kind "combined" the orbit starts at
+    the source and runs on make_entry_spine(k); for "g0" and "gk" it starts
+    at the entry vertex of the standalone copy k.
+    """
+    if kind == "combined":
+        graph, x = make_entry_spine(k), SparseVector.unit(SOURCE)
+    else:
+        graph, x = (make_g0() if kind == "g0" else make_gk(k)), SparseVector.unit(entry(k))
+    target = sink(k)
+    for n in range(1, n_max + 1):
+        x = graphop.apply(graph, x)
+        yield n, x[target], orbit_predicate(kind, k, n)

@@ -102,6 +102,9 @@ def test_cesaro_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, ["orbit", "--graph", "gk"])
     assert code == 2
+    for start in (["--start", "entry"], ["--x", "e_o"]):
+        code, _, err = run(capsys, ["cesaro", "--graph", "combined", *start, "--schedule", "8"])
+        assert code == 2 and "error:" in err
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):
@@ -141,25 +144,6 @@ def test_block_float_mode_tracks_exact(capsys):
     float_row = rows_of(float_out)[1]
     assert exact_row[0] == float_row[0]  # same attaining block
     assert float(float_row[3]) == pytest.approx(float(exact_row[4]), rel=1e-9)
-
-
-def test_threads_do_not_change_output(capsys, monkeypatch):
-    argv = ["block", "--deviation", "--m-max", "300", "--windows", "64", "--p", "2"]
-    monkeypatch.delenv("ERGOLAB_THREADS", raising=False)
-    code1, out1, _ = run(capsys, argv)
-    monkeypatch.setenv("ERGOLAB_THREADS", "4")
-    code4, out4, _ = run(capsys, argv)
-    assert code1 == code4 == 0
-    assert out1 == out4
-
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("ERGOLAB_THREADS", "abc")
-    code, _, err = run(capsys, ["norms", "--n-max", "1", "--trunc", "10"])
-    assert code == 2 and "ERGOLAB_THREADS" in err
-    monkeypatch.setenv("ERGOLAB_THREADS", "0")
-    code, _, err = run(capsys, ["norms", "--n-max", "1", "--trunc", "10"])
-    assert code == 2
 
 
 def test_verify_selected_criteria(capsys):

@@ -139,3 +139,19 @@ def test_fraction_str_handles_very_long_fractions():
     assert text.endswith("/7")
     assert len(text) > 6000
     assert sys.get_int_max_str_digits() == limit  # the cap is restored
+
+
+def test_fraction_str_beyond_the_digit_cap_leaves_the_interpreter_alone(monkeypatch):
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+
+    def refuse(_):
+        raise AssertionError("fraction_str changed the interpreter's digit cap")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    numerator = 10**5000 + 1
+    text = fraction_str(Fraction(-numerator, 3))
+    assert text == "-1" + "0" * 4999 + "1/3"
+    assert fraction_str(Fraction(3, numerator)) == "3/1" + "0" * 4999 + "1"
+    assert sys.get_int_max_str_digits() == limit

@@ -199,3 +199,20 @@ def test_spine_vertex_set_membership():
     keep = ladder.spine_vertex_set(1)
     assert keep(S) and keep(E(7)) and keep(T(1, 2)) and keep(B(1, 9)) and keep(V(1))
     assert not keep(T(0, 1)) and not keep(V(0)) and not keep(B(2, 1))
+
+
+@pytest.mark.parametrize(
+    "graph, entry_vertex, entry_edges, foreign",
+    [
+        (ladder.make_entry_spine(0), E(3), ((E(4), ONE),), (T(3, 5), B(1, 4), V(2))),
+        (ladder.make_g0(), E(0), ((T(0, 1), ONE),), (T(3, 5), B(1, 4), V(2), E(1), S)),
+        (ladder.make_gk(2), E(2), ((T(2, 3), ONE),), (T(3, 5), B(0, 4), V(0), E(0), S)),
+    ],
+)
+def test_restricted_oracles_reject_foreign_vertices(graph, entry_vertex, entry_edges, foreign):
+    for v in foreign:
+        with pytest.raises(ValueError):
+            graph.successors(v)
+        with pytest.raises(ValueError):
+            graph.predecessors(v)
+    assert graph.successors(entry_vertex) == entry_edges  # edges out of the graph dropped
