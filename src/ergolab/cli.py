@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import acceptance, blockdiag, ergodic, graphop, ladder, sweeps
+from . import acceptance, blockdiag, ergodic, graphop, ladder
 from .core import ONE, SparseVector, fraction_str
 
 EXIT_OK = 0
@@ -153,29 +153,26 @@ def _cmd_cesaro(args, cfg: RunConfig) -> int:
     start = args.start
     if args.x is not None:
         start = "source" if args.x == "e_s" else "entry"
-    results = []  # (power, n, sup norm)
-    if args.graph == "combined" and start == "source":
-        for power in powers:
-            values = sweeps.combined_cesaro_sup_norms(schedule, step_power=power, factor=factor)
-            results += [(power, n, values[n]) for n in sorted(values)]
-    else:
-        if start == "source":
+    if start == "source":
+        if args.graph != "combined":
             raise UsageError("--start source needs --graph combined")
+        x = SparseVector.unit(ladder.SOURCE)
+    else:
         if graph.copy_index is None:
             raise UsageError("--start entry needs --graph g0 or --graph gk")
         if isinstance(factor, complex):
             raise UsageError("complex factors need --graph combined --start source")
         x = SparseVector.unit(ladder.entry(graph.copy_index))
-        op = ergodic.graph_handle(graph)
-        for power in powers:
-            handle = ergodic.stepped_handle(op, power, factor)
-            try:
-                trace = ergodic.cesaro_trace(
-                    handle, x, schedule, max_support=cfg.max_support, engine="generic"
-                )
-            except ergodic.BudgetExceeded:
-                return EXIT_BUDGET
-            results += [(power, record.n, record.sup_norm) for record in trace.records]
+    op = ergodic.graph_handle(graph)
+    results = []  # (power, n, sup norm)
+    for power in powers:
+        try:
+            trace = ergodic.cesaro_trace(
+                op, x, schedule, max_support=cfg.max_support, step_power=power, factor=factor
+            )
+        except ergodic.BudgetExceeded:
+            return EXIT_BUDGET
+        results += [(power, record.n, record.sup_norm) for record in trace.records]
     rows = [
         (
             str(power),
@@ -186,15 +183,8 @@ def _cmd_cesaro(args, cfg: RunConfig) -> int:
         for power, n, value in results
     ]
     _emit(cfg, ("power", "n", "sup_norm", "sup_norm_decimal"), rows)
-    if bound is not None:
-        worst = max(value for _, _, value in results)
-        exceeded = (
-            float(worst) > float(bound) + ergodic.FLOAT_TOL
-            if isinstance(worst, float)
-            else worst > bound
-        )
-        if exceeded:
-            return EXIT_CHECK_FAILED
+    if bound is not None and not all(ergodic.at_most(value, bound) for _, _, value in results):
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
@@ -231,10 +221,9 @@ def _cmd_block(args, cfg: RunConfig) -> int:
             values.append(value)
             rows.append((str(n), str(n), str(p), shown, _decimal(value)))
     _emit(cfg, ("m", "n", "p", "value", "value_decimal"), rows)
-    tol = ergodic.FLOAT_TOL if cfg.mode == "float" else 0
-    if at_least is not None and any(float(v) < float(at_least) - tol for v in values):
+    if at_least is not None and not all(ergodic.at_most(-v, -at_least) for v in values):
         return EXIT_CHECK_FAILED
-    if at_most is not None and any(float(v) > float(at_most) + tol for v in values):
+    if at_most is not None and not all(ergodic.at_most(v, at_most) for v in values):
         return EXIT_CHECK_FAILED
     return EXIT_OK
 

@@ -1,15 +1,18 @@
 """Cesaro averaging engines, convergence checks and fixed-space certificates.
 
-The functions here treat an operator abstractly through a handle (apply one
-step, optionally apply the adjoint) and compute Cesaro averages
+The functions here treat an operator abstractly through a handle that
+applies one step, and compute Cesaro averages
 
     A_n x = (1/n) * (x + Tx + ... + T**(n-1) x)
 
-in a single incremental pass.  For the combined ladder graph started at its
-source the generic pass is quadratic in n, so the checks transparently hand
-long windows to the exact structural sweep in :mod:`ergolab.sweeps`; the two
-engines are verified against each other in the tests and the choice can be
-forced either way.
+in a single incremental pass.  :func:`cesaro_trace` is the one entry point
+for averages of S = factor * T**step_power: it checks the factor, builds the
+step S and picks the engine.  For the combined ladder graph started at its
+source the generic pass is quadratic in n, so it hands those averages to the
+exact structural sweep in :mod:`ergolab.sweeps`; the two engines are
+verified against each other in the tests and the choice can be forced
+either way.  The power and rotation checks compare one record of a trace
+with a threshold.
 
 The certificate machinery addresses the other half of mean ergodicity.  An
 average of powers can only converge to 0 for every start vector if no
@@ -40,33 +43,20 @@ class BudgetExceeded(RuntimeError):
 class OperatorHandle:
     """One-step access to an operator on finitely supported vectors.
 
-    ``positive`` is advisory: it asserts that apply maps nonnegative vectors
-    to nonnegative vectors, which tests spot-check.  ``graph`` links back to
-    a graph presentation when one exists; it enables the complex-factor
-    stepping path and the structural fast sweep.
+    ``graph`` links back to a graph presentation when one exists; it enables
+    the complex-factor stepping path and the structural fast sweep.
     """
 
     apply: Callable[[SparseVector], SparseVector]
-    adjoint_apply: Optional[Callable[[SparseVector], SparseVector]] = None
     description: str = ""
-    positive: bool = True
     graph: Optional[C0Graph] = None
-
-    def supports_fast_sweep(self, x: SparseVector) -> bool:
-        return (
-            self.graph is not None
-            and sweeps.fast_cesaro_available(self.graph)
-            and x == SparseVector.unit(ladder.SOURCE)
-        )
 
 
 def graph_handle(graph: C0Graph) -> OperatorHandle:
     """Handle for the operator presented by a weighted graph."""
     return OperatorHandle(
         apply=lambda x: graphop.apply(graph, x),
-        adjoint_apply=lambda y: graphop.apply_adjoint(graph, y),
         description=graph.description or "graph operator",
-        positive=True,
         graph=graph,
     )
 
@@ -78,21 +68,8 @@ def block_handle(power: int = 1) -> OperatorHandle:
     op = BlockOperator(power)
     return OperatorHandle(
         apply=op.apply,
-        adjoint_apply=op.apply,  # each block is symmetric
         description=f"block-diagonal operator, power {power}",
-        positive=False,  # blocks have positive entries but V-components may flip sign
     )
-
-
-def stepped_handle(op: OperatorHandle, power: int, factor=ONE) -> OperatorHandle:
-    """Handle for factor * T**power: ``power`` steps of ``op``, then the factor."""
-
-    def apply(v: SparseVector) -> SparseVector:
-        for _ in range(power):
-            v = op.apply(v)
-        return v if factor == ONE else v.scale(factor)
-
-    return OperatorHandle(apply=apply, description=f"{factor} * {op.description} ** {power}")
 
 
 def _running_sums(step, x, windows: Sequence[int], max_support: Optional[int] = None):
@@ -154,26 +131,17 @@ class TraceRecord:
 
 @dataclass
 class CesaroTrace:
-    """Sup norms (and support sizes when available) of A_n x along a schedule."""
+    """Sup norms (and support sizes when available) of A_n x along a schedule.
+
+    ``engine`` names the engine that ran: "fast" or "generic".
+    """
 
     description: str
     records: List[TraceRecord]
+    engine: str
 
     def norms(self) -> Dict[int, Fraction]:
         return {rec.n: rec.sup_norm for rec in self.records}
-
-
-def _use_fast(op: OperatorHandle, x: SparseVector, engine: str) -> bool:
-    """Resolve an engine name: True for the structural sweep, False for the pass."""
-    if engine not in ("auto", "generic", "fast"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "generic":
-        return False
-    if op.supports_fast_sweep(x):
-        return True
-    if engine == "fast":
-        raise ValueError("fast engine requires the combined graph started at the source")
-    return False
 
 
 def cesaro_trace(
@@ -182,27 +150,76 @@ def cesaro_trace(
     schedule: Sequence[int],
     max_support: Optional[int] = None,
     engine: str = "auto",
+    step_power: int = 1,
+    factor=ONE,
 ) -> CesaroTrace:
-    """Record sup norms of A_n x for every n in the schedule, one pass.
+    """Record sup norms of the Cesaro averages of S = factor * T**step_power.
+
+    For every n in the schedule, the sup norm of A_n x with S in place of T,
+    in one pass.  ``factor`` is +1 or -1 (exact) or a unimodular complex
+    number; complex factors run in double precision, and the generic engine
+    steps them on the graph of a graph-backed handle.
 
     engine "auto" uses the exact structural sweep when the handle is the
     combined ladder graph started at the source; "generic" forces the
     incremental pass; "fast" requires the sweep and errors otherwise.  The
     generic pass is the deliberate second route for the sweep: the tests
     and the benchmark's output checks compare the two on shared windows.
+    Raises :class:`BudgetExceeded` when the generic pass outgrows
+    ``max_support``.
     """
     wanted = sorted(set(int(n) for n in schedule))
     if not wanted or wanted[0] < 1:
         raise ValueError("schedule must be a nonempty collection of positive lengths")
-    if _use_fast(op, x, engine):
-        values = sweeps.combined_cesaro_sup_norms(wanted)
+    if step_power < 1:
+        raise ValueError(f"step_power must be a positive integer, got {step_power}")
+    if engine not in ("auto", "generic", "fast"):
+        raise ValueError(f"unknown engine {engine!r}")
+    factor = sweeps.normalize_factor(factor)
+    fast = (
+        op.graph is not None
+        and sweeps.fast_cesaro_available(op.graph)
+        and x == SparseVector.unit(ladder.SOURCE)
+    )
+    if engine == "fast" and not fast:
+        raise ValueError("fast engine requires the combined graph started at the source")
+    if fast and engine != "generic":
+        values = sweeps.combined_cesaro_sup_norms(wanted, step_power, factor)
         records = [TraceRecord(n, values[n], None) for n in wanted]
+        return CesaroTrace(op.description, records, "fast")
+    if isinstance(factor, complex):
+        if op.graph is None:
+            raise ValueError("complex factors need a graph-backed handle")
+        step = _complex_step(op.graph, step_power, factor)
+        start = {key: complex(float(value), 0.0) for key, value in x.items()}
     else:
-        records = [
-            TraceRecord(k, *_sup_and_support(sums, k))
-            for k, sums in _running_sums(op.apply, x, wanted, max_support)
-        ]
-    return CesaroTrace(op.description, records)
+        start = x
+
+        def step(v: SparseVector) -> SparseVector:
+            for _ in range(step_power):
+                v = op.apply(v)
+            return v if factor == ONE else v.scale(factor)
+
+    records = [
+        TraceRecord(k, *_sup_and_support(sums, k))
+        for k, sums in _running_sums(step, start, wanted, max_support)
+    ]
+    return CesaroTrace(op.description, records, "generic")
+
+
+def _complex_step(graph: C0Graph, power: int, factor: complex):
+    """One step of factor * T**power in double precision, on dicts of complex entries."""
+
+    def step(cur: dict) -> dict:
+        for _ in range(power):
+            nxt: dict = {}
+            for u, c in cur.items():
+                for v, w in graph.successors(u):
+                    nxt[v] = nxt.get(v, 0j) + c * float(w)
+            cur = nxt
+        return {u: factor * c for u, c in cur.items()}
+
+    return step
 
 
 @dataclass(frozen=True)
@@ -224,10 +241,28 @@ class CheckResult:
 FLOAT_TOL = 1e-9  # absolute slack for threshold comparisons on the float path
 
 
-def _compare(value, threshold: Fraction) -> bool:
+def at_most(value: Union[Fraction, float], bound: Fraction) -> bool:
+    """value <= bound: exact for rationals, with FLOAT_TOL of slack for floats.
+
+    ``at_most(-value, -bound)`` is the matching lower-bound test.
+    """
     if isinstance(value, float):
-        return value <= float(threshold) + FLOAT_TOL
-    return value <= threshold
+        return value <= float(bound) + FLOAT_TOL
+    return value <= bound
+
+
+def _check(op, x, n: int, threshold, engine: str, detail: str, **stepping) -> CheckResult:
+    threshold = as_rational(threshold)
+    trace = cesaro_trace(op, x, [n], engine=engine, **stepping)
+    (record,) = trace.records
+    return CheckResult(
+        passed=at_most(record.sup_norm, threshold),
+        value=record.sup_norm,
+        threshold=threshold,
+        n=n,
+        detail=detail,
+        engine=trace.engine,
+    )
 
 
 def power_mean_ergodic_check(
@@ -243,23 +278,8 @@ def power_mean_ergodic_check(
     Computes the sup norm of (1/n) * sum_{k<n} T**(step_power*k) x exactly
     and compares it with the threshold.
     """
-    if step_power < 1:
-        raise ValueError(f"step_power must be a positive integer, got {step_power}")
-    threshold = as_rational(threshold)
-    if _use_fast(op, x, engine):
-        value = sweeps.combined_cesaro_sup_norms([n], step_power=step_power)[n]
-        used = "fast"
-    else:
-        value = cesaro_apply(stepped_handle(op, step_power), x, n).sup_norm()
-        used = "generic"
-    return CheckResult(
-        passed=_compare(value, threshold),
-        value=value,
-        threshold=threshold,
-        n=n,
-        detail=f"window {n} of {op.description} to the power {step_power}",
-        engine=used,
-    )
+    detail = f"window {n} of {op.description} to the power {step_power}"
+    return _check(op, x, n, threshold, engine, detail, step_power=step_power)
 
 
 def scalar_rotation_check(
@@ -277,48 +297,8 @@ def scalar_rotation_check(
     (generic engine, graph-backed handles only), with threshold comparisons
     slackened by an absolute 1e-9.
     """
-    if n < 1:
-        raise ValueError(f"window length must be positive, got {n}")
-    threshold = as_rational(threshold)
-    if _use_fast(op, x, engine):
-        value = sweeps.combined_cesaro_sup_norms([n], factor=factor)[n]
-        used = "fast"
-    elif isinstance(factor, complex):
-        if op.graph is None:
-            raise ValueError("complex factors need a graph-backed handle")
-        if abs(abs(factor) - 1.0) > 1e-12:
-            raise ValueError(f"factor must have modulus 1, got {factor!r}")
-        start = {key: complex(float(value), 0.0) for key, value in x.items()}
-        ((_, sums),) = _running_sums(_complex_step(op.graph, factor), start, [n])
-        value = _sup_and_support(sums, n)[0]
-        used = "generic"
-    else:
-        factor = as_rational(factor)
-        if factor != ONE and factor != -ONE:
-            raise ValueError(f"exact factors must be 1 or -1, got {factor}")
-        value = cesaro_apply(stepped_handle(op, 1, factor), x, n).sup_norm()
-        used = "generic"
-    return CheckResult(
-        passed=_compare(value, threshold),
-        value=value,
-        threshold=threshold,
-        n=n,
-        detail=f"window {n} of {factor} * {op.description}",
-        engine=used,
-    )
-
-
-def _complex_step(graph: C0Graph, factor: complex):
-    """One step of factor * T in double precision, on dicts of complex entries."""
-
-    def step(cur: dict) -> dict:
-        nxt: dict = {}
-        for u, c in cur.items():
-            for v, w in graph.successors(u):
-                nxt[v] = nxt.get(v, 0j) + c * float(w)
-        return {u: factor * c for u, c in nxt.items()}
-
-    return step
+    detail = f"window {n} of {factor} * {op.description}"
+    return _check(op, x, n, threshold, engine, detail, factor=factor)
 
 
 @dataclass

@@ -93,15 +93,13 @@ def rung_position(n: int) -> int:
 def rung_index(j: int) -> Optional[int]:
     """Inverse of rung_position: the n with rung_position(n) == j, or None.
 
-    Works for arbitrarily large j by guessing n from the bit length of j.
+    Works for arbitrarily large j: rung_position(n) has bit length n + 1
+    for n >= 2, so the bit length of j names the only candidate n.
     """
     if j < 1:
         return None
-    bl = j.bit_length()
-    for n in (bl - 1, bl, bl + 1):
-        if n >= 1 and rung_position(n) == j:
-            return n
-    return None
+    n = max(j.bit_length() - 1, 1)
+    return n if j + n + 2 == 1 << (n + 1) else None
 
 
 def bottom_weight(j: int) -> Fraction:

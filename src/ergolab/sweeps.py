@@ -47,7 +47,7 @@ from .ladder import rung_index
 Factor = Union[Fraction, int, complex]
 
 
-def _normalize_factor(factor) -> Union[Fraction, complex]:
+def normalize_factor(factor) -> Union[Fraction, complex]:
     """Accept +1, -1 (exact) or a unimodular complex number."""
     if isinstance(factor, complex):
         if abs(abs(factor) - 1.0) > 1e-12:
@@ -74,7 +74,7 @@ def combined_cesaro_sup_norms(
         raise ValueError(f"schedule must be a nonempty set of positive window lengths")
     if step_power < 1:
         raise ValueError(f"step_power must be a positive integer, got {step_power}")
-    factor = _normalize_factor(factor)
+    factor = normalize_factor(factor)
     exact = isinstance(factor, Fraction)
 
     n_max = schedule[-1]
@@ -82,58 +82,41 @@ def combined_cesaro_sup_norms(
     retain = max(horizon, 4)
     wanted = set(schedule)
 
-    # streams[j] collects (max copy index, engine step, exact value) for the
-    # copy-0 bottom cell at position j; the sink gets its own stream.  The
-    # max copy index is strictly increasing along each stream, which is what
-    # makes every suffix realizable by some copy.
-    streams: Dict[int, List[Tuple[int, int, Fraction]]] = {}
-    sink_stream: List[Tuple[int, int, Fraction]] = []
+    # streams[j] collects (max copy index, contribution) for the copy-0
+    # bottom cell at position j; the sink gets its own stream.  A
+    # contribution is the cell's exact value at engine step k already times
+    # factor**k (in double precision for complex factors).  The max copy
+    # index is strictly increasing along each stream, which is what makes
+    # every suffix realizable by some copy.
+    streams: Dict[int, List[Tuple[int, Union[Fraction, complex]]]] = {}
+    sink_stream: List[Tuple[int, Union[Fraction, complex]]] = []
     results: Dict[int, Union[Fraction, float]] = {}
 
-    def record(stream: List[Tuple[int, int, Fraction]], kmax: int, k: int, value: Fraction):
+    def record(stream, kmax: int, weight, value: Fraction) -> None:
         if stream and stream[-1][0] >= kmax:
             raise AssertionError("copy bounds must increase along a contribution stream")
-        stream.append((kmax, k, value))
+        stream.append((kmax, value * weight if exact else weight * float(value)))
 
     def evaluate(n_eval: int) -> Union[Fraction, float]:
         # the source coordinate contributes exactly 1 at engine step 0, and
         # every other single-visit cell at most that much
-        if exact:
-            best = ONE
-            for stream in [sink_stream, *streams.values()]:
-                total = Fraction(0)
-                local = Fraction(0)
-                for _, k, value in reversed(stream):
-                    if factor < 0 and (k & 1):
-                        total -= value
-                    else:
-                        total += value
-                    mag = -total if total < 0 else total
-                    if mag > local:
-                        local = mag
-                if local > best:
-                    best = local
-            return best / n_eval
-        best = 1.0
-        lam = complex(factor)
+        best = ONE if exact else 1.0
         for stream in [sink_stream, *streams.values()]:
-            total = 0j
-            local = 0.0
-            for _, k, value in reversed(stream):
-                total += lam**k * float(value)
+            total = 0
+            for _, contribution in reversed(stream):
+                total += contribution
                 mag = abs(total)
-                if mag > local:
-                    local = mag
-            if local > best:
-                best = local
+                if mag > best:
+                    best = mag
         return best / n_eval
 
     for k in range(n_max):
         t = step_power * k
+        weight = factor**k
         if t >= 4 and not (t & (t - 1)):
             # a wave dies into the sink exactly at the powers of two; the
             # arriving mass is exactly 1 and reaches sinks V(0)..V(n-1)
-            record(sink_stream, t.bit_length() - 3, k, ONE)
+            record(sink_stream, t.bit_length() - 3, weight, ONE)
         if t >= 3:
             nn = t.bit_length()  # smallest nn with 2**nn > t
             while (1 << nn) <= t + retain:
@@ -141,7 +124,7 @@ def combined_cesaro_sup_norms(
                 if n + 2 <= t:
                     j = (1 << nn) - t
                     value = HALF if rung_index(j) is not None else ONE
-                    record(streams.setdefault(j, []), n - 1, k, value)
+                    record(streams.setdefault(j, []), n - 1, weight, value)
                 nn += 1
         if (k + 1) in wanted:
             results[k + 1] = evaluate(k + 1)

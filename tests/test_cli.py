@@ -125,6 +125,23 @@ def test_block_diagonal_thresholds(capsys):
     assert [row[:3] for row in rows[1:]] == [["10", "10", "2"], ["100", "100", "2"], ["1000", "1000", "2"]]
 
 
+def test_block_exact_bounds_have_no_float_slack(capsys):
+    # 1/100 exceeds this bound by 1e-25, and b(10, 10, 1) falls short of the
+    # second by 1e-31; both differences vanish in double precision
+    code, _, _ = run(
+        capsys,
+        ["block", "--deviation", "--m-max", "50", "--windows", "100", "--p", "1",
+         "--at-most", "99999999999999999999999/10000000000000000000000000"],
+    )
+    assert code == 1
+    code, _, _ = run(
+        capsys,
+        ["block", "--windows", "10",
+         "--at-least", "4623280765312793221000000000001/10000000000000000000000000000000"],
+    )
+    assert code == 1
+
+
 def test_block_deviation_frozen_row(capsys):
     code, out, _ = run(
         capsys,

@@ -52,6 +52,24 @@ def test_trace_fast_engine_agrees_with_generic():
     assert auto.norms() == fast.norms()
 
 
+@pytest.mark.parametrize(
+    "step_power,factor",
+    [(p, f) for p in (1, 2, 3) for f in (1, -1)] + [(p, f) for p in (1, 2) for f in (1j, -1j)],
+)
+def test_trace_engines_agree_for_every_step_and_factor(step_power, factor):
+    op = graph_handle(ladder.make_counterexample())
+    x = SparseVector.unit(ladder.SOURCE)
+    windows = [1, 2, 3, 5, 8, 13, 21, 34, 48]
+    fast = cesaro_trace(op, x, windows, engine="fast", step_power=step_power, factor=factor)
+    slow = cesaro_trace(op, x, windows, engine="generic", step_power=step_power, factor=factor)
+    assert (fast.engine, slow.engine) == ("fast", "generic")
+    if isinstance(factor, complex):
+        for n, value in slow.norms().items():
+            assert fast.norms()[n] == pytest.approx(value, rel=1e-12, abs=1e-12)
+    else:
+        assert fast.norms() == slow.norms()
+
+
 def test_engine_forcing_and_validation():
     op = graph_handle(ladder.make_g0())
     x = SparseVector.unit(ladder.entry(0))

@@ -15,12 +15,18 @@ def test_rung_positions():
 
 
 def test_rung_index_inverts_rung_position():
-    for n in range(1, 80):
-        assert ladder.rung_index(ladder.rung_position(n)) == n
+    for n in range(1, 10**4 + 1):
+        j = ladder.rung_position(n)
+        assert ladder.rung_index(j) == n
+        assert ladder.rung_index(j - 1) is None and ladder.rung_index(j + 1) is None
     for j in (2, 3, 5, 10, 12, 25, 27, 100, 2**40):
         assert ladder.rung_index(j) is None
     assert ladder.rung_index(ladder.rung_position(60)) == 60  # huge positions too
     assert ladder.rung_index(0) is None
+    landings = {ladder.rung_position(n): n for n in range(1, 70)}
+    for centre in (ladder.rung_position(63), 2**64):
+        for j in range(centre - 70, centre + 71):
+            assert ladder.rung_index(j) == landings.get(j), j
 
 
 def test_bottom_weights_follow_the_rung_pattern():
