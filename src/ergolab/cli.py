@@ -329,9 +329,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_factor(argv: Sequence[str]) -> List[str]:
+    """Write ``--factor -i`` as ``--factor=-i``: argparse reads a lone -i as an option."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] == "--factor" and arg.startswith("-"):
+            out[-1] = f"--factor={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_factor(sys.argv[1:] if argv is None else argv))
     try:
         cfg = RunConfig(
             format=args.format,

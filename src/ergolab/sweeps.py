@@ -17,7 +17,10 @@ the generic engine in the test suite.
 2.  Wave values are determined by position.  The doubling weights at rung
     landing positions and the halving weights right after them telescope, so
     a wave's value at bottom position j is 1/2 when j is a rung landing
-    position and 1 otherwise, independently of which rung spawned it.
+    position and 1 otherwise, independently of which rung spawned it.  The
+    sweep carries these values as the numerators 1 and 2 over the shared
+    denominator 2, so exact sums are int sums and a Fraction is built only
+    for each reported window.
 
 3.  Copies are suffixes of copy 0.  Copy k receives exactly the waves
     spawned by rungs n >= k+1, delayed by nothing: coordinate B(k, j) at
@@ -41,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple, Union
 
-from .core import HALF, ONE, as_rational
+from .core import ONE, as_rational
 from .ladder import rung_index
 
 Factor = Union[Fraction, int, complex]
@@ -71,7 +74,7 @@ def combined_cesaro_sup_norms(
     """
     schedule = sorted(set(int(n) for n in schedule))
     if not schedule or schedule[0] < 1:
-        raise ValueError(f"schedule must be a nonempty set of positive window lengths")
+        raise ValueError("schedule must be a nonempty set of positive window lengths")
     if step_power < 1:
         raise ValueError(f"step_power must be a positive integer, got {step_power}")
     factor = normalize_factor(factor)
@@ -84,23 +87,26 @@ def combined_cesaro_sup_norms(
 
     # streams[j] collects (max copy index, contribution) for the copy-0
     # bottom cell at position j; the sink gets its own stream.  A
-    # contribution is the cell's exact value at engine step k already times
-    # factor**k (in double precision for complex factors).  The max copy
-    # index is strictly increasing along each stream, which is what makes
-    # every suffix realizable by some copy.
-    streams: Dict[int, List[Tuple[int, Union[Fraction, complex]]]] = {}
-    sink_stream: List[Tuple[int, Union[Fraction, complex]]] = []
+    # contribution is the cell's value at engine step k times factor**k,
+    # counted in halves (1 for a wave's 1/2, 2 for a value 1): an int for
+    # exact factors, so every sum stays an int over the shared denominator
+    # 2, and in double precision for complex ones, where a half is 0.5.
+    # The max copy index is strictly increasing along each stream, which is
+    # what makes every suffix realizable by some copy.
+    streams: Dict[int, List[Tuple[int, Union[int, complex]]]] = {}
+    sink_stream: List[Tuple[int, Union[int, complex]]] = []
     results: Dict[int, Union[Fraction, float]] = {}
+    lam, half = (int(factor), 1) if exact else (factor, 0.5)
 
-    def record(stream, kmax: int, weight, value: Fraction) -> None:
+    def record(stream, kmax: int, weight, halves: int) -> None:
         if stream and stream[-1][0] >= kmax:
             raise AssertionError("copy bounds must increase along a contribution stream")
-        stream.append((kmax, value * weight if exact else weight * float(value)))
+        stream.append((kmax, weight * (halves * half)))
 
     def evaluate(n_eval: int) -> Union[Fraction, float]:
-        # the source coordinate contributes exactly 1 at engine step 0, and
-        # every other single-visit cell at most that much
-        best = ONE if exact else 1.0
+        # the source coordinate contributes exactly 1 (two halves) at engine
+        # step 0, and every other single-visit cell at most that much
+        best = 2 * half
         for stream in [sink_stream, *streams.values()]:
             total = 0
             for _, contribution in reversed(stream):
@@ -108,23 +114,23 @@ def combined_cesaro_sup_norms(
                 mag = abs(total)
                 if mag > best:
                     best = mag
-        return best / n_eval
+        return Fraction(best, 2 * n_eval) if exact else best / n_eval
 
     for k in range(n_max):
         t = step_power * k
-        weight = factor**k
+        weight = lam**k
         if t >= 4 and not (t & (t - 1)):
             # a wave dies into the sink exactly at the powers of two; the
             # arriving mass is exactly 1 and reaches sinks V(0)..V(n-1)
-            record(sink_stream, t.bit_length() - 3, weight, ONE)
+            record(sink_stream, t.bit_length() - 3, weight, 2)
         if t >= 3:
             nn = t.bit_length()  # smallest nn with 2**nn > t
             while (1 << nn) <= t + retain:
                 n = nn - 1
                 if n + 2 <= t:
                     j = (1 << nn) - t
-                    value = HALF if rung_index(j) is not None else ONE
-                    record(streams.setdefault(j, []), n - 1, weight, value)
+                    halves = 1 if rung_index(j) is not None else 2
+                    record(streams.setdefault(j, []), n - 1, weight, halves)
                 nn += 1
         if (k + 1) in wanted:
             results[k + 1] = evaluate(k + 1)

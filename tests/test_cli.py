@@ -107,6 +107,12 @@ def test_cesaro_usage_errors(capsys):
         assert code == 2 and "error:" in err
 
 
+def test_cesaro_factor_accepts_a_dash_led_value_after_a_space(capsys):
+    glued = run(capsys, ["cesaro", "--schedule", "16", "--factor=-i"])
+    spaced = run(capsys, ["cesaro", "--schedule", "16", "--factor", "-i"])
+    assert glued[0] == 0 and spaced == glued
+
+
 def test_output_file_matches_stdout(tmp_path, capsys):
     _, stdout_text, _ = run(capsys, ["cesaro", "--schedule", "16,64"])
     target = tmp_path / "table.csv"

@@ -6,6 +6,7 @@ import pytest
 
 from ergolab import graphop, ladder, sweeps
 from ergolab.core import ONE, SparseVector
+from ergolab.ergodic import cesaro_trace, graph_handle
 from ergolab.sweeps import combined_cesaro_sup_norms, fast_cesaro_available
 
 
@@ -83,6 +84,46 @@ def test_long_window_values_for_powers_and_signs():
     assert combined_cesaro_sup_norms([1024], factor=-1) == {1024: Fraction(1, 128)}
     rotated = combined_cesaro_sup_norms([1024], factor=1j)
     assert rotated[1024] == pytest.approx(0.0078125, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "step_power,expected",
+    [
+        (1, {100: 0.022310388510373126, 1000: 0.00285435924193459, 3000: 0.0006154179934850945}),
+        (3, {100: 0.02268180500253985, 1000: 0.0019007943103184074, 3000: 0.0008478159701293365}),
+    ],
+)
+def test_complex_factor_values_are_pinned_bit_for_bit(step_power, expected):
+    # double-precision contributions added in birth order; any change to the
+    # order or scaling of the float route moves the last bits
+    assert combined_cesaro_sup_norms(sorted(expected), step_power, 0.6 + 0.8j) == expected
+
+
+def test_sweep_equals_generic_engine_on_random_schedules():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    op = graph_handle(ladder.make_counterexample())
+    x = SparseVector.unit(ladder.SOURCE)
+    # The generic engine is cubic in the number of T steps (a step_power 3
+    # window of 40, 117 steps, takes about 2 s), so windows stop at 40 and
+    # at 78 T steps; step_power 3 reaches window 27.
+    max_steps = 78
+
+    @hypothesis.settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        step_power=st.integers(1, 3), factor=st.sampled_from([1, -1]), data=st.data()
+    )
+    def check(step_power, factor, data):
+        top = min(40, 1 + max_steps // step_power)
+        schedule = data.draw(st.sets(st.integers(1, top), min_size=1, max_size=6))
+        swept = combined_cesaro_sup_norms(schedule, step_power, factor)
+        generic = cesaro_trace(
+            op, x, schedule, engine="generic", step_power=step_power, factor=factor
+        )
+        assert swept == generic.norms()
+        assert all(type(value) is Fraction for value in swept.values())
+
+    check()
 
 
 def test_batched_schedule_equals_separate_runs():
