@@ -1,0 +1,8 @@
+"""``python -m ergolab``: the ``ergolab`` command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

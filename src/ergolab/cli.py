@@ -329,12 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _glue_factor(argv: Sequence[str]) -> List[str]:
-    """Write ``--factor -i`` as ``--factor=-i``: argparse reads a lone -i as an option."""
+# options whose values may start with a dash: -i, -1 or -1/2
+_DASH_VALUED = ("--factor", "--bound", "--at-least", "--at-most")
+
+
+def _glue_dash_values(argv: Sequence[str]) -> List[str]:
+    """Write ``--bound -1/2`` as ``--bound=-1/2``, and likewise for the other
+    options of _DASH_VALUED: argparse reads a lone -1/2 or -i as an option."""
     out: List[str] = []
     for arg in argv:
-        if out and out[-1] == "--factor" and arg.startswith("-"):
-            out[-1] = f"--factor={arg}"
+        if out and out[-1] in _DASH_VALUED and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -342,7 +347,7 @@ def _glue_factor(argv: Sequence[str]) -> List[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_glue_factor(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_glue_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = RunConfig(
             format=args.format,

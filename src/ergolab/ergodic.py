@@ -43,8 +43,10 @@ class BudgetExceeded(RuntimeError):
 class OperatorHandle:
     """One-step access to an operator on finitely supported vectors.
 
-    ``graph`` links back to a graph presentation when one exists; it enables
-    the complex-factor stepping path and the structural fast sweep.
+    ``graph`` links back to a graph presentation when one exists; averages
+    then step on the graph itself (exactly in the integer form of
+    :func:`graphop.push`, or in double precision for complex factors), and
+    the structural fast sweep becomes available.
     """
 
     apply: Callable[[SparseVector], SparseVector]
@@ -72,36 +74,47 @@ def block_handle(power: int = 1) -> OperatorHandle:
     )
 
 
-def _running_sums(step, x, windows: Sequence[int], max_support: Optional[int] = None):
-    """Yield (n, sums) for each n of the ascending ``windows``, in one pass.
+def _running_sums(step, x, den: int, windows: Sequence[int], max_support: Optional[int] = None):
+    """Yield (n, sums, den) for each n of the ascending ``windows``, in one pass.
 
-    ``sums`` maps each index to the entry of x + Sx + ... + S**(n-1) x, where
-    S is ``step``; it is one dict updated in place, so read it before asking
-    for the next window.  ``x`` is anything with ``items()`` that ``step``
-    accepts.  Raises :class:`BudgetExceeded` when the support outgrows
-    ``max_support``.
+    ``sums[key] / den`` is the entry of x + Sx + ... + S**(n-1) x, where ``x``
+    is anything with ``items()`` holding values over the denominator ``den``
+    and ``step`` maps (vector, den) to the next (vector, den), the new
+    denominator a multiple of the old.  ``sums`` is one dict updated in
+    place, so read it before asking for the next window.  Raises
+    :class:`BudgetExceeded` when the support outgrows ``max_support``.
     """
     sums = dict(x.items())
+    get = sums.get
     cur = x
     wanted = set(windows)
     for k in range(1, windows[-1] + 1):
         if k > 1:
-            cur = step(cur)
+            cur, new_den = step(cur, den)
+            if new_den != den:
+                f = new_den // den
+                for key in sums:
+                    sums[key] *= f
+                den = new_den
             for key, value in cur.items():
-                prev = sums.get(key)
-                sums[key] = value if prev is None else prev + value
+                sums[key] = get(key, 0) + value
             if max_support is not None and len(sums) > max_support:
                 raise BudgetExceeded(
                     f"support {len(sums)} exceeded cap {max_support} at window {k}"
                 )
         if k in wanted:
-            yield k, sums
+            yield k, sums, den
 
 
-def _sup_and_support(sums: dict, n: int) -> Tuple[Fraction, int]:
-    """Sup norm of sums / n, and the number of nonzero entries."""
+def _sup_and_support(sums: dict, scale: int) -> Tuple[Union[Fraction, float], int]:
+    """Sup norm of sums / scale, and the number of nonzero entries.
+
+    Int numerators give a Fraction, Fractions stay Fractions and complex
+    entries give a float.
+    """
     nonzero = [value for value in sums.values() if value]
-    return max((abs(value) for value in nonzero), default=ZERO) / n, len(nonzero)
+    best = max((abs(value) for value in nonzero), default=0)
+    return (Fraction(best, scale) if isinstance(best, int) else best / scale), len(nonzero)
 
 
 def cesaro_apply(
@@ -117,9 +130,12 @@ def cesaro_apply(
     """
     if n < 1:
         raise ValueError(f"window length must be positive, got {n}")
-    ((_, sums),) = _running_sums(op.apply, x, [n], max_support)
-    scale = Fraction(1, n)
-    return SparseVector({key: scale * value for key, value in sums.items()})
+    step, start, den = _generic_step(op, x, 1, ONE)
+    ((_, sums, den),) = _running_sums(step, start, den, [n], max_support)
+    scale = n * den
+    return SparseVector._from_clean(
+        {key: Fraction(value, scale) for key, value in sums.items() if value}
+    )
 
 
 @dataclass(frozen=True)
@@ -157,8 +173,9 @@ def cesaro_trace(
 
     For every n in the schedule, the sup norm of A_n x with S in place of T,
     in one pass.  ``factor`` is +1 or -1 (exact) or a unimodular complex
-    number; complex factors run in double precision, and the generic engine
-    steps them on the graph of a graph-backed handle.
+    number; complex factors run in double precision.  On a graph-backed
+    handle the generic engine steps the graph itself: exact factors as int
+    numerators over a shared denominator, complex ones in floats.
 
     engine "auto" uses the exact structural sweep when the handle is the
     combined ladder graph started at the source; "generic" forces the
@@ -187,37 +204,63 @@ def cesaro_trace(
         values = sweeps.combined_cesaro_sup_norms(wanted, step_power, factor)
         records = [TraceRecord(n, values[n], None) for n in wanted]
         return CesaroTrace(op.description, records, "fast")
-    if isinstance(factor, complex):
-        if op.graph is None:
-            raise ValueError("complex factors need a graph-backed handle")
-        step = _complex_step(op.graph, step_power, factor)
-        start = {key: complex(float(value), 0.0) for key, value in x.items()}
-    else:
-        start = x
-
-        def step(v: SparseVector) -> SparseVector:
-            for _ in range(step_power):
-                v = op.apply(v)
-            return v if factor == ONE else v.scale(factor)
-
+    step, start, den = _generic_step(op, x, step_power, factor)
     records = [
-        TraceRecord(k, *_sup_and_support(sums, k))
-        for k, sums in _running_sums(step, start, wanted, max_support)
+        TraceRecord(k, *_sup_and_support(sums, k * d))
+        for k, sums, d in _running_sums(step, start, den, wanted, max_support)
     ]
     return CesaroTrace(op.description, records, "generic")
 
 
+def _generic_step(op: OperatorHandle, x: SparseVector, step_power: int, factor):
+    """(step, start, den) for the generic pass of S = factor * T**step_power.
+
+    Graph-backed handles step the graph itself: exactly on the integer form
+    of :func:`graphop.push`, or in double precision for complex factors.
+    Other handles step SparseVectors through ``op.apply``.
+    """
+    if isinstance(factor, complex):
+        if op.graph is None:
+            raise ValueError("complex factors need a graph-backed handle")
+        start = {key: complex(float(value), 0.0) for key, value in x.items()}
+        return _complex_step(op.graph, step_power, factor), start, 1
+    if op.graph is not None:
+        return (_int_step(op.graph, step_power, factor), *graphop.int_vector(x))
+
+    def step(v: SparseVector, den: int):
+        for _ in range(step_power):
+            v = op.apply(v)
+        return (v if factor == ONE else v.scale(factor)), den
+
+    return step, x, 1
+
+
+def _int_step(graph: C0Graph, power: int, factor: Fraction):
+    """One exact step of factor * T**power on the integer form of graphop.push."""
+    edges = graph.out_edges
+
+    def step(nums: dict, den: int):
+        for _ in range(power):
+            nums, den = graphop.push(edges, nums, den)
+        if factor == -ONE:
+            nums = {key: -value for key, value in nums.items()}
+        return nums, den
+
+    return step
+
+
 def _complex_step(graph: C0Graph, power: int, factor: complex):
     """One step of factor * T**power in double precision, on dicts of complex entries."""
+    edges = graph.out_edges
 
-    def step(cur: dict) -> dict:
+    def step(cur: dict, den: int):
         for _ in range(power):
             nxt: dict = {}
             for u, c in cur.items():
-                for v, w in graph.successors(u):
-                    nxt[v] = nxt.get(v, 0j) + c * float(w)
+                for v, p, q in edges(u):
+                    nxt[v] = nxt.get(v, 0j) + c * (p / q)
             cur = nxt
-        return {u: factor * c for u, c in cur.items()}
+        return {u: factor * c for u, c in cur.items()}, den
 
     return step
 
@@ -344,15 +387,15 @@ def weak_compactness_witness(graph: C0Graph, k_max: int, m_max: int) -> SinkHitT
     """
     if k_max < 0 or m_max < 0:
         raise ValueError("k_max and m_max must be nonnegative")
-    x = SparseVector.unit(ladder.SOURCE)
     checkpoints = {1 << (m + 2): m for m in range(m_max + 1)}
     values: List[List[Fraction]] = [[] for _ in range(m_max + 1)]
     horizon = 1 << (m_max + 2)
+    nums, den = {ladder.SOURCE: 1}, 1
     for t in range(1, horizon + 1):
-        x = graphop.apply(graph, x)
+        nums, den = graphop.push(graph.out_edges, nums, den)
         m = checkpoints.get(t)
         if m is not None:
-            values[m] = [x[ladder.sink(k)] for k in range(k_max + 1)]
+            values[m] = [Fraction(nums.get(ladder.sink(k), 0), den) for k in range(k_max + 1)]
     return SinkHitTriangle(k_max=k_max, m_max=m_max, values=values)
 
 
@@ -366,11 +409,11 @@ def renorm_estimate(graph: C0Graph, x: SparseVector, horizon: int) -> Fraction:
     """
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    cur = x.abs()
-    best = cur.sup_norm()
+    nums, den = graphop.int_vector(x.abs())
+    best = graphop.int_sup_norm(nums, den)
     for _ in range(horizon):
-        cur = graphop.apply(graph, cur)
-        sup = cur.sup_norm()
+        nums, den = graphop.push(graph.out_edges, nums, den)
+        sup = graphop.int_sup_norm(nums, den)
         if sup > best:
             best = sup
     return best

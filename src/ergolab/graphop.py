@@ -12,6 +12,13 @@ vertex enumeration), so infinite graphs are first-class.  All operations here
 are exact; norms of the infinite operator are approached through truncations
 onto the first N enumerated vertices, which by positivity increase to the
 true value.
+
+One integer kernel, :func:`push`, performs every step.  It reads each edge as
+a triple (target, p, q) with weight p/q and holds a vector as int numerators
+over one shared denominator, which grows only when an edge's denominator
+does not divide a contribution.  ``Fraction`` values are built only at the
+edges of the API: :class:`SparseVector` in and out of :func:`apply` and
+:func:`apply_adjoint`, and one value per reported norm.
 """
 
 from __future__ import annotations
@@ -19,13 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import ONE, ZERO, SparseVector, as_rational
 
 Vertex = Tuple
 Edge = Tuple[Vertex, Fraction]
+IntEdge = Tuple[Vertex, int, int]  # target, weight numerator, weight denominator
+IntVector = Tuple[Dict[Vertex, int], int]  # numerators, shared positive denominator
 
 
 class C0Graph:
@@ -35,7 +45,8 @@ class C0Graph:
     ----------
     successors, predecessors:
         Callables mapping a vertex to a sequence of (vertex, weight) pairs.
-        Weights must be positive rationals; missing edges are simply absent.
+        Weights must be positive rationals (Fractions or ints); missing
+        edges are simply absent.
     enumerate_vertex, index_of_vertex:
         A bijection between naturals and the vertex set, used for
         truncations.  Optional for auxiliary graphs that are only stepped.
@@ -44,6 +55,11 @@ class C0Graph:
     finite_vertices:
         For finite graphs, the full vertex tuple.  Enables concrete
         fixed-space analysis.
+
+    The operator kernel reads edges through ``out_edges`` and ``in_edges``,
+    which give (vertex, p, q) triples for the weight p/q, q > 0.  Graphs whose
+    oracles already speak in such triples are built with
+    :meth:`from_int_edges`.  Nothing is cached per vertex.
     """
 
     def __init__(
@@ -55,23 +71,35 @@ class C0Graph:
         description: str = "",
         finite_vertices: Optional[Tuple[Vertex, ...]] = None,
     ):
-        self._successors = successors
-        self._predecessors = predecessors
+        self.out_edges = _int_edges(successors)
+        self.in_edges = _int_edges(predecessors)
         self._enumerate = enumerate_vertex
         self._index_of = index_of_vertex
         self.description = description
         self.finite_vertices = finite_vertices
-        self._succ_cache: dict = {}
+
+    @classmethod
+    def from_int_edges(
+        cls,
+        out_edges: Callable[[Vertex], Sequence[IntEdge]],
+        in_edges: Callable[[Vertex], Sequence[IntEdge]],
+        **kwargs,
+    ) -> "C0Graph":
+        """A graph whose oracles give (vertex, p, q) triples, weight p/q, q > 0.
+
+        ``kwargs`` are the constructor's remaining arguments.
+        """
+        graph = cls(successors=out_edges, predecessors=in_edges, **kwargs)
+        graph.out_edges, graph.in_edges = out_edges, in_edges  # already int triples
+        return graph
 
     def successors(self, v: Vertex) -> Sequence[Edge]:
-        cached = self._succ_cache.get(v)
-        if cached is None:
-            cached = tuple(self._successors(v))
-            self._succ_cache[v] = cached
-        return cached
+        """Out-edges of v with their weights as Fractions."""
+        return tuple((u, Fraction(p, q)) for u, p, q in self.out_edges(v))
 
     def predecessors(self, v: Vertex) -> Sequence[Edge]:
-        return tuple(self._predecessors(v))
+        """In-edges of v with their weights as Fractions."""
+        return tuple((u, Fraction(p, q)) for u, p, q in self.in_edges(v))
 
     def enumerate_vertex(self, i: int) -> Vertex:
         if self._enumerate is None:
@@ -93,6 +121,15 @@ class C0Graph:
         return f"C0Graph({self.description!r})"
 
 
+def _int_edges(oracle: Callable[[Vertex], Sequence[Edge]]):
+    """Read an oracle's rational weights as (numerator, denominator) pairs."""
+
+    def edges(v: Vertex) -> Tuple[IntEdge, ...]:
+        return tuple((u, w.numerator, w.denominator) for u, w in oracle(v))
+
+    return edges
+
+
 def graph_from_edges(
     edges: dict, description: str = "finite graph"
 ) -> C0Graph:
@@ -110,14 +147,14 @@ def graph_from_edges(
             w = as_rational(w)
             if w <= ZERO:
                 raise ValueError(f"edge {u!r} -> {v!r} has nonpositive weight {w}")
-            succ[u].append((v, w))
+            succ[u].append((v, w.numerator, w.denominator))
             succ.setdefault(v, [])
-            pred.setdefault(v, []).append((u, w))
+            pred.setdefault(v, []).append((u, w.numerator, w.denominator))
     vertices = tuple(sorted(succ, key=repr))
     order = {v: i for i, v in enumerate(vertices)}
-    return C0Graph(
-        successors=lambda v: succ.get(v, ()),
-        predecessors=lambda v: pred.get(v, ()),
+    return C0Graph.from_int_edges(
+        lambda v: succ.get(v, ()),
+        lambda v: pred.get(v, ()),
         enumerate_vertex=lambda i: vertices[i],
         index_of_vertex=lambda v: order[v],
         description=description,
@@ -125,41 +162,74 @@ def graph_from_edges(
     )
 
 
-def _push(edges, x: SparseVector) -> SparseVector:
-    """Move each entry of x along the edges the oracle gives, weighted."""
+def _widen(values: dict, c: int, q: int) -> int:
+    """Least f with q | c * f; multiplies every entry of ``values`` by f."""
+    f = q // gcd(c, q)
+    for key in values:
+        values[key] *= f
+    return f
+
+
+def push(edges, nums: Dict[Vertex, int], den: int) -> IntVector:
+    """Move the vector nums / den along the int-triple oracle ``edges``.
+
+    Returns the image as (numerators, denominator).  The image's denominator
+    is den times the least factor that keeps every contribution an integer
+    numerator; it grows only when an edge's denominator does not divide a
+    contribution.  Zero entries are dropped.
+    """
     out: dict = {}
-    for u, xu in x.items():
-        for v, w in edges(u):
-            contrib = xu * w
-            cur = out.get(v)
-            if cur is None:
-                out[v] = contrib
-            else:
-                cur = cur + contrib
-                if cur:
-                    out[v] = cur
-                else:
-                    del out[v]
-    return SparseVector._from_clean(out)
+    get = out.get
+    scale = 1
+    for u, a in nums.items():
+        for v, p, q in edges(u):
+            c = a * p * scale
+            if q != 1:
+                if c % q:
+                    f = _widen(out, c, q)
+                    scale *= f
+                    c *= f
+                c //= q
+            out[v] = get(v, 0) + c
+    if 0 in out.values():  # signed entries cancelled
+        out = {key: value for key, value in out.items() if value}
+    return out, den * scale
+
+
+def int_vector(x: SparseVector) -> IntVector:
+    """x as int numerators over the least common denominator of its entries."""
+    den = lcm(*(value.denominator for _, value in x.items()))
+    return {key: value.numerator * (den // value.denominator) for key, value in x.items()}, den
+
+
+def sparse_vector(nums: Dict[Vertex, int], den: int) -> SparseVector:
+    """The SparseVector nums / den; ``nums`` must hold no zeros."""
+    return SparseVector._from_clean({key: Fraction(a, den) for key, a in nums.items()})
+
+
+def int_sup_norm(nums: Dict[Vertex, int], den: int) -> Fraction:
+    """Sup norm of nums / den, reduced on ints; one Fraction is built."""
+    return Fraction(max(map(abs, nums.values()), default=0), den)
 
 
 def apply(graph: C0Graph, x: SparseVector) -> SparseVector:
     """Image of x under the graph operator: push mass along out-edges."""
-    return _push(graph.successors, x)
+    return sparse_vector(*push(graph.out_edges, *int_vector(x)))
 
 
 def apply_adjoint(graph: C0Graph, y: SparseVector) -> SparseVector:
     """Image of y under the adjoint: pull mass backwards along in-edges."""
-    return _push(graph.predecessors, y)
+    return sparse_vector(*push(graph.in_edges, *int_vector(y)))
 
 
 def power_apply(graph: C0Graph, x: SparseVector, n: int) -> SparseVector:
     """n-fold application of the graph operator to x.  n = 0 returns x."""
     if n < 0:
         raise ValueError(f"power must be nonnegative, got {n}")
+    nums, den = int_vector(x)
     for _ in range(n):
-        x = apply(graph, x)
-    return x
+        nums, den = push(graph.out_edges, nums, den)
+    return sparse_vector(nums, den)
 
 
 def truncation_indicator(graph: C0Graph, n: int) -> SparseVector:
@@ -183,35 +253,44 @@ def operator_norm_profile(graph: C0Graph, n_trunc: int) -> List[Fraction]:
 
     Computed in one incremental pass: the image of the indicator grows one
     column at a time, and the running sup is recorded after each column.
+    The column sums are int numerators over one shared denominator.
     """
     out: dict = {}
-    best = ZERO
+    den = 1
+    best = 0
     profile: List[Fraction] = []
     for i in range(n_trunc):
-        u = graph.enumerate_vertex(i)
-        for v, w in graph.successors(u):
-            cur = out.get(v)
-            cur = w if cur is None else cur + w
+        for v, p, q in graph.out_edges(graph.enumerate_vertex(i)):
+            c = p * den
+            if c % q:
+                f = _widen(out, c, q)
+                den *= f
+                best *= f
+                c *= f
+            cur = out.get(v, 0) + c // q
             out[v] = cur
             if cur > best:
                 best = cur
-        profile.append(best)
+        profile.append(Fraction(best, den))
     return profile
 
 
 def power_norm_truncated(graph: C0Graph, n_power: int, n_trunc: int) -> Fraction:
     """Sup norm of T^n_power applied to the truncation indicator."""
-    image = power_apply(graph, truncation_indicator(graph, n_trunc), n_power)
-    return image.sup_norm()
+    if n_power < 0:
+        raise ValueError(f"power must be nonnegative, got {n_power}")
+    if n_power == 0:
+        return truncation_indicator(graph, n_trunc).sup_norm()
+    return power_norms_sweep(graph, n_power, n_trunc)[-1]
 
 
 def power_norms_sweep(graph: C0Graph, n_max: int, n_trunc: int) -> List[Fraction]:
     """Truncated norms of T, T^2, ..., T^n_max in a single incremental pass."""
-    x = truncation_indicator(graph, n_trunc)
+    nums, den = int_vector(truncation_indicator(graph, n_trunc))
     norms: List[Fraction] = []
     for _ in range(n_max):
-        x = apply(graph, x)
-        norms.append(x.sup_norm())
+        nums, den = push(graph.out_edges, nums, den)
+        norms.append(int_sup_norm(nums, den))
     return norms
 
 
@@ -290,32 +369,46 @@ def count_paths_profile(
 ) -> List[PathCount]:
     """PathCount for every length 0..n_max into v, in one backward sweep.
 
-    Walks the graph backwards from v with a level of (count, max weight)
-    cells and aggregates each level over the admissible starting vertices.
-    Exact and much cheaper than forward enumeration.
+    Walks the graph backwards from v with a level of path counts and largest
+    path weights, the weights as int numerators over one shared denominator,
+    and aggregates each level over the admissible starting vertices.  Exact
+    and much cheaper than forward enumeration.
     """
     profile: List[PathCount] = []
-    level: dict = {v: (1, ONE)}
+    counts: dict = {v: 1}
+    weights: dict = {v: 1}
+    den = 1
     for _ in range(n_max + 1):
         total = 0
-        best = ZERO
-        for x, (cnt, mw) in level.items():
+        best = 0
+        for x, cnt in counts.items():
             if graph.index_of_vertex(x) < n_trunc:
                 total += cnt
-                if mw > best:
-                    best = mw
-        profile.append(PathCount(total, best))
+                if weights[x] > best:
+                    best = weights[x]
+        profile.append(PathCount(total, Fraction(best, den)))
+        nxt_counts: dict = {}
         nxt: dict = {}
-        for y, (cnt, mw) in level.items():
-            for x, w in graph.predecessors(y):
-                wmw = w * mw
+        scale = 1
+        for y, cnt in counts.items():
+            mw = weights[y]
+            for x, p, q in graph.in_edges(y):
+                c = p * mw * scale
+                if c % q:
+                    f = _widen(nxt, c, q)
+                    scale *= f
+                    c *= f
+                c //= q
                 cur = nxt.get(x)
                 if cur is None:
-                    nxt[x] = (cnt, wmw)
+                    nxt_counts[x] = cnt
+                    nxt[x] = c
                 else:
-                    nxt[x] = (cur[0] + cnt, wmw if wmw > cur[1] else cur[1])
-        level = nxt
-        if not level:
+                    nxt_counts[x] += cnt
+                    if c > cur:
+                        nxt[x] = c
+        counts, weights, den = nxt_counts, nxt, den * scale
+        if not counts:
             profile.extend(PathCount(0, ZERO) for _ in range(n_max - len(profile) + 1))
             break
     return profile

@@ -29,7 +29,7 @@ from math import isqrt
 from typing import List, Optional, Tuple
 
 from . import graphop
-from .core import HALF, ONE, TWO, SparseVector
+from .core import HALF, ONE, TWO
 from .graphop import C0Graph, Vertex
 
 SOURCE: Vertex = ("S",)
@@ -108,6 +108,9 @@ def bottom_weight(j: int) -> Fraction:
     2 at rung landing positions, 1/2 immediately after them, 1 elsewhere.
     The landing positions and their successors never collide, so every
     window product of consecutive bottom weights stays within [1/2, 2].
+    Deliberate second route for the weights the graph oracles compute by
+    direct arithmetic: this one asks :func:`rung_index`, and the tests
+    compare the two.
     """
     if j < 1:
         raise ValueError(f"bottom position must be positive, got {j}")
@@ -131,47 +134,74 @@ class LadderFamilyGraph(C0Graph):
         self.copy_index = copy_index
 
 
-def _successors(v: Vertex):
-    """Out-edges of a vertex of the combined graph."""
+def _bad_vertex(v: Vertex) -> ValueError:
+    return ValueError(f"not a ladder vertex: {v!r}")
+
+
+def _out_edges(v: Vertex):
+    """Out-edges of a vertex of the combined graph, as (vertex, p, q) triples."""
     tag = v[0]
-    if tag == "S":
-        return ((entry(0), ONE),)
-    if tag == "E":
-        k = v[1]
-        return ((entry(k + 1), ONE), (top(k, k + 1), ONE))
-    if tag == "T":
-        _, k, n = v
-        return ((top(k, n + 1), ONE), (bottom(k, rung_position(n)), HALF))
     if tag == "B":
         _, k, j = v
-        target = sink(k) if j == 1 else bottom(k, j - 1)
-        return ((target, bottom_weight(j)),)
+        if j < 1 or k < 0:
+            raise _bad_vertex(v)
+        if j == 1:
+            return ((("V", k), 2, 1),)
+        # the weight is bottom_weight(j) by direct arithmetic: with b the bit
+        # length of j, j is the landing rung_position(b - 1) exactly when
+        # j + 1 == 2**b - b, and j - 1 is one exactly when j == 2**b - b
+        # (a landing and its successor share a bit length)
+        b = j.bit_length()
+        after_landing = (1 << b) - b
+        if j + 1 == after_landing:
+            return ((("B", k, j - 1), 2, 1),)
+        return ((("B", k, j - 1), 1, 2 if j == after_landing else 1),)
+    if tag == "T":
+        _, k, n = v
+        if n <= k or k < 0:
+            raise _bad_vertex(v)
+        return ((("T", k, n + 1), 1, 1), (("B", k, rung_position(n)), 1, 2))
+    if tag == "E":
+        k = v[1]
+        if k < 0:
+            raise _bad_vertex(v)
+        return ((("E", k + 1), 1, 1), (("T", k, k + 1), 1, 1))
+    if tag == "S":
+        return ((("E", 0), 1, 1),)
     if tag == "V":
         return ()
-    raise ValueError(f"not a ladder vertex: {v!r}")
+    raise _bad_vertex(v)
 
 
-def _predecessors(v: Vertex):
-    """In-edges of a vertex of the combined graph."""
+def _in_edges(v: Vertex):
+    """In-edges of a vertex of the combined graph, as (vertex, p, q) triples."""
     tag = v[0]
-    if tag == "S":
-        return ()
-    if tag == "E":
-        k = v[1]
-        return ((SOURCE, ONE),) if k == 0 else ((entry(k - 1), ONE),)
-    if tag == "T":
-        _, k, n = v
-        return ((entry(k) if n == k + 1 else top(k, n - 1), ONE),)
     if tag == "B":
         _, k, j = v
-        edges = [(bottom(k, j + 1), bottom_weight(j + 1))]
+        if j < 1 or k < 0:
+            raise _bad_vertex(v)
+        ((_, p, q),) = _out_edges(("B", k, j + 1))
         i = rung_index(j)
         if i is not None and i >= k + 1:
-            edges.append((top(k, i), HALF))
-        return tuple(edges)
+            return (("B", k, j + 1), p, q), (("T", k, i), 1, 2)
+        return ((("B", k, j + 1), p, q),)
+    if tag == "T":
+        _, k, n = v
+        if n <= k or k < 0:
+            raise _bad_vertex(v)
+        return ((("E", k) if n == k + 1 else ("T", k, n - 1), 1, 1),)
+    if tag == "E":
+        k = v[1]
+        if k < 0:
+            raise _bad_vertex(v)
+        return (((SOURCE if k == 0 else ("E", k - 1)), 1, 1),)
     if tag == "V":
-        return ((bottom(v[1], 1), bottom_weight(1)),)
-    raise ValueError(f"not a ladder vertex: {v!r}")
+        if v[1] < 0:
+            raise _bad_vertex(v)
+        return ((("B", v[1], 1), 2, 1),)
+    if tag == "S":
+        return ()
+    raise _bad_vertex(v)
 
 
 def _restricted(oracle, keep, where: str):
@@ -186,7 +216,7 @@ def _restricted(oracle, keep, where: str):
         if not keep(v):
             raise ValueError(f"vertex {v!r} is not in {where}")
         if v[0] in ("S", "E"):
-            return tuple((u, w) for u, w in oracle(v) if keep(u))
+            return tuple(edge for edge in oracle(v) if keep(edge[0]))
         return oracle(v)
 
     return edges
@@ -227,11 +257,11 @@ def _make_standalone(k: int) -> LadderFamilyGraph:
     def keep(v: Vertex) -> bool:
         return v[0] != "S" and v[1] == k
 
-    return LadderFamilyGraph(
+    return LadderFamilyGraph.from_int_edges(
+        _restricted(_out_edges, keep, f"copy {k}"),
+        _restricted(_in_edges, keep, f"copy {k}"),
         kind="g0" if k == 0 else "gk",
         copy_index=k,
-        successors=_restricted(_successors, keep, f"copy {k}"),
-        predecessors=_restricted(_predecessors, keep, f"copy {k}"),
         enumerate_vertex=lambda i: _standalone_enumerate(k, i),
         index_of_vertex=lambda v: _standalone_index(k, v),
         description=f"ladder copy {k}",
@@ -300,11 +330,11 @@ def make_counterexample() -> LadderFamilyGraph:
     The entry chain E(0) -> E(1) -> ... carries weight-1 edges, every E(k)
     also feeds the top chain of copy k, and the source feeds E(0).
     """
-    return LadderFamilyGraph(
+    return LadderFamilyGraph.from_int_edges(
+        _out_edges,
+        _in_edges,
         kind="combined",
         copy_index=None,
-        successors=_successors,
-        predecessors=_predecessors,
         enumerate_vertex=_combined_enumerate,
         index_of_vertex=_combined_index,
         description="combined ladder graph",
@@ -352,9 +382,9 @@ def make_entry_spine(copy: int = 0) -> C0Graph:
             return 4 + 3 * (v[2] - 1)
         raise ValueError(f"vertex {v!r} is not in {where}")
 
-    return C0Graph(
-        successors=_restricted(_successors, keep, where),
-        predecessors=_restricted(_predecessors, keep, where),
+    return C0Graph.from_int_edges(
+        _restricted(_out_edges, keep, where),
+        _restricted(_in_edges, keep, where),
         enumerate_vertex=enum,
         index_of_vertex=index_of,
         description=f"entry spine of copy {copy}",
@@ -411,13 +441,15 @@ def sink_readings(kind: str, k: int, n_max: int):
     simulated is the V(k) coordinate of the n-th orbit vector and predicted
     is orbit_predicate(kind, k, n).  For kind "combined" the orbit starts at
     the source and runs on make_entry_spine(k); for "g0" and "gk" it starts
-    at the entry vertex of the standalone copy k.
+    at the entry vertex of the standalone copy k.  The orbit stays in the
+    integer form of :func:`graphop.push` between readings.
     """
     if kind == "combined":
-        graph, x = make_entry_spine(k), SparseVector.unit(SOURCE)
+        graph, start = make_entry_spine(k), SOURCE
     else:
-        graph, x = (make_g0() if kind == "g0" else make_gk(k)), SparseVector.unit(entry(k))
+        graph, start = (make_g0() if kind == "g0" else make_gk(k)), entry(k)
     target = sink(k)
+    nums, den = {start: 1}, 1
     for n in range(1, n_max + 1):
-        x = graphop.apply(graph, x)
-        yield n, x[target], orbit_predicate(kind, k, n)
+        nums, den = graphop.push(graph.out_edges, nums, den)
+        yield n, Fraction(nums.get(target, 0), den), orbit_predicate(kind, k, n)

@@ -1,0 +1,62 @@
+"""Fraction reference route for the graph-operator kernel.
+
+``graphop.push`` steps int numerators over a shared denominator.  The
+functions here step the same graphs the way the package did before that
+kernel: one ``Fraction`` product per edge and per entry, read through the
+``successors`` and ``predecessors`` views.  Tests compare the two routes.
+"""
+
+from ergolab import graphop
+from ergolab.core import ONE, ZERO, SparseVector
+
+
+def push(edges, x):
+    """x pushed along ``edges`` (a Fraction-weight oracle), entry by entry."""
+    out = {}
+    for u, xu in x.items():
+        for v, w in edges(u):
+            out[v] = out.get(v, 0) + xu * w
+    return SparseVector(out)
+
+
+def power_norms(graph, n_max, n_trunc):
+    """Sup norms of T, ..., T**n_max on the truncation indicator."""
+    x = graphop.truncation_indicator(graph, n_trunc)
+    norms = []
+    for _ in range(n_max):
+        x = push(graph.successors, x)
+        norms.append(x.sup_norm())
+    return norms
+
+
+def cesaro_sup_norms(graph, x, windows, step_power=1, factor=ONE):
+    """Sup norm of the n-th Cesaro average of factor * T**step_power at x, per window."""
+    cur, total, out = x, x, {}
+    for k in range(1, max(windows) + 1):
+        if k > 1:
+            for _ in range(step_power):
+                cur = push(graph.successors, cur)
+            cur = cur.scale(factor)
+            total = total + cur
+        if k in windows:
+            out[k] = total.sup_norm() / k
+    return out
+
+
+def count_paths(graph, v, n_max, n_trunc):
+    """(count, max weight) of the paths into v of each length 0..n_max that
+    start among the first n_trunc vertices, by a backward sweep in Fractions."""
+    profile = []
+    level = {v: (1, ONE)}
+    for _ in range(n_max + 1):
+        admissible = [cell for x, cell in level.items() if graph.index_of_vertex(x) < n_trunc]
+        profile.append(graphop.PathCount(
+            sum(cnt for cnt, _ in admissible), max((mw for _, mw in admissible), default=ZERO)
+        ))
+        nxt = {}
+        for y, (cnt, mw) in level.items():
+            for x, w in graph.predecessors(y):
+                old_cnt, old_mw = nxt.get(x, (0, ZERO))
+                nxt[x] = (old_cnt + cnt, max(old_mw, w * mw))
+        level = nxt
+    return profile

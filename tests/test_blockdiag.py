@@ -93,6 +93,15 @@ def test_sup_deviation_values():
         assert sup_deviation(1000, n, 1) == Fraction(1, n)
 
 
+def test_block_deviation_closed_form_matches_the_matrix_norm():
+    """|cesaro_geometric(a_m, p, n)| against the norm of block_cesaro - U."""
+    for m in range(1, 61):
+        for n in (1, 2, 7, 100):
+            for p in range(1, 5):
+                expected = (block_cesaro(m, n, p) - U).inf_norm()
+                assert blockdiag.block_deviation(m, n, p) == expected, (m, n, p)
+
+
 def test_sup_deviation_float_tracks_exact():
     for n in (3, 10, 64):
         for p in (1, 2):

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ergolab
 from ergolab import cli
 
 
@@ -111,6 +116,35 @@ def test_cesaro_factor_accepts_a_dash_led_value_after_a_space(capsys):
     glued = run(capsys, ["cesaro", "--schedule", "16", "--factor=-i"])
     spaced = run(capsys, ["cesaro", "--schedule", "16", "--factor", "-i"])
     assert glued[0] == 0 and spaced == glued
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["cesaro", "--schedule", "16"], "--bound"),
+        (["block", "--windows", "10"], "--at-least"),
+        (["block", "--windows", "10"], "--at-most"),
+    ],
+    ids=["cesaro-bound", "block-at-least", "block-at-most"],
+)
+def test_bound_options_accept_a_dash_led_value_after_a_space(capsys, argv, option):
+    glued = run(capsys, argv + [f"{option}=-1/2"])
+    spaced = run(capsys, argv + [option, "-1/2"])
+    assert spaced == glued
+    assert glued[2] == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(ergolab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ergolab", "verify", "--criteria", "8"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("PASS #08 ")
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

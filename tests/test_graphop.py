@@ -1,9 +1,11 @@
 """Graph-presented operators: application, paths, truncated norms."""
 
+import copy
 from fractions import Fraction
 
 import pytest
 
+import fraction_reference as ref
 from ergolab import graphop, ladder
 from ergolab.core import ONE, SparseVector
 from ergolab.graphop import PathCount, graph_from_edges
@@ -149,10 +151,17 @@ def test_power_norm_monotone_in_truncation():
 
 
 def test_power_norms_sweep_matches_pointwise():
+    """The integer sweep against the Fraction reference push; the pointwise
+    form reads the sweep."""
     graph = ladder.make_g0()
     sweep = graphop.power_norms_sweep(graph, 5, 60)
+    assert sweep == ref.power_norms(graph, 5, 60)
     for n, value in enumerate(sweep, start=1):
         assert value == graphop.power_norm_truncated(graph, n, 60)
+    assert graphop.power_norm_truncated(graph, 0, 60) == 1
+    assert graphop.power_norm_truncated(graph, 0, 0) == 0
+    with pytest.raises(ValueError):
+        graphop.power_norm_truncated(graph, -1, 60)
 
 
 def test_missing_enumeration_raises():
@@ -161,3 +170,27 @@ def test_missing_enumeration_raises():
         g.enumerate_vertex(0)
     with pytest.raises(ValueError):
         g.index_of_vertex(("a",))
+
+
+def test_cancelled_entries_are_dropped():
+    # B(0,5) -> B(0,4) has weight 1/2 and so has the rung T(0,2) -> B(0,4)
+    graph = ladder.make_counterexample()
+    x = SparseVector({ladder.bottom(0, 5): 2, ladder.top(0, 2): -2})
+    image = graphop.apply(graph, x)
+    assert dict(image.items()) == {ladder.top(0, 3): -2}
+    assert image == ref.push(graph.successors, x)
+
+
+def test_long_orbits_leave_no_state_on_the_graph():
+    """Long orbits, forward and adjoint, change nothing the graph holds."""
+    for graph, start, steps in (
+        (ladder.make_g0(), ladder.entry(0), 256),
+        (ladder.make_entry_spine(0), ladder.SOURCE, 256),
+        (ladder.make_counterexample(), ladder.SOURCE, 64),
+    ):
+        before = {key: copy.copy(value) for key, value in vars(graph).items()}
+        x = graphop.power_apply(graph, SparseVector.unit(start), steps)
+        for _ in range(4):
+            x = graphop.apply_adjoint(graph, x)
+        after = {key: copy.copy(value) for key, value in vars(graph).items()}
+        assert after == before, graph

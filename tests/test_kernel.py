@@ -1,0 +1,144 @@
+"""The integer graph-operator kernel against the Fraction reference route."""
+
+from fractions import Fraction
+
+import pytest
+
+import fraction_reference as ref
+from ergolab import graphop, ladder
+from ergolab.core import SparseVector
+from ergolab.ergodic import cesaro_trace, graph_handle
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+def settings(max_examples):
+    return hypothesis.settings(
+        max_examples=max_examples, deadline=None, derandomize=True, database=None
+    )
+
+
+# a finite graph with non-dyadic weights, a cycle and a sink
+THIRDS = graphop.graph_from_edges(
+    {
+        "a": [("b", Fraction(1, 3)), ("c", Fraction(2, 5))],
+        "b": [("a", 3), ("c", Fraction(7, 6))],
+        "c": [("c", Fraction(1, 3)), ("d", 1)],
+    },
+    "non-dyadic weights",
+)
+
+# bottom positions: small, around the landing rung_position(63), around 2**64
+POSITIONS = st.one_of(
+    st.integers(1, 300),
+    st.integers(ladder.rung_position(63) - 70, ladder.rung_position(63) + 70),
+    st.integers(2**64 - 70, 2**64 + 70),
+)
+DEPTHS = st.one_of(st.integers(0, 70), st.integers(1000, 1010))  # top depth above k + 1
+
+
+def ladder_vertices(copies, source: bool, entries):
+    """Vertices of the copies drawn from ``copies``, plus the given entries."""
+    options = [
+        entries,
+        st.builds(lambda k, d: ("T", k, k + 1 + d), copies, DEPTHS),
+        st.builds(lambda k, j: ("B", k, j), copies, POSITIONS),
+        st.builds(lambda k: ("V", k), copies),
+    ]
+    if source:
+        options.append(st.just(ladder.SOURCE))
+    return st.one_of(options)
+
+
+GRAPHS = {
+    "combined": (
+        ladder.make_counterexample(),
+        ladder_vertices(st.integers(0, 6), True, st.builds(lambda k: ("E", k), st.integers(0, 6))),
+    ),
+    "g0": (ladder.make_g0(), ladder_vertices(st.just(0), False, st.just(("E", 0)))),
+    "gk": (ladder.make_gk(2), ladder_vertices(st.just(2), False, st.just(("E", 2)))),
+    "spine": (
+        ladder.make_entry_spine(1),
+        ladder_vertices(st.just(1), True, st.builds(lambda k: ("E", k), st.integers(0, 6))),
+    ),
+    "thirds": (THIRDS, st.sampled_from(THIRDS.finite_vertices)),
+}
+
+VALUES = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
+
+
+def start_vectors(vertices):
+    return st.dictionaries(vertices, VALUES, min_size=1, max_size=6).map(SparseVector)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_apply_and_adjoint_match_the_fraction_push(name):
+    graph, vertices = GRAPHS[name]
+
+    @settings(25)
+    @hypothesis.given(x=start_vectors(vertices))
+    def check(x):
+        image = graphop.apply(graph, x)
+        assert image == ref.push(graph.successors, x)
+        assert graphop.apply_adjoint(graph, x) == ref.push(graph.predecessors, x)
+        assert all(type(value) is Fraction and value for _, value in image.items())
+        expected = x
+        for _ in range(3):
+            expected = ref.push(graph.successors, expected)
+        assert graphop.power_apply(graph, x, 3) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_power_norms_sweep_matches_the_fraction_push(name):
+    graph, _ = GRAPHS[name]
+    size = len(graph.finite_vertices) if graph.finite_vertices else 200
+
+    @settings(5)
+    @hypothesis.given(n_max=st.integers(1, 6), n_trunc=st.integers(1, size))
+    def check(n_max, n_trunc):
+        assert graphop.power_norms_sweep(graph, n_max, n_trunc) == ref.power_norms(
+            graph, n_max, n_trunc
+        )
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_generic_cesaro_trace_matches_the_fraction_push(name):
+    graph, vertices = GRAPHS[name]
+    op = graph_handle(graph)
+
+    @settings(8)
+    @hypothesis.given(
+        x=start_vectors(vertices),
+        step_power=st.integers(1, 3),
+        factor=st.sampled_from([1, -1]),
+        windows=st.sets(st.integers(1, 8), min_size=1, max_size=4),
+    )
+    def check(x, step_power, factor, windows):
+        trace = cesaro_trace(
+            op, x, windows, engine="generic", step_power=step_power, factor=factor
+        )
+        expected = ref.cesaro_sup_norms(graph, x, windows, step_power, factor)
+        assert trace.norms() == expected
+        assert all(type(value) is Fraction for value in trace.norms().values())
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_count_paths_profile_matches_the_fraction_sweep(name):
+    graph, vertices = GRAPHS[name]
+    size = len(graph.finite_vertices) if graph.finite_vertices else 400
+
+    @settings(8)
+    @hypothesis.given(v=vertices, n_max=st.integers(0, 8), n_trunc=st.integers(1, size))
+    def check(v, n_max, n_trunc):
+        assert graphop.count_paths_profile(graph, v, n_max, n_trunc) == ref.count_paths(
+            graph, v, n_max, n_trunc
+        )
+
+    check()

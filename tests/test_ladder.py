@@ -39,6 +39,18 @@ def test_bottom_weights_follow_the_rung_pattern():
     assert ladder.bottom_weight(3) == 1
 
 
+def test_bottom_edges_carry_the_bottom_weight():
+    """The oracles' weight arithmetic against bottom_weight's rung_index route."""
+    graph = ladder.make_counterexample()
+    positions = list(range(1, 10**4 + 1))
+    for centre in (ladder.rung_position(63), 2**64, ladder.rung_position(200)):
+        positions += range(centre - 70, centre + 71)
+    for j in positions:
+        target = V(3) if j == 1 else B(3, j - 1)
+        assert graph.successors(B(3, j)) == ((target, ladder.bottom_weight(j)),), j
+        assert graph.predecessors(B(3, j))[0] == (B(3, j + 1), ladder.bottom_weight(j + 1)), j
+
+
 def test_window_products_stay_between_half_and_two():
     """Products of consecutive bottom weights never leave [1/2, 2]."""
     for start in range(1, 120):
