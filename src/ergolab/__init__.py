@@ -16,8 +16,6 @@ from .core import (
     cesaro_geometric,
     cesaro_geometric_sum,
     fraction_str,
-    l1_norm,
-    sup_norm,
 )
 from .graphop import (
     C0Graph,
@@ -31,7 +29,6 @@ from .graphop import (
     operator_norm_truncated,
     power_apply,
     power_norm_truncated,
-    verify_c0_conditions,
 )
 from .ladder import (
     LadderFamilyGraph,
@@ -41,17 +38,13 @@ from .ladder import (
     make_gk,
     orbit_predicate,
     rung_position,
-    vertex_label,
 )
 from .blockdiag import (
     Block2x2,
-    BlockOperator,
     b_coeff,
     block_cesaro,
-    multiplication_fixed_check,
     sup_deviation,
     t_block,
-    witness_apply,
 )
 from .ergodic import (
     BudgetExceeded,
@@ -64,7 +57,6 @@ from .ergodic import (
     fixed_space_certificate,
     graph_handle,
     power_mean_ergodic_check,
-    renorm_estimate,
     replay_certificate,
     scalar_rotation_check,
     weak_compactness_witness,
@@ -80,8 +72,6 @@ __all__ = [
     "cesaro_geometric",
     "cesaro_geometric_sum",
     "fraction_str",
-    "l1_norm",
-    "sup_norm",
     "C0Graph",
     "Path",
     "PathCount",
@@ -93,7 +83,6 @@ __all__ = [
     "operator_norm_truncated",
     "power_apply",
     "power_norm_truncated",
-    "verify_c0_conditions",
     "LadderFamilyGraph",
     "bottom_weight",
     "make_counterexample",
@@ -101,15 +90,11 @@ __all__ = [
     "make_gk",
     "orbit_predicate",
     "rung_position",
-    "vertex_label",
     "Block2x2",
-    "BlockOperator",
     "b_coeff",
     "block_cesaro",
-    "multiplication_fixed_check",
     "sup_deviation",
     "t_block",
-    "witness_apply",
     "BudgetExceeded",
     "CesaroTrace",
     "CheckResult",
@@ -120,7 +105,6 @@ __all__ = [
     "fixed_space_certificate",
     "graph_handle",
     "power_mean_ergodic_check",
-    "renorm_estimate",
     "replay_certificate",
     "scalar_rotation_check",
     "weak_compactness_witness",

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from typing import List
 
-from .core import HALF, ONE, ZERO, SparseVector, as_rational, cesaro_geometric
+from .core import HALF, ONE, ZERO, as_rational, cesaro_geometric
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,6 @@ class Block2x2:
             p >>= 1
         return result
 
-    def apply(self, x, y):
-        """Image of the column vector (x, y)."""
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
-
     def inf_norm(self) -> Fraction:
         """Operator norm on the 2-dimensional sup-norm space: max row sum."""
         return max(abs(self.a) + abs(self.b), abs(self.c) + abs(self.d))
@@ -101,23 +97,27 @@ def block_cesaro(m: int, n: int, p: int) -> Block2x2:
     return U + V.scale(cesaro_geometric(a_coeff(m), p, n))
 
 
-def block_cesaro_literal(m: int, n: int, p: int) -> Block2x2:
-    """Same average by repeated matrix multiplication and literal summation.
+def block_cesaro_literal(m: int, n_max: int, p: int) -> List[Block2x2]:
+    """block_cesaro(m, n, p) for n = 1..n_max, by literal matrix summation.
 
-    Deliberate second route for :func:`block_cesaro`; the tests and
-    acceptance criterion 12 compare the two.
+    Entry n - 1 is the n-th average, formed by repeated multiplication and
+    summation of the powers.  Deliberate second route for
+    :func:`block_cesaro`; the tests and acceptance criterion 12 compare the
+    two.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be a positive integer, got {n_max}")
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
     step = t_block(m).matpow(p)
     power = IDENTITY
     total = IDENTITY
-    for _ in range(n - 1):
+    averages = [IDENTITY]
+    for n in range(2, n_max + 1):
         power = power @ step
         total = total + power
-    return total.scale(Fraction(1, n))
+        averages.append(total.scale(Fraction(1, n)))
+    return averages
 
 
 def b_coeff(m: int, n: int, j: int) -> Fraction:
@@ -189,103 +189,3 @@ def sup_deviation(m_max: int, n: int, p: int) -> Fraction:
 def sup_deviation_float(m_max: int, n: int, p: int) -> float:
     """Double-precision version of :func:`sup_deviation` for quick sweeps."""
     return deviation_argmax(block_deviation_float, m_max, n, p)[1]
-
-
-def witness_apply(m_max: int, n: int, j: int) -> List[Fraction]:
-    """Blockwise image of the alternating witness vector under the average.
-
-    Applies the n-th Cesaro average of the blockwise 2j-th powers to the
-    vector whose every block is (1, -1), and returns the first coordinate of
-    each image block for m = 1..m_max.  Since U kills (1, -1) and V fixes
-    it, the m-th image block is (c, -c) with c = b_coeff(m, n, j); the
-    application is still performed through the matrix so the projection
-    algebra is exercised, and the (c, -c) shape is asserted.
-    """
-    out: List[Fraction] = []
-    for m in range(1, m_max + 1):
-        x, y = block_cesaro(m, n, 2 * j).apply(ONE, -ONE)
-        if y != -x:
-            raise AssertionError(f"image block {m} is not antisymmetric: ({x}, {y})")
-        out.append(x)
-    return out
-
-
-@dataclass(frozen=True)
-class FixedPointReport:
-    """Outcome of checking that no block power degenerates to the identity ratio."""
-
-    ok: bool
-    count_checked: int
-    max_power_value: Fraction
-    max_at_m: int
-
-    def summary(self) -> str:
-        state = "pass" if self.ok else "fail"
-        return (
-            f"[{state}] checked {self.count_checked} blocks: "
-            f"largest even-power ratio {self.max_power_value} at m = {self.max_at_m}"
-        )
-
-
-def multiplication_fixed_check(m_max: int, j: int) -> FixedPointReport:
-    """Verify a_coeff(m)**(2j) != 1 for every m <= m_max.
-
-    The averaging formula for even powers divides by 1 - a_m**(2j); this
-    confirms the denominator never vanishes, records the largest ratio seen
-    and where it occurs.
-    """
-    if m_max < 1:
-        raise ValueError(f"m_max must be positive, got {m_max}")
-    if j < 1:
-        raise ValueError(f"j must be a positive integer, got {j}")
-    best = -ONE
-    best_at = 0
-    ok = True
-    for m in range(1, m_max + 1):
-        value = a_coeff(m) ** (2 * j)
-        if value == ONE:
-            ok = False
-        if value > best:
-            best = value
-            best_at = m
-    return FixedPointReport(ok=ok, count_checked=m_max, max_power_value=best, max_at_m=best_at)
-
-
-class BlockOperator:
-    """The diagonal stack of blocks acting on finitely supported vectors.
-
-    Coordinates are indexed by naturals; indices 2*(m-1) and 2*(m-1) + 1
-    form block m.  ``power`` applies t_block(m)**power blockwise.  This is
-    the restriction of the bounded-sequence operator to finitely supported
-    vectors, which is all the exact machinery ever touches.
-    """
-
-    def __init__(self, power: int = 1):
-        if power < 1:
-            raise ValueError(f"power must be a positive integer, got {power}")
-        self.power = power
-        self._cache: Dict[int, Block2x2] = {}
-
-    def block(self, m: int) -> Block2x2:
-        mat = self._cache.get(m)
-        if mat is None:
-            mat = t_block(m).matpow(self.power)
-            self._cache[m] = mat
-        return mat
-
-    def apply(self, x: SparseVector) -> SparseVector:
-        out: dict = {}
-        blocks = set()
-        for idx in x:
-            if not isinstance(idx, int) or idx < 0:
-                raise ValueError(f"block operator needs natural-number indices, got {idx!r}")
-            blocks.add(idx // 2)
-        for blk in blocks:
-            m = blk + 1
-            lo, hi = 2 * blk, 2 * blk + 1
-            u, v = self.block(m).apply(x[lo], x[hi])
-            if u:
-                out[lo] = u
-            if v:
-                out[hi] = v
-        return SparseVector._from_clean(out)

@@ -4,7 +4,7 @@ Everything downstream works over arbitrary-precision rationals so that norms,
 orbit entries and averaging coefficients come out exact, never rounded.  The
 scalar type is the standard library ``fractions.Fraction``; this module pins
 the alias and adds the small amount of vector plumbing the operator code
-needs: sparse vectors with no stored zeros, sup and l1 norms, and the Cesaro
+needs: sparse vectors with no stored zeros and their sup norm, and the Cesaro
 average of a signed geometric sequence in closed form.
 """
 
@@ -177,41 +177,11 @@ class SparseVector:
 
     __rmul__ = __mul__
 
-    def abs(self) -> "SparseVector":
-        """Entrywise absolute value."""
-        return SparseVector._from_clean(
-            {key: -value if value < ZERO else value for key, value in self._entries.items()}
-        )
-
     def sup_norm(self) -> Fraction:
         """Largest absolute entry; 0 for the zero vector."""
         if not self._entries:
             return ZERO
         return max(-value if value < ZERO else value for value in self._entries.values())
-
-    def l1_norm(self) -> Fraction:
-        """Sum of absolute entries; 0 for the zero vector."""
-        total = ZERO
-        for value in self._entries.values():
-            total += -value if value < ZERO else value
-        return total
-
-    def dot(self, other: "SparseVector") -> Fraction:
-        """Bilinear pairing sum_i x_i * y_i over the common support."""
-        if len(other._entries) < len(self._entries):
-            self, other = other, self
-        total = ZERO
-        for key, value in self._entries.items():
-            oth = other._entries.get(key)
-            if oth is not None:
-                total += value * oth
-        return total
-
-    def restrict(self, keep) -> "SparseVector":
-        """Vector with entries outside ``keep`` (a membership test) zeroed."""
-        return SparseVector._from_clean(
-            {key: value for key, value in self._entries.items() if keep(key)}
-        )
 
     def __repr__(self) -> str:
         if not self._entries:
@@ -221,14 +191,6 @@ class SparseVector:
         if len(shown) > 8:
             body += f", ... ({len(shown)} entries)"
         return f"SparseVector({{{body}}})"
-
-
-def sup_norm(vector: SparseVector) -> Fraction:
-    return vector.sup_norm()
-
-
-def l1_norm(vector: SparseVector) -> Fraction:
-    return vector.l1_norm()
 
 
 def _int_str(n: int) -> str:

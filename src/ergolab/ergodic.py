@@ -63,17 +63,6 @@ def graph_handle(graph: C0Graph) -> OperatorHandle:
     )
 
 
-def block_handle(power: int = 1) -> OperatorHandle:
-    """Handle for the block-diagonal operator (blockwise ``power``-th powers)."""
-    from .blockdiag import BlockOperator
-
-    op = BlockOperator(power)
-    return OperatorHandle(
-        apply=op.apply,
-        description=f"block-diagonal operator, power {power}",
-    )
-
-
 def _running_sums(step, x, den: int, windows: Sequence[int], max_support: Optional[int] = None):
     """Yield (n, sums, den) for each n of the ascending ``windows``, in one pass.
 
@@ -399,26 +388,6 @@ def weak_compactness_witness(graph: C0Graph, k_max: int, m_max: int) -> SinkHitT
     return SinkHitTriangle(k_max=k_max, m_max=m_max, values=values)
 
 
-def renorm_estimate(graph: C0Graph, x: SparseVector, horizon: int) -> Fraction:
-    """Largest sup norm along the first ``horizon`` powers applied to |x|.
-
-    This is the finite-horizon value of the natural equivalent norm
-    sup_t ||T^t |x| ||; it is nondecreasing in the horizon and, for the
-    ladder graphs, bounded by 4 times the starting norm because iterated
-    path weights never exceed a factor of 4.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    nums, den = graphop.int_vector(x.abs())
-    best = graphop.int_sup_norm(nums, den)
-    for _ in range(horizon):
-        nums, den = graphop.push(graph.out_edges, nums, den)
-        sup = graphop.int_sup_norm(nums, den)
-        if sup > best:
-            best = sup
-    return best
-
-
 # ---------------------------------------------------------------------------
 # fixed-space certificates
 
@@ -475,10 +444,6 @@ class FixedSpaceCertificate:
     equality_classes: List[VertexFamily]
     relations: List[str]
     conclusion: str
-
-    @property
-    def forced_zero(self) -> List[VertexFamily]:
-        return [step.family for step in self.steps]
 
     def covers(self, v: Vertex) -> bool:
         return any(step.family.members(v) for step in self.steps)

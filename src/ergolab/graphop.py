@@ -7,8 +7,8 @@ out-edges with summable weights and the incoming weight sums are uniformly
 bounded, the action extends to a bounded positive operator on the space of
 null sequences, with operator norm equal to the largest incoming weight sum.
 
-Graphs are given by oracles (successor and predecessor callables plus a
-vertex enumeration), so infinite graphs are first-class.  All operations here
+Graphs are given by oracles (out-edge and in-edge callables plus a vertex
+enumeration), so infinite graphs are first-class.  All operations here
 are exact; norms of the infinite operator are approached through truncations
 onto the first N enumerated vertices, which by positivity increase to the
 true value.
@@ -23,11 +23,9 @@ edges of the API: :class:`SparseVector` in and out of :func:`apply` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
-from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import ONE, ZERO, SparseVector, as_rational
@@ -43,10 +41,10 @@ class C0Graph:
 
     Parameters
     ----------
-    successors, predecessors:
-        Callables mapping a vertex to a sequence of (vertex, weight) pairs.
-        Weights must be positive rationals (Fractions or ints); missing
-        edges are simply absent.
+    out_edges, in_edges:
+        Callables mapping a vertex to a sequence of (vertex, p, q) triples,
+        one per edge, for the weight p/q with p, q > 0; missing edges are
+        simply absent.  The operator kernel reads edges through these.
     enumerate_vertex, index_of_vertex:
         A bijection between naturals and the vertex set, used for
         truncations.  Optional for auxiliary graphs that are only stepped.
@@ -56,42 +54,24 @@ class C0Graph:
         For finite graphs, the full vertex tuple.  Enables concrete
         fixed-space analysis.
 
-    The operator kernel reads edges through ``out_edges`` and ``in_edges``,
-    which give (vertex, p, q) triples for the weight p/q, q > 0.  Graphs whose
-    oracles already speak in such triples are built with
-    :meth:`from_int_edges`.  Nothing is cached per vertex.
+    Nothing is cached per vertex.
     """
 
     def __init__(
         self,
-        successors: Callable[[Vertex], Sequence[Edge]],
-        predecessors: Callable[[Vertex], Sequence[Edge]],
+        out_edges: Callable[[Vertex], Sequence[IntEdge]],
+        in_edges: Callable[[Vertex], Sequence[IntEdge]],
         enumerate_vertex: Optional[Callable[[int], Vertex]] = None,
         index_of_vertex: Optional[Callable[[Vertex], int]] = None,
         description: str = "",
         finite_vertices: Optional[Tuple[Vertex, ...]] = None,
     ):
-        self.out_edges = _int_edges(successors)
-        self.in_edges = _int_edges(predecessors)
+        self.out_edges = out_edges
+        self.in_edges = in_edges
         self._enumerate = enumerate_vertex
         self._index_of = index_of_vertex
         self.description = description
         self.finite_vertices = finite_vertices
-
-    @classmethod
-    def from_int_edges(
-        cls,
-        out_edges: Callable[[Vertex], Sequence[IntEdge]],
-        in_edges: Callable[[Vertex], Sequence[IntEdge]],
-        **kwargs,
-    ) -> "C0Graph":
-        """A graph whose oracles give (vertex, p, q) triples, weight p/q, q > 0.
-
-        ``kwargs`` are the constructor's remaining arguments.
-        """
-        graph = cls(successors=out_edges, predecessors=in_edges, **kwargs)
-        graph.out_edges, graph.in_edges = out_edges, in_edges  # already int triples
-        return graph
 
     def successors(self, v: Vertex) -> Sequence[Edge]:
         """Out-edges of v with their weights as Fractions."""
@@ -121,15 +101,6 @@ class C0Graph:
         return f"C0Graph({self.description!r})"
 
 
-def _int_edges(oracle: Callable[[Vertex], Sequence[Edge]]):
-    """Read an oracle's rational weights as (numerator, denominator) pairs."""
-
-    def edges(v: Vertex) -> Tuple[IntEdge, ...]:
-        return tuple((u, w.numerator, w.denominator) for u, w in oracle(v))
-
-    return edges
-
-
 def graph_from_edges(
     edges: dict, description: str = "finite graph"
 ) -> C0Graph:
@@ -152,7 +123,7 @@ def graph_from_edges(
             pred.setdefault(v, []).append((u, w.numerator, w.denominator))
     vertices = tuple(sorted(succ, key=repr))
     order = {v: i for i, v in enumerate(vertices)}
-    return C0Graph.from_int_edges(
+    return C0Graph(
         lambda v: succ.get(v, ()),
         lambda v: pred.get(v, ()),
         enumerate_vertex=lambda i: vertices[i],
@@ -343,19 +314,6 @@ def enumerate_paths(graph: C0Graph, u: Vertex, v: Vertex, n: int) -> List[Path]:
     return [p for p in enumerate_paths_up_to(graph, u, v, n) if p.length == n]
 
 
-def path_weight(graph: C0Graph, vertices: Sequence[Vertex]) -> Fraction:
-    """Product of edge weights along an explicit vertex sequence."""
-    weights = []
-    for a, b in zip(vertices, vertices[1:]):
-        for target, w in graph.successors(a):
-            if target == b:
-                weights.append(w)
-                break
-        else:
-            raise ValueError(f"no edge {a!r} -> {b!r}")
-    return reduce(mul, weights, ONE)
-
-
 @dataclass(frozen=True)
 class PathCount:
     """Count and largest weight of paths of one length into one endpoint."""
@@ -419,68 +377,3 @@ def count_paths_to(graph: C0Graph, v: Vertex, n: int, n_trunc: int) -> PathCount
     if n < 0:
         raise ValueError(f"path length must be nonnegative, got {n}")
     return count_paths_profile(graph, v, n, n_trunc)[n]
-
-
-@dataclass
-class C0ConditionsReport:
-    """Outcome of checking the summability and column-bound conditions."""
-
-    truncation: int
-    bound: Fraction
-    max_column_sum: Fraction
-    max_column_at: Optional[Vertex]
-    max_out_degree: int
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations and self.max_column_sum <= self.bound
-
-    def summary(self) -> str:
-        state = "pass" if self.passed else "fail"
-        return (
-            f"[{state}] first {self.truncation} vertices: "
-            f"max incoming weight sum {self.max_column_sum} (bound {self.bound}), "
-            f"max out-degree {self.max_out_degree}, "
-            f"{len(self.violations)} consistency violations"
-        )
-
-
-def verify_c0_conditions(graph: C0Graph, n_trunc: int, bound) -> C0ConditionsReport:
-    """Check, on the first n_trunc vertices, that the graph presents an operator.
-
-    Verifies finite out-degree with positive weights, incoming weight sums
-    bounded by ``bound``, and that the successor and predecessor oracles
-    describe the same edge set.
-    """
-    bound = as_rational(bound)
-    report = C0ConditionsReport(
-        truncation=n_trunc,
-        bound=bound,
-        max_column_sum=ZERO,
-        max_column_at=None,
-        max_out_degree=0,
-    )
-    for i in range(n_trunc):
-        u = graph.enumerate_vertex(i)
-        out_edges = graph.successors(u)
-        if len(out_edges) > report.max_out_degree:
-            report.max_out_degree = len(out_edges)
-        for v, w in out_edges:
-            if w <= ZERO:
-                report.violations.append(f"edge {u!r} -> {v!r} has nonpositive weight {w}")
-            if not any(p == u and pw == w for p, pw in graph.predecessors(v)):
-                report.violations.append(
-                    f"edge {u!r} -> {v!r} (weight {w}) missing from predecessors({v!r})"
-                )
-        column = ZERO
-        for p, w in graph.predecessors(u):
-            column += w
-            if not any(s == u and sw == w for s, sw in graph.successors(p)):
-                report.violations.append(
-                    f"edge {p!r} -> {u!r} (weight {w}) missing from successors({p!r})"
-                )
-        if column > report.max_column_sum:
-            report.max_column_sum = column
-            report.max_column_at = u
-    return report

@@ -7,13 +7,14 @@ path has total weight exactly 1, while the lengths of those paths thin out
 geometrically.  The combined graph strings countably many copies along a
 common entry chain fed by a single source, one copy per index k >= 0.
 
-Vertices are plain tagged tuples so they hash fast and sort cheaply:
+Vertices are plain tagged tuples so they hash fast and sort cheaply; the
+text writes them in the short form on the right:
 
-    ("S",)        source (combined graph only), rendered  S
-    ("E", k)      entry vertex of copy k, rendered        E(k)
-    ("T", k, n)   top chain of copy k, depth n >= k+1,    T(k,n)
+    ("S",)        source (combined graph only),            S
+    ("E", k)      entry vertex of copy k,                  E(k)
+    ("T", k, n)   top chain of copy k, depth n >= k+1,     T(k,n)
     ("B", k, j)   bottom chain of copy k, position j >= 1, B(k,j)
-    ("V", k)      sink of copy k, rendered                V(k)
+    ("V", k)      sink of copy k,                          V(k)
 
 The bottom chain walks from large positions toward the sink, so B(k,1) is the
 last stop before V(k).  Rung n of the top chain lands at bottom position
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from . import graphop
 from .core import HALF, ONE, TWO
@@ -61,22 +62,6 @@ def sink(k: int) -> Vertex:
     if k < 0:
         raise ValueError(f"copy index must be nonnegative, got {k}")
     return ("V", k)
-
-
-def vertex_label(v: Vertex) -> str:
-    """Render a vertex in the compact S / E(k) / T(k,n) / B(k,j) / V(k) form."""
-    tag = v[0]
-    if tag == "S":
-        return "S"
-    if tag == "E":
-        return f"E({v[1]})"
-    if tag == "T":
-        return f"T({v[1]},{v[2]})"
-    if tag == "B":
-        return f"B({v[1]},{v[2]})"
-    if tag == "V":
-        return f"V({v[1]})"
-    raise ValueError(f"not a ladder vertex: {v!r}")
 
 
 def rung_position(n: int) -> int:
@@ -169,6 +154,8 @@ def _out_edges(v: Vertex):
     if tag == "S":
         return ((("E", 0), 1, 1),)
     if tag == "V":
+        if v[1] < 0:
+            raise _bad_vertex(v)
         return ()
     raise _bad_vertex(v)
 
@@ -257,9 +244,9 @@ def _make_standalone(k: int) -> LadderFamilyGraph:
     def keep(v: Vertex) -> bool:
         return v[0] != "S" and v[1] == k
 
-    return LadderFamilyGraph.from_int_edges(
-        _restricted(_out_edges, keep, f"copy {k}"),
-        _restricted(_in_edges, keep, f"copy {k}"),
+    return LadderFamilyGraph(
+        out_edges=_restricted(_out_edges, keep, f"copy {k}"),
+        in_edges=_restricted(_in_edges, keep, f"copy {k}"),
         kind="g0" if k == 0 else "gk",
         copy_index=k,
         enumerate_vertex=lambda i: _standalone_enumerate(k, i),
@@ -306,6 +293,8 @@ def _combined_index(v: Vertex) -> int:
     tag = v[0]
     if tag == "S":
         return 0
+    if tag not in ("E", "V", "T", "B") or v[1] < 0:
+        raise _bad_vertex(v)
     if tag == "E":
         return _tier_start(v[1])
     if tag == "V":
@@ -315,13 +304,11 @@ def _combined_index(v: Vertex) -> int:
         if n < k + 1:
             raise ValueError(f"top depth {n} below minimum {k + 1} for copy {k}")
         return _tier_start(n - 1) + 2 + k
-    if tag == "B":
-        _, k, j = v
-        if j < 1:
-            raise ValueError(f"bottom position must be positive, got {j}")
-        t = k + j - 1
-        return _tier_start(t) + t + 3 + k
-    raise ValueError(f"not a ladder vertex: {v!r}")
+    _, k, j = v
+    if j < 1:
+        raise ValueError(f"bottom position must be positive, got {j}")
+    t = k + j - 1
+    return _tier_start(t) + t + 3 + k
 
 
 def make_counterexample() -> LadderFamilyGraph:
@@ -330,9 +317,9 @@ def make_counterexample() -> LadderFamilyGraph:
     The entry chain E(0) -> E(1) -> ... carries weight-1 edges, every E(k)
     also feeds the top chain of copy k, and the source feeds E(0).
     """
-    return LadderFamilyGraph.from_int_edges(
-        _out_edges,
-        _in_edges,
+    return LadderFamilyGraph(
+        out_edges=_out_edges,
+        in_edges=_in_edges,
         kind="combined",
         copy_index=None,
         enumerate_vertex=_combined_enumerate,
@@ -374,15 +361,15 @@ def make_entry_spine(copy: int = 0) -> C0Graph:
             return 0
         if tag == "V" and v[1] == copy:
             return 1
-        if tag == "E":
+        if tag == "E" and v[1] >= 0:
             return 2 + 3 * v[1]
-        if tag == "T" and v[1] == copy:
+        if tag == "T" and v[1] == copy and v[2] > copy:
             return 3 + 3 * (v[2] - copy - 1)
-        if tag == "B" and v[1] == copy:
+        if tag == "B" and v[1] == copy and v[2] >= 1:
             return 4 + 3 * (v[2] - 1)
         raise ValueError(f"vertex {v!r} is not in {where}")
 
-    return C0Graph.from_int_edges(
+    return C0Graph(
         _restricted(_out_edges, keep, where),
         _restricted(_in_edges, keep, where),
         enumerate_vertex=enum,

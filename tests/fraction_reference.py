@@ -4,7 +4,11 @@
 functions here step the same graphs the way the package did before that
 kernel: one ``Fraction`` product per edge and per entry, read through the
 ``successors`` and ``predecessors`` views.  Tests compare the two routes.
+:func:`oracle_problems` checks that a graph's int-triple oracles present an
+operator.
 """
+
+from fractions import Fraction
 
 from ergolab import graphop
 from ergolab.core import ONE, ZERO, SparseVector
@@ -60,3 +64,29 @@ def count_paths(graph, v, n_max, n_trunc):
                 nxt[x] = (old_cnt + cnt, max(old_mw, w * mw))
         level = nxt
     return profile
+
+
+def oracle_problems(graph, vertices, bound):
+    """Violations of the operator conditions at ``vertices``, one line each.
+
+    Every (vertex, p, q) triple of ``out_edges`` and ``in_edges`` must carry
+    a positive weight p/q, every out-edge must appear among the in-edges of
+    its target with the same (p, q) and every in-edge among the out-edges of
+    its source, and the in-edge weights of each vertex must sum to at most
+    ``bound``.  An empty list means the conditions hold.
+    """
+    problems = []
+    for u in vertices:
+        out, into = tuple(graph.out_edges(u)), tuple(graph.in_edges(u))
+        bad = [edge for edge in out + into if edge[1] <= 0 or edge[2] <= 0]
+        if bad:
+            problems.append(f"edges at {u!r} with a nonpositive weight: {bad!r}")
+            continue
+        problems += [f"{u!r} -> {v!r} ({p}/{q}) is missing from in_edges({v!r})"
+                     for v, p, q in out if (u, p, q) not in graph.in_edges(v)]
+        problems += [f"{w!r} -> {u!r} ({p}/{q}) is missing from out_edges({w!r})"
+                     for w, p, q in into if (u, p, q) not in graph.out_edges(w)]
+        column = sum(Fraction(p, q) for _, p, q in into)
+        if column > bound:
+            problems.append(f"in-edge weights of {u!r} sum to {column}, above {bound}")
+    return problems

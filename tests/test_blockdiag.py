@@ -1,4 +1,4 @@
-"""Exact 2x2 block arithmetic and the diagonal operator built from it."""
+"""Exact 2x2 block arithmetic, averaging coefficients and deviation sweeps."""
 
 from fractions import Fraction
 
@@ -10,18 +10,15 @@ from ergolab.blockdiag import (
     U,
     V,
     Block2x2,
-    BlockOperator,
     a_coeff,
     b_coeff,
     block_cesaro,
     block_cesaro_literal,
-    multiplication_fixed_check,
     sup_deviation,
     sup_deviation_float,
     t_block,
-    witness_apply,
 )
-from ergolab.core import HALF, ONE, ZERO, SparseVector
+from ergolab.core import HALF, ZERO
 
 
 def test_projection_algebra():
@@ -36,6 +33,7 @@ def test_projection_algebra():
 def test_blocks_split_along_the_projections():
     for m in range(1, 30):
         assert t_block(m) == U - V.scale(a_coeff(m))
+        assert t_block(m).matpow(2) == U + V.scale(a_coeff(m) ** 2)
 
 
 def test_blocks_are_doubly_stochastic():
@@ -66,16 +64,14 @@ def test_block_cesaro_frozen_values():
 def test_block_cesaro_agrees_with_literal_summation():
     for m in range(1, 9):
         for p in range(1, 4):
-            for n in range(1, 25):
-                assert block_cesaro(m, n, p) == block_cesaro_literal(m, n, p), (m, n, p)
-
-
-def test_witness_image_carries_the_coefficients():
-    for n in (1, 2, 5, 16, 33):
-        for j in (1, 2):
-            values = witness_apply(5, n, j)
-            assert values == [b_coeff(m, n, j) for m in range(1, 6)]
-    assert witness_apply(3, 1, 1) == [ONE, ONE, ONE]
+            literal = block_cesaro_literal(m, 24, p)
+            assert len(literal) == 24
+            for n, average in enumerate(literal, start=1):
+                assert block_cesaro(m, n, p) == average, (m, n, p)
+    assert block_cesaro_literal(3, 1, 2) == [IDENTITY]
+    for m, n_max, p in ((1, 0, 1), (1, 3, 0)):
+        with pytest.raises(ValueError):
+            block_cesaro_literal(m, n_max, p)
 
 
 def test_diagonal_coefficients_stay_bounded_below():
@@ -100,6 +96,8 @@ def test_block_deviation_closed_form_matches_the_matrix_norm():
             for p in range(1, 5):
                 expected = (block_cesaro(m, n, p) - U).inf_norm()
                 assert blockdiag.block_deviation(m, n, p) == expected, (m, n, p)
+                if p % 2 == 0:  # b_coeff is the V-coefficient of even-power averages
+                    assert block_cesaro(m, n, p) == U + V.scale(b_coeff(m, n, p // 2))
 
 
 def test_sup_deviation_float_tracks_exact():
@@ -108,49 +106,6 @@ def test_sup_deviation_float_tracks_exact():
             exact = float(sup_deviation(200, n, p))
             approx = sup_deviation_float(200, n, p)
             assert abs(exact - approx) <= 1e-12 * max(1.0, abs(exact))
-
-
-def test_multiplication_fixed_check():
-    report = multiplication_fixed_check(500, 3)
-    assert report.ok
-    assert report.count_checked == 500
-    assert report.max_power_value < 1
-    assert report.max_at_m == 500  # a_m increases with m
-    assert "500" in report.summary()
-
-
-def test_block_operator_single_application():
-    op = BlockOperator()
-    image = op.apply(SparseVector.unit(0))
-    assert image == SparseVector({0: HALF, 1: HALF})
-    image2 = op.apply(SparseVector.unit(2))
-    assert image2 == SparseVector({2: Fraction(1, 4), 3: Fraction(3, 4)})
-
-
-def test_block_operator_powers_use_the_projection_split():
-    op = BlockOperator(power=2)
-    image = op.apply(SparseVector.unit(2))
-    # t_block(2)**2 = U + (1/4)V
-    assert image == SparseVector({2: Fraction(5, 8), 3: Fraction(3, 8)})
-    for m in range(1, 6):
-        assert op.block(m) == U + V.scale(a_coeff(m) ** 2)
-
-
-def test_block_operator_mixes_only_within_blocks():
-    op = BlockOperator()
-    x = SparseVector({0: 1, 5: 1})
-    image = op.apply(x)
-    assert image.support() == {0, 1, 4, 5}
-
-
-def test_block_operator_rejects_bad_indices():
-    op = BlockOperator()
-    with pytest.raises(ValueError):
-        op.apply(SparseVector({-1: 1}))
-    with pytest.raises(ValueError):
-        op.apply(SparseVector({"a": 1}))
-    with pytest.raises(ValueError):
-        BlockOperator(power=0)
 
 
 def test_domain_errors():

@@ -11,8 +11,6 @@ from ergolab.core import (
     cesaro_geometric,
     cesaro_geometric_sum,
     fraction_str,
-    l1_norm,
-    sup_norm,
 )
 
 
@@ -92,37 +90,19 @@ def test_sparse_vector_algebra():
     assert (v - w)[5] == -1
     assert (3 * v)[3] == -6
     assert v.scale(0) == SparseVector()
-    assert v.abs()[3] == 2
     assert SparseVector.unit("x")["x"] == 1
 
 
 def test_norms_and_pairing():
     v = SparseVector({0: Fraction(1, 2), 1: -2, 9: Fraction(3, 4)})
-    assert sup_norm(v) == 2
-    assert l1_norm(v) == Fraction(13, 4)
     assert v.sup_norm() == 2
-    # triangle inequality and disjoint additivity, on random vectors
+    assert SparseVector().sup_norm() == 0
+    # triangle inequality, on random vectors
     rng = random.Random(11)
     for _ in range(50):
         x = SparseVector({i: Fraction(rng.randrange(-9, 10), 7) for i in range(6)})
         y = SparseVector({i: Fraction(rng.randrange(-9, 10), 7) for i in range(3, 9)})
         assert (x + y).sup_norm() <= x.sup_norm() + y.sup_norm()
-        assert (x + y).l1_norm() <= x.l1_norm() + y.l1_norm()
-        disjoint = SparseVector({i + 100: c for i, c in y.items()})
-        assert (x + disjoint).l1_norm() == x.l1_norm() + y.l1_norm()
-
-
-def test_dot_pairing():
-    x = SparseVector({0: 2, 1: Fraction(1, 3)})
-    y = SparseVector({1: 3, 2: 5})
-    assert x.dot(y) == 1
-    assert y.dot(x) == 1
-    assert x.dot(SparseVector()) == 0
-
-
-def test_restrict():
-    v = SparseVector({i: 1 for i in range(6)})
-    assert v.restrict(lambda i: i % 2 == 0).support() == {0, 2, 4}
 
 
 def test_fraction_str():

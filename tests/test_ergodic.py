@@ -4,17 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from ergolab import blockdiag, ergodic, graphop, ladder
+from ergolab import graphop, ladder
 from ergolab.core import HALF, ONE, SparseVector
 from ergolab.ergodic import (
     BudgetExceeded,
-    block_handle,
+    OperatorHandle,
     cesaro_apply,
     cesaro_trace,
     fixed_space_certificate,
     graph_handle,
     power_mean_ergodic_check,
-    renorm_estimate,
     replay_certificate,
     scalar_rotation_check,
     weak_compactness_witness,
@@ -115,19 +114,24 @@ def test_scalar_rotation_rejects_bad_factors():
         scalar_rotation_check(op, x, 2, 4, 1)
     with pytest.raises(ValueError):
         scalar_rotation_check(op, x, 0.5 + 0.5j, 4, 1)
-    with pytest.raises(ValueError):
-        scalar_rotation_check(block_handle(), SparseVector.unit(0), 1j, 4, 1)
+    plain = OperatorHandle(apply=lambda v: graphop.apply(op.graph, v))
+    with pytest.raises(ValueError, match="complex factors need a graph-backed handle"):
+        scalar_rotation_check(plain, x, 1j, 4, 1)
 
 
-def test_block_handle_average_carries_the_coefficients():
-    op = block_handle(power=2)
-    for m in (1, 2, 5):
-        lo = 2 * (m - 1)
-        x = SparseVector({lo: ONE, lo + 1: -ONE})
-        for n in (1, 4, 9):
-            avg = cesaro_apply(op, x, n)
-            assert avg[lo] == blockdiag.b_coeff(m, n, 1)
-            assert avg[lo + 1] == -blockdiag.b_coeff(m, n, 1)
+def test_plain_handle_matches_the_graph_backed_generic_engine():
+    """A handle with no graph steps SparseVectors through ``apply``; it must
+    agree with the integer stepping of a graph-backed handle."""
+    graph = ladder.make_counterexample()
+    op = graph_handle(graph)
+    plain = OperatorHandle(apply=lambda v: graphop.apply(graph, v))
+    x = SparseVector.unit(ladder.SOURCE)
+    windows = [1, 2, 5, 16, 33]
+    for step_power, factor in ((1, 1), (2, -1), (3, 1)):
+        kwargs = dict(engine="generic", step_power=step_power, factor=factor)
+        expected = cesaro_trace(op, x, windows, **kwargs).norms()
+        assert cesaro_trace(plain, x, windows, **kwargs).norms() == expected, kwargs
+    assert cesaro_apply(plain, x, 9) == cesaro_apply(op, x, 9)
 
 
 def test_budget_cap_interrupts_wide_averages():
@@ -150,22 +154,6 @@ def test_weak_compactness_witness_small_triangle():
     assert "cluster point" in witness.conclusion
     with pytest.raises(ValueError):
         weak_compactness_witness(graph, -1, 0)
-
-
-def test_renorm_estimate_values():
-    combined = ladder.make_counterexample()
-    assert renorm_estimate(combined, SparseVector.unit(ladder.SOURCE), 40) == 1
-    g0 = ladder.make_g0()
-    assert renorm_estimate(g0, SparseVector.unit(ladder.bottom(0, 4)), 4) == 2
-    with pytest.raises(ValueError):
-        renorm_estimate(g0, SparseVector.unit(ladder.entry(0)), -1)
-
-
-def test_renorm_estimate_is_uniformly_bounded():
-    combined = ladder.make_counterexample()
-    for v in combined.vertices_up_to(12):
-        x = SparseVector.unit(v)
-        assert renorm_estimate(combined, x, 30) <= 4 * x.sup_norm()
 
 
 @pytest.mark.parametrize(
@@ -200,14 +188,14 @@ def test_certificate_structure_for_the_combined_graph():
 def test_replay_detects_a_tampered_graph():
     base = ladder.make_g0()
 
-    def bad_successors(v):
+    def bad_out_edges(v):
         if v == ladder.sink(0):
-            return ((ladder.sink(0), ONE),)
-        return base.successors(v)
+            return ((ladder.sink(0), 1, 1),)
+        return base.out_edges(v)
 
     tampered = graphop.C0Graph(
-        successors=bad_successors,
-        predecessors=base.predecessors,
+        out_edges=bad_out_edges,
+        in_edges=base.in_edges,
         enumerate_vertex=base.enumerate_vertex,
         index_of_vertex=base.index_of_vertex,
         description="copy 0 with a looped sink",
@@ -251,8 +239,8 @@ def test_self_loop_is_reported_not_guessed():
 
 def test_unpresented_graph_is_inconclusive():
     graph = graphop.C0Graph(
-        successors=lambda v: (),
-        predecessors=lambda v: (),
+        out_edges=lambda v: (),
+        in_edges=lambda v: (),
         description="opaque graph",
     )
     cert = fixed_space_certificate(graph)

@@ -1,4 +1,5 @@
-"""The integer graph-operator kernel against the Fraction reference route."""
+"""The integer graph-operator kernel against the Fraction reference route,
+and the ladder enumerations and oracles far out in the graph."""
 
 from fractions import Fraction
 
@@ -63,6 +64,22 @@ GRAPHS = {
         ladder_vertices(st.just(1), True, st.builds(lambda k: ("E", k), st.integers(0, 6))),
     ),
     "thirds": (THIRDS, st.sampled_from(THIRDS.finite_vertices)),
+}
+
+
+def deep_vertices(copies):
+    """B(k, j) with j near 2**64 and T(k, n) with n in the thousands."""
+    return st.one_of(
+        st.builds(lambda k, j: ("B", k, j), copies, st.integers(2**64 - 70, 2**64 + 70)),
+        st.builds(lambda k, d: ("T", k, k + 1 + d), copies, st.integers(1000, 9999)),
+    )
+
+
+DEEP = {
+    "combined": deep_vertices(st.integers(0, 6)),
+    "g0": deep_vertices(st.just(0)),
+    "gk": deep_vertices(st.just(2)),
+    "spine": deep_vertices(st.just(1)),
 }
 
 VALUES = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
@@ -140,5 +157,30 @@ def test_count_paths_profile_matches_the_fraction_sweep(name):
         assert graphop.count_paths_profile(graph, v, n_max, n_trunc) == ref.count_paths(
             graph, v, n_max, n_trunc
         )
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_enumerations_are_bijections_near_2_64(name):
+    graph, _ = GRAPHS[name]
+
+    @settings(50)
+    @hypothesis.given(i=st.integers(2**64 - 1000, 2**64 + 1000), v=DEEP[name])
+    def check(i, v):
+        assert graph.index_of_vertex(graph.enumerate_vertex(i)) == i
+        assert graph.enumerate_vertex(graph.index_of_vertex(v)) == v
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_oracles_present_an_operator_at_deep_vertices(name):
+    graph, _ = GRAPHS[name]
+
+    @settings(50)
+    @hypothesis.given(v=DEEP[name])
+    def check(v):
+        assert ref.oracle_problems(graph, [v], 2) == []
 
     check()
