@@ -96,6 +96,8 @@ def _emit(cfg: RunConfig, columns: Sequence[str], rows: List[Tuple[str, ...]]) -
 
 
 def _make_graph(name: str, k: Optional[int]):
+    if k is not None and name != "gk":
+        raise UsageError(f"--k applies only to --graph gk, not --graph {name}")
     if name == "g0":
         return ladder.make_g0()
     if name == "gk":
@@ -127,10 +129,10 @@ def _cmd_orbit(args, cfg: RunConfig) -> int:
     _require_positive(args.n_max, "--n-max")
     if args.k_max < 0:
         raise UsageError(f"--k-max must be nonnegative, got {args.k_max}")
+    graph = _make_graph(args.graph, args.k)
     if args.graph == "combined":
         runs = [("combined", k) for k in range(args.k_max + 1)]
     else:
-        graph = _make_graph(args.graph, args.k)
         runs = [(graph.kind, graph.copy_index)]
     rows: List[Tuple[str, ...]] = []
     for kind, k in runs:
@@ -145,6 +147,7 @@ _FACTORS = {"1": ONE, "-1": -ONE, "i": complex(0, 1), "-i": complex(0, -1)}
 
 
 def _cmd_cesaro(args, cfg: RunConfig) -> int:
+    _require_positive(args.max_support, "--max-support")
     schedule = _parse_int_list(args.schedule, "--schedule")
     powers = _parse_int_list(args.powers, "--powers")
     factor = _FACTORS[args.factor]
@@ -170,7 +173,12 @@ def _cmd_cesaro(args, cfg: RunConfig) -> int:
             trace = ergodic.cesaro_trace(
                 op, x, schedule, max_support=cfg.max_support, step_power=power, factor=factor
             )
-        except ergodic.BudgetExceeded:
+        except ergodic.BudgetExceeded as exc:
+            print(
+                f"error: budget exceeded at window {exc.window}: "
+                f"support {exc.support} above --max-support {exc.cap}",
+                file=sys.stderr,
+            )
             return EXIT_BUDGET
         results += [(power, record.n, record.sup_norm) for record in trace.records]
     rows = [

@@ -36,7 +36,17 @@ from .graphop import C0Graph, Vertex
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when an averaging pass outgrows its configured support cap."""
+    """Raised when an averaging pass outgrows its configured support cap.
+
+    ``window`` is the window being accumulated, ``support`` the running
+    sum's support there and ``cap`` the cap it exceeded.
+    """
+
+    def __init__(self, window: int, support: int, cap: int):
+        super().__init__(f"support {support} exceeded cap {cap} at window {window}")
+        self.window = window
+        self.support = support
+        self.cap = cap
 
 
 @dataclass
@@ -63,34 +73,31 @@ def graph_handle(graph: C0Graph) -> OperatorHandle:
     )
 
 
-def _running_sums(step, x, den: int, windows: Sequence[int], max_support: Optional[int] = None):
+def _running_sums(step, start, den: int, windows: Sequence[int], max_support: Optional[int] = None):
     """Yield (n, sums, den) for each n of the ascending ``windows``, in one pass.
 
-    ``sums[key] / den`` is the entry of x + Sx + ... + S**(n-1) x, where ``x``
-    is anything with ``items()`` holding values over the denominator ``den``
-    and ``step`` maps (vector, den) to the next (vector, den), the new
-    denominator a multiple of the old.  ``sums`` is one dict updated in
-    place, so read it before asking for the next window.  Raises
-    :class:`BudgetExceeded` when the support outgrows ``max_support``.
+    ``sums[key] / den`` is the entry of x + Sx + ... + S**(n-1) x, where
+    ``start`` holds the (key, value) pairs of x over the denominator ``den``
+    and each call ``step()`` returns the pairs of the next power of S applied
+    to x with their denominator, a multiple of the one before.  ``sums`` is
+    one dict updated in place, so read it before asking for the next window.
+    Raises :class:`BudgetExceeded` when the support outgrows ``max_support``.
     """
-    sums = dict(x.items())
+    sums = dict(start)
     get = sums.get
-    cur = x
     wanted = set(windows)
     for k in range(1, windows[-1] + 1):
         if k > 1:
-            cur, new_den = step(cur, den)
+            pairs, new_den = step()
             if new_den != den:
                 f = new_den // den
                 for key in sums:
                     sums[key] *= f
                 den = new_den
-            for key, value in cur.items():
+            for key, value in pairs:
                 sums[key] = get(key, 0) + value
             if max_support is not None and len(sums) > max_support:
-                raise BudgetExceeded(
-                    f"support {len(sums)} exceeded cap {max_support} at window {k}"
-                )
+                raise BudgetExceeded(k, len(sums), max_support)
         if k in wanted:
             yield k, sums, den
 
@@ -204,52 +211,65 @@ def cesaro_trace(
 def _generic_step(op: OperatorHandle, x: SparseVector, step_power: int, factor):
     """(step, start, den) for the generic pass of S = factor * T**step_power.
 
-    Graph-backed handles step the graph itself: exactly on the integer form
-    of :func:`graphop.push`, or in double precision for complex factors.
-    Other handles step SparseVectors through ``op.apply``.
+    Graph-backed handles step the graph itself: exactly on the graph's orbit
+    state (:meth:`C0Graph.orbit`), or in double precision for complex
+    factors.  Other handles step SparseVectors through ``op.apply``.
     """
     if isinstance(factor, complex):
         if op.graph is None:
             raise ValueError("complex factors need a graph-backed handle")
         start = {key: complex(float(value), 0.0) for key, value in x.items()}
-        return _complex_step(op.graph, step_power, factor), start, 1
+        return _complex_step(op.graph, start, step_power, factor), start.items(), 1
     if op.graph is not None:
-        return (_int_step(op.graph, step_power, factor), *graphop.int_vector(x))
+        orbit = op.graph.orbit(*graphop.int_vector(x))
+        return _orbit_step(orbit, step_power, factor), orbit.items(), orbit.den
+    cur = x
 
-    def step(v: SparseVector, den: int):
+    def step():
+        nonlocal cur
         for _ in range(step_power):
-            v = op.apply(v)
-        return (v if factor == ONE else v.scale(factor)), den
+            cur = op.apply(cur)
+        if factor != ONE:
+            cur = cur.scale(factor)
+        return cur.items(), 1
 
-    return step, x, 1
+    return step, x.items(), 1
 
 
-def _int_step(graph: C0Graph, power: int, factor: Fraction):
-    """One exact step of factor * T**power on the integer form of graphop.push."""
-    edges = graph.out_edges
+def _orbit_step(orbit, power: int, factor: Fraction):
+    """Exact steps of factor * T**power, factor +1 or -1, along a graph's orbit.
 
-    def step(nums: dict, den: int):
+    Each call moves the orbit ``power`` steps and returns its entries as int
+    numerators, negated on odd calls for factor -1, with its denominator.
+    """
+    sign = 1
+
+    def step():
+        nonlocal sign
         for _ in range(power):
-            nums, den = graphop.push(edges, nums, den)
+            orbit.step()
         if factor == -ONE:
-            nums = {key: -value for key, value in nums.items()}
-        return nums, den
+            sign = -sign
+        pairs = orbit.items()
+        return (pairs if sign == 1 else ((key, -value) for key, value in pairs)), orbit.den
 
     return step
 
 
-def _complex_step(graph: C0Graph, power: int, factor: complex):
-    """One step of factor * T**power in double precision, on dicts of complex entries."""
+def _complex_step(graph: C0Graph, cur: dict, power: int, factor: complex):
+    """Steps of factor * T**power in double precision, from the complex entries ``cur``."""
     edges = graph.out_edges
 
-    def step(cur: dict, den: int):
+    def step():
+        nonlocal cur
         for _ in range(power):
             nxt: dict = {}
             for u, c in cur.items():
                 for v, p, q in edges(u):
                     nxt[v] = nxt.get(v, 0j) + c * (p / q)
             cur = nxt
-        return {u: factor * c for u, c in cur.items()}, den
+        cur = {u: factor * c for u, c in cur.items()}
+        return cur.items(), 1
 
     return step
 
@@ -371,20 +391,21 @@ def weak_compactness_witness(graph: C0Graph, k_max: int, m_max: int) -> SinkHitT
     """Read the sinks of the combined graph along the doubling subsequence.
 
     Simulates the full orbit of the source vector out to 2**(m_max+2) steps
-    (exact arithmetic, no structural shortcuts) and records the coordinate
-    at V(k) for k <= k_max at each step 2**(m+2), m <= m_max.
+    on the graph's own orbit state (exact arithmetic on the graph's edges,
+    none of the sweep's closed forms) and records the coordinate at V(k) for
+    k <= k_max at each step 2**(m+2), m <= m_max.
     """
     if k_max < 0 or m_max < 0:
         raise ValueError("k_max and m_max must be nonnegative")
     checkpoints = {1 << (m + 2): m for m in range(m_max + 1)}
     values: List[List[Fraction]] = [[] for _ in range(m_max + 1)]
     horizon = 1 << (m_max + 2)
-    nums, den = {ladder.SOURCE: 1}, 1
+    orbit = graph.orbit({ladder.SOURCE: 1})
     for t in range(1, horizon + 1):
-        nums, den = graphop.push(graph.out_edges, nums, den)
+        orbit.step()
         m = checkpoints.get(t)
         if m is not None:
-            values[m] = [Fraction(nums.get(ladder.sink(k), 0), den) for k in range(k_max + 1)]
+            values[m] = [orbit.value(ladder.sink(k)) for k in range(k_max + 1)]
     return SinkHitTriangle(k_max=k_max, m_max=m_max, values=values)
 
 

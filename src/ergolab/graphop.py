@@ -13,12 +13,15 @@ are exact; norms of the infinite operator are approached through truncations
 onto the first N enumerated vertices, which by positivity increase to the
 true value.
 
-One integer kernel, :func:`push`, performs every step.  It reads each edge as
-a triple (target, p, q) with weight p/q and holds a vector as int numerators
-over one shared denominator, which grows only when an edge's denominator
-does not divide a contribution.  ``Fraction`` values are built only at the
-edges of the API: :class:`SparseVector` in and out of :func:`apply` and
-:func:`apply_adjoint`, and one value per reported norm.
+One integer kernel, :func:`push`, performs every single step.  It reads
+each edge as a triple (target, p, q) with weight p/q and holds a vector as
+int numerators over one shared denominator, which grows only when an edge's
+denominator does not divide a contribution.  Loops that step one vector many
+times ask the graph for an orbit state, :meth:`C0Graph.orbit`; its default,
+:class:`PushOrbit`, steps with :func:`push`, and a graph class may supply a
+faster state (the ladder graphs do).  ``Fraction`` values are built only at
+the edges of the API: :class:`SparseVector` in and out of :func:`apply` and
+:func:`apply_adjoint`, and one value per reported norm or reading.
 """
 
 from __future__ import annotations
@@ -80,6 +83,10 @@ class C0Graph:
     def predecessors(self, v: Vertex) -> Sequence[Edge]:
         """In-edges of v with their weights as Fractions."""
         return tuple((u, Fraction(p, q)) for u, p, q in self.in_edges(v))
+
+    def orbit(self, nums: Dict[Vertex, int], den: int = 1) -> "PushOrbit":
+        """Orbit state of the vector nums / den under this graph's operator."""
+        return PushOrbit(self.out_edges, nums, den)
 
     def enumerate_vertex(self, i: int) -> Vertex:
         if self._enumerate is None:
@@ -165,6 +172,36 @@ def push(edges, nums: Dict[Vertex, int], den: int) -> IntVector:
     if 0 in out.values():  # signed entries cancelled
         out = {key: value for key, value in out.items() if value}
     return out, den * scale
+
+
+class PushOrbit:
+    """The orbit of nums / den along the out-edge oracle ``edges``, by :func:`push`.
+
+    ``step()`` moves the vector one step.  ``items()`` yields its nonzero
+    entries as (vertex, numerator) pairs over the shared denominator
+    ``den``; ``sup_norm()`` and ``value(v)`` read it as Fractions.  This is
+    the default orbit state of every graph, and the deliberate second route
+    for the ladder graphs' moving-frame state
+    (:class:`ergolab.ladder.LadderOrbit`): the tests step both and compare
+    them.
+    """
+
+    def __init__(self, edges, nums: Dict[Vertex, int], den: int = 1):
+        self._edges = edges
+        self.nums = {v: a for v, a in nums.items() if a}
+        self.den = den
+
+    def step(self) -> None:
+        self.nums, self.den = push(self._edges, self.nums, self.den)
+
+    def sup_norm(self) -> Fraction:
+        return int_sup_norm(self.nums, self.den)
+
+    def value(self, v: Vertex) -> Fraction:
+        return Fraction(self.nums.get(v, 0), self.den)
+
+    def items(self):
+        return self.nums.items()
 
 
 def int_vector(x: SparseVector) -> IntVector:
@@ -256,12 +293,12 @@ def power_norm_truncated(graph: C0Graph, n_power: int, n_trunc: int) -> Fraction
 
 
 def power_norms_sweep(graph: C0Graph, n_max: int, n_trunc: int) -> List[Fraction]:
-    """Truncated norms of T, T^2, ..., T^n_max in a single incremental pass."""
-    nums, den = int_vector(truncation_indicator(graph, n_trunc))
+    """Truncated norms of T, T^2, ..., T^n_max along one orbit of the graph."""
+    orbit = graph.orbit(*int_vector(truncation_indicator(graph, n_trunc)))
     norms: List[Fraction] = []
     for _ in range(n_max):
-        nums, den = push(graph.out_edges, nums, den)
-        norms.append(int_sup_norm(nums, den))
+        orbit.step()
+        norms.append(orbit.sup_norm())
     return norms
 
 

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
+from typing import Dict, Optional
 
-from . import graphop
 from .core import HALF, ONE, TWO
 from .graphop import C0Graph, Vertex
 
@@ -106,7 +105,220 @@ def bottom_weight(j: int) -> Fraction:
     return ONE
 
 
-class LadderFamilyGraph(C0Graph):
+def _next_stop(j: int) -> int:
+    """The largest stop i <= j: a landing rung_position(n) or the position after one.
+
+    Bottom cells at a stop move with weight 2 (a landing; at 1, into the
+    sink) or 1/2 (just after a landing); everywhere else with weight 1.
+    """
+    if j <= 2:
+        return j
+    # rung_position(b - 1) = 2**b - b - 1 is the only landing of bit length b;
+    # when it exceeds j, the largest landing below j is rung_position(b - 2)
+    b = j.bit_length()
+    landing = (1 << b) - b - 1
+    if landing > j:
+        landing = (1 << (b - 1)) - b
+    return j if j == landing else landing + 1
+
+
+def _bump(table: Dict[int, int], key: int, c: int) -> None:
+    """Add c to table[key], dropping the entry when it cancels to zero."""
+    c += table.get(key, 0)
+    if c:
+        table[key] = c
+    else:
+        del table[key]
+
+
+class LadderOrbit:
+    """The orbit of nums / den under a ladder graph, in a moving frame.
+
+    After t steps the cell B(k, j) is stored under the key j + t of copy k's
+    bottom table, T(k, n) under n - t of its top table and E(k) under k - t
+    of the entry table.  The weight-1 moves B(k, j) -> B(k, j-1),
+    T(k, n) -> T(k, n+1) and E(k) -> E(k+1), nearly every move of a long
+    orbit, then leave every key as it is.  A step touches only:
+
+    - bottom cells at a stop: a landing rung_position(n), where the weight is
+      2 (at j = 1 the cell drains into V(k)), or the position just after one,
+      where it is 1/2.  Each bottom cell is filed under the step at which it
+      next stands on a stop (:func:`_next_stop`), so nothing is paid for it
+      in between;
+    - one rung arrival per top cell, T(k, n) -> B(k, rung_position(n)) with
+      weight 1/2, and one top arrival per entry cell, E(k) -> T(k, k+1);
+    - the source, which moves to E(0), and the sinks, which hold only what
+      drained into them in the last step.
+
+    A restricted graph keeps one copy, so only its entry feeds a top chain;
+    a standalone copy also has no source and no edge E(k) -> E(k+1).  Start
+    vertices outside the graph are rejected by the graph's oracle.  The
+    shared denominator widens as in :func:`graphop.push`, when a weight 1/2
+    meets an odd numerator.  These rules encode the ladder's edges apart from
+    the oracles; :class:`graphop.PushOrbit` over the graph's ``out_edges`` is
+    the deliberate second route, and the tests compare the two.
+    """
+
+    def __init__(self, graph: "LadderGraph", nums: Dict[Vertex, int], den: int = 1):
+        self.den = den
+        self._copy = graph.copy_index  # the one copy kept, or None for all
+        self._entry_chain = graph.entry_chain
+        self._t = 0
+        self._source = 0
+        self._entries: Dict[int, int] = {}  # k - t -> numerator of E(k)
+        self._tops: Dict[int, Dict[int, int]] = {}  # k -> {n - t: numerator of T(k, n)}
+        self._bottoms: Dict[int, Dict[int, int]] = {}  # k -> {j + t: numerator of B(k, j)}
+        self._sinks: Dict[int, int] = {}  # k -> numerator of V(k)
+        self._due: Dict[int, list] = {}  # step -> [(k, key)] of bottom cells then at a stop
+        for v, a in nums.items():
+            graph.out_edges(v)  # the oracle rejects vertices outside the graph
+            if not a:
+                continue
+            tag = v[0]
+            if tag == "B":
+                self._add_bottom(v[1], v[2], a, 0)
+            elif tag == "T":
+                self._tops.setdefault(v[1], {})[v[2]] = a
+            elif tag == "E":
+                self._entries[v[1]] = a
+            elif tag == "V":
+                self._sinks[v[1]] = a
+            else:
+                self._source = a
+
+    def _add_bottom(self, k: int, j: int, c: int, t: int) -> None:
+        """Add the numerator c at B(k, j) after t steps."""
+        cells = self._bottoms.get(k)
+        if cells is None:
+            cells = self._bottoms[k] = {}
+        key = j + t
+        old = cells.get(key)
+        if old is None:
+            cells[key] = c
+            self._file(k, key, j)
+        elif old + c:
+            cells[key] = old + c
+        else:  # signed entries cancelled
+            del cells[key]
+            when = key - _next_stop(j)
+            due = self._due[when]
+            due.remove((k, key))
+            if not due:
+                del self._due[when]
+
+    def _file(self, k: int, key: int, j: int) -> None:
+        """File the bottom cell under key, now at position j, at its next stop."""
+        when = key - _next_stop(j)
+        due = self._due.get(when)
+        if due is None:
+            self._due[when] = [(k, key)]
+        else:
+            due.append((k, key))
+
+    def _tables(self):
+        return (*self._bottoms.values(), *self._tops.values(), self._entries, self._sinks)
+
+    def _widen(self, f: int) -> None:
+        """Multiply every numerator and the denominator by f."""
+        for table in self._tables():
+            for key in table:
+                table[key] *= f
+        self._source *= f
+        self.den *= f
+
+    def _half(self, a: int) -> int:
+        """The numerator of (a / den) / 2, widening the denominator when a is odd."""
+        if a & 1:
+            self._widen(2)
+            return a
+        return a // 2
+
+    def step(self) -> None:
+        t = self._t
+        bottoms = self._bottoms
+        sinks = self._sinks = {}
+        for k, key in self._due.pop(t, ()):
+            cells = bottoms[k]
+            j = key - t
+            if j == 1:  # B(k, 1) -> V(k), weight 2
+                sinks[k] = 2 * cells.pop(key)
+                continue
+            if rung_index(j) is not None:  # a landing: weight 2
+                cells[key] *= 2
+            else:  # just after a landing: weight 1/2
+                cells[key] = self._half(cells[key])
+            self._file(k, key, j - 1)
+        for k, cells in self._tops.items():
+            for d, a in cells.items():  # T(k, n) -> B(k, rung_position(n)), weight 1/2
+                self._add_bottom(k, rung_position(d + t), self._half(a), t + 1)
+        entries = self._entries
+        for e, a in entries.items():  # E(k) -> T(k, k+1), weight 1
+            k = e + t
+            if self._copy is None or k == self._copy:
+                _bump(self._tops.setdefault(k, {}), e, a)
+        if not self._entry_chain:
+            entries.clear()
+        if self._source:  # S -> E(0), weight 1
+            _bump(entries, -(t + 1), self._source)
+            self._source = 0
+        self._t = t + 1
+
+    def sup_norm(self) -> Fraction:
+        best = abs(self._source)
+        for table in self._tables():
+            if table:
+                best = max(best, max(table.values()), -min(table.values()))
+        return Fraction(best, self.den)
+
+    def value(self, v: Vertex) -> Fraction:
+        t, tag = self._t, v[0]
+        if tag == "B":
+            a = self._bottoms.get(v[1], {}).get(v[2] + t, 0)
+        elif tag == "T":
+            a = self._tops.get(v[1], {}).get(v[2] - t, 0)
+        elif tag == "E":
+            a = self._entries.get(v[1] - t, 0)
+        elif tag == "V":
+            a = self._sinks.get(v[1], 0)
+        else:
+            a = self._source if v == SOURCE else 0
+        return Fraction(a, self.den)
+
+    def items(self):
+        """The nonzero entries as (vertex, numerator) pairs over ``den``."""
+        t = self._t
+        if self._source:
+            yield SOURCE, self._source
+        for e, a in self._entries.items():
+            yield ("E", e + t), a
+        for k, cells in self._tops.items():
+            for d, a in cells.items():
+                yield ("T", k, d + t), a
+        for k, cells in self._bottoms.items():
+            for key, a in cells.items():
+                yield ("B", k, key - t), a
+        for k, a in self._sinks.items():
+            yield ("V", k), a
+
+
+class LadderGraph(C0Graph):
+    """The combined ladder graph or its restriction to one copy.
+
+    ``copy_index`` is the copy kept, or None for every copy;
+    ``entry_chain`` says whether the source and the whole entry chain are
+    kept.  Orbits step in the moving frame of :class:`LadderOrbit`.
+    """
+
+    def __init__(self, copy_index: Optional[int], entry_chain: bool, **kwargs):
+        super().__init__(**kwargs)
+        self.copy_index = copy_index
+        self.entry_chain = entry_chain
+
+    def orbit(self, nums: Dict[Vertex, int], den: int = 1) -> LadderOrbit:
+        return LadderOrbit(self, nums, den)
+
+
+class LadderFamilyGraph(LadderGraph):
     """A ladder graph, either one standalone copy or the combined form.
 
     kind is "g0", "gk" or "combined"; copy_index records k for standalone
@@ -114,9 +326,8 @@ class LadderFamilyGraph(C0Graph):
     """
 
     def __init__(self, kind: str, copy_index: Optional[int], **kwargs):
-        super().__init__(**kwargs)
+        super().__init__(copy_index, kind == "combined", **kwargs)
         self.kind = kind
-        self.copy_index = copy_index
 
 
 def _bad_vertex(v: Vertex) -> ValueError:
@@ -328,7 +539,7 @@ def make_counterexample() -> LadderFamilyGraph:
     )
 
 
-def make_entry_spine(copy: int = 0) -> C0Graph:
+def make_entry_spine(copy: int = 0) -> LadderGraph:
     """The combined graph restricted to the source, entry chain and one copy.
 
     This is the induced subgraph on spine_vertex_set(copy): {S, all E(i)}
@@ -369,9 +580,11 @@ def make_entry_spine(copy: int = 0) -> C0Graph:
             return 4 + 3 * (v[2] - 1)
         raise ValueError(f"vertex {v!r} is not in {where}")
 
-    return C0Graph(
-        _restricted(_out_edges, keep, where),
-        _restricted(_in_edges, keep, where),
+    return LadderGraph(
+        copy,
+        True,
+        out_edges=_restricted(_out_edges, keep, where),
+        in_edges=_restricted(_in_edges, keep, where),
         enumerate_vertex=enum,
         index_of_vertex=index_of,
         description=f"entry spine of copy {copy}",
@@ -428,15 +641,15 @@ def sink_readings(kind: str, k: int, n_max: int):
     simulated is the V(k) coordinate of the n-th orbit vector and predicted
     is orbit_predicate(kind, k, n).  For kind "combined" the orbit starts at
     the source and runs on make_entry_spine(k); for "g0" and "gk" it starts
-    at the entry vertex of the standalone copy k.  The orbit stays in the
-    integer form of :func:`graphop.push` between readings.
+    at the entry vertex of the standalone copy k.  The orbit is the graph's
+    own (:meth:`LadderGraph.orbit`), in int numerators between readings.
     """
     if kind == "combined":
         graph, start = make_entry_spine(k), SOURCE
     else:
         graph, start = (make_g0() if kind == "g0" else make_gk(k)), entry(k)
     target = sink(k)
-    nums, den = {start: 1}, 1
+    orbit = graph.orbit({start: 1})
     for n in range(1, n_max + 1):
-        nums, den = graphop.push(graph.out_edges, nums, den)
-        yield n, Fraction(nums.get(target, 0), den), orbit_predicate(kind, k, n)
+        orbit.step()
+        yield n, orbit.value(target), orbit_predicate(kind, k, n)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,59 @@ def test_cesaro_generic_budget_exit(capsys):
         ["cesaro", "--graph", "g0", "--start", "entry", "--schedule", "64", "--max-support", "10"],
     )
     assert code == 3
+
+
+def test_cesaro_budget_exit_reports_where_it_stopped(capsys):
+    code, out, err = run(
+        capsys,
+        ["cesaro", "--graph", "g0", "--start", "entry", "--schedule", "64", "--max-support", "10"],
+    )
+    assert code == 3 and out == ""
+    assert err == "error: budget exceeded at window 6: support 14 above --max-support 10\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_max_support_must_be_positive(capsys, cap):
+    code, out, err = run(capsys, ["cesaro", "--graph", "g0", "--start", "entry",
+                                  "--schedule", "8", "--max-support", cap])
+    assert code == 2 and out == ""
+    assert err == f"error: --max-support must be a positive integer, got {cap}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--graph", "g0", "--k", "5", "--n-max", "3"],
+        ["orbit", "--graph", "combined", "--k", "3"],
+        ["norms", "--graph", "g0", "--k", "4"],
+        ["norms", "--graph", "combined", "--k", "1", "--n-max", "2"],
+        ["cesaro", "--graph", "combined", "--k", "2", "--schedule", "8"],
+        ["cesaro", "--graph", "g0", "--k", "1", "--start", "entry", "--schedule", "8"],
+    ],
+    ids=lambda argv: " ".join(argv[:5]),
+)
+def test_k_is_rejected_outside_gk(capsys, argv):
+    code, out, err = run(capsys, argv)
+    graph = argv[argv.index("--graph") + 1]
+    assert code == 2 and out == ""
+    assert err == f"error: --k applies only to --graph gk, not --graph {graph}\n"
+
+
+def readme_examples():
+    """The command lines of the sh block under "## Command line" in README.md."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_examples_exit_zero(capsys):
+    examples = readme_examples()
+    assert len(examples) >= 5 and all(argv[0] == "ergolab" for argv in examples)
+    for argv in examples:
+        code, out, err = run(capsys, argv[1:])
+        assert code == 0, (argv, err)
+        assert out
 
 
 def test_cesaro_usage_errors(capsys):

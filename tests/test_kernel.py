@@ -39,12 +39,20 @@ POSITIONS = st.one_of(
 DEPTHS = st.one_of(st.integers(0, 70), st.integers(1000, 1010))  # top depth above k + 1
 
 
-def ladder_vertices(copies, source: bool, entries):
+# bottom positions where a framed orbit's cells stop: the drain j = 1 and the
+# landings rung_position(n), with their neighbours on either side
+STOPS = st.one_of(
+    st.just(1),
+    st.builds(lambda n, d: ladder.rung_position(n) + d, st.integers(2, 70), st.integers(-1, 1)),
+)
+
+
+def ladder_vertices(copies, source: bool, entries, positions=POSITIONS):
     """Vertices of the copies drawn from ``copies``, plus the given entries."""
     options = [
         entries,
         st.builds(lambda k, d: ("T", k, k + 1 + d), copies, DEPTHS),
-        st.builds(lambda k, j: ("B", k, j), copies, POSITIONS),
+        st.builds(lambda k, j: ("B", k, j), copies, positions),
         st.builds(lambda k: ("V", k), copies),
     ]
     if source:
@@ -64,6 +72,26 @@ GRAPHS = {
         ladder_vertices(st.just(1), True, st.builds(lambda k: ("E", k), st.integers(0, 6))),
     ),
     "thirds": (THIRDS, st.sampled_from(THIRDS.finite_vertices)),
+}
+
+
+LADDERS = {
+    "combined": (st.integers(0, 6), True, st.builds(lambda k: ("E", k), st.integers(0, 6))),
+    "g0": (st.just(0), False, st.just(("E", 0))),
+    "gk": (st.just(2), False, st.just(("E", 2))),
+    "spine": (st.just(1), True, st.builds(lambda k: ("E", k), st.integers(0, 6))),
+}
+# start vertices for the framed orbits: stops and their neighbours as well
+FRAMED = {
+    name: ladder_vertices(*args, positions=st.one_of(POSITIONS, STOPS))
+    for name, args in LADDERS.items()
+}
+# a vertex inside each restricted graph, and vertices outside it
+FOREIGN = {
+    "g0": (("E", 0), [("S",), ("E", 1), ("T", 1, 2), ("B", 1, 4), ("V", 2)]),
+    "gk": (("E", 2), [("S",), ("E", 0), ("T", 0, 3), ("B", 3, 1), ("V", 1)]),
+    "spine": (("E", 3), [("T", 0, 2), ("B", 2, 5), ("V", 0)]),
+    "combined": (("S",), [("B", 0, 0), ("T", 2, 2), ("V", -1), ("X", 1)]),
 }
 
 
@@ -184,3 +212,73 @@ def test_oracles_present_an_operator_at_deep_vertices(name):
         assert ref.oracle_problems(graph, [v], 2) == []
 
     check()
+
+
+def push_orbit(graph, x):
+    return graphop.PushOrbit(graph.out_edges, *graphop.int_vector(x))
+
+
+def values(orbit):
+    """The orbit's entries as vertex -> Fraction, checking that none is zero."""
+    pairs = list(orbit.items())
+    out = {v: Fraction(a, orbit.den) for v, a in pairs}
+    assert len(out) == len(pairs) and all(out.values())
+    return out
+
+
+def assert_same_state(framed, pushed, probes):
+    assert framed.sup_norm() == pushed.sup_norm()
+    expected = values(pushed)
+    assert values(framed) == expected
+    for v in list(probes) + list(expected):
+        assert framed.value(v) == pushed.value(v)
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_framed_steps_match_push(name):
+    graph, _ = GRAPHS[name]
+
+    @settings(40)
+    @hypothesis.given(x=start_vectors(FRAMED[name]), steps=st.integers(1, 3))
+    def check(x, steps):
+        framed = graph.orbit(*graphop.int_vector(x))
+        assert isinstance(framed, ladder.LadderOrbit)
+        pushed = push_orbit(graph, x)
+        assert_same_state(framed, pushed, dict(x.items()))
+        for _ in range(steps):
+            framed.step()
+            pushed.step()
+            assert_same_state(framed, pushed, dict(x.items()))
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_framed_orbit_matches_push_over_many_steps(name):
+    graph, _ = GRAPHS[name]
+
+    @settings(8)
+    @hypothesis.given(x=start_vectors(FRAMED[name]), steps=st.integers(20, 80))
+    def check(x, steps):
+        framed = graph.orbit(*graphop.int_vector(x))
+        pushed = push_orbit(graph, x)
+        for _ in range(steps):
+            framed.step()
+            pushed.step()
+            assert framed.sup_norm() == pushed.sup_norm()
+            assert framed.den == pushed.den
+        assert_same_state(framed, pushed, dict(x.items()))
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN))
+def test_framed_orbit_rejects_foreign_vertices(name):
+    graph, _ = GRAPHS[name]
+    inside, outside = FOREIGN[name]
+    for v in outside:
+        nums = {inside: 1, v: 1}
+        with pytest.raises(ValueError):
+            graph.orbit(nums)
+        with pytest.raises(ValueError):
+            graphop.PushOrbit(graph.out_edges, nums).step()
