@@ -90,11 +90,16 @@ def t_block(m: int) -> Block2x2:
 def block_cesaro(m: int, n: int, p: int) -> Block2x2:
     """Average of the first n powers of t_block(m)**p, via the projection split.
 
-    Equals U + c * V with c = cesaro_geometric(a_coeff(m), p, n); exact for
+    Equals U + c * V with c = cesaro_geometric(a_coeff(m), p, n), written out
+    entrywise as [[(1 + c)/2, (1 - c)/2], [(1 - c)/2, (1 + c)/2]]; exact for
     every argument.  The deliberate second route that multiplies matrices and
     averages them literally is :func:`block_cesaro_literal`.
     """
-    return U + V.scale(cesaro_geometric(a_coeff(m), p, n))
+    c = cesaro_geometric(a_coeff(m), p, n)
+    num, den = c.numerator, c.denominator
+    diagonal = Fraction(den + num, 2 * den)
+    off = Fraction(den - num, 2 * den)
+    return Block2x2(diagonal, off, off, diagonal)
 
 
 def block_cesaro_literal(m: int, n_max: int, p: int) -> List[Block2x2]:
@@ -103,21 +108,39 @@ def block_cesaro_literal(m: int, n_max: int, p: int) -> List[Block2x2]:
     Entry n - 1 is the n-th average, formed by repeated multiplication and
     summation of the powers.  Deliberate second route for
     :func:`block_cesaro`; the tests and acceptance criterion 12 compare the
-    two.
+    two.  It works on int numerators: t_block(m) is [[1, 2m - 1], [2m - 1, 1]]
+    over 2m, its p-th power is held over d = (2m)**p, the k-th power of that
+    over d**k and the running total of the first n powers over d**(n - 1).
+    No closed form and no symmetry of the entries is used; one Fraction is
+    built per entry per average.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
-    step = t_block(m).matpow(p)
-    power = IDENTITY
-    total = IDENTITY
+    if m < 1:
+        raise ValueError(f"block index must be positive, got {m}")
+    block = (1, 2 * m - 1, 2 * m - 1, 1)
+    step = block
+    for _ in range(p - 1):
+        step = _int_matmul(step, block)
+    den = (2 * m) ** p
+    power = total = (1, 0, 0, 1)
+    scale = 1  # d**(n - 1)
     averages = [IDENTITY]
     for n in range(2, n_max + 1):
-        power = power @ step
-        total = total + power
-        averages.append(total.scale(Fraction(1, n)))
+        power = _int_matmul(power, step)
+        total = tuple(den * t + q for t, q in zip(total, power))
+        scale *= den
+        averages.append(Block2x2(*(Fraction(t, scale * n) for t in total)))
     return averages
+
+
+def _int_matmul(x, y):
+    """Product of two 2x2 int matrices given as row-major 4-tuples."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def b_coeff(m: int, n: int, j: int) -> Fraction:
@@ -158,18 +181,48 @@ def block_deviation_float(m: int, n: int, p: int) -> float:
     return abs((1.0 - r**n) / ((1.0 - r) * n))
 
 
+def deviation_bound(m: int, n: int, p: int):
+    """An exact upper bound on :func:`block_deviation`, as an int pair (num, den).
+
+    With r = (-(m - 1)/m)**p the deviation is |1 - r**n| / ((1 - r) * n),
+    and 1 - r > 0 because |r| < 1.  The numerator is at most 1 + |r|**n.
+    For m >= 2 Bernoulli's inequality gives (m/(m - 1))**k =
+    (1 + 1/(m - 1))**k >= 1 + k/(m - 1) >= (m + k)/m, so with k = pn
+    |r|**n = (1 - 1/m)**(pn) <= m/(m + pn); for m = 1, r = 0 and this holds
+    trivially.  Hence 1 + |r|**n <= (2m + pn)/(m + pn), and with
+    1 - r = (m**p - (-1)**p * (m - 1)**p) / m**p
+
+        deviation <= (2m + pn) * m**p / ((m + pn) * (m**p - (-1)**p (m - 1)**p) * n).
+
+    The second factor of the denominator is positive since m**p > (m - 1)**p.
+    """
+    top = m**p
+    below = (m - 1) ** p
+    diff = top + below if p % 2 else top - below
+    return (2 * m + p * n) * top, (m + p * n) * diff * n
+
+
 def deviation_argmax(deviation, m_max: int, n: int, p: int):
     """(m, value) for the block m <= m_max whose average deviates most.
 
     ``deviation`` is :func:`block_deviation` or :func:`block_deviation_float`;
-    ties go to the smallest m.
+    ties go to the smallest m.  The exact scan skips every block whose
+    :func:`deviation_bound` is at most the running best, compared by int
+    cross-multiplication: such a block cannot be strictly larger, and only a
+    strictly larger value replaces the best, so the result is the full
+    scan's.  The float scan evaluates every block.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive integers")
+    prune = deviation is block_deviation
     best_m, best = 1, deviation(1, n, p)
     for m in range(2, m_max + 1):
+        if prune:
+            bound_num, bound_den = deviation_bound(m, n, p)
+            if bound_num * best.denominator <= best.numerator * bound_den:
+                continue
         value = deviation(m, n, p)
         if value > best:
             best_m, best = m, value

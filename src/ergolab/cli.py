@@ -199,32 +199,36 @@ def _cmd_cesaro(args, cfg: RunConfig) -> int:
 def _cmd_block(args, cfg: RunConfig) -> int:
     if args.sweep_diag and args.deviation:
         raise UsageError("--sweep-diag and --deviation are mutually exclusive")
-    _require_positive(args.m_max, "--m-max")
-    _require_positive(args.j, "--j")
-    _require_positive(args.p, "--p")
-    windows = _parse_int_list(args.windows, "--windows")
+    windows = sorted(set(_parse_int_list(args.windows, "--windows")))
     at_least = _parse_fraction(args.at_least, "--at-least") if args.at_least else None
     at_most = _parse_fraction(args.at_most, "--at-most") if args.at_most else None
     rows: List[Tuple[str, ...]] = []
     values = []
     if args.deviation:
-        p = args.p
+        if args.j is not None:
+            raise UsageError("--j applies only to the diagonal sweep, not --deviation")
+        m_max = _require_positive(1000 if args.m_max is None else args.m_max, "--m-max")
+        p = _require_positive(1 if args.p is None else args.p, "--p")
         deviation = (
             blockdiag.block_deviation_float if cfg.mode == "float" else blockdiag.block_deviation
         )
-        for n in sorted(set(windows)):
-            m_at, value = blockdiag.deviation_argmax(deviation, args.m_max, n, p)
+        for n in windows:
+            m_at, value = blockdiag.deviation_argmax(deviation, m_max, n, p)
             values.append(value)
             shown = _decimal(value) if cfg.mode == "float" else fraction_str(value)
             rows.append((str(m_at), str(n), str(p), shown, _decimal(value)))
     else:
-        p = 2 * args.j
-        for n in sorted(set(windows)):
+        for flag, value in (("--m-max", args.m_max), ("--p", args.p)):
+            if value is not None:
+                raise UsageError(f"{flag} applies only to --deviation")
+        j = _require_positive(1 if args.j is None else args.j, "--j")
+        p = 2 * j
+        for n in windows:
             if cfg.mode == "float":
                 value = blockdiag.block_deviation_float(n, n, p)
                 shown = _decimal(value)
             else:
-                value = blockdiag.b_coeff(n, n, args.j)
+                value = blockdiag.b_coeff(n, n, j)
                 shown = fraction_str(value)
             values.append(value)
             rows.append((str(n), str(n), str(p), shown, _decimal(value)))
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--windows", "--n", dest="windows", default="10,100,1000", help="window lengths n")
-    p.add_argument("--j", type=int, default=1, help="half the even power (diagonal sweep)")
+    p.add_argument("--j", type=int, help="half the even power (diagonal sweep; default 1)")
     p.add_argument(
         "--sweep-diag",
         action="store_true",
@@ -325,8 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="diagonal m = n coefficient sweep (the default mode, named explicitly)",
     )
     p.add_argument("--deviation", action="store_true", help="sup deviation over blocks")
-    p.add_argument("--m-max", type=int, default=1000, dest="m_max")
-    p.add_argument("--p", type=int, default=1, help="step power for --deviation")
+    p.add_argument(
+        "--m-max", type=int, dest="m_max", help="blocks scanned by --deviation (default 1000)"
+    )
+    p.add_argument("--p", type=int, help="step power for --deviation (default 1)")
     p.add_argument("--at-least", dest="at_least", help="fail if any value is below this")
     p.add_argument("--at-most", dest="at_most", help="fail if any value is above this")
 

@@ -33,16 +33,18 @@ def as_rational(value) -> Fraction:
     return Fraction(value)
 
 
-def _geometric_ratio(a, p: int, n: int) -> Fraction:
-    """Check the arguments of a geometric average and return r = (-a)**p."""
+def _geometric_ratio(a, p: int, n: int) -> Tuple[int, int]:
+    """Check the arguments of a geometric average and return r = (-a)**p as
+    its (numerator, denominator) in lowest terms, denominator positive."""
     a = as_rational(a)
-    if not ZERO <= a <= ONE:
+    num, den = a.numerator, a.denominator
+    if not 0 <= num <= den:
         raise ValueError(f"a must lie in [0, 1], got {a}")
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    return (-a) ** p
+    return (-num) ** p, den**p
 
 
 def cesaro_geometric(a, p: int, n: int) -> Fraction:
@@ -56,10 +58,12 @@ def cesaro_geometric(a, p: int, n: int) -> Fraction:
     and the average is at most 2/n in absolute value.  For even p no such
     decay holds: with a close to 1 the average stays near 1.
     """
-    r = _geometric_ratio(a, p, n)
-    if r == ONE:
+    num, den = _geometric_ratio(a, p, n)
+    if num == den:
         return ONE
-    return (ONE - r**n) / ((ONE - r) * n)
+    # the closed form over the common denominator den**n, in ints
+    lower = den ** (n - 1)
+    return Fraction(lower * den - num**n, lower * (den - num) * n)
 
 
 def cesaro_geometric_sum(a, p: int, n: int) -> Fraction:
@@ -68,7 +72,7 @@ def cesaro_geometric_sum(a, p: int, n: int) -> Fraction:
     Deliberate second route for cross-checking the closed form; tests
     compare the two on wide parameter grids.
     """
-    r = _geometric_ratio(a, p, n)
+    r = Fraction(*_geometric_ratio(a, p, n))
     total = ZERO
     power = ONE
     for _ in range(n):

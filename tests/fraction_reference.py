@@ -1,11 +1,12 @@
-"""Fraction reference route for the graph-operator kernel.
+"""Reference routes that the tests compare the package against.
 
-``graphop.push`` steps int numerators over a shared denominator.  The
+``graphop.push`` steps int numerators over a shared denominator.  Most
 functions here step the same graphs the way the package did before that
 kernel: one ``Fraction`` product per edge and per entry, read through the
-``successors`` and ``predecessors`` views.  Tests compare the two routes.
-:func:`oracle_problems` checks that a graph's int-triple oracles present an
-operator.
+``successors`` and ``predecessors`` views.  :func:`oracle_problems` checks
+that a graph's int-triple oracles present an operator.
+:func:`deviation_argmax` is the block deviation scan without pruning, in
+ints.
 """
 
 from fractions import Fraction
@@ -90,3 +91,21 @@ def oracle_problems(graph, vertices, bound):
         if column > bound:
             problems.append(f"in-edge weights of {u!r} sum to {column}, above {bound}")
     return problems
+
+
+def deviation_argmax(m_max, n, p):
+    """(m, value) of the largest block deviation over m <= m_max, evaluating
+    every block; ties go to the smallest m.
+
+    Block m deviates by |1 - r**n| / ((1 - r) * n) with r = (-(m - 1)/m)**p.
+    Each value is kept as an unreduced int pair and compared by
+    cross-multiplication; only the result becomes a Fraction.
+    """
+    best_m, best_num, best_den = None, 0, 1
+    for m in range(1, m_max + 1):
+        r_num, r_den = (1 - m) ** p, m**p
+        num = abs(r_den**n - r_num**n)
+        den = r_den ** (n - 1) * (r_den - r_num) * n
+        if best_m is None or num * best_den > best_num * den:
+            best_m, best_num, best_den = m, num, den
+    return best_m, Fraction(best_num, best_den)

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import fraction_reference as ref
 from ergolab import blockdiag
 from ergolab.blockdiag import (
     IDENTITY,
@@ -14,6 +16,9 @@ from ergolab.blockdiag import (
     b_coeff,
     block_cesaro,
     block_cesaro_literal,
+    block_deviation,
+    deviation_argmax,
+    deviation_bound,
     sup_deviation,
     sup_deviation_float,
     t_block,
@@ -98,6 +103,26 @@ def test_block_deviation_closed_form_matches_the_matrix_norm():
                 assert blockdiag.block_deviation(m, n, p) == expected, (m, n, p)
                 if p % 2 == 0:  # b_coeff is the V-coefficient of even-power averages
                     assert block_cesaro(m, n, p) == U + V.scale(b_coeff(m, n, p // 2))
+
+
+def test_deviation_bound_dominates_the_deviation():
+    for m in range(1, 201):
+        for n in (1, 2, 3, 7, 64, 1000):
+            for p in range(1, 6):
+                value = block_deviation(m, n, p)
+                num, den = deviation_bound(m, n, p)
+                assert value.numerator * den <= num * value.denominator, (m, n, p)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(m_max=st.integers(1, 300), n=st.integers(1, 1200), p=st.integers(1, 5))
+@example(m_max=300, n=1, p=1)  # every block deviates by exactly 1: the first wins
+@example(m_max=300, n=1, p=4)
+@example(m_max=50, n=7, p=2)
+@example(m_max=30, n=9, p=4)
+@example(m_max=200, n=300, p=3)
+def test_pruned_scan_matches_the_full_scan(m_max, n, p):
+    assert deviation_argmax(block_deviation, m_max, n, p) == ref.deviation_argmax(m_max, n, p)
 
 
 def test_sup_deviation_float_tracks_exact():

@@ -1,6 +1,7 @@
 """End-to-end command line runs, in process, with frozen outputs."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -304,3 +305,47 @@ def test_block_flag_aliases(capsys):
     assert spelled == default
     code, _, err = run(capsys, ["block", "--sweep-diag", "--deviation"])
     assert code == 2 and "mutually exclusive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["block", "--sweep-diag", "--p", "3"], "--p applies only to --deviation"),
+        (["block", "--windows", "10", "--p", "1"], "--p applies only to --deviation"),
+        (["block", "--m-max", "50"], "--m-max applies only to --deviation"),
+        (["block", "--sweep-diag", "--j", "2", "--m-max", "1000"],
+         "--m-max applies only to --deviation"),
+        (["block", "--deviation", "--j", "2"],
+         "--j applies only to the diagonal sweep, not --deviation"),
+        (["block", "--deviation", "--m-max", "10", "--j", "1", "--mode", "float"],
+         "--j applies only to the diagonal sweep, not --deviation"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else "",
+)
+def test_block_rejects_flags_of_the_other_mode(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_block_defaults_equal_the_spelled_out_values(capsys):
+    _, implicit, _ = run(capsys, ["block", "--deviation", "--windows", "10,64"])
+    _, spelled, _ = run(
+        capsys, ["block", "--deviation", "--windows", "10,64", "--m-max", "1000", "--p", "1"]
+    )
+    assert implicit == spelled
+    _, implicit, _ = run(capsys, ["block", "--windows", "10,64"])
+    _, spelled, _ = run(capsys, ["block", "--windows", "10,64", "--j", "1"])
+    assert implicit == spelled
+
+
+def test_block_outputs_match_the_benchmark_digests(capsys):
+    """The block command lines the benchmark runs keep their recorded bytes."""
+    recorded = Path(__file__).parents[1] / "perfbench" / "expected_cli.json"
+    expected = json.loads(recorded.read_text(encoding="utf-8"))
+    commands = [line for line in expected if line.split()[0] == "block"]
+    assert len(commands) == 4
+    for line in commands:
+        code, out, err = run(capsys, shlex.split(line))
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (code, digest) == (expected[line]["exit"], expected[line]["sha256"]), line
