@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import List, Tuple
 
-from .core import HALF, ONE, ZERO, as_rational, cesaro_geometric
+from .core import HALF, ONE, ZERO, as_rational, cesaro_geometric, cesaro_geometric_pair
 
 
 @dataclass(frozen=True)
@@ -87,32 +87,36 @@ def t_block(m: int) -> Block2x2:
     return Block2x2(small, ONE - small, ONE - small, small)
 
 
+def block_cesaro_entries(m: int, n: int, p: int) -> Tuple[int, int, int]:
+    """(diagonal, off, den): :func:`block_cesaro`'s entries (1 + c)/2 and (1 - c)/2
+    as ints, not reduced, from the pair c = cesaro_geometric_pair(a_coeff(m), p, n)."""
+    num, den = cesaro_geometric_pair(a_coeff(m), p, n)
+    return den + num, den - num, 2 * den
+
+
 def block_cesaro(m: int, n: int, p: int) -> Block2x2:
     """Average of the first n powers of t_block(m)**p, via the projection split.
 
-    Equals U + c * V with c = cesaro_geometric(a_coeff(m), p, n), written out
-    entrywise as [[(1 + c)/2, (1 - c)/2], [(1 - c)/2, (1 + c)/2]]; exact for
-    every argument.  The deliberate second route that multiplies matrices and
-    averages them literally is :func:`block_cesaro_literal`.
+    Equals U + c * V with c = cesaro_geometric(a_coeff(m), p, n), built
+    entrywise from :func:`block_cesaro_entries`; exact for every argument.
+    The deliberate second route that multiplies matrices and averages them
+    literally is :func:`block_cesaro_literal`.
     """
-    c = cesaro_geometric(a_coeff(m), p, n)
-    num, den = c.numerator, c.denominator
-    diagonal = Fraction(den + num, 2 * den)
-    off = Fraction(den - num, 2 * den)
+    diagonal, off, den = block_cesaro_entries(m, n, p)
+    diagonal, off = Fraction(diagonal, den), Fraction(off, den)
     return Block2x2(diagonal, off, off, diagonal)
 
 
-def block_cesaro_literal(m: int, n_max: int, p: int) -> List[Block2x2]:
+def block_cesaro_literal(m: int, n_max: int, p: int) -> List[Tuple[Tuple[int, int, int, int], int]]:
     """block_cesaro(m, n, p) for n = 1..n_max, by literal matrix summation.
 
-    Entry n - 1 is the n-th average, formed by repeated multiplication and
-    summation of the powers.  Deliberate second route for
-    :func:`block_cesaro`; the tests and acceptance criterion 12 compare the
-    two.  It works on int numerators: t_block(m) is [[1, 2m - 1], [2m - 1, 1]]
-    over 2m, its p-th power is held over d = (2m)**p, the k-th power of that
-    over d**k and the running total of the first n powers over d**(n - 1).
-    No closed form and no symmetry of the entries is used; one Fraction is
-    built per entry per average.
+    Entry n - 1 is the n-th average as (entries, den), the row-major int
+    numerators over d**(n - 1) * n, not reduced.  t_block(m) is
+    [[1, 2m - 1], [2m - 1, 1]] over 2m, its p-th power is held over
+    d = (2m)**p, the k-th power of that over d**k and the running total of
+    the first n powers over d**(n - 1).  No closed form and no symmetry of
+    the entries is used.  Deliberate second route for :func:`block_cesaro`;
+    the tests and acceptance criterion 12 compare the two.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
@@ -127,12 +131,12 @@ def block_cesaro_literal(m: int, n_max: int, p: int) -> List[Block2x2]:
     den = (2 * m) ** p
     power = total = (1, 0, 0, 1)
     scale = 1  # d**(n - 1)
-    averages = [IDENTITY]
+    averages = [(total, 1)]
     for n in range(2, n_max + 1):
         power = _int_matmul(power, step)
         total = tuple(den * t + q for t, q in zip(total, power))
         scale *= den
-        averages.append(Block2x2(*(Fraction(t, scale * n) for t in total)))
+        averages.append((total, scale * n))
     return averages
 
 
@@ -206,27 +210,29 @@ def deviation_argmax(deviation, m_max: int, n: int, p: int):
     """(m, value) for the block m <= m_max whose average deviates most.
 
     ``deviation`` is :func:`block_deviation` or :func:`block_deviation_float`;
-    ties go to the smallest m.  The exact scan skips every block whose
-    :func:`deviation_bound` is at most the running best, compared by int
-    cross-multiplication: such a block cannot be strictly larger, and only a
-    strictly larger value replaces the best, so the result is the full
-    scan's.  The float scan evaluates every block.
+    ties go to the smallest m.  The float scan evaluates every block.  The
+    exact scan compares int pairs (:func:`core.cesaro_geometric_pair`) by
+    cross-multiplication and skips every block whose :func:`deviation_bound`
+    is at most the running best: such a block cannot be strictly larger,
+    and only a strictly larger value replaces the best, so the result is
+    the full scan's.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive integers")
-    prune = deviation is block_deviation
-    best_m, best = 1, deviation(1, n, p)
+    if deviation is not block_deviation:
+        best_m = max(range(1, m_max + 1), key=lambda m: deviation(m, n, p))  # the first maximum
+        return best_m, deviation(best_m, n, p)
+    best_m, (best_num, best_den) = 1, cesaro_geometric_pair(a_coeff(1), p, n)  # 1/n
     for m in range(2, m_max + 1):
-        if prune:
-            bound_num, bound_den = deviation_bound(m, n, p)
-            if bound_num * best.denominator <= best.numerator * bound_den:
-                continue
-        value = deviation(m, n, p)
-        if value > best:
-            best_m, best = m, value
-    return best_m, best
+        bound_num, bound_den = deviation_bound(m, n, p)
+        if bound_num * best_den <= best_num * bound_den:
+            continue
+        num, den = cesaro_geometric_pair(a_coeff(m), p, n)
+        if abs(num) * best_den > best_num * den:
+            best_m, best_num, best_den = m, abs(num), den
+    return best_m, Fraction(best_num, best_den)
 
 
 def sup_deviation(m_max: int, n: int, p: int) -> Fraction:

@@ -13,8 +13,10 @@ Tabular commands emit CSV by default (header row, LF line endings); pass
 column carries the exact fraction and a decimal rendered from it, so exact
 output is bit-reproducible across runs.
 
-Exit codes: 0 success, 1 a requested check failed, 2 usage error, 3 a
-computation exceeded its configured budget.
+Every subcommand writes its output to ``--out PATH`` instead of stdout when
+given.  Exit codes: 0 success, 1 a requested check failed, 2 usage error
+(including an ``--out`` path that cannot be written), 3 a computation
+exceeded its configured budget.
 """
 
 from __future__ import annotations
@@ -88,11 +90,19 @@ def _emit(cfg: RunConfig, columns: Sequence[str], rows: List[Tuple[str, ...]]) -
         writer.writerow(columns)
         writer.writerows(rows)
         text = buffer.getvalue()
-    if cfg.out:
+    _write(cfg, text)
+
+
+def _write(cfg: RunConfig, text: str) -> None:
+    """Write a command's output to --out, or to stdout when it is not given."""
+    if not cfg.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {cfg.out}: {exc.strerror or exc}")
 
 
 def _make_graph(name: str, k: Optional[int]):
@@ -242,10 +252,9 @@ def _cmd_block(args, cfg: RunConfig) -> int:
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
     numbers = _parse_int_list(args.criteria, "--criteria") if args.criteria else None
-    results = []
 
     def report(result):
-        if cfg.format != "json":
+        if cfg.format != "json" and not cfg.out:
             print(result.line(), flush=True)
 
     try:
@@ -264,7 +273,9 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
             }
             for r in results
         ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _write(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    elif cfg.out:  # without --out each line went to stdout as its criterion ended
+        _write(cfg, "".join(r.line() + "\n" for r in results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 

@@ -28,6 +28,8 @@ def as_rational(value) -> Fraction:
     Floats are rejected on purpose: a float argument almost always means an
     inexact value leaked into an exact computation.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("refusing to coerce float to Rational; pass a Fraction or string")
     return Fraction(value)
@@ -47,6 +49,15 @@ def _geometric_ratio(a, p: int, n: int) -> Tuple[int, int]:
     return (-num) ** p, den**p
 
 
+def cesaro_geometric_pair(a, p: int, n: int) -> Tuple[int, int]:
+    """:func:`cesaro_geometric` as an int pair (num, den), den > 0, not reduced."""
+    num, den = _geometric_ratio(a, p, n)
+    if num == den:
+        return 1, 1
+    lower = den ** (n - 1)
+    return lower * den - num**n, lower * (den - num) * n
+
+
 def cesaro_geometric(a, p: int, n: int) -> Fraction:
     """Average of the first n powers of (-a)**p, exactly.
 
@@ -58,12 +69,7 @@ def cesaro_geometric(a, p: int, n: int) -> Fraction:
     and the average is at most 2/n in absolute value.  For even p no such
     decay holds: with a close to 1 the average stays near 1.
     """
-    num, den = _geometric_ratio(a, p, n)
-    if num == den:
-        return ONE
-    # the closed form over the common denominator den**n, in ints
-    lower = den ** (n - 1)
-    return Fraction(lower * den - num**n, lower * (den - num) * n)
+    return Fraction(*cesaro_geometric_pair(a, p, n))
 
 
 def cesaro_geometric_sum(a, p: int, n: int) -> Fraction:

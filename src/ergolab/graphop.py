@@ -101,7 +101,9 @@ class C0Graph:
         return self._index_of(v)
 
     def vertices_up_to(self, n: int) -> List[Vertex]:
-        """The first n enumerated vertices."""
+        """The first n enumerated vertices, or all of a finite graph with fewer."""
+        if self.finite_vertices is not None:
+            n = min(n, len(self.finite_vertices))
         return [self.enumerate_vertex(i) for i in range(n)]
 
     def __repr__(self) -> str:
@@ -359,6 +361,66 @@ class PathCount:
     max_weight: Fraction
 
 
+def count_paths_levels(graph: C0Graph, n_max: int, n_trunc: int):
+    """Paths among the first n_trunc vertices, counted for each length 0..n_max.
+
+    Yields read-only (counts, weights, den) per length: counts[v] paths of
+    that length run from those vertices to v, the heaviest of weight
+    weights[v] / den, for each v among them that one reaches.  A backward
+    search gives every vertex its distance to those vertices; their
+    indicator then steps forward, keeping at length n only the vertices
+    within distance n_max - n.  Second route: :func:`count_paths_profile`.
+    """
+    if n_max < 0:
+        raise ValueError(f"path length must be nonnegative, got {n_max}")
+    return _path_levels(graph, n_max, n_trunc)
+
+
+def _path_levels(graph: C0Graph, n_max: int, n_trunc: int):
+    counts = dict.fromkeys(graph.vertices_up_to(n_trunc), 1)
+    weights = dict(counts)
+    dist = dict.fromkeys(counts, 0)  # shortest distance to the first n_trunc vertices
+    frontier = counts
+    for d in range(1, n_max + 1):
+        reached = (x for y in frontier for x, _, _ in graph.in_edges(y) if x not in dist)
+        frontier = dict.fromkeys(reached, d)
+        dist.update(frontier)
+    den = 1
+    out_edges, reach = graph.out_edges, dist.get
+    for horizon in range(n_max - 1, -2, -1):  # the distance left after the next step
+        if any(map(dist.__getitem__, counts)):  # vertices beyond the first n_trunc
+            ends = [v for v in counts if not dist[v]]
+            yield {v: counts[v] for v in ends}, {v: weights[v] for v in ends}, den
+        else:
+            yield counts, weights, den
+        if horizon < 0:
+            return
+        nxt_counts: dict = {}
+        nxt: dict = {}
+        scale = 1
+        for x, cnt in counts.items():
+            mw = weights[x]
+            for y, p, q in out_edges(x):
+                if reach(y, n_max) > horizon:
+                    continue
+                c = p * mw * scale
+                if q != 1:
+                    if c % q:
+                        f = _widen(nxt, c, q)
+                        scale *= f
+                        c *= f
+                    c //= q
+                cur = nxt.get(y)
+                if cur is None:
+                    nxt_counts[y] = cnt
+                    nxt[y] = c
+                else:
+                    nxt_counts[y] += cnt
+                    if c > cur:
+                        nxt[y] = c
+        counts, weights, den = nxt_counts, nxt, den * scale
+
+
 def count_paths_profile(
     graph: C0Graph, v: Vertex, n_max: int, n_trunc: int
 ) -> List[PathCount]:
@@ -367,8 +429,11 @@ def count_paths_profile(
     Walks the graph backwards from v with a level of path counts and largest
     path weights, the weights as int numerators over one shared denominator,
     and aggregates each level over the admissible starting vertices.  Exact
-    and much cheaper than forward enumeration.
+    and much cheaper than forward enumeration.  Deliberate second route for
+    :func:`count_paths_levels`; the tests compare the two.
     """
+    if n_max < 0:
+        raise ValueError(f"path length must be nonnegative, got {n_max}")
     profile: List[PathCount] = []
     counts: dict = {v: 1}
     weights: dict = {v: 1}
@@ -411,6 +476,4 @@ def count_paths_profile(
 
 def count_paths_to(graph: C0Graph, v: Vertex, n: int, n_trunc: int) -> PathCount:
     """Paths of length n ending at v that start among the first n_trunc vertices."""
-    if n < 0:
-        raise ValueError(f"path length must be nonnegative, got {n}")
     return count_paths_profile(graph, v, n, n_trunc)[n]

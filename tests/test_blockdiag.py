@@ -71,9 +71,11 @@ def test_block_cesaro_agrees_with_literal_summation():
         for p in range(1, 4):
             literal = block_cesaro_literal(m, 24, p)
             assert len(literal) == 24
-            for n, average in enumerate(literal, start=1):
+            for n, (entries, den) in enumerate(literal, start=1):
+                assert den == (2 * m) ** (p * (n - 1)) * n
+                average = Block2x2(*(Fraction(t, den) for t in entries))
                 assert block_cesaro(m, n, p) == average, (m, n, p)
-    assert block_cesaro_literal(3, 1, 2) == [IDENTITY]
+    assert block_cesaro_literal(3, 1, 2) == [((1, 0, 0, 1), 1)]
     for m, n_max, p in ((1, 0, 1), (1, 3, 0)):
         with pytest.raises(ValueError):
             block_cesaro_literal(m, n_max, p)

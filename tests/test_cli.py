@@ -210,6 +210,45 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == stdout_text
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_writes_its_output_to_the_out_file(tmp_path, capsys, fmt):
+    argv = ["verify", "--criteria", "7,8", "--format", fmt]
+    code, stdout_text, _ = run(capsys, argv)
+    assert code == 0
+    target = tmp_path / "verify.out"
+    code, out, err = run(capsys, argv + ["--out", str(target)])
+    assert code == 0 and out == "" and err == ""
+    written = target.read_text(encoding="utf-8")
+    if fmt == "json":  # only the measured elapsed_seconds may differ
+        from_file, from_stdout = json.loads(written), json.loads(stdout_text)
+        for row in from_file + from_stdout:
+            row["elapsed_seconds"] = 0
+        assert from_file == from_stdout and len(from_file) == 2
+        assert written.endswith("]\n")
+    else:
+        strip = lambda text: [line.rsplit(" [", 1)[0] for line in text.splitlines(True)]
+        assert strip(written) == strip(stdout_text) and len(strip(written)) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norms", "--graph", "g0", "--n-max", "2", "--trunc", "30"],
+        ["orbit", "--graph", "gk", "--k", "2", "--n-max", "8"],
+        ["cesaro", "--schedule", "16"],
+        ["block", "--windows", "10"],
+        ["verify", "--criteria", "8", "--format", "json"],
+        ["verify", "--criteria", "8"],
+    ],
+)
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, argv + ["--out", str(target)])
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --out {target}: No such file or directory\n"
+    assert not target.exists()
+
+
 def test_block_diagonal_thresholds(capsys):
     code, out, _ = run(capsys, ["block", "--windows", "10", "--at-least", "1/2"])
     assert code == 1

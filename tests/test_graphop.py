@@ -90,6 +90,16 @@ def test_count_paths_respects_truncation(diamond):
     assert pc == PathCount(2, ONE)
 
 
+def test_path_counts_reject_a_negative_length(diamond):
+    for count in (
+        lambda: graphop.count_paths_profile(diamond, "d", -1, 10),
+        lambda: graphop.count_paths_to(diamond, "d", -1, 10),
+        lambda: graphop.count_paths_levels(diamond, -1, 10),  # before any level is read
+    ):
+        with pytest.raises(ValueError, match="path length must be nonnegative, got -1"):
+            count()
+
+
 def test_verify_c0_conditions_passes_on_consistent_graph(diamond):
     """The test-side oracle check passes a consistent graph."""
     assert ref.oracle_problems(diamond, diamond.finite_vertices, 2) == []

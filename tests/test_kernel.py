@@ -1,12 +1,14 @@
 """The integer graph-operator kernel against the Fraction reference route,
-and the ladder enumerations and oracles far out in the graph."""
+the all-endpoint path count against the per-endpoint sweep, criterion 12's
+int comparison under perturbed closed forms, and the ladder enumerations and
+oracles far out in the graph."""
 
 from fractions import Fraction
 
 import pytest
 
 import fraction_reference as ref
-from ergolab import graphop, ladder
+from ergolab import acceptance, blockdiag, graphop, ladder
 from ergolab.core import SparseVector
 from ergolab.ergodic import cesaro_trace, graph_handle
 
@@ -187,6 +189,67 @@ def test_count_paths_profile_matches_the_fraction_sweep(name):
         )
 
     check()
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_count_paths_levels_match_the_profile_at_every_endpoint(name):
+    graph, _ = GRAPHS[name]
+    # a truncation past the end of a finite graph keeps all of it
+    size = len(graph.finite_vertices) + 2 if graph.finite_vertices else 80
+
+    @settings(6)
+    @hypothesis.given(n_max=st.integers(0, 9), n_trunc=st.integers(1, size))
+    def check(n_max, n_trunc):
+        levels = list(graphop.count_paths_levels(graph, n_max, n_trunc))
+        ends = graph.vertices_up_to(n_trunc)
+        assert len(levels) == n_max + 1
+        assert all(counts.keys() == weights.keys() <= set(ends) for counts, weights, _ in levels)
+        for v in ends:
+            got = [
+                graphop.PathCount(counts.get(v, 0), Fraction(weights.get(v, 0), den))
+                for counts, weights, den in levels
+            ]
+            assert got == graphop.count_paths_profile(graph, v, n_max, n_trunc), v
+
+    check()
+
+
+def _two_points_moved(entries):
+    """The diagonal entry moved at (m, n, p) = (7, 33, 3), the off-diagonal one at (20, 64, 4)."""
+    def moved(m, n, p):
+        diagonal, off, den = entries(m, n, p)
+        return diagonal + ((m, n, p) == (7, 33, 3)), off - ((m, n, p) == (20, 64, 4)), den
+    return moved
+
+
+def _next_window(entries):
+    """The average of one more power: block 2 with p = 1 has c = 1/4 at n = 2 and 3."""
+    return lambda m, n, p: entries(m, n + 1, p)
+
+
+def _swapped(entries):
+    def swapped(m, n, p):
+        diagonal, off, den = entries(m, n, p)
+        return off, diagonal, den
+    return swapped
+
+
+def _tripled(entries):
+    """The same values, further from lowest terms."""
+    return lambda m, n, p: tuple(3 * x for x in entries(m, n, p))
+
+
+@pytest.mark.parametrize(
+    "perturb, mismatches",
+    [(_two_points_moved, 2), (_next_window, 5119), (_swapped, 5120), (_tripled, 0)],
+)
+def test_criterion_12_compares_the_closed_form_entries(monkeypatch, perturb, mismatches):
+    monkeypatch.setattr(
+        blockdiag, "block_cesaro_entries", perturb(blockdiag.block_cesaro_entries)
+    )
+    passed, detail = acceptance._criterion_12()
+    assert passed == (mismatches == 0)
+    assert detail.endswith(f", {mismatches} mismatches"), detail
 
 
 @pytest.mark.parametrize("name", sorted(DEEP))
