@@ -14,7 +14,6 @@ unit tests keep exercising against the fast routes used below.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,14 +37,18 @@ TARGETS: Dict[int, float] = {
 }
 
 
-@dataclass
 class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
-    budget: float
+    __slots__ = ("number", "name", "passed", "detail", "elapsed", "budget")
+
+    def __init__(
+        self, number: int, name: str, passed: bool, detail: str, elapsed: float, budget: float
+    ):
+        self.number = number
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.elapsed = elapsed
+        self.budget = budget
 
     @property
     def within_budget(self) -> bool:

@@ -16,21 +16,39 @@ V-coefficients stay bounded away from zero as m grows with n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
 from .core import HALF, ONE, ZERO, as_rational, cesaro_geometric, cesaro_geometric_pair
 
 
-@dataclass(frozen=True)
 class Block2x2:
-    """A 2x2 matrix with exact rational entries, row major."""
+    """A 2x2 matrix with exact rational entries, row major; immutable."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction, d: Fraction):
+        for name, value in zip(self.__slots__, (a, b, c, d)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Block2x2 is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _entries(self) -> Tuple[Fraction, ...]:
+        return self.a, self.b, self.c, self.d
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._entries() == other._entries()
+
+    def __hash__(self) -> int:
+        return hash(self._entries())
+
+    def __repr__(self) -> str:
+        return "Block2x2(%r, %r, %r, %r)" % self._entries()
 
     def __add__(self, other: "Block2x2") -> "Block2x2":
         return Block2x2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)

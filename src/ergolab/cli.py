@@ -26,7 +26,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -43,14 +42,22 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
 class RunConfig:
     """Output and resource settings shared by the tabular subcommands."""
 
-    format: str = "csv"
-    out: Optional[str] = None
-    mode: str = "exact"
-    max_support: Optional[int] = None
+    __slots__ = ("format", "out", "mode", "max_support")
+
+    def __init__(
+        self,
+        format: str = "csv",
+        out: Optional[str] = None,
+        mode: str = "exact",
+        max_support: Optional[int] = None,
+    ):
+        self.format = format
+        self.out = out
+        self.mode = mode
+        self.max_support = max_support
 
 
 def _parse_fraction(raw: str, what: str) -> Fraction:

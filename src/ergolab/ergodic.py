@@ -26,9 +26,8 @@ oracles step by step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import graphop, ladder, sweeps
 from .core import ONE, ZERO, SparseVector, as_rational
@@ -49,7 +48,6 @@ class BudgetExceeded(RuntimeError):
         self.cap = cap
 
 
-@dataclass
 class OperatorHandle:
     """One-step access to an operator on finitely supported vectors.
 
@@ -59,9 +57,17 @@ class OperatorHandle:
     the structural fast sweep becomes available.
     """
 
-    apply: Callable[[SparseVector], SparseVector]
-    description: str = ""
-    graph: Optional[C0Graph] = None
+    __slots__ = ("apply", "description", "graph")
+
+    def __init__(
+        self,
+        apply: Callable[[SparseVector], SparseVector],
+        description: str = "",
+        graph: Optional[C0Graph] = None,
+    ):
+        self.apply = apply
+        self.description = description
+        self.graph = graph
 
 
 def graph_handle(graph: C0Graph) -> OperatorHandle:
@@ -134,23 +140,24 @@ def cesaro_apply(
     )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     n: int
     sup_norm: Fraction
     support: Optional[int]
 
 
-@dataclass
 class CesaroTrace:
     """Sup norms (and support sizes when available) of A_n x along a schedule.
 
     ``engine`` names the engine that ran: "fast" or "generic".
     """
 
-    description: str
-    records: List[TraceRecord]
-    engine: str
+    __slots__ = ("description", "records", "engine")
+
+    def __init__(self, description: str, records: List[TraceRecord], engine: str):
+        self.description = description
+        self.records = records
+        self.engine = engine
 
     def norms(self) -> Dict[int, Fraction]:
         return {rec.n: rec.sup_norm for rec in self.records}
@@ -274,8 +281,7 @@ def _complex_step(graph: C0Graph, cur: dict, power: int, factor: complex):
     return step
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of a single boundedness check on a Cesaro average."""
 
     passed: bool
@@ -353,7 +359,6 @@ def scalar_rotation_check(
     return _check(op, x, n, threshold, engine, detail, factor=factor)
 
 
-@dataclass
 class SinkHitTriangle:
     """Exact sink readings of the source orbit along the doubling subsequence.
 
@@ -364,9 +369,12 @@ class SinkHitTriangle:
     vanishing at infinity.
     """
 
-    k_max: int
-    m_max: int
-    values: List[List[Fraction]]
+    __slots__ = ("k_max", "m_max", "values")
+
+    def __init__(self, k_max: int, m_max: int, values: List[List[Fraction]]):
+        self.k_max = k_max
+        self.m_max = m_max
+        self.values = values
 
     @property
     def matches_triangle(self) -> bool:
@@ -413,8 +421,7 @@ def weak_compactness_witness(graph: C0Graph, k_max: int, m_max: int) -> SinkHitT
 # fixed-space certificates
 
 
-@dataclass(frozen=True)
-class VertexFamily:
+class VertexFamily(NamedTuple):
     """A batch of vertices handled by one derivation step.
 
     ``members`` is a membership test, ``samples`` a finite set of concrete
@@ -429,8 +436,7 @@ class VertexFamily:
     infinite: bool = False
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(NamedTuple):
     """One rule application: every vertex of the family is forced to zero.
 
     rule "sink": the vertex has no out-edges, so the fixed-functional
@@ -450,7 +456,6 @@ class DerivationStep:
     reason: str
 
 
-@dataclass
 class FixedSpaceCertificate:
     """Replayable derivation that the transposed action fixes only zero.
 
@@ -460,11 +465,21 @@ class FixedSpaceCertificate:
     "inconclusive".
     """
 
-    graph_description: str
-    steps: List[DerivationStep]
-    equality_classes: List[VertexFamily]
-    relations: List[str]
-    conclusion: str
+    __slots__ = ("graph_description", "steps", "equality_classes", "relations", "conclusion")
+
+    def __init__(
+        self,
+        graph_description: str,
+        steps: List[DerivationStep],
+        equality_classes: List[VertexFamily],
+        relations: List[str],
+        conclusion: str,
+    ):
+        self.graph_description = graph_description
+        self.steps = steps
+        self.equality_classes = equality_classes
+        self.relations = relations
+        self.conclusion = conclusion
 
     def covers(self, v: Vertex) -> bool:
         return any(step.family.members(v) for step in self.steps)
@@ -636,15 +651,24 @@ def fixed_space_certificate(graph: C0Graph) -> FixedSpaceCertificate:
     )
 
 
-@dataclass
 class ReplayReport:
     """Outcome of replaying a certificate against the graph oracles."""
 
-    ok: bool
-    steps_checked: int
-    samples_checked: int
-    coverage_checked: int
-    issues: List[str] = field(default_factory=list)
+    __slots__ = ("ok", "steps_checked", "samples_checked", "coverage_checked", "issues")
+
+    def __init__(
+        self,
+        ok: bool,
+        steps_checked: int,
+        samples_checked: int,
+        coverage_checked: int,
+        issues: Optional[List[str]] = None,
+    ):
+        self.ok = ok
+        self.steps_checked = steps_checked
+        self.samples_checked = samples_checked
+        self.coverage_checked = coverage_checked
+        self.issues = [] if issues is None else issues
 
     def summary(self) -> str:
         state = "pass" if self.ok else "fail"
@@ -737,10 +761,7 @@ def replay_certificate(
         report.steps_checked += 1
 
     if cert.conclusion == "only_zero" and graph._enumerate is not None:
-        if graph.finite_vertices is not None:
-            coverage = min(coverage, len(graph.finite_vertices))
-        for i in range(coverage):
-            v = graph.enumerate_vertex(i)
+        for i, v in enumerate(graph.vertices_up_to(coverage)):
             report.coverage_checked += 1
             if not zeroed(v):
                 report.issues.append(f"vertex {v!r} (index {i}) not covered by any step")

@@ -26,10 +26,9 @@ the edges of the API: :class:`SparseVector` in and out of :func:`apply` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import ONE, ZERO, SparseVector, as_rational
 
@@ -243,8 +242,8 @@ def power_apply(graph: C0Graph, x: SparseVector, n: int) -> SparseVector:
 
 
 def truncation_indicator(graph: C0Graph, n: int) -> SparseVector:
-    """The all-ones vector on the first n enumerated vertices."""
-    return SparseVector._from_clean({graph.enumerate_vertex(i): ONE for i in range(n)})
+    """The all-ones vector on the first n enumerated vertices (all, if fewer)."""
+    return SparseVector._from_clean(dict.fromkeys(graph.vertices_up_to(n), ONE))
 
 
 def operator_norm_truncated(graph: C0Graph, n_trunc: int) -> Fraction:
@@ -263,14 +262,16 @@ def operator_norm_profile(graph: C0Graph, n_trunc: int) -> List[Fraction]:
 
     Computed in one incremental pass: the image of the indicator grows one
     column at a time, and the running sup is recorded after each column.
-    The column sums are int numerators over one shared denominator.
+    The column sums are int numerators over one shared denominator.  On a
+    finite graph with fewer vertices, the entries past its end repeat the
+    whole graph's value.
     """
     out: dict = {}
     den = 1
     best = 0
     profile: List[Fraction] = []
-    for i in range(n_trunc):
-        for v, p, q in graph.out_edges(graph.enumerate_vertex(i)):
+    for u in graph.vertices_up_to(n_trunc):
+        for v, p, q in graph.out_edges(u):
             c = p * den
             if c % q:
                 f = _widen(out, c, q)
@@ -282,6 +283,7 @@ def operator_norm_profile(graph: C0Graph, n_trunc: int) -> List[Fraction]:
             if cur > best:
                 best = cur
         profile.append(Fraction(best, den))
+    profile.extend([Fraction(best, den)] * (n_trunc - len(profile)))
     return profile
 
 
@@ -304,8 +306,7 @@ def power_norms_sweep(graph: C0Graph, n_max: int, n_trunc: int) -> List[Fraction
     return norms
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A directed path recorded as its vertex sequence and total weight."""
 
     vertices: Tuple[Vertex, ...]
@@ -353,8 +354,7 @@ def enumerate_paths(graph: C0Graph, u: Vertex, v: Vertex, n: int) -> List[Path]:
     return [p for p in enumerate_paths_up_to(graph, u, v, n) if p.length == n]
 
 
-@dataclass(frozen=True)
-class PathCount:
+class PathCount(NamedTuple):
     """Count and largest weight of paths of one length into one endpoint."""
 
     count: int

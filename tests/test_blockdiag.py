@@ -35,6 +35,25 @@ def test_projection_algebra():
     assert U + V == IDENTITY
 
 
+def test_blocks_are_immutable_values():
+    block = t_block(3)
+    sixth = Fraction(1, 6)
+    assert block == Block2x2(a=sixth, b=1 - sixth, c=1 - sixth, d=sixth)
+    assert block != t_block(4)
+    assert block != (block.a, block.b, block.c, block.d)
+    assert hash(block) == hash(t_block(3))
+    assert block + block == Block2x2(2 * sixth, 2 - 2 * sixth, 2 - 2 * sixth, 2 * sixth)
+    assert block - block == Block2x2(ZERO, ZERO, ZERO, ZERO)
+    assert block @ block == Block2x2(*(Fraction(t, 18) for t in (13, 5, 5, 13)))
+    assert block.scale(6) == Block2x2(*(Fraction(t) for t in (1, 5, 5, 1)))
+    for name in ("a", "b", "c", "d"):
+        with pytest.raises(AttributeError):
+            setattr(block, name, ZERO)
+        with pytest.raises(AttributeError):
+            delattr(block, name)
+    assert block == t_block(3)
+
+
 def test_blocks_split_along_the_projections():
     for m in range(1, 30):
         assert t_block(m) == U - V.scale(a_coeff(m))

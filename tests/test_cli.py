@@ -202,6 +202,23 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.startswith("PASS #08 ")
 
 
+def test_importing_the_cli_skips_the_dataclass_machinery():
+    """Start-up: ``import ergolab.cli`` adds neither dataclasses nor inspect
+    to the modules a bare interpreter has already loaded."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ergolab.__file__).parents[1]))
+    probe = (
+        "import sys; bare = set(sys.modules); import ergolab.cli; "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "ergolab.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
 def test_output_file_matches_stdout(tmp_path, capsys):
     _, stdout_text, _ = run(capsys, ["cesaro", "--schedule", "16,64"])
     target = tmp_path / "table.csv"

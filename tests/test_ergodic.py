@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from ergolab import graphop, ladder
-from ergolab.core import HALF, ONE, SparseVector
+from ergolab.core import HALF, ONE, ZERO, SparseVector
 from ergolab.ergodic import (
     BudgetExceeded,
     OperatorHandle,
+    ReplayReport,
     cesaro_apply,
     cesaro_trace,
     fixed_space_certificate,
@@ -37,6 +38,16 @@ def test_trace_from_a_dead_end_vertex():
     trace = cesaro_trace(op, SparseVector.unit(ladder.sink(0)), [1, 2, 4])
     assert trace.norms() == {1: ONE, 2: HALF, 4: Fraction(1, 4)}
     assert [rec.support for rec in trace.records] == [1, 1, 1]
+    with pytest.raises(AttributeError):
+        trace.records[0].sup_norm = ZERO
+
+
+def test_replay_reports_do_not_share_their_issues():
+    first = ReplayReport(True, 0, 0, 0)
+    second = ReplayReport(ok=True, steps_checked=0, samples_checked=0, coverage_checked=0)
+    first.issues.append("noted")
+    assert second.issues == []
+    assert ReplayReport(True, 0, 0, 0).issues == []
 
 
 def test_trace_fast_engine_agrees_with_generic():

@@ -7,7 +7,7 @@ import pytest
 
 import fraction_reference as ref
 from ergolab import graphop, ladder
-from ergolab.core import ONE, SparseVector
+from ergolab.core import ONE, ZERO, SparseVector
 from ergolab.graphop import PathCount, graph_from_edges
 
 H = Fraction(1, 2)
@@ -90,6 +90,17 @@ def test_count_paths_respects_truncation(diamond):
     assert pc == PathCount(2, ONE)
 
 
+def test_path_records_are_immutable_values(diamond):
+    assert PathCount(2, ONE) == PathCount(2, ONE)
+    assert PathCount(2, ONE) != PathCount(2, H)
+    (path,) = graphop.enumerate_paths(diamond, "a", "b", 1)
+    assert path == graphop.Path(vertices=("a", "b"), weight=H)
+    for record, field in ((PathCount(2, ONE), "count"), (path, "weight")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, ZERO)
+    assert path.weight == H
+
+
 def test_path_counts_reject_a_negative_length(diamond):
     for count in (
         lambda: graphop.count_paths_profile(diamond, "d", -1, 10),
@@ -136,6 +147,30 @@ def test_truncated_norm_monotone_in_truncation():
     assert profile[-1] == 2
     for n_trunc in (1, 7, 100, 2000):
         assert profile[n_trunc - 1] == graphop.operator_norm_truncated(graph, n_trunc)
+
+
+@pytest.mark.parametrize(
+    "edges", [{"a": [("b", 1)]}, {"a": [("b", H), ("c", 2)], "b": [("d", 1)], "c": [("d", H)]}]
+)
+def test_truncations_past_the_end_of_a_finite_graph(edges):
+    """Each profile entry is the norm at its truncation; past the end of a
+    finite graph both repeat the whole graph's value."""
+    graph = graph_from_edges(edges)
+    size = len(graph.finite_vertices)
+    profile = graphop.operator_norm_profile(graph, size + 6)
+    assert len(profile) == size + 6
+    assert profile == [graphop.operator_norm_truncated(graph, n) for n in range(1, size + 7)]
+    assert profile[size - 1 :] == [profile[-1]] * 7
+    whole = graphop.power_norms_sweep(graph, 3, size)
+    assert graphop.power_norms_sweep(graph, 3, size + 6) == whole
+    assert ref.power_norms(graph, 3, size + 6) == whole
+    assert graphop.power_norm_truncated(graph, 0, size + 6) == 1
+
+
+def test_one_edge_truncated_far_past_its_end():
+    graph = graph_from_edges({"a": [("b", 1)]})
+    assert graphop.operator_norm_truncated(graph, 10) == 1
+    assert graphop.power_norms_sweep(graph, 2, 10) == [ONE, ZERO]
 
 
 def test_power_norm_monotone_in_truncation():
