@@ -8,11 +8,14 @@ applies one step, and compute Cesaro averages
 in a single incremental pass.  :func:`cesaro_trace` is the one entry point
 for averages of S = factor * T**step_power: it checks the factor, builds the
 step S and picks the engine.  For the combined ladder graph started at its
-source the generic pass is quadratic in n, so it hands those averages to the
-exact structural sweep in :mod:`ergolab.sweeps`; the two engines are
-verified against each other in the tests and the choice can be forced
-either way.  The power and rotation checks compare one record of a trace
-with a threshold.
+source, the generic pass that adds every orbit vector into a running sum
+adds about t**3/6 cells by window t, so it hands those averages to the exact
+structural sweep in :mod:`ergolab.sweeps`; the two engines are verified
+against each other in the tests and the choice can be forced either way.
+On the ladder graphs at power 1 with factor +1 or -1 the generic engine
+sums in the orbit's moving frame (:meth:`ladder.LadderOrbit.accumulate`),
+paying per orbit event rather than per orbit cell and step.  The power and
+rotation checks compare one record of a trace with a threshold.
 
 The certificate machinery addresses the other half of mean ergodicity.  An
 average of powers can only converge to 0 for every start vector if no
@@ -88,6 +91,9 @@ def _running_sums(step, start, den: int, windows: Sequence[int], max_support: Op
     to x with their denominator, a multiple of the one before.  ``sums`` is
     one dict updated in place, so read it before asking for the next window.
     Raises :class:`BudgetExceeded` when the support outgrows ``max_support``.
+    Stepping a :class:`graphop.PushOrbit`, this is the deliberate second
+    route for the ladder graphs' moving-frame sums
+    (:meth:`ladder.LadderOrbit.accumulate`): the tests compare the two.
     """
     sums = dict(start)
     get = sums.get
@@ -182,11 +188,18 @@ def cesaro_trace(
 
     engine "auto" uses the exact structural sweep when the handle is the
     combined ladder graph started at the source; "generic" forces the
-    incremental pass; "fast" requires the sweep and errors otherwise.  The
-    generic pass is the deliberate second route for the sweep: the tests
+    generic engine; "fast" requires the sweep and errors otherwise.  The
+    generic engine is the deliberate second route for the sweep: the tests
     and the benchmark's output checks compare the two on shared windows.
-    Raises :class:`BudgetExceeded` when the generic pass outgrows
-    ``max_support``.
+
+    On a ladder graph at step_power 1 with factor +1 or -1 and no
+    ``max_support``, the generic engine sums in the orbit's moving frame
+    (:meth:`ladder.LadderOrbit.accumulate`).  Every other case, capped runs
+    included, adds each orbit vector into a running sum
+    (:func:`_running_sums`), which over :class:`graphop.PushOrbit` is the
+    moving-frame sums' deliberate second route.  Both report the support of
+    the sum as an int.  Raises :class:`BudgetExceeded` when that running
+    sum outgrows ``max_support``.
     """
     wanted = sorted(set(int(n) for n in schedule))
     if not wanted or wanted[0] < 1:
@@ -207,11 +220,20 @@ def cesaro_trace(
         values = sweeps.combined_cesaro_sup_norms(wanted, step_power, factor)
         records = [TraceRecord(n, values[n], None) for n in wanted]
         return CesaroTrace(op.description, records, "fast")
-    step, start, den = _generic_step(op, x, step_power, factor)
-    records = [
-        TraceRecord(k, *_sup_and_support(sums, k * d))
-        for k, sums, d in _running_sums(step, start, den, wanted, max_support)
-    ]
+    if (
+        isinstance(op.graph, ladder.LadderGraph)
+        and step_power == 1
+        and not isinstance(factor, complex)
+        and max_support is None
+    ):
+        orbit = op.graph.orbit(*graphop.int_vector(x))
+        records = [TraceRecord(*reading) for reading in orbit.accumulate(wanted, factor)]
+    else:
+        step, start, den = _generic_step(op, x, step_power, factor)
+        records = [
+            TraceRecord(k, *_sup_and_support(sums, k * d))
+            for k, sums, d in _running_sums(step, start, den, wanted, max_support)
+        ]
     return CesaroTrace(op.description, records, "generic")
 
 

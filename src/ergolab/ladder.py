@@ -131,6 +131,67 @@ def _bump(table: Dict[int, int], key: int, c: int) -> None:
         del table[key]
 
 
+class _Ledger:
+    """Every change to a chain cell's numerator since :meth:`LadderOrbit.accumulate` began.
+
+    Each chain is read in walking-down coordinates: a bottom cell's frame
+    key K is its key, a top or entry cell's is minus its key, and the cell
+    stands at y = K - t after t steps.  A change of c at step t0 is filed
+    under y = K - t0, the position where the cell took its new value, and
+    weighted (-1)**K for factor -1; ``sinks`` and ``source`` hold the
+    running sums of the sinks and the source, weighted (-1)**t.
+    """
+
+    __slots__ = ("chains", "flip", "sinks", "source")
+
+    def __init__(self, flip: int):
+        self.chains: Dict[tuple, Dict[int, int]] = {}  # ("B" | "T" | "E", k) -> {y: change}
+        self.flip = flip  # 1 for factor -1, else 0
+        self.sinks: Dict[int, int] = {}
+        self.source = 0
+
+    def mark(self, chain: tuple, key: int, t0: int, c: int) -> None:
+        """File a change of c to the cell with frame key ``key`` of ``chain`` at step t0."""
+        table = self.chains.get(chain)
+        if table is None:
+            table = self.chains[chain] = {}
+        y = key - t0
+        table[y] = table.get(y, 0) + (-c if key & self.flip else c)
+
+    def widen(self, f: int) -> None:
+        for table in (*self.chains.values(), self.sinks):
+            for y in table:
+                table[y] *= f
+        self.source *= f
+
+
+def _chain_sup_and_support(marks: Dict[int, int], cells, end: int, flip: int) -> tuple:
+    """Sup and support of one chain's running sum, from its ledger and its current cells.
+
+    The sum at y is the sum of the changes filed at y' >= y, less that of
+    the current cells still above y, those with K - end >= y: each cell
+    counts the values it held while it passed y.  So it is constant between
+    breakpoints, and one descending scan of them reads it off.  ``cells``
+    holds (frame key, numerator) pairs; the sum ends at 0 below the chain.
+    """
+    marks = dict(marks)
+    get = marks.get
+    for key, c in cells:
+        y = key - end
+        marks[y] = get(y, 0) - (-c if key & flip else c)
+    best = support = total = 0
+    prev = None
+    for y in sorted(marks, reverse=True):
+        if total:  # the running sum on (y, prev]
+            support += prev - y
+            if abs(total) > best:
+                best = abs(total)
+        total += marks[y]
+        prev = y
+    assert not total, "a chain's changes must add up to its current cells"
+    return best, support
+
+
 class LadderOrbit:
     """The orbit of nums / den under a ladder graph, in a moving frame.
 
@@ -170,6 +231,7 @@ class LadderOrbit:
         self._bottoms: Dict[int, Dict[int, int]] = {}  # k -> {j + t: numerator of B(k, j)}
         self._sinks: Dict[int, int] = {}  # k -> numerator of V(k)
         self._due: Dict[int, list] = {}  # step -> [(k, key)] of bottom cells then at a stop
+        self._ledger: Optional[_Ledger] = None
         for v, a in nums.items():
             graph.out_edges(v)  # the oracle rejects vertices outside the graph
             if not a:
@@ -225,6 +287,8 @@ class LadderOrbit:
                 table[key] *= f
         self._source *= f
         self.den *= f
+        if self._ledger is not None:
+            self._ledger.widen(f)
 
     def _half(self, a: int) -> int:
         """The numerator of (a / den) / 2, widening the denominator when a is odd."""
@@ -235,31 +299,48 @@ class LadderOrbit:
 
     def step(self) -> None:
         t = self._t
+        ledger = self._ledger  # None unless accumulate() is running
         bottoms = self._bottoms
         sinks = self._sinks = {}
         for k, key in self._due.pop(t, ()):
             cells = bottoms[k]
             j = key - t
+            a = cells[key]
             if j == 1:  # B(k, 1) -> V(k), weight 2
-                sinks[k] = 2 * cells.pop(key)
-                continue
-            if rung_index(j) is not None:  # a landing: weight 2
-                cells[key] *= 2
+                del cells[key]
+                sinks[k] = 2 * a
+                change = -a
+            elif rung_index(j) is not None:  # a landing: weight 2
+                cells[key] = 2 * a
+                change = a
             else:  # just after a landing: weight 1/2
-                cells[key] = self._half(cells[key])
-            self._file(k, key, j - 1)
+                cells[key] = a = self._half(a)
+                change = -a
+            if ledger is not None:
+                ledger.mark(("B", k), key, t + 1, change)
+            if j > 1:
+                self._file(k, key, j - 1)
         for k, cells in self._tops.items():
             for d, a in cells.items():  # T(k, n) -> B(k, rung_position(n)), weight 1/2
-                self._add_bottom(k, rung_position(d + t), self._half(a), t + 1)
+                j, c = rung_position(d + t), self._half(a)
+                self._add_bottom(k, j, c, t + 1)
+                if ledger is not None:
+                    ledger.mark(("B", k), j + t + 1, t + 1, c)
         entries = self._entries
         for e, a in entries.items():  # E(k) -> T(k, k+1), weight 1
             k = e + t
             if self._copy is None or k == self._copy:
                 _bump(self._tops.setdefault(k, {}), e, a)
+                if ledger is not None:
+                    ledger.mark(("T", k), -e, t + 1, a)
+            if ledger is not None and not self._entry_chain:  # the entry clears
+                ledger.mark(("E", None), -e, t + 1, -a)
         if not self._entry_chain:
             entries.clear()
         if self._source:  # S -> E(0), weight 1
             _bump(entries, -(t + 1), self._source)
+            if ledger is not None:
+                ledger.mark(("E", None), t + 1, t + 1, self._source)
             self._source = 0
         self._t = t + 1
 
@@ -299,6 +380,63 @@ class LadderOrbit:
                 yield ("B", k, key - t), a
         for k, a in self._sinks.items():
             yield ("V", k), a
+
+    def _chains(self):
+        """Each chain's cells as (frame key, numerator) pairs, under the chain's ledger name."""
+        for k, cells in self._bottoms.items():
+            yield ("B", k), cells.items()
+        for k, cells in self._tops.items():
+            yield ("T", k), [(-d, a) for d, a in cells.items()]
+        yield ("E", None), [(-e, a) for e, a in self._entries.items()]
+
+    def accumulate(self, windows, factor=1):
+        """Yield (n, sup norm, support) of x + Sx + ... + S**(n-1) x for each n of ``windows``.
+
+        x is the current vector, S = factor * T with factor +1 or -1, the
+        ``windows`` ascend, and the orbit steps on to the last of them.  The
+        support is the number of nonzero entries of the sum.  No running sum
+        is kept: the steps file every change to a chain cell in a
+        :class:`_Ledger`, and each window reads every chain's sum off the
+        ledger and the current cells (:func:`_chain_sup_and_support`).  So
+        the cost is the orbit's plus one sort per chain and window.
+        ``_running_sums`` in :mod:`ergolab.ergodic`, over
+        :class:`graphop.PushOrbit`, is the deliberate second route, and the
+        tests compare the two.
+        """
+        if factor not in (1, -1):
+            raise ValueError(f"factor must be 1 or -1, got {factor}")
+        ledger = _Ledger(int(factor == -1))
+        start = self._t
+        for chain, cells in self._chains():
+            for key, a in cells:
+                ledger.mark(chain, key, start, a)
+        ledger.sinks = dict(self._sinks)
+        ledger.source = self._source
+        self._ledger = ledger
+        try:
+            for n in windows:
+                while self._t < start + n - 1:
+                    self.step()
+                    sign = -1 if ledger.flip and (self._t - start) & 1 else 1
+                    for k, a in self._sinks.items():
+                        ledger.sinks[k] = ledger.sinks.get(k, 0) + sign * a
+                yield (n, *self._window_sup_and_support(ledger, n))
+        finally:
+            self._ledger = None
+
+    def _window_sup_and_support(self, ledger: _Ledger, n: int):
+        """The sup norm of the n-term average read off the ledger, and the sum's support."""
+        single = [ledger.source, *ledger.sinks.values()]
+        best = max(map(abs, single))
+        support = len(single) - single.count(0)
+        chains = dict(self._chains())
+        for chain, marks in ledger.chains.items():
+            chain_best, chain_support = _chain_sup_and_support(
+                marks, chains.get(chain, ()), self._t + 1, ledger.flip
+            )
+            best = max(best, chain_best)
+            support += chain_support
+        return Fraction(best, n * self.den), support
 
 
 class LadderGraph(C0Graph):

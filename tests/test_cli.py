@@ -109,6 +109,30 @@ def test_cesaro_budget_exit_reports_where_it_stopped(capsys):
     assert err == "error: budget exceeded at window 6: support 14 above --max-support 10\n"
 
 
+def test_cesaro_budget_boundary(capsys):
+    # the uncapped run sums in the moving frame; capped runs add the orbit
+    # into the running sum step by step, whose support reaches 1775 at
+    # window 64 and 1717 the window before
+    argv = ["cesaro", "--graph", "g0", "--start", "entry", "--schedule", "64"]
+    uncapped = run(capsys, argv)
+    assert uncapped == (0, "power,n,sup_norm,sup_norm_decimal\n1,64,5/64,0.078125\n", "")
+    assert run(capsys, argv + ["--max-support", "1775"]) == uncapped
+    code, out, err = run(capsys, argv + ["--max-support", "1774"])
+    assert code == 3 and out == ""
+    assert err == "error: budget exceeded at window 64: support 1775 above --max-support 1774\n"
+
+
+def test_cesaro_default_cap_past_the_moving_frame_windows(capsys):
+    argv = ["cesaro", "--graph", "g0", "--start", "entry", "--schedule"]
+    code, out, err = run(capsys, argv + ["4096"])
+    assert code == 0 and err == "" and rows_of(out)[1][:2] == ["1", "4096"]
+    # one window further the run adds every step into a running sum, which
+    # outgrows the default cap on the way
+    code, out, err = run(capsys, argv + ["4097"])
+    assert code == 3 and out == ""
+    assert err == "error: budget exceeded at window 716: support 250595 above --max-support 250000\n"
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_max_support_must_be_positive(capsys, cap):
     code, out, err = run(capsys, ["cesaro", "--graph", "g0", "--start", "entry",

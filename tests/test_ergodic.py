@@ -10,6 +10,7 @@ from ergolab.ergodic import (
     BudgetExceeded,
     OperatorHandle,
     ReplayReport,
+    at_most,
     cesaro_apply,
     cesaro_trace,
     fixed_space_certificate,
@@ -31,6 +32,17 @@ def test_cesaro_apply_satisfies_the_averaging_recurrence():
         assert cesaro_apply(op, x, n) == avg, n
         power = graphop.apply(graph, power)
         avg = (avg.scale(n) + power).scale(Fraction(1, n + 1))
+
+
+@pytest.mark.parametrize("bound", [Fraction(1, 10), Fraction(1, 3), Fraction(-2, 7)])
+def test_float_comparisons_allow_a_slack_of_1e_9(bound):
+    # floats within 1e-9 above the bound pass, floats 2e-9 above it fail
+    assert at_most(float(bound) + 5e-10, bound)
+    assert not at_most(float(bound) + 2e-9, bound)
+    assert at_most(-(float(bound) - 5e-10), -bound)  # the matching lower-bound test
+    assert not at_most(-(float(bound) - 2e-9), -bound)
+    # rationals compare with no slack at all
+    assert not at_most(bound + Fraction(1, 10**12), bound)
 
 
 def test_trace_from_a_dead_end_vertex():

@@ -345,3 +345,67 @@ def test_framed_orbit_rejects_foreign_vertices(name):
             graph.orbit(nums)
         with pytest.raises(ValueError):
             graphop.PushOrbit(graph.out_edges, nums).step()
+
+
+def cancelling_pairs(copies):
+    """T(k, n) and B(k, rung_position(n) + 1) with opposite values: both reach
+    B(k, rung_position(n)) in one step, as a/2 and -a/2, and cancel there."""
+    return st.builds(
+        lambda k, d, a: {("T", k, k + 1 + d): a, ("B", k, ladder.rung_position(k + 1 + d) + 1): -a},
+        copies,
+        DEPTHS,
+        VALUES,
+    )
+
+
+def signed_starts(name):
+    """Random signed starts on a ladder graph, some holding a cancelling pair."""
+    copies = LADDERS[name][0]
+    single = st.dictionaries(FRAMED[name], VALUES, min_size=1, max_size=6)
+    paired = st.builds(lambda pair, rest: {**rest, **pair}, cancelling_pairs(copies), single)
+    return st.one_of(single, paired).map(SparseVector)
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_moving_frame_sums_match_push_and_fraction_routes(name):
+    graph, _ = GRAPHS[name]
+    framed = graph_handle(graph)
+    # the same oracles without the ladder's orbit: _running_sums over PushOrbit
+    pushed = graph_handle(graphop.C0Graph(graph.out_edges, graph.in_edges))
+
+    @settings(12)
+    @hypothesis.given(
+        x=signed_starts(name),
+        factor=st.sampled_from([1, -1]),
+        windows=st.sets(st.integers(1, 40), min_size=1, max_size=4),
+    )
+    def check(x, factor, windows):
+        assert isinstance(graph.orbit(*graphop.int_vector(x)), ladder.LadderOrbit)
+        moving = cesaro_trace(framed, x, windows, engine="generic", factor=factor)
+        reference = cesaro_trace(pushed, x, windows, engine="generic", factor=factor)
+        assert moving.records == reference.records
+        assert all(type(rec.support) is int for rec in moving.records)
+        assert moving.norms() == ref.cesaro_sup_norms(graph, x, windows, factor=factor)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_moving_frame_sums_of_unit_vectors(name):
+    # numerators of 1 over the denominator 1 leave no room between the largest
+    # entry and the next, so a scan that misses the maximum shows here
+    graph, _ = GRAPHS[name]
+    k = graph.copy_index or 0
+    starts = [("E", k), ("T", k, k + 1), ("T", k, k + 4), ("B", k, 1), ("B", k, 5), ("V", k)]
+    if graph.entry_chain:
+        starts.append(ladder.SOURCE)
+    framed = graph_handle(graph)
+    pushed = graph_handle(graphop.C0Graph(graph.out_edges, graph.in_edges))
+    for v in starts:
+        x = SparseVector.unit(v)
+        for factor in (1, -1):
+            moving = cesaro_trace(framed, x, [1, 2, 3, 8], engine="generic", factor=factor)
+            assert moving.records == cesaro_trace(
+                pushed, x, [1, 2, 3, 8], engine="generic", factor=factor
+            ).records, (v, factor)
+            assert moving.records[0] == (1, 1, 1)

@@ -104,9 +104,11 @@ def test_sweep_equals_generic_engine_on_random_schedules():
     st = hypothesis.strategies
     op = graph_handle(ladder.make_counterexample())
     x = SparseVector.unit(ladder.SOURCE)
-    # The generic engine is cubic in the number of T steps (a step_power 3
-    # window of 40, 117 steps, takes about 2 s), so windows stop at 40 and
-    # at 78 T steps; step_power 3 reaches window 27.
+    # At step_power 1 the generic engine sums in the moving frame and reaches
+    # window 128 in well under a second.  At step_power 2 and 3 it adds every
+    # orbit cell at every step, which is cubic in the number of T steps (a
+    # step_power 3 window of 40, 117 steps, takes about 2 s), so those windows
+    # stop at 40 and at 78 T steps; step_power 3 reaches window 27.
     max_steps = 78
 
     @hypothesis.settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -114,7 +116,7 @@ def test_sweep_equals_generic_engine_on_random_schedules():
         step_power=st.integers(1, 3), factor=st.sampled_from([1, -1]), data=st.data()
     )
     def check(step_power, factor, data):
-        top = min(40, 1 + max_steps // step_power)
+        top = 128 if step_power == 1 else min(40, 1 + max_steps // step_power)
         schedule = data.draw(st.sets(st.integers(1, top), min_size=1, max_size=6))
         swept = combined_cesaro_sup_norms(schedule, step_power, factor)
         generic = cesaro_trace(
@@ -124,6 +126,22 @@ def test_sweep_equals_generic_engine_on_random_schedules():
         assert all(type(value) is Fraction for value in swept.values())
 
     check()
+
+
+@pytest.mark.parametrize("factor", [1, -1])
+def test_sweep_equals_generic_engine_at_the_criteria_windows(factor):
+    # windows 128 and 256 are frozen in criteria 5 and 6; the generic engine
+    # reaches them by its moving-frame sums
+    generic = cesaro_trace(
+        graph_handle(ladder.make_counterexample()),
+        SparseVector.unit(ladder.SOURCE),
+        [128, 256],
+        engine="generic",
+        factor=factor,
+    )
+    assert generic.engine == "generic"
+    assert combined_cesaro_sup_norms([128, 256], factor=factor) == generic.norms()
+    assert generic.norms() == {128: Fraction(5, 128), 256: Fraction(3, 128)}
 
 
 def test_batched_schedule_equals_separate_runs():
