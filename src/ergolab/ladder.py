@@ -17,16 +17,19 @@ text writes them in the short form on the right:
     ("V", k)      sink of copy k,                          V(k)
 
 The bottom chain walks from large positions toward the sink, so B(k,1) is the
-last stop before V(k).  Rung n of the top chain lands at bottom position
+last vertex before V(k).  Rung n of the top chain lands at bottom position
 rung_position(n) = 2**(n+1) - n - 2, and the bottom weights double exactly at
 those landing positions and halve right after them; this is what makes every
-entry-to-sink weight collapse to 1.
+entry-to-sink weight collapse to 1.  The weights telescope: with P(j) = 2 at a
+landing and 1 elsewhere, the edge leaving B(k,j) weighs P(j) / P(j-1) (P(0) =
+1 for the sink), so a bottom cell holding a delivers exactly P(j) * a to the
+sink, and the orbits of :class:`LadderOrbit` store it so.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
 from typing import Dict, Optional
 
 from .core import HALF, ONE, TWO
@@ -105,21 +108,29 @@ def bottom_weight(j: int) -> Fraction:
     return ONE
 
 
-def _next_stop(j: int) -> int:
-    """The largest stop i <= j: a landing rung_position(n) or the position after one.
+def _widening_step(v: Vertex, copy: Optional[int]):
+    """The step at which an odd numerator at the start vertex v meets a weight 1/2, or inf.
 
-    Bottom cells at a stop move with weight 2 (a landing; at 1, into the
-    sink) or 1/2 (just after a landing); everywhere else with weight 1.
+    ``copy`` is the one copy a restricted graph keeps, or None for all.  A
+    top crosses its rung at once; an entry or the source first travels to
+    the top it feeds; a bottom cell crosses from the position after the
+    first landing below it, and one on a landing holds the even u = 2a.
     """
-    if j <= 2:
-        return j
-    # rung_position(b - 1) = 2**b - b - 1 is the only landing of bit length b;
-    # when it exceeds j, the largest landing below j is rung_position(b - 2)
-    b = j.bit_length()
-    landing = (1 << b) - b - 1
-    if landing > j:
-        landing = (1 << (b - 1)) - b
-    return j if j == landing else landing + 1
+    tag = v[0]
+    if tag == "T":
+        return 1
+    if tag == "B":
+        j = v[2]
+        if rung_index(j) is not None:
+            return inf
+        return j - max(rung_position(n) for n in range(1, j.bit_length()) if rung_position(n) < j)
+    if tag == "S":
+        return 3 if copy is None else copy + 3
+    if tag == "E":
+        if copy is None:
+            return 2
+        return copy - v[1] + 2 if v[1] <= copy else inf
+    return inf
 
 
 def _bump(table: Dict[int, int], key: int, c: int) -> None:
@@ -131,15 +142,36 @@ def _bump(table: Dict[int, int], key: int, c: int) -> None:
         del table[key]
 
 
+def _bottom_sup(cells: Dict[int, int], t: int, best: int, signed: bool) -> int:
+    """The larger of ``best`` and twice the largest |u / P(j)| of a bottom table after t steps.
+
+    C-speed max (and min, if the orbit is ``signed``) bound the table by its
+    largest |u|; only when that could beat ``best`` are the O(log j) landing
+    keys probed.
+    """
+    top = max(max(cells.values()), -min(cells.values())) if signed else max(cells.values())
+    if 2 * top <= best:
+        return best
+    keys = (rung_position(n) + t for n in range(1, (max(cells) - t).bit_length() + 1))
+    landed = [key for key in keys if key in cells]
+    if not landed or max(abs(cells[key]) for key in landed) < top:
+        return 2 * top  # the largest |u| stands off every landing
+    rest = dict(cells)
+    for key in landed:
+        del rest[key]
+    return max(best, top, 2 * max(map(abs, rest.values()), default=0))
+
+
 class _Ledger:
-    """Every change to a chain cell's numerator since :meth:`LadderOrbit.accumulate` began.
+    """Every change to a chain cell's stored numerator since :meth:`LadderOrbit.accumulate` began.
 
     Each chain is read in walking-down coordinates: a bottom cell's frame
     key K is its key, a top or entry cell's is minus its key, and the cell
     stands at y = K - t after t steps.  A change of c at step t0 is filed
     under y = K - t0, the position where the cell took its new value, and
     weighted (-1)**K for factor -1; ``sinks`` and ``source`` hold the
-    running sums of the sinks and the source, weighted (-1)**t.
+    running sums of the sinks and the source, weighted (-1)**t.  Bottom
+    cells are filed as u, so only their births and drains are changes.
     """
 
     __slots__ = ("chains", "flip", "sinks", "source")
@@ -158,21 +190,19 @@ class _Ledger:
         y = key - t0
         table[y] = table.get(y, 0) + (-c if key & self.flip else c)
 
-    def widen(self, f: int) -> None:
-        for table in (*self.chains.values(), self.sinks):
-            for y in table:
-                table[y] *= f
-        self.source *= f
 
-
-def _chain_sup_and_support(marks: Dict[int, int], cells, end: int, flip: int) -> tuple:
-    """Sup and support of one chain's running sum, from its ledger and its current cells.
+def _chain_sup_and_support(marks: Dict[int, int], cells, end: int, flip: int):
+    """Twice the sup, and the support, of one chain's running sum, from its ledger and cells.
 
     The sum at y is the sum of the changes filed at y' >= y, less that of
     the current cells still above y, those with K - end >= y: each cell
     counts the values it held while it passed y.  So it is constant between
     breakpoints, and one descending scan of them reads it off.  ``cells``
     holds (frame key, numerator) pairs; the sum ends at 0 below the chain.
+    On a bottom chain the sum is of u, and a landing holds half of it:
+    that matters only where the landing is alone between two breakpoints,
+    since landings are at least three apart.  Top and entry chains stand at
+    y <= 0, where no landing is.
     """
     marks = dict(marks)
     get = marks.get
@@ -184,8 +214,11 @@ def _chain_sup_and_support(marks: Dict[int, int], cells, end: int, flip: int) ->
     for y in sorted(marks, reverse=True):
         if total:  # the running sum on (y, prev]
             support += prev - y
-            if abs(total) > best:
-                best = abs(total)
+            if 2 * abs(total) > best:
+                if prev - y == 1 and rung_index(prev) is not None:
+                    best = max(best, abs(total))
+                else:
+                    best = 2 * abs(total)
         total += marks[y]
         prev = y
     assert not total, "a chain's changes must add up to its current cells"
@@ -198,47 +231,58 @@ class LadderOrbit:
     After t steps the cell B(k, j) is stored under the key j + t of copy k's
     bottom table, T(k, n) under n - t of its top table and E(k) under k - t
     of the entry table.  The weight-1 moves B(k, j) -> B(k, j-1),
-    T(k, n) -> T(k, n+1) and E(k) -> E(k+1), nearly every move of a long
-    orbit, then leave every key as it is.  A step touches only:
+    T(k, n) -> T(k, n+1) and E(k) -> E(k+1) then leave every key as it is.
+    The other bottom weights telescope: with P(j) = 2 at a landing
+    rung_position(n) and 1 elsewhere, the edge leaving B(k, j) weighs
+    P(j) / P(j-1), and the one into the sink P(1) = 2.  So a bottom cell is
+    stored as u = P(j) times its numerator, which no bottom move changes,
+    and u is what it will deliver to the sink.  A step touches only:
 
-    - bottom cells at a stop: a landing rung_position(n), where the weight is
-      2 (at j = 1 the cell drains into V(k)), or the position just after one,
-      where it is 1/2.  Each bottom cell is filed under the step at which it
-      next stands on a stop (:func:`_next_stop`), so nothing is paid for it
-      in between;
     - one rung arrival per top cell, T(k, n) -> B(k, rung_position(n)) with
-      weight 1/2, and one top arrival per entry cell, E(k) -> T(k, k+1);
-    - the source, which moves to E(0), and the sinks, which hold only what
-      drained into them in the last step.
+      weight 1/2, a birth with u = the top's numerator;
+    - one top arrival per entry cell, E(k) -> T(k, k+1);
+    - the source, which moves to E(0);
+    - one drain probe per copy, at the key t + 1 of B(k, 1), whose u goes to
+      V(k).  The sinks hold only what drained in the last step.
+
+    Every table holds numerators over the start's denominator den0.  Since
+    nothing is halved in this frame, ``den`` widens as in
+    :func:`graphop.push`, where a weight 1/2 meets an odd numerator, at most
+    once: to 2 * den0, at a step fixed by the start's odd cells
+    (:func:`_widening_step`).  Every top carries a start cell's numerator,
+    and a bottom cell's u changes only by births of those, so no other cell
+    can be odd before then.  :meth:`items`, :meth:`value` and
+    :meth:`sup_norm` read a bottom cell as u / (P(j) * den0).
 
     A restricted graph keeps one copy, so only its entry feeds a top chain;
     a standalone copy also has no source and no edge E(k) -> E(k+1).  Start
-    vertices outside the graph are rejected by the graph's oracle.  The
-    shared denominator widens as in :func:`graphop.push`, when a weight 1/2
-    meets an odd numerator.  These rules encode the ladder's edges apart from
-    the oracles; :class:`graphop.PushOrbit` over the graph's ``out_edges`` is
-    the deliberate second route, and the tests compare the two.
+    vertices outside the graph are rejected by the graph's oracle.  These
+    rules encode the ladder's edges apart from the oracles;
+    :class:`graphop.PushOrbit` over the graph's ``out_edges`` is the
+    deliberate second route, and the tests compare the two.
     """
 
     def __init__(self, graph: "LadderGraph", nums: Dict[Vertex, int], den: int = 1):
-        self.den = den
+        self.den = self._den0 = den
         self._copy = graph.copy_index  # the one copy kept, or None for all
         self._entry_chain = graph.entry_chain
         self._t = 0
         self._source = 0
         self._entries: Dict[int, int] = {}  # k - t -> numerator of E(k)
         self._tops: Dict[int, Dict[int, int]] = {}  # k -> {n - t: numerator of T(k, n)}
-        self._bottoms: Dict[int, Dict[int, int]] = {}  # k -> {j + t: numerator of B(k, j)}
+        self._bottoms: Dict[int, Dict[int, int]] = {}  # k -> {j + t: u of B(k, j)}
         self._sinks: Dict[int, int] = {}  # k -> numerator of V(k)
-        self._due: Dict[int, list] = {}  # step -> [(k, key)] of bottom cells then at a stop
         self._ledger: Optional[_Ledger] = None
+        # T is positive, so an orbit whose start has no negative entry never has one
+        self._signed = min(nums.values(), default=0) < 0
         for v, a in nums.items():
             graph.out_edges(v)  # the oracle rejects vertices outside the graph
             if not a:
                 continue
             tag = v[0]
-            if tag == "B":
-                self._add_bottom(v[1], v[2], a, 0)
+            if tag == "B":  # stored as u = P(j) * a
+                u = 2 * a if rung_index(v[2]) is not None else a
+                self._bottoms.setdefault(v[1], {})[v[2]] = u
             elif tag == "T":
                 self._tops.setdefault(v[1], {})[v[2]] = a
             elif tag == "E":
@@ -247,85 +291,27 @@ class LadderOrbit:
                 self._sinks[v[1]] = a
             else:
                 self._source = a
-
-    def _add_bottom(self, k: int, j: int, c: int, t: int) -> None:
-        """Add the numerator c at B(k, j) after t steps."""
-        cells = self._bottoms.get(k)
-        if cells is None:
-            cells = self._bottoms[k] = {}
-        key = j + t
-        old = cells.get(key)
-        if old is None:
-            cells[key] = c
-            self._file(k, key, j)
-        elif old + c:
-            cells[key] = old + c
-        else:  # signed entries cancelled
-            del cells[key]
-            when = key - _next_stop(j)
-            due = self._due[when]
-            due.remove((k, key))
-            if not due:
-                del self._due[when]
-
-    def _file(self, k: int, key: int, j: int) -> None:
-        """File the bottom cell under key, now at position j, at its next stop."""
-        when = key - _next_stop(j)
-        due = self._due.get(when)
-        if due is None:
-            self._due[when] = [(k, key)]
-        else:
-            due.append((k, key))
-
-    def _tables(self):
-        return (*self._bottoms.values(), *self._tops.values(), self._entries, self._sinks)
-
-    def _widen(self, f: int) -> None:
-        """Multiply every numerator and the denominator by f."""
-        for table in self._tables():
-            for key in table:
-                table[key] *= f
-        self._source *= f
-        self.den *= f
-        if self._ledger is not None:
-            self._ledger.widen(f)
-
-    def _half(self, a: int) -> int:
-        """The numerator of (a / den) / 2, widening the denominator when a is odd."""
-        if a & 1:
-            self._widen(2)
-            return a
-        return a // 2
+        odd = [v for v, a in nums.items() if a & 1]
+        self._widens_at = min((_widening_step(v, self._copy) for v in odd), default=inf)
 
     def step(self) -> None:
         t = self._t
         ledger = self._ledger  # None unless accumulate() is running
         bottoms = self._bottoms
         sinks = self._sinks = {}
-        for k, key in self._due.pop(t, ()):
-            cells = bottoms[k]
-            j = key - t
-            a = cells[key]
-            if j == 1:  # B(k, 1) -> V(k), weight 2
-                del cells[key]
-                sinks[k] = 2 * a
-                change = -a
-            elif rung_index(j) is not None:  # a landing: weight 2
-                cells[key] = 2 * a
-                change = a
-            else:  # just after a landing: weight 1/2
-                cells[key] = a = self._half(a)
-                change = -a
-            if ledger is not None:
-                ledger.mark(("B", k), key, t + 1, change)
-            if j > 1:
-                self._file(k, key, j - 1)
-        for k, cells in self._tops.items():
-            for d, a in cells.items():  # T(k, n) -> B(k, rung_position(n)), weight 1/2
-                j, c = rung_position(d + t), self._half(a)
-                self._add_bottom(k, j, c, t + 1)
+        for k, cells in bottoms.items():  # B(k, 1) -> V(k) delivers u
+            u = cells.pop(t + 1, 0)
+            if u:
+                sinks[k] = u
                 if ledger is not None:
-                    ledger.mark(("B", k), j + t + 1, t + 1, c)
+                    ledger.mark(("B", k), t + 1, t + 1, -u)
+        for k, cells in self._tops.items():
+            chain = bottoms.setdefault(k, {})
+            for d, a in cells.items():  # T(k, d + t) -> B(k, rung_position(d + t)), u = a
+                key = (1 << (d + t + 1)) - d - 1  # rung_position(d + t) + t + 1
+                _bump(chain, key, a)
+                if ledger is not None:
+                    ledger.mark(("B", k), key, t + 1, a)
         entries = self._entries
         for e, a in entries.items():  # E(k) -> T(k, k+1), weight 1
             k = e + t
@@ -342,20 +328,28 @@ class LadderOrbit:
             if ledger is not None:
                 ledger.mark(("E", None), t + 1, t + 1, self._source)
             self._source = 0
-        self._t = t + 1
+        self._t = t = t + 1
+        if t == self._widens_at:
+            self.den *= 2
 
     def sup_norm(self) -> Fraction:
         best = abs(self._source)
-        for table in self._tables():
+        for table in (*self._tops.values(), self._entries, self._sinks):
             if table:
                 best = max(best, max(table.values()), -min(table.values()))
-        return Fraction(best, self.den)
+        best *= 2  # in halves of 1 / den0, as a landing holds u / 2
+        for cells in self._bottoms.values():
+            if cells:
+                best = _bottom_sup(cells, self._t, best, self._signed)
+        return Fraction(best, 2 * self._den0)
 
     def value(self, v: Vertex) -> Fraction:
         t, tag = self._t, v[0]
         if tag == "B":
-            a = self._bottoms.get(v[1], {}).get(v[2] + t, 0)
-        elif tag == "T":
+            j = v[2]
+            u = self._bottoms.get(v[1], {}).get(j + t, 0)
+            return Fraction(u, self._den0 * (2 if rung_index(j) is not None else 1))
+        if tag == "T":
             a = self._tops.get(v[1], {}).get(v[2] - t, 0)
         elif tag == "E":
             a = self._entries.get(v[1] - t, 0)
@@ -363,26 +357,27 @@ class LadderOrbit:
             a = self._sinks.get(v[1], 0)
         else:
             a = self._source if v == SOURCE else 0
-        return Fraction(a, self.den)
+        return Fraction(a, self._den0)
 
     def items(self):
         """The nonzero entries as (vertex, numerator) pairs over ``den``."""
-        t = self._t
+        t, w = self._t, self.den // self._den0
         if self._source:
-            yield SOURCE, self._source
+            yield SOURCE, w * self._source
         for e, a in self._entries.items():
-            yield ("E", e + t), a
+            yield ("E", e + t), w * a
         for k, cells in self._tops.items():
             for d, a in cells.items():
-                yield ("T", k, d + t), a
+                yield ("T", k, d + t), w * a
         for k, cells in self._bottoms.items():
-            for key, a in cells.items():
-                yield ("B", k, key - t), a
+            for key, u in cells.items():
+                j = key - t
+                yield ("B", k, j), w * u // 2 if rung_index(j) is not None else w * u
         for k, a in self._sinks.items():
-            yield ("V", k), a
+            yield ("V", k), w * a
 
     def _chains(self):
-        """Each chain's cells as (frame key, numerator) pairs, under the chain's ledger name."""
+        """Each chain's cells as (frame key, stored numerator) pairs, under its ledger name."""
         for k, cells in self._bottoms.items():
             yield ("B", k), cells.items()
         for k, cells in self._tops.items():
@@ -395,10 +390,11 @@ class LadderOrbit:
         x is the current vector, S = factor * T with factor +1 or -1, the
         ``windows`` ascend, and the orbit steps on to the last of them.  The
         support is the number of nonzero entries of the sum.  No running sum
-        is kept: the steps file every change to a chain cell in a
-        :class:`_Ledger`, and each window reads every chain's sum off the
-        ledger and the current cells (:func:`_chain_sup_and_support`).  So
-        the cost is the orbit's plus one sort per chain and window.
+        is kept: the steps file every change to a chain cell's stored
+        numerator in a :class:`_Ledger`, over den0 (for a bottom cell, its
+        birth and its drain), and each window reads every chain's sum off
+        the ledger and the current cells (:func:`_chain_sup_and_support`).
+        So the cost is the orbit's plus one sort per chain and window.
         ``_running_sums`` in :mod:`ergolab.ergodic`, over
         :class:`graphop.PushOrbit`, is the deliberate second route, and the
         tests compare the two.
@@ -427,7 +423,7 @@ class LadderOrbit:
     def _window_sup_and_support(self, ledger: _Ledger, n: int):
         """The sup norm of the n-term average read off the ledger, and the sum's support."""
         single = [ledger.source, *ledger.sinks.values()]
-        best = max(map(abs, single))
+        best = 2 * max(map(abs, single))
         support = len(single) - single.count(0)
         chains = dict(self._chains())
         for chain, marks in ledger.chains.items():
@@ -436,7 +432,7 @@ class LadderOrbit:
             )
             best = max(best, chain_best)
             support += chain_support
-        return Fraction(best, n * self.den), support
+        return Fraction(best, 2 * n * self._den0), support
 
 
 class LadderGraph(C0Graph):

@@ -366,6 +366,16 @@ def test_norms_frozen_second_power(capsys):
     assert rows_of(out)[2] == ["2", "30", "2", "2"]
 
 
+def test_norms_frozen_at_the_readme_arguments(capsys):
+    # the power-norm sweep behind criterion 1, every one of its 40 values frozen
+    argv = ["norms", "--graph", "combined", "--n-max", "40", "--trunc", "2000"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    norms = [2] * 3 + [3] + [2] * 28 + [1] * 8
+    expected = [[str(n), "2000", str(v), str(v)] for n, v in enumerate(norms, 1)]
+    assert rows_of(out) == [["n", "trunc", "norm", "norm_decimal"], *expected]
+
+
 def test_norms_rejects_nonpositive_window(capsys):
     code, _, err = run(capsys, ["norms", "--graph", "g0", "--n-max", "0"])
     assert code == 2 and "--n-max" in err

@@ -179,6 +179,14 @@ def test_weak_compactness_witness_small_triangle():
         weak_compactness_witness(graph, -1, 0)
 
 
+def test_weak_compactness_witness_over_512_steps():
+    # 2**9 steps from the source: each sink reads exactly 1 at every checkpoint
+    # 2**(m+2) with m >= k, and 0 at the checkpoints before
+    witness = weak_compactness_witness(ladder.make_counterexample(), 4, 7)
+    assert witness.values == [[ONE if k <= m else 0 for k in range(5)] for m in range(8)]
+    assert witness.matches_triangle
+
+
 @pytest.mark.parametrize(
     "make",
     [ladder.make_counterexample, ladder.make_g0, lambda: ladder.make_gk(1), lambda: ladder.make_gk(3)],

@@ -41,9 +41,9 @@ POSITIONS = st.one_of(
 DEPTHS = st.one_of(st.integers(0, 70), st.integers(1000, 1010))  # top depth above k + 1
 
 
-# bottom positions where a framed orbit's cells stop: the drain j = 1 and the
+# bottom positions where the weights leave 1: the drain j = 1 and the
 # landings rung_position(n), with their neighbours on either side
-STOPS = st.one_of(
+LANDINGS = st.one_of(
     st.just(1),
     st.builds(lambda n, d: ladder.rung_position(n) + d, st.integers(2, 70), st.integers(-1, 1)),
 )
@@ -83,9 +83,9 @@ LADDERS = {
     "gk": (st.just(2), False, st.just(("E", 2))),
     "spine": (st.just(1), True, st.builds(lambda k: ("E", k), st.integers(0, 6))),
 }
-# start vertices for the framed orbits: stops and their neighbours as well
+# start vertices for the framed orbits: landings and their neighbours as well
 FRAMED = {
-    name: ladder_vertices(*args, positions=st.one_of(POSITIONS, STOPS))
+    name: ladder_vertices(*args, positions=st.one_of(POSITIONS, LANDINGS))
     for name, args in LADDERS.items()
 }
 # a vertex inside each restricted graph, and vertices outside it
@@ -335,6 +335,74 @@ def test_framed_orbit_matches_push_over_many_steps(name):
     check()
 
 
+def first_half_crossing(graph, v, limit=200):
+    """The step at which an odd numerator started alone at v first crosses a
+    weight 1/2, walking the oracle: a weight 2 makes it even for good.  None
+    if that does not happen within ``limit`` steps."""
+    odd = {v}
+    for step in range(1, limit + 1):
+        reached = set()
+        for u in odd:
+            for w, p, q in graph.out_edges(u):
+                if q == 2:
+                    return step
+                if p == 1:
+                    reached.add(w)
+        odd = reached
+    return None
+
+
+def odd_cells(name, kind):
+    """Start vertices of one kind on a ladder graph, for the one odd cell of a start."""
+    copies, _, entries = LADDERS[name]
+    if kind == "top":
+        return st.builds(lambda k, d: ("T", k, k + 1 + d), copies, DEPTHS)
+    if kind == "entry":  # on the spine of copy 1: upstream, at and past the copy
+        return entries
+    if kind == "source":
+        return st.just(ladder.SOURCE)
+    if kind == "after landing":  # rung_position(n) + 1 + d, the landing itself at d = -1
+        return st.builds(
+            lambda k, n, d: ("B", k, ladder.rung_position(n) + 1 + d),
+            copies, st.integers(1, 70), st.integers(-1, 2),
+        )
+    # on and up to 40 above the landing rung_position(63) = 2**64 - 65
+    return st.builds(lambda k, j: ("B", k, j), copies, st.integers(2**64 - 65, 2**64 - 25))
+
+
+WIDENING_CASES = [
+    (name, kind)
+    for name in sorted(LADDERS)
+    for kind in ("top", "entry", "source", "after landing", "near 2**64")
+    if kind != "source" or LADDERS[name][1]
+]
+
+
+@pytest.mark.parametrize("name, kind", WIDENING_CASES)
+def test_framed_den_widens_at_the_step_push_does(name, kind):
+    # nothing is halved in the moving frame, so its denominator doubles at a
+    # step fixed by the start's odd cells; push doubles it where a weight 1/2
+    # first meets an odd numerator
+    graph, _ = GRAPHS[name]
+    even = st.integers(-3, 3).filter(bool).map(lambda a: 2 * a)
+    evens = st.dictionaries(FRAMED[name], even, max_size=4)
+
+    @settings(6)
+    @hypothesis.given(v=odd_cells(name, kind), a=st.integers(-3, 2), rest=evens)
+    def check(v, a, rest):
+        nums = {**rest, v: 2 * a + 1}
+        widens = first_half_crossing(graph, v)
+        framed = graph.orbit(nums)
+        pushed = graphop.PushOrbit(graph.out_edges, nums)
+        for _ in range(30 if widens is None else widens + 2):
+            framed.step()
+            pushed.step()
+            assert framed.den == pushed.den
+        assert pushed.den == (1 if widens is None else 2)
+
+    check()
+
+
 @pytest.mark.parametrize("name", sorted(FOREIGN))
 def test_framed_orbit_rejects_foreign_vertices(name):
     graph, _ = GRAPHS[name]
@@ -399,6 +467,12 @@ def test_moving_frame_sums_of_unit_vectors(name):
     starts = [("E", k), ("T", k, k + 1), ("T", k, k + 4), ("B", k, 1), ("B", k, 5), ("V", k)]
     if graph.entry_chain:
         starts.append(ladder.SOURCE)
+    # a bottom cell on a landing holds half of what it delivers to the sink;
+    # at windows 1 and 2 these sums' largest entries stand on a landing, alone
+    # or (from B(k, 12)) next to the position after it
+    starts += [("B", k, 4), ("B", k, 11), ("B", k, 26), ("B", k, 12)]
+    if k <= 1:
+        starts.append(("T", k, 2))
     framed = graph_handle(graph)
     pushed = graph_handle(graphop.C0Graph(graph.out_edges, graph.in_edges))
     for v in starts:
