@@ -203,62 +203,41 @@ def block_deviation_float(m: int, n: int, p: int) -> float:
     return abs((1.0 - r**n) / ((1.0 - r) * n))
 
 
-def deviation_bound(m: int, n: int, p: int):
-    """An exact upper bound on :func:`block_deviation`, as an int pair (num, den).
-
-    With r = (-(m - 1)/m)**p the deviation is |1 - r**n| / ((1 - r) * n),
-    and 1 - r > 0 because |r| < 1.  The numerator is at most 1 + |r|**n.
-    For m >= 2 Bernoulli's inequality gives (m/(m - 1))**k =
-    (1 + 1/(m - 1))**k >= 1 + k/(m - 1) >= (m + k)/m, so with k = pn
-    |r|**n = (1 - 1/m)**(pn) <= m/(m + pn); for m = 1, r = 0 and this holds
-    trivially.  Hence 1 + |r|**n <= (2m + pn)/(m + pn), and with
-    1 - r = (m**p - (-1)**p * (m - 1)**p) / m**p
-
-        deviation <= (2m + pn) * m**p / ((m + pn) * (m**p - (-1)**p (m - 1)**p) * n).
-
-    The second factor of the denominator is positive since m**p > (m - 1)**p.
-    """
-    top = m**p
-    below = (m - 1) ** p
-    diff = top + below if p % 2 else top - below
-    return (2 * m + p * n) * top, (m + p * n) * diff * n
-
-
 def deviation_argmax(deviation, m_max: int, n: int, p: int):
     """(m, value) for the block m <= m_max whose average deviates most.
 
     ``deviation`` is :func:`block_deviation` or :func:`block_deviation_float`;
-    ties go to the smallest m.  The float scan evaluates every block.  The
-    exact scan compares int pairs (:func:`core.cesaro_geometric_pair`) by
-    cross-multiplication and skips every block whose :func:`deviation_bound`
-    is at most the running best: such a block cannot be strictly larger,
-    and only a strictly larger value replaces the best, so the result is
-    the full scan's.
+    ties go to the smallest m.  The argmax is block 1 when p is odd or
+    n == 1 and block m_max otherwise, so one block is evaluated.  Proof:
+    block m deviates by |S|/n with S = 1 + r + ... + r**(n-1) and
+    r = (-(m - 1)/m)**p.
+
+    - n = 1: S = 1 for every block, and the tie goes to m = 1.
+    - Odd p, n >= 2: r = -s with s = ((m - 1)/m)**p in [0, 1), so
+      S = (1 - (-s)**n)/(1 + s).  S = 1 at m = 1, where s = 0.  For m >= 2,
+      0 < s and |(-s)**n| = s**n < s, so 0 < S < 1.  Block 1 (exactly 1/n)
+      is the strict maximum.
+    - Even p, n >= 2: r = s grows strictly with m, and S, a sum of powers
+      of s that includes s itself, grows strictly with s.  So block m_max
+      is the strict maximum.
+
+    ``tests/test_blockdiag.py`` compares the rule with the full int scan
+    in ``tests/fraction_reference.py``.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive integers")
-    if deviation is not block_deviation:
-        best_m = max(range(1, m_max + 1), key=lambda m: deviation(m, n, p))  # the first maximum
-        return best_m, deviation(best_m, n, p)
-    best_m, (best_num, best_den) = 1, cesaro_geometric_pair(a_coeff(1), p, n)  # 1/n
-    for m in range(2, m_max + 1):
-        bound_num, bound_den = deviation_bound(m, n, p)
-        if bound_num * best_den <= best_num * bound_den:
-            continue
-        num, den = cesaro_geometric_pair(a_coeff(m), p, n)
-        if abs(num) * best_den > best_num * den:
-            best_m, best_num, best_den = m, abs(num), den
-    return best_m, Fraction(best_num, best_den)
+    m = 1 if p % 2 or n == 1 else m_max
+    return m, deviation(m, n, p)
 
 
 def sup_deviation(m_max: int, n: int, p: int) -> Fraction:
     """Largest deviation of a block average from its limit projection.
 
-    max over m <= m_max of :func:`block_deviation`.  For odd p this decays
-    like 2/n uniformly in m_max; for even p it does not decay at all once
-    m_max grows with n.
+    max over m <= m_max of :func:`block_deviation`.  For odd p and n >= 2 it
+    is exactly 1/n, at block 1, whatever m_max is; for even p it does not
+    decay at all once m_max grows with n.
     """
     return deviation_argmax(block_deviation, m_max, n, p)[1]
 

@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--deviation", action="store_true", help="sup deviation over blocks")
     p.add_argument(
-        "--m-max", type=int, dest="m_max", help="blocks scanned by --deviation (default 1000)"
+        "--m-max", type=int, dest="m_max", help="largest block index for --deviation (default 1000)"
     )
     p.add_argument("--p", type=int, help="step power for --deviation (default 1)")
     p.add_argument("--at-least", dest="at_least", help="fail if any value is below this")

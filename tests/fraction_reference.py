@@ -5,7 +5,7 @@ functions here step the same graphs the way the package did before that
 kernel: one ``Fraction`` product per edge and per entry, read through the
 ``successors`` and ``predecessors`` views.  :func:`oracle_problems` checks
 that a graph's int-triple oracles present an operator.
-:func:`deviation_argmax` is the block deviation scan without pruning, in
+:func:`deviation_argmaxes` is the block deviation scan over every block, in
 ints.
 """
 
@@ -93,19 +93,27 @@ def oracle_problems(graph, vertices, bound):
     return problems
 
 
-def deviation_argmax(m_max, n, p):
-    """(m, value) of the largest block deviation over m <= m_max, evaluating
-    every block; ties go to the smallest m.
+def deviation_argmaxes(m_max, n, p):
+    """[(m, num, den)]: the largest block deviation over m <= k as an
+    unreduced int pair, for each k = 1..m_max, evaluating every block; ties
+    go to the smallest m.
 
     Block m deviates by |1 - r**n| / ((1 - r) * n) with r = (-(m - 1)/m)**p.
-    Each value is kept as an unreduced int pair and compared by
-    cross-multiplication; only the result becomes a Fraction.
+    Each value is compared with the running best by cross-multiplication.
     """
     best_m, best_num, best_den = None, 0, 1
+    running = []
     for m in range(1, m_max + 1):
         r_num, r_den = (1 - m) ** p, m**p
         num = abs(r_den**n - r_num**n)
         den = r_den ** (n - 1) * (r_den - r_num) * n
         if best_m is None or num * best_den > best_num * den:
             best_m, best_num, best_den = m, num, den
-    return best_m, Fraction(best_num, best_den)
+        running.append((best_m, best_num, best_den))
+    return running
+
+
+def deviation_argmax(m_max, n, p):
+    """(m, value) of the largest block deviation over m <= m_max."""
+    m, num, den = deviation_argmaxes(m_max, n, p)[-1]
+    return m, Fraction(num, den)

@@ -18,7 +18,6 @@ from ergolab.blockdiag import (
     block_cesaro_literal,
     block_deviation,
     deviation_argmax,
-    deviation_bound,
     sup_deviation,
     sup_deviation_float,
     t_block,
@@ -126,15 +125,6 @@ def test_block_deviation_closed_form_matches_the_matrix_norm():
                     assert block_cesaro(m, n, p) == U + V.scale(b_coeff(m, n, p // 2))
 
 
-def test_deviation_bound_dominates_the_deviation():
-    for m in range(1, 201):
-        for n in (1, 2, 3, 7, 64, 1000):
-            for p in range(1, 6):
-                value = block_deviation(m, n, p)
-                num, den = deviation_bound(m, n, p)
-                assert value.numerator * den <= num * value.denominator, (m, n, p)
-
-
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(m_max=st.integers(1, 300), n=st.integers(1, 1200), p=st.integers(1, 5))
 @example(m_max=300, n=1, p=1)  # every block deviates by exactly 1: the first wins
@@ -142,8 +132,18 @@ def test_deviation_bound_dominates_the_deviation():
 @example(m_max=50, n=7, p=2)
 @example(m_max=30, n=9, p=4)
 @example(m_max=200, n=300, p=3)
-def test_pruned_scan_matches_the_full_scan(m_max, n, p):
+def test_argmax_rule_matches_the_full_scan(m_max, n, p):
     assert deviation_argmax(block_deviation, m_max, n, p) == ref.deviation_argmax(m_max, n, p)
+
+
+def test_argmax_rule_matches_the_full_scan_on_a_grid():
+    # one reference scan per (p, n) gives the full scan's answer at every m_max
+    for p in range(1, 7):
+        for n in range(1, 41):
+            for m_max, (m, num, den) in enumerate(ref.deviation_argmaxes(200, n, p), start=1):
+                got_m, value = deviation_argmax(block_deviation, m_max, n, p)
+                assert got_m == m, (m_max, n, p)
+                assert value.numerator * den == num * value.denominator, (m_max, n, p)
 
 
 def test_sup_deviation_float_tracks_exact():
@@ -165,3 +165,6 @@ def test_domain_errors():
         b_coeff(2, 3, 0)
     with pytest.raises(ValueError):
         sup_deviation(0, 3, 1)
+    for n, p in ((0, 1), (3, 0)):  # the float formula would not raise on its own
+        with pytest.raises(ValueError):
+            sup_deviation_float(5, n, p)

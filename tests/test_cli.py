@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ergolab
-from ergolab import cli
+from ergolab import blockdiag, cli
 
 
 def run(capsys, argv):
@@ -363,16 +363,59 @@ def test_block_deviation_frozen_row(capsys):
     assert rows_of(out)[1] == ["1", "100", "1", "1/100", "0.01"]
 
 
-def test_block_float_mode_tracks_exact(capsys):
-    code, exact_out, _ = run(capsys, ["block", "--deviation", "--m-max", "40", "--windows", "64"])
-    code2, float_out, _ = run(
-        capsys, ["block", "--deviation", "--m-max", "40", "--windows", "64", "--mode", "float"]
-    )
-    assert code == 0 and code2 == 0
-    exact_row = rows_of(exact_out)[1]
-    float_row = rows_of(float_out)[1]
-    assert exact_row[0] == float_row[0]  # same attaining block
-    assert float(float_row[3]) == pytest.approx(float(exact_row[4]), rel=1e-9)
+def test_block_float_mode_tracks_exact(capsys, monkeypatch):
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)  # 960 runs, one parser
+    windows = ",".join(str(n) for n in [*range(1, 41), 64])
+    for p in range(1, 9):
+        for m_max in range(1, 61):
+            argv = ["block", "--deviation", "--m-max", str(m_max), "--windows", windows, "--p", str(p)]
+            code, exact_out, _ = run(capsys, argv)
+            code2, float_out, _ = run(capsys, argv + ["--mode", "float"])
+            assert code == 0 and code2 == 0
+            for exact_row, float_row in zip(rows_of(exact_out)[1:], rows_of(float_out)[1:]):
+                assert exact_row[0] == float_row[0], (p, m_max, exact_row[1])  # same block
+                assert float(float_row[3]) == pytest.approx(float(exact_row[4]), rel=1e-9)
+    # the doubles of blocks 1 and 2 tie at 0.5; the exact maximum is block 2
+    argv = ["block", "--deviation", "--m-max", "2", "--windows", "2", "--p", "54", "--mode", "float"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and rows_of(out)[1] == ["2", "2", "54", "0.5", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "options, sha256",
+    [
+        ("--p 2 --m-max 5000 --windows 1000",
+         "61f21dda65e10cbdfd51f1588c4191e5fdc5c254cefc0fafb927730dc85c71c3"),
+        ("--p 4 --m-max 2000 --windows 10,100,1000",
+         "25e02ff54c990be0b331d3a3fc9fae97a949e130734292f9e77ab52af1f44770"),
+    ],
+    ids=["p2", "p4"],
+)
+def test_block_even_power_deviation_outputs_are_frozen(capsys, options, sha256):
+    code, out, _ = run(capsys, ["block", "--deviation", *options.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("p, m_at", [("1", "1"), ("2", "1000000000000")])
+def test_block_deviation_at_a_huge_m_max(capsys, monkeypatch, mode, p, m_at):
+    name = "block_deviation_float" if mode == "float" else "block_deviation"
+    evaluate = getattr(blockdiag, name)
+    calls = []
+
+    def counted(m, n, p):
+        calls.append(m)
+        return evaluate(m, n, p)
+
+    monkeypatch.setattr(blockdiag, name, counted)
+    argv = ["block", "--deviation", "--m-max", "1000000000000", "--windows", "10,1000",
+            "--p", p, "--mode", mode]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert [row[:3] for row in rows_of(out)[1:]] == [[m_at, "10", p], [m_at, "1000", p]]
+    assert calls == [int(m_at)] * 2  # one block per window
 
 
 def test_verify_selected_criteria(capsys):
