@@ -327,7 +327,10 @@ def at_most(value: Union[Fraction, float], bound: Fraction) -> bool:
     ``at_most(-value, -bound)`` is the matching lower-bound test.
     """
     if isinstance(value, float):
-        return value <= float(bound) + FLOAT_TOL
+        try:
+            return value <= float(bound) + FLOAT_TOL
+        except OverflowError:  # |bound| is beyond every finite float
+            return bound > 0
     return value <= bound
 
 

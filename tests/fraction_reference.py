@@ -6,13 +6,18 @@ kernel: one ``Fraction`` product per edge and per entry, read through the
 ``successors`` and ``predecessors`` views.  :func:`oracle_problems` checks
 that a graph's int-triple oracles present an operator.
 :func:`deviation_argmaxes` is the block deviation scan over every block, in
-ints.
+ints.  :func:`batched_sweep` is the structural Cesaro sweep that files
+every contribution record.
 """
 
 from fractions import Fraction
 
+from typing import Dict, List, Tuple, Union
+
 from ergolab import graphop
 from ergolab.core import ONE, ZERO, SparseVector
+from ergolab.ladder import rung_index
+from ergolab.sweeps import normalize_factor
 
 
 def push(edges, x):
@@ -117,3 +122,90 @@ def deviation_argmax(m_max, n, p):
     """(m, value) of the largest block deviation over m <= m_max."""
     m, num, den = deviation_argmaxes(m_max, n, p)[-1]
     return m, Fraction(num, den)
+
+
+def batched_sweep(schedule, step_power=1, factor=1):
+    """The structural sweep in one batched pass over every scheduled window.
+
+    Deliberate second route for ``sweeps.combined_cesaro_sup_norms``, which
+    sweeps each window on its own and reads only the streams that can beat
+    its running maximum.  This pass files every record of every
+    contribution stream up to the largest window, keeps one peak per
+    stream and rescans a stream only when it grows.  It tracks the cells up
+    to the largest window's horizon, so where a factor's powers are rounded
+    (0.6+0.8j, not +-1 or +-i) a shorter window can read a cell of value
+    1 + 2**-52 that its own horizon leaves out.
+    """
+    schedule = sorted(set(int(n) for n in schedule))
+    if not schedule or schedule[0] < 1:
+        raise ValueError("schedule must be a nonempty set of positive window lengths")
+    if step_power < 1:
+        raise ValueError(f"step_power must be a positive integer, got {step_power}")
+    factor = normalize_factor(factor)
+    exact = isinstance(factor, Fraction)
+
+    n_max = schedule[-1]
+    horizon = step_power * (n_max - 1)
+    retain = max(horizon, 4)
+    wanted = set(schedule)
+
+    # streams[j] collects (max copy index, contribution) for the copy-0
+    # bottom cell at position j >= 1; streams[0] is the sink's.  A
+    # contribution is the cell's value at engine step k times factor**k,
+    # counted in halves (1 for a wave's 1/2, 2 for a value 1): an int for
+    # exact factors, so every sum stays an int over the shared denominator
+    # 2, and in double precision for complex ones, where a half is 0.5.
+    # The max copy index is strictly increasing along each stream, which is
+    # what makes every suffix realizable by some copy.
+    streams: Dict[int, List[Tuple[int, Union[int, complex]]]] = {}
+    results: Dict[int, Union[Fraction, float]] = {}
+    lam, half = (int(factor), 1) if exact else (factor, 0.5)
+    # peaks[j] is the largest |suffix sum| of streams[j] as of the last
+    # window, and grown holds the streams recorded into since then.  A
+    # stream's suffix sums change only when it gets a record, so a window
+    # rescans just the grown streams and reads every other peak as stored.
+    # peaks[-1] is the source coordinate, which contributes exactly 1 (two
+    # halves) at engine step 0; every other single-visit cell contributes at
+    # most that much.
+    peaks: Dict[int, Union[int, float]] = {-1: 2 * half}
+    grown: Dict[int, List[Tuple[int, Union[int, complex]]]] = {}
+
+    def record(j: int, kmax: int, weight, halves: int) -> None:
+        stream = streams.setdefault(j, [])
+        if stream and stream[-1][0] >= kmax:
+            raise AssertionError("copy bounds must increase along a contribution stream")
+        stream.append((kmax, weight * (halves * half)))
+        grown[j] = stream
+
+    def evaluate(n_eval: int) -> Union[Fraction, float]:
+        for j, stream in grown.items():
+            best = total = 0
+            for _, contribution in reversed(stream):
+                total += contribution
+                mag = abs(total)
+                if mag > best:
+                    best = mag
+            peaks[j] = best
+        grown.clear()
+        best = max(peaks.values())
+        return Fraction(best, 2 * n_eval) if exact else best / n_eval
+
+    for k in range(n_max):
+        t = step_power * k
+        weight = lam**k
+        if t >= 4 and not (t & (t - 1)):
+            # a wave dies into the sink exactly at the powers of two; the
+            # arriving mass is exactly 1 and reaches sinks V(0)..V(n-1)
+            record(0, t.bit_length() - 3, weight, 2)
+        if t >= 3:
+            nn = t.bit_length()  # smallest nn with 2**nn > t
+            while (1 << nn) <= t + retain:
+                n = nn - 1
+                if n + 2 <= t:
+                    j = (1 << nn) - t
+                    halves = 1 if rung_index(j) is not None else 2
+                    record(j, n - 1, weight, halves)
+                nn += 1
+        if (k + 1) in wanted:
+            results[k + 1] = evaluate(k + 1)
+    return results

@@ -142,6 +142,20 @@ def test_max_support_does_not_cap_the_structural_sweep(capsys):
     assert run(capsys, argv + ["--max-support", "1"]) == uncapped
 
 
+def test_structural_sweep_needs_no_cap_at_a_huge_window(capsys):
+    # a window is swept on its own and reads only the streams that can beat
+    # its running maximum: a handful at any window, so 10**20 takes a moment
+    argv = ["cesaro", "--schedule", "99999999999999999999", "--powers", "1,2,3"]
+    assert run(capsys, argv) == (
+        0,
+        "power,n,sup_norm,sup_norm_decimal\n"
+        "1,99999999999999999999,65/99999999999999999999,6.5e-19\n"
+        "2,99999999999999999999,2/3030303030303030303,6.6e-19\n"
+        "3,99999999999999999999,1/3030303030303030303,3.3e-19\n",
+        "",
+    )
+
+
 # 64 windows from 2 to 4096, the windows of criteria 5 and 6 and 4096 among them
 DENSE_SCHEDULE = (
     "2,3,4,5,7,9,12,16,17,24,33,48,65,100,128,150,244,256,352,412,512,517,605,676,"
@@ -380,6 +394,25 @@ def test_block_float_mode_tracks_exact(capsys, monkeypatch):
     argv = ["block", "--deviation", "--m-max", "2", "--windows", "2", "--p", "54", "--mode", "float"]
     code, out, _ = run(capsys, argv)
     assert code == 0 and rows_of(out)[1] == ["2", "2", "54", "0.5", "0.5"]
+
+
+BLOCK_FLOAT = ["block", "--mode", "float", "--windows", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (BLOCK_FLOAT + ["--deviation", "--m-max", "5", "--at-most", "1e999"], 0),
+        (BLOCK_FLOAT + ["--deviation", "--m-max", "5", "--at-most", "-1e999"], 1),
+        (BLOCK_FLOAT + ["--at-least", "1e999"], 1),
+        (BLOCK_FLOAT + ["--at-least", "-1e999"], 0),
+        (["cesaro", "--schedule", "8", "--factor", "i", "--bound", "1e999"], 0),
+        (["cesaro", "--schedule", "8", "--factor", "i", "--bound", "-1e999"], 1),
+    ],
+)
+def test_float_values_compare_with_bounds_beyond_the_float_range(capsys, argv, code):
+    # float(10**999) overflows; such a bound lies above (or below) every float
+    assert run(capsys, argv)[::2] == (code, "")
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """The structural Cesaro sweep against the coordinate-by-coordinate engine."""
 
+import random
 from fractions import Fraction
 
+import fraction_reference as ref
 import pytest
 
 from ergolab import graphop, ladder, sweeps
@@ -145,25 +147,84 @@ def test_sweep_equals_generic_engine_at_the_criteria_windows(factor):
 
 
 def test_batched_schedule_equals_separate_runs():
-    # A dense schedule reads every window after only a few records, so a
-    # window that misses a grown stream, or rereads a stale peak, shows here.
-    # Floats must agree to the last bit, hence == and not approx.
+    # A dense schedule reads many windows in one call, so a window whose
+    # value depends on the rest of its schedule shows here.  Floats must
+    # agree to the last bit, hence == and not approx.
     schedules = [(1, [*range(1, 201), 1000, 4096]), (2, range(1, 121)), (3, range(1, 121))]
     for step_power, schedule in schedules:
         for factor in (1, -1, 1j, 0.6 + 0.8j):
             batched = combined_cesaro_sup_norms(schedule, step_power, factor)
             assert sorted(batched) == sorted(schedule)
-            # A one-window sweep tracks only the cells its own horizon
-            # reaches.  The powers of 0.6+0.8j are rounded, so a cell that
-            # only the longer horizon tracks reads |factor**k| = 1 + 2**-52,
-            # an ulp above the source's 1, at power 3, windows 5 and 6.  There
-            # window n is read first, before any refresh, in a sweep over the
-            # same streams.
-            drift = {5, 6} if (step_power, factor) == (3, 0.6 + 0.8j) else set()
             for n in schedule:
-                window = [n, max(schedule)] if n in drift else [n]
-                single = combined_cesaro_sup_norms(window, step_power, factor)[n]
+                single = combined_cesaro_sup_norms([n], step_power, factor)[n]
                 assert single == batched[n], (step_power, factor, n)
+
+
+def test_a_window_reads_only_the_cells_of_its_own_horizon():
+    # The powers of 0.6+0.8j are rounded, and a cell that only window 120's
+    # horizon reaches reads |factor**k| = 1 + 2**-52, an ulp above the
+    # source's exact 1.  Window 5 at power 3 must not see it.
+    assert combined_cesaro_sup_norms(range(1, 121), 3, 0.6 + 0.8j)[5] == 0.2
+
+
+# powers 1 to 8 give the prune's residue counts of 2**nn mod step_power
+# their different shapes: 2 has order 1, 2, 4 and 3 modulo 1, 3, 5 and 7,
+# and modulo an even power the first residues do not repeat
+REFERENCE_CASES = [(p, f) for p in (1, 2, 3) for f in (1, -1, 1j, -1j)] + [
+    (p, f) for p in range(4, 9) for f in (1, -1)
+]
+
+
+def test_pruned_sweep_equals_the_batched_reference_bit_for_bit():
+    # The reference files every record of every stream, so it checks the
+    # prune at windows far beyond the generic engine's reach: every window
+    # up to 150, then random ones up to 20000.  The rounded factor 0.6+0.8j
+    # is compared one window at a time, where the reference tracks the same
+    # cells.
+    rng = random.Random(16)
+    for i, (step_power, factor) in enumerate(REFERENCE_CASES):
+        # one log-uniform window from 150 up, and in two cases one from 10000
+        schedule = {*range(1, 151), int(150 * (20000 / 150) ** rng.random())}
+        schedule |= {rng.randint(10000, 20000)} if i % 11 == 1 else set()
+        swept = combined_cesaro_sup_norms(schedule, step_power, factor)
+        assert swept == ref.batched_sweep(schedule, step_power, factor), (step_power, factor)
+    for step_power in (1, 2, 3):
+        for n in [*range(1, 61), *(rng.randint(100, 3000) for _ in range(3))]:
+            swept = combined_cesaro_sup_norms([n], step_power, 0.6 + 0.8j)
+            assert swept == ref.batched_sweep([n], step_power, 0.6 + 0.8j), (step_power, n)
+
+
+def test_the_prune_allows_for_a_factor_of_modulus_above_one():
+    # |factor| = 1 + 5e-13 passes normalize_factor, and its powers grow to
+    # 1 + 1.1e-8 by step 21844: a stream the 1e-9 slack alone would skip
+    # holds the maximum
+    factor = complex(1 + 5e-13, 0)
+    assert combined_cesaro_sup_norms([21845], 3, factor) == ref.batched_sweep([21845], 3, factor)
+
+
+def streams_built(monkeypatch, n, step_power, factor):
+    """The cells whose contribution streams a one-window sweep builds."""
+    cells = []
+    monkeypatch.setattr(sweeps, "rung_index", lambda j: cells.append(j) or ladder.rung_index(j))
+    combined_cesaro_sup_norms([n], step_power, factor)
+    return cells
+
+
+def test_a_window_builds_only_the_streams_that_can_beat_its_maximum(monkeypatch):
+    # the sink and cell 1 hold the most records, and from bit length 3 on no
+    # cell has enough records left to beat them
+    for step_power in (1, 2, 3):
+        for factor in (1, -1):
+            for n in (128, 1024, 4096, 10**20):
+                assert streams_built(monkeypatch, n, step_power, factor) in ([0, 1], [0, 1, 2, 3])
+            assert streams_built(monkeypatch, 5, step_power, factor) == [0, 1]
+
+
+def test_the_float_slack_keeps_every_stream_that_could_round_above_the_maximum(monkeypatch):
+    # At window 5 the maximum is near the source's 1 and a stream of every
+    # bit length can hold one record, which a rounded power of 0.6+0.8j can
+    # lift an ulp above 1: every cell up to the horizon is read.
+    assert streams_built(monkeypatch, 5, 1, 0.6 + 0.8j) == [0, 1, 2, 3, 4]
 
 
 def test_one_term_average_is_the_start_vector():
