@@ -55,9 +55,10 @@ class OperatorHandle:
     """One-step access to an operator on finitely supported vectors.
 
     ``graph`` links back to a graph presentation when one exists; averages
-    then step on the graph itself (exactly in the integer form of
-    :func:`graphop.push`, or in double precision for complex factors), and
-    the structural fast sweep becomes available.
+    then step the graph's own exact orbit state (:meth:`C0Graph.orbit`),
+    complex factors included, and the structural fast sweep becomes
+    available.  Without a graph, averages step ``apply`` and take exact
+    factors only.
     """
 
     __slots__ = ("apply", "description", "graph")
@@ -182,9 +183,10 @@ def cesaro_trace(
 
     For every n in the schedule, the sup norm of A_n x with S in place of T,
     in one pass.  ``factor`` is +1 or -1 (exact) or a unimodular complex
-    number; complex factors run in double precision.  On a graph-backed
-    handle the generic engine steps the graph itself: exact factors as int
-    numerators over a shared denominator, complex ones in floats.
+    number.  The generic engine steps T's exact orbit and weights the k-th
+    vector by factor**k (:func:`_generic_step`): a sign on int numerators for
+    exact factors, and for complex ones a double-precision product with
+    each entry rounded once from its exact value.
 
     engine "auto" uses the exact structural sweep when the handle is the
     combined ladder graph started at the source; "generic" forces the
@@ -240,67 +242,56 @@ def cesaro_trace(
 def _generic_step(op: OperatorHandle, x: SparseVector, step_power: int, factor):
     """(step, start, den) for the generic pass of S = factor * T**step_power.
 
-    Graph-backed handles step the graph itself: exactly on the graph's orbit
-    state (:meth:`C0Graph.orbit`), or in double precision for complex
-    factors.  Other handles step SparseVectors through ``op.apply``.
+    S**k x = factor**k * T**(step_power*k) x, so each call advances T's own
+    exact orbit ``step_power`` times (the graph's orbit state,
+    :meth:`C0Graph.orbit`, or ``op.apply`` on a handle without a graph) and
+    weights the k-th vector by factor**k.  For factor +1 or -1 that is a sign
+    on the orbit's numerators over its denominator.  For a complex factor
+    each entry a / den is rounded once, by int true division, which cannot
+    overflow where ``complex(a)`` would, and multiplied by the running
+    product factor**k (exact for +-i); the pairs are then over den 1.
     """
-    if isinstance(factor, complex):
-        if op.graph is None:
-            raise ValueError("complex factors need a graph-backed handle")
-        start = {key: complex(float(value), 0.0) for key, value in x.items()}
-        return _complex_step(op.graph, start, step_power, factor), start.items(), 1
     if op.graph is not None:
         orbit = op.graph.orbit(*graphop.int_vector(x))
-        return _orbit_step(orbit, step_power, factor), orbit.items(), orbit.den
-    cur = x
+    elif isinstance(factor, complex):
+        raise ValueError("complex factors need a graph-backed handle")
+    else:
+        orbit = _ApplyOrbit(op.apply, x)
+    exact = not isinstance(factor, complex)
+    weight = 1
+
+    def pairs():
+        if exact:
+            items = orbit.items()
+            return (items if weight == 1 else ((key, -a) for key, a in items)), orbit.den
+        den = orbit.den
+        return [(key, weight * (a / den)) for key, a in orbit.items()], 1
 
     def step():
-        nonlocal cur
+        nonlocal weight
         for _ in range(step_power):
-            cur = op.apply(cur)
-        if factor != ONE:
-            cur = cur.scale(factor)
-        return cur.items(), 1
-
-    return step, x.items(), 1
-
-
-def _orbit_step(orbit, power: int, factor: Fraction):
-    """Exact steps of factor * T**power, factor +1 or -1, along a graph's orbit.
-
-    Each call moves the orbit ``power`` steps and returns its entries as int
-    numerators, negated on odd calls for factor -1, with its denominator.
-    """
-    sign = 1
-
-    def step():
-        nonlocal sign
-        for _ in range(power):
             orbit.step()
-        if factor == -ONE:
-            sign = -sign
-        pairs = orbit.items()
-        return (pairs if sign == 1 else ((key, -value) for key, value in pairs)), orbit.den
+        weight *= factor
+        return pairs()
 
-    return step
+    return (step, *pairs())
 
 
-def _complex_step(graph: C0Graph, cur: dict, power: int, factor: complex):
-    """Steps of factor * T**power in double precision, from the complex entries ``cur``."""
-    edges = graph.out_edges
+class _ApplyOrbit:
+    """The orbit of x under a plain ``apply``: Fraction entries over den 1."""
 
-    def step():
-        nonlocal cur
-        for _ in range(power):
-            nxt: dict = {}
-            for u, c in cur.items():
-                for v, p, q in edges(u):
-                    nxt[v] = nxt.get(v, 0j) + c * (p / q)
-            cur = nxt
-        cur = {u: factor * c for u, c in cur.items()}
-        return cur.items(), 1
+    __slots__ = ("apply", "x")
+    den = 1
 
-    return step
+    def __init__(self, apply: Callable[[SparseVector], SparseVector], x: SparseVector):
+        self.apply = apply
+        self.x = x
+
+    def step(self) -> None:
+        self.x = self.apply(self.x)
+
+    def items(self):
+        return self.x.items()
 
 
 class CheckResult(NamedTuple):
@@ -375,9 +366,10 @@ def scalar_rotation_check(
 ) -> CheckResult:
     """Check the n-th Cesaro average of factor * T at x, |factor| = 1.
 
-    Exact for factor +1 or -1.  Complex factors run in double precision on
-    exact contribution data (fast engine) or on a float stepping pass
-    (generic engine, graph-backed handles only), with threshold comparisons
+    Exact for factor +1 or -1.  Complex factors sum in double precision,
+    from exact contribution data (fast engine) or from the graph's exact
+    orbit, each vector rounded once and weighted by factor**k (generic
+    engine, graph-backed handles only), with threshold comparisons
     slackened by an absolute 1e-9.
     """
     detail = f"window {n} of {factor} * {op.description}"
@@ -490,19 +482,17 @@ class FixedSpaceCertificate:
     "inconclusive".
     """
 
-    __slots__ = ("graph_description", "steps", "equality_classes", "relations", "conclusion")
+    __slots__ = ("graph_description", "steps", "relations", "conclusion")
 
     def __init__(
         self,
         graph_description: str,
         steps: List[DerivationStep],
-        equality_classes: List[VertexFamily],
         relations: List[str],
         conclusion: str,
     ):
         self.graph_description = graph_description
         self.steps = steps
-        self.equality_classes = equality_classes
         self.relations = relations
         self.conclusion = conclusion
 
@@ -570,7 +560,6 @@ def _ladder_certificate(graph: ladder.LadderFamilyGraph) -> FixedSpaceCertificat
         "y[B(k,j)] = bottom_weight(j) * y[B(k,j-1)]",
         "y[T(k,n)] = y[T(k,n+1)] + (1/2) * y[B(k, rung_position(n))]",
     ]
-    classes = [tops]
     if combined:
         entries = _tag_family(
             "E",
@@ -595,7 +584,6 @@ def _ladder_certificate(graph: ladder.LadderFamilyGraph) -> FixedSpaceCertificat
         )
         relations.append("y[E(k)] = y[E(k+1)] + y[T(k,k+1)]")
         relations.append("y[S] = y[E(0)]")
-        classes.append(entries)
     else:
         steps.append(
             DerivationStep(
@@ -608,7 +596,6 @@ def _ladder_certificate(graph: ladder.LadderFamilyGraph) -> FixedSpaceCertificat
     return FixedSpaceCertificate(
         graph_description=graph.description,
         steps=steps,
-        equality_classes=classes,
         relations=relations,
         conclusion="only_zero",
     )
@@ -650,7 +637,6 @@ def _finite_certificate(graph: C0Graph) -> FixedSpaceCertificate:
     return FixedSpaceCertificate(
         graph_description=graph.description,
         steps=steps,
-        equality_classes=[],
         relations=relations,
         conclusion=conclusion,
     )
@@ -670,7 +656,6 @@ def fixed_space_certificate(graph: C0Graph) -> FixedSpaceCertificate:
     return FixedSpaceCertificate(
         graph_description=graph.description,
         steps=[],
-        equality_classes=[],
         relations=[],
         conclusion="inconclusive",
     )

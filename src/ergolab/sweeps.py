@@ -99,6 +99,9 @@ def combined_cesaro_sup_norms(
     # exact factors, so every sum stays an int over the shared denominator
     # 2, and in double precision for complex ones, where a half is 0.5.
     lam, half = (int(factor), 1) if exact else (factor, 0.5)
+    # lam**k for lam in {1, -1, i, -i} repeats with period 4; reducing k
+    # keeps the power exact where complex pow would go through exp and log.
+    period = 4 if lam**4 == 1 else None
     results: Dict[int, Union[Fraction, float]] = {}
     for n in schedule:
         horizon = step_power * (n - 1)
@@ -139,7 +142,8 @@ def combined_cesaro_sup_norms(
                     if nn - 2 >= kmax:
                         raise AssertionError("copy bounds must increase along a contribution stream")
                     kmax = nn - 2
-                    total += lam ** (t // step_power) * (halves * half)
+                    k = t // step_power
+                    total += lam ** (k % period if period else k) * (halves * half)
                     mag = abs(total)
                     if mag > best:
                         best = mag

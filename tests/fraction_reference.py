@@ -10,6 +10,7 @@ ints.  :func:`batched_sweep` is the structural Cesaro sweep that files
 every contribution record.
 """
 
+import math
 from fractions import Fraction
 
 from typing import Dict, List, Tuple, Union
@@ -50,6 +51,30 @@ def cesaro_sup_norms(graph, x, windows, step_power=1, factor=ONE):
             total = total + cur
         if k in windows:
             out[k] = total.sup_norm() / k
+    return out
+
+
+def gaussian_cesaro_sup_norms(graph, x, windows, step_power, factor):
+    """:func:`cesaro_sup_norms` for a Gaussian-rational factor (re, im), as floats.
+
+    The k-th vector T**(step_power*k) x is stepped in Fractions and weighted
+    by factor**k, kept as an exact pair; every sum is an exact pair (re, im)
+    and only the final square root is rounded.
+    """
+    a, b = map(Fraction, factor)
+    cur, (wr, wi) = x, (ONE, ZERO)
+    sums = {key: (value, ZERO) for key, value in x.items()}
+    out = {}
+    for k in range(1, max(windows) + 1):
+        if k > 1:
+            for _ in range(step_power):
+                cur = push(graph.successors, cur)
+            wr, wi = wr * a - wi * b, wr * b + wi * a
+            for key, value in cur.items():
+                re, im = sums.get(key, (ZERO, ZERO))
+                sums[key] = (re + wr * value, im + wi * value)
+        if k in windows:
+            out[k] = math.sqrt(max(re * re + im * im for re, im in sums.values())) / k
     return out
 
 

@@ -1,87 +1,51 @@
-"""Exact 2x2 block arithmetic, averaging coefficients and deviation sweeps."""
+"""Block averages on ints, averaging coefficients and deviation sweeps."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fraction_reference as ref
-from ergolab import blockdiag
 from ergolab.blockdiag import (
-    IDENTITY,
-    U,
-    V,
-    Block2x2,
     a_coeff,
     b_coeff,
     block_cesaro,
     block_cesaro_literal,
     block_deviation,
+    block_deviation_float,
     deviation_argmax,
     sup_deviation,
     sup_deviation_float,
-    t_block,
 )
-from ergolab.core import HALF, ZERO
-
-
-def test_projection_algebra():
-    zero = Block2x2(ZERO, ZERO, ZERO, ZERO)
-    assert U @ U == U
-    assert V @ V == V
-    assert U @ V == zero
-    assert V @ U == zero
-    assert U + V == IDENTITY
-
-
-def test_blocks_are_immutable_values():
-    block = t_block(3)
-    sixth = Fraction(1, 6)
-    assert block == Block2x2(a=sixth, b=1 - sixth, c=1 - sixth, d=sixth)
-    assert block != t_block(4)
-    assert block != (block.a, block.b, block.c, block.d)
-    assert hash(block) == hash(t_block(3))
-    assert block + block == Block2x2(2 * sixth, 2 - 2 * sixth, 2 - 2 * sixth, 2 * sixth)
-    assert block - block == Block2x2(ZERO, ZERO, ZERO, ZERO)
-    assert block @ block == Block2x2(*(Fraction(t, 18) for t in (13, 5, 5, 13)))
-    assert block.scale(6) == Block2x2(*(Fraction(t) for t in (1, 5, 5, 1)))
-    for name in ("a", "b", "c", "d"):
-        with pytest.raises(AttributeError):
-            setattr(block, name, ZERO)
-        with pytest.raises(AttributeError):
-            delattr(block, name)
-    assert block == t_block(3)
+from ergolab.core import HALF
 
 
 def test_blocks_split_along_the_projections():
+    # the second literal average is (I + B**p)/2, so B**p = U + (-a_m)**p V:
+    # diagonal (1 + (-a_m)**p)/2 and off-diagonal (1 - (-a_m)**p)/2
     for m in range(1, 30):
-        assert t_block(m) == U - V.scale(a_coeff(m))
-        assert t_block(m).matpow(2) == U + V.scale(a_coeff(m) ** 2)
+        for p in (1, 2, 3):
+            (total, den) = block_cesaro_literal(m, 2, p)[1]
+            d = den // 2
+            power = (total[0] - d, total[1], total[2], total[3] - d)
+            r = (-a_coeff(m)) ** p
+            assert [Fraction(e, d) for e in power] == [(1 + r) / 2, (1 - r) / 2, (1 - r) / 2, (1 + r) / 2]
 
 
 def test_blocks_are_doubly_stochastic():
+    # every literal average: rows and columns sum to its denominator
     for m in (1, 2, 3, 10, 97):
-        mat = t_block(m)
-        assert mat.a + mat.b == 1
-        assert mat.c + mat.d == 1
-        assert mat.a + mat.c == 1
-        assert mat.inf_norm() == 1
-
-
-def test_matpow_matches_repeated_multiplication():
-    mat = t_block(3)
-    acc = IDENTITY
-    for p in range(9):
-        assert mat.matpow(p) == acc
-        acc = acc @ mat
-    with pytest.raises(ValueError):
-        mat.matpow(-1)
+        for p in range(1, 5):
+            for (a, b, c, d), den in block_cesaro_literal(m, 24, p):
+                assert a + b == c + d == a + c == b + d == den, (m, p)
 
 
 def test_block_cesaro_frozen_values():
-    assert block_cesaro(2, 2, 2) == U + V.scale(Fraction(5, 8))
-    assert block_cesaro(1, 7, 1) == U + V.scale(Fraction(1, 7))
-    assert block_cesaro(1, 1, 1) == IDENTITY  # the one-term average is the identity
+    # U + c V has diagonal (1 + c)/2 and off-diagonal (1 - c)/2
+    assert block_cesaro(2, 2, 2) == (Fraction(13, 16), Fraction(3, 16))  # c = 5/8
+    assert block_cesaro(1, 7, 1) == (Fraction(4, 7), Fraction(3, 7))  # c = 1/7
+    assert block_cesaro(1, 1, 1) == (1, 0)  # the one-term average is the identity
 
 
 def test_block_cesaro_agrees_with_literal_summation():
@@ -91,8 +55,8 @@ def test_block_cesaro_agrees_with_literal_summation():
             assert len(literal) == 24
             for n, (entries, den) in enumerate(literal, start=1):
                 assert den == (2 * m) ** (p * (n - 1)) * n
-                average = Block2x2(*(Fraction(t, den) for t in entries))
-                assert block_cesaro(m, n, p) == average, (m, n, p)
+                diagonal, off = block_cesaro(m, n, p)
+                assert [Fraction(t, den) for t in entries] == [diagonal, off, off, diagonal], (m, n, p)
     assert block_cesaro_literal(3, 1, 2) == [((1, 0, 0, 1), 1)]
     for m, n_max, p in ((1, 0, 1), (1, 3, 0)):
         with pytest.raises(ValueError):
@@ -115,14 +79,19 @@ def test_sup_deviation_values():
 
 
 def test_block_deviation_closed_form_matches_the_matrix_norm():
-    """|cesaro_geometric(a_m, p, n)| against the norm of block_cesaro - U."""
+    """|cesaro_geometric(a_m, p, n)| against the max row sum of the literal
+    average minus U, on the literal route's ints."""
+    windows = (1, 2, 7, 100)
     for m in range(1, 61):
-        for n in (1, 2, 7, 100):
-            for p in range(1, 5):
-                expected = (block_cesaro(m, n, p) - U).inf_norm()
-                assert blockdiag.block_deviation(m, n, p) == expected, (m, n, p)
+        for p in range(1, 5):
+            literal = block_cesaro_literal(m, max(windows), p)
+            for n in windows:
+                (a, b, c, d), den = literal[n - 1]
+                # (average - U) has entries (2e - den) / (2 den)
+                row_sum = max(abs(2 * a - den) + abs(2 * b - den), abs(2 * c - den) + abs(2 * d - den))
+                assert block_deviation(m, n, p) == Fraction(row_sum, 2 * den), (m, n, p)
                 if p % 2 == 0:  # b_coeff is the V-coefficient of even-power averages
-                    assert block_cesaro(m, n, p) == U + V.scale(b_coeff(m, n, p // 2))
+                    assert Fraction(2 * a - den, den) == b_coeff(m, n, p // 2), (m, n, p)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -154,9 +123,55 @@ def test_sup_deviation_float_tracks_exact():
             assert abs(exact - approx) <= 1e-12 * max(1.0, abs(exact))
 
 
+FLOAT_REL_ERR = 1e-14  # the bound stated in block_deviation_float's docstring
+EXACT_BITS = 20000  # the exact route's r**n has about p * n * log2(m) bits
+
+
+def _deviation_50_digits(m, n, p):
+    """block_deviation as |1 - r**n| / ((1 - r) * n) in 50-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r = (-(Decimal(m - 1) / m)) ** p
+        return float(abs((1 - r**n) / ((1 - r) * n)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.one_of(st.integers(1, 1000), st.integers(1, 10**12)),
+    n=st.one_of(st.integers(1, 100), st.integers(1, 10**6)),
+    p=st.integers(1, 64),
+)
+@example(m=10**12, n=2, p=2)  # 1 - s cancelled here and the old formula gave 1.0
+@example(m=10**12, n=10**6, p=64)
+@example(m=10**8, n=2, p=1)
+@example(m=1, n=10**6, p=64)
+@example(m=2, n=2, p=54)
+def test_float_deviation_within_its_stated_bound(m, n, p):
+    got = block_deviation_float(m, n, p)
+    if p * n * m.bit_length() <= EXACT_BITS:
+        want = float(block_deviation(m, n, p))
+    else:
+        want = _deviation_50_digits(m, n, p)
+    assert abs(got - want) <= FLOAT_REL_ERR * want, (got, want)
+
+
+def test_float_deviation_at_a_huge_block_is_not_one():
+    # s = (1 - 1/m)**2 is 1 - 2e-12; the deviation (1 + s)/2 is 1 - 1e-12
+    got = block_deviation_float(10**12, 2, 2)
+    want = float(block_deviation(10**12, 2, 2))
+    assert got != 1.0
+    assert abs(got - want) <= FLOAT_REL_ERR * want
+    assert abs(_deviation_50_digits(10**12, 2, 2) - want) <= 1e-16 * want
+
+
+def test_float_deviation_where_1_over_m_underflows():
+    # 1/m rounds to 0.0, so s is 1 to within a rounding: the even-p deviation
+    # is 1 and the odd-p one (1 + s**n)/((1 + s) n) = 1/n for odd n
+    assert block_deviation_float(10**400, 3, 2) == 1.0
+    assert block_deviation_float(10**400, 3, 3) == 1 / 3
+
+
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        t_block(0)
     with pytest.raises(ValueError):
         a_coeff(0)
     with pytest.raises(ValueError):

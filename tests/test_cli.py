@@ -156,6 +156,19 @@ def test_structural_sweep_needs_no_cap_at_a_huge_window(capsys):
     )
 
 
+def test_rotations_by_i_keep_their_phase_at_huge_windows(capsys):
+    # at power 1 every contribution stream's records share one phase, so
+    # factors i and -i give factor 1's sup norms; i**k is exact, and a power
+    # rounded through exp and log lost the phase (17 % off at 10**20)
+    schedule = "10000000000000,10000000000000000,99999999999999999999"
+    decimals = {}
+    for factor in ("1", "i", "-i"):
+        code, out, err = run(capsys, ["cesaro", "--schedule", schedule, "--factor", factor])
+        assert code == 0 and err == ""
+        decimals[factor] = [row[3] for row in rows_of(out)[1:]]
+    assert decimals["i"] == decimals["-i"] == decimals["1"] == ["4.2e-12", "5.2e-15", "6.5e-19"]
+
+
 # 64 windows from 2 to 4096, the windows of criteria 5 and 6 and 4096 among them
 DENSE_SCHEDULE = (
     "2,3,4,5,7,9,12,16,17,24,33,48,65,100,128,150,244,256,352,412,512,517,605,676,"

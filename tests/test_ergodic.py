@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_reference as ref
+
 from ergolab import graphop, ladder
 from ergolab.core import HALF, ONE, ZERO, SparseVector
 from ergolab.ergodic import (
@@ -140,6 +142,28 @@ def test_scalar_rotation_rejects_bad_factors():
     plain = OperatorHandle(apply=lambda v: graphop.apply(op.graph, v))
     with pytest.raises(ValueError, match="complex factors need a graph-backed handle"):
         scalar_rotation_check(plain, x, 1j, 4, 1)
+
+
+def test_complex_trace_past_the_float_range_of_its_denominator():
+    # mass leaks from a to b by thirds; after k steps the orbit's shared
+    # denominator is 3**k, past 1e308 from k = 647, and b's numerator
+    # 3**k - 1 is too large for complex(); each entry a / den is not
+    graph = graphop.graph_from_edges(
+        {"a": [("a", Fraction(1, 3)), ("b", Fraction(2, 3))], "b": [("b", ONE)]},
+        description="leak by thirds",
+    )
+    op = graph_handle(graph)
+    x = SparseVector.unit("a")
+    orbit = graph.orbit(*graphop.int_vector(x))
+    for _ in range(999):
+        orbit.step()
+    assert orbit.den == 3**999 > 10**308
+    windows = [2, 999, 1000]
+    for factor in ((0, 1), (Fraction(3, 5), Fraction(4, 5))):
+        rotation = complex(*map(float, factor))
+        trace = cesaro_trace(op, x, windows, engine="generic", factor=rotation)
+        want = ref.gaussian_cesaro_sup_norms(graph, x, windows, 1, factor)
+        assert trace.norms() == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_plain_handle_matches_the_graph_backed_generic_engine():
