@@ -128,21 +128,44 @@ def block_deviation_float(m: int, n: int, p: int) -> float:
     denominator is 1 + s and the numerator 1 - s**n (n even) or 1 + s**n
     (n odd), sums of positive terms.
 
-    Error bound: with 1/m, p and n representable as normal doubles (m below
-    2**1000, p and n below 2**53) and log1p, exp and expm1 within one ulp,
-    each of the dozen roundings enters the result with a condition number
-    of at most 1.5, so the relative error stays below 1e-14.  The tests
-    check that bound against the exact value and a 50-digit evaluation.
+    Any positive ints are accepted.  Once m, n or p reaches 2**1000, 1/m
+    may underflow and n or p pass the float range.  Below m = 2**53,
+    |log1p(-1/m)| > 2**-53, so s or s**n is then 0: p is capped at 2**1000
+    and n enters only by int true division.  From m = 2**53 on,
+    -log1p(-1/m) is 1/m to double precision: L = -p/m and n*L = -n*p/m come
+    from int true division, and for even p S/n is g(n*p/m) / g(p/m) with
+    g(z) = -expm1(-z)/z (:func:`_g`).
+
+    With log1p, exp and expm1 within one ulp, each of the dozen roundings
+    enters the result with a condition number of at most 2, so the relative
+    error stays below 1e-14 wherever the result is a normal double; the
+    tests check that against the exact value and a decimal evaluation.
     """
     if m == 1:
-        return 1.0 / n
-    log_s = p * math.log1p(-1 / m)
+        return 1 / n
+    if m >= 2**53 and max(m, n, p) >= 2**1000:
+        if p > 40 * m:  # s is below half an ulp, so S = 1
+            return 1 / n
+        if p % 2 == 0:
+            return _g(n * p, m) / _g(p, m)
+        drop = p / m * _g(n * p, m)  # (1 - s**n) / n
+        return (2 / n - drop if n % 2 else drop) / (1.0 + math.exp(-(p / m)))
+    log_s = min(p, 2**1000) * math.log1p(-1 / m)
+    if n >= 2**1000:  # s**n is 0, so the deviation is 1/((1 - r) n), rounded once
+        a, b = (-math.expm1(log_s) if p % 2 == 0 else 1.0 + math.exp(log_s)).as_integer_ratio()
+        return b / (a * n)
     if p % 2 == 0:
-        if log_s == 0.0:  # 1/m underflowed: s is 1 to within a rounding
-            return 1.0
         return math.expm1(n * log_s) / (math.expm1(log_s) * n)
     num = -math.expm1(n * log_s) if n % 2 == 0 else 1.0 + math.exp(n * log_s)
     return num / ((1.0 + math.exp(log_s)) * n)
+
+
+def _g(a: int, b: int) -> float:
+    """(1 - exp(-z))/z at z = a/b, from z by int true division; 1 where z is 0."""
+    if a > 40 * b:  # exp(-z) is below half an ulp of 1
+        return b / a
+    z = a / b
+    return -math.expm1(-z) / z if z else 1.0
 
 
 def deviation_argmax(deviation, m_max: int, n: int, p: int):

@@ -48,24 +48,6 @@ class UsageError(Exception):
     pass
 
 
-class RunConfig:
-    """Output and resource settings shared by the tabular subcommands."""
-
-    __slots__ = ("format", "out", "mode", "max_support")
-
-    def __init__(
-        self,
-        format: str = "csv",
-        out: Optional[str] = None,
-        mode: str = "exact",
-        max_support: Optional[int] = None,
-    ):
-        self.format = format
-        self.out = out
-        self.mode = mode
-        self.max_support = max_support
-
-
 def _parse_fraction(raw: str, what: str) -> Fraction:
     try:
         return Fraction(raw)
@@ -93,8 +75,8 @@ def _decimal(value) -> str:
     return "%.12g" % float(value)
 
 
-def _emit(cfg: RunConfig, columns: Sequence[str], rows: List[Tuple[str, ...]]) -> None:
-    if cfg.format == "json":
+def _emit(args, columns: Sequence[str], rows: List[Tuple[str, ...]]) -> None:
+    if args.format == "json":
         payload = {"columns": list(columns), "rows": [list(row) for row in rows]}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -103,19 +85,19 @@ def _emit(cfg: RunConfig, columns: Sequence[str], rows: List[Tuple[str, ...]]) -
         writer.writerow(columns)
         writer.writerows(rows)
         text = buffer.getvalue()
-    _write(cfg, text)
+    _write(args, text)
 
 
-def _write(cfg: RunConfig, text: str) -> None:
+def _write(args, text: str) -> None:
     """Write a command's output to --out, or to stdout when it is not given."""
-    if not cfg.out:
+    if not args.out:
         sys.stdout.write(text)
         return
     try:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write --out {cfg.out}: {exc.strerror or exc}")
+        raise UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}")
 
 
 def _make_graph(name: str, k: Optional[int]):
@@ -132,7 +114,7 @@ def _make_graph(name: str, k: Optional[int]):
     raise UsageError(f"unknown graph {name!r}")
 
 
-def _cmd_norms(args, cfg: RunConfig) -> int:
+def _cmd_norms(args) -> int:
     _require_positive(args.n_max, "--n-max")
     _require_positive(args.trunc, "--trunc")
     graph = _make_graph(args.graph, args.k)
@@ -142,13 +124,13 @@ def _cmd_norms(args, cfg: RunConfig) -> int:
         (str(n), str(args.trunc), fraction_str(v), _decimal(v))
         for n, v in enumerate(norms, start=1)
     ]
-    _emit(cfg, ("n", "trunc", "norm", "norm_decimal"), rows)
+    _emit(args, ("n", "trunc", "norm", "norm_decimal"), rows)
     if bound is not None and any(v > bound for v in norms):
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
-def _cmd_orbit(args, cfg: RunConfig) -> int:
+def _cmd_orbit(args) -> int:
     _require_positive(args.n_max, "--n-max")
     if args.k_max < 0:
         raise UsageError(f"--k-max must be nonnegative, got {args.k_max}")
@@ -162,14 +144,14 @@ def _cmd_orbit(args, cfg: RunConfig) -> int:
         for n, got, want in ladder.sink_readings(kind, k, args.n_max):
             rows.append((str(n), str(k), fraction_str(got), str(want), str(int(got == want))))
     rows.sort(key=lambda row: (int(row[0]), int(row[1])))
-    _emit(cfg, ("n", "k", "simulated", "predicate", "match"), rows)
+    _emit(args, ("n", "k", "simulated", "predicate", "match"), rows)
     return EXIT_OK if all(row[4] == "1" for row in rows) else EXIT_CHECK_FAILED
 
 
 _FACTORS = {"1": ONE, "-1": -ONE, "i": complex(0, 1), "-i": complex(0, -1)}
 
 
-def _cmd_cesaro(args, cfg: RunConfig) -> int:
+def _cmd_cesaro(args) -> int:
     if args.max_support is not None:
         _require_positive(args.max_support, "--max-support")
     schedule = _parse_int_list(args.schedule, "--schedule")
@@ -196,7 +178,7 @@ def _cmd_cesaro(args, cfg: RunConfig) -> int:
         # without --max-support, power 1 up to MOVING_FRAME_MAX_WINDOW sums in
         # the moving frame; everything else keeps the step-by-step pass, capped.
         # From the combined graph's source the sweep runs, and no cap applies.
-        cap = cfg.max_support
+        cap = args.max_support
         if cap is None and (power != 1 or max(schedule) > MOVING_FRAME_MAX_WINDOW):
             cap = DEFAULT_MAX_SUPPORT
         try:
@@ -220,13 +202,13 @@ def _cmd_cesaro(args, cfg: RunConfig) -> int:
         )
         for power, n, value in results
     ]
-    _emit(cfg, ("power", "n", "sup_norm", "sup_norm_decimal"), rows)
+    _emit(args, ("power", "n", "sup_norm", "sup_norm_decimal"), rows)
     if bound is not None and not all(ergodic.at_most(value, bound) for _, _, value in results):
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
-def _cmd_block(args, cfg: RunConfig) -> int:
+def _cmd_block(args) -> int:
     if args.sweep_diag and args.deviation:
         raise UsageError("--sweep-diag and --deviation are mutually exclusive")
     windows = sorted(set(_parse_int_list(args.windows, "--windows")))
@@ -240,12 +222,12 @@ def _cmd_block(args, cfg: RunConfig) -> int:
         m_max = _require_positive(1000 if args.m_max is None else args.m_max, "--m-max")
         p = _require_positive(1 if args.p is None else args.p, "--p")
         deviation = (
-            blockdiag.block_deviation_float if cfg.mode == "float" else blockdiag.block_deviation
+            blockdiag.block_deviation_float if args.mode == "float" else blockdiag.block_deviation
         )
         for n in windows:
             m_at, value = blockdiag.deviation_argmax(deviation, m_max, n, p)
             values.append(value)
-            shown = _decimal(value) if cfg.mode == "float" else fraction_str(value)
+            shown = _decimal(value) if args.mode == "float" else fraction_str(value)
             rows.append((str(m_at), str(n), str(p), shown, _decimal(value)))
     else:
         for flag, value in (("--m-max", args.m_max), ("--p", args.p)):
@@ -254,7 +236,7 @@ def _cmd_block(args, cfg: RunConfig) -> int:
         j = _require_positive(1 if args.j is None else args.j, "--j")
         p = 2 * j
         for n in windows:
-            if cfg.mode == "float":
+            if args.mode == "float":
                 value = blockdiag.block_deviation_float(n, n, p)
                 shown = _decimal(value)
             else:
@@ -262,7 +244,7 @@ def _cmd_block(args, cfg: RunConfig) -> int:
                 shown = fraction_str(value)
             values.append(value)
             rows.append((str(n), str(n), str(p), shown, _decimal(value)))
-    _emit(cfg, ("m", "n", "p", "value", "value_decimal"), rows)
+    _emit(args, ("m", "n", "p", "value", "value_decimal"), rows)
     if at_least is not None and not all(ergodic.at_most(-v, -at_least) for v in values):
         return EXIT_CHECK_FAILED
     if at_most is not None and not all(ergodic.at_most(v, at_most) for v in values):
@@ -270,18 +252,18 @@ def _cmd_block(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     numbers = _parse_int_list(args.criteria, "--criteria") if args.criteria else None
 
     def report(result):
-        if cfg.format != "json" and not cfg.out:
+        if args.format != "json" and not args.out:
             print(result.line(), flush=True)
 
     try:
         results = acceptance.run_all(numbers, report=report)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if cfg.format == "json":
+    if args.format == "json":
         payload = [
             {
                 "number": r.number,
@@ -293,9 +275,9 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
             }
             for r in results
         ]
-        _write(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif cfg.out:  # without --out each line went to stdout as its criterion ended
-        _write(cfg, "".join(r.line() + "\n" for r in results))
+        _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    elif args.out:  # without --out each line went to stdout as its criterion ended
+        _write(args, "".join(r.line() + "\n" for r in results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
@@ -307,27 +289,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", metavar="PATH", help="write output to a file")
+        return p
 
-    p = sub.add_parser("norms", help="truncated norms of operator powers")
-    add_common(p)
+    p = add("norms", _cmd_norms, "truncated norms of operator powers")
     p.add_argument("--graph", choices=("g0", "gk", "combined"), default="combined")
     p.add_argument("--k", type=int, help="copy index for --graph gk")
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
     p.add_argument("--trunc", type=int, default=500)
     p.add_argument("--bound", help="fail (exit 1) if any norm exceeds this rational")
 
-    p = sub.add_parser("orbit", help="sink readings versus the orbit predicate")
-    add_common(p)
+    p = add("orbit", _cmd_orbit, "sink readings versus the orbit predicate")
     p.add_argument("--graph", choices=("g0", "gk", "combined"), default="combined")
     p.add_argument("--k", type=int, help="copy index for --graph gk")
     p.add_argument("--k-max", type=int, default=2, dest="k_max", help="sinks 0..k_max (combined)")
     p.add_argument("--n-max", type=int, default=64, dest="n_max")
 
-    p = sub.add_parser("cesaro", help="sup norms of Cesaro averages")
-    add_common(p)
+    p = add("cesaro", _cmd_cesaro, "sup norms of Cesaro averages")
     p.add_argument("--graph", choices=("g0", "gk", "combined"), default="combined")
     p.add_argument("--k", type=int, help="copy index for --graph gk")
     p.add_argument("--start", choices=("source", "entry"), default="source")
@@ -350,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         "source keeps no running sum, so no cap applies there",
     )
 
-    p = sub.add_parser("block", help="block-diagonal averaging coefficients")
-    add_common(p)
+    p = add("block", _cmd_block, "block-diagonal averaging coefficients")
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--windows", "--n", dest="windows", default="10,100,1000", help="window lengths n")
     p.add_argument("--j", type=int, help="half the even power (diagonal sweep; default 1)")
@@ -369,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at-least", dest="at_least", help="fail if any value is below this")
     p.add_argument("--at-most", dest="at_most", help="fail if any value is above this")
 
-    p = sub.add_parser("verify", help="run the acceptance criteria")
-    add_common(p)
+    p = add("verify", _cmd_verify, "run the acceptance criteria")
     p.add_argument("--criteria", help="comma-separated criterion numbers (default all)")
 
     return parser
@@ -396,23 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        cfg = RunConfig(
-            format=args.format,
-            out=args.out,
-            mode=getattr(args, "mode", "exact"),
-            max_support=getattr(args, "max_support", None),
-        )
-        if args.command == "norms":
-            return _cmd_norms(args, cfg)
-        if args.command == "orbit":
-            return _cmd_orbit(args, cfg)
-        if args.command == "cesaro":
-            return _cmd_cesaro(args, cfg)
-        if args.command == "block":
-            return _cmd_block(args, cfg)
-        if args.command == "verify":
-            return _cmd_verify(args, cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,12 +6,13 @@ applies one step, and compute Cesaro averages
     A_n x = (1/n) * (x + Tx + ... + T**(n-1) x)
 
 in a single incremental pass.  :func:`cesaro_trace` is the one entry point
-for averages of S = factor * T**step_power: it checks the factor, builds the
-step S and picks the engine.  For the combined ladder graph started at its
-source, the generic pass that adds every orbit vector into a running sum
-adds about t**3/6 cells by window t, so it hands those averages to the exact
-structural sweep in :mod:`ergolab.sweeps`; the two engines are verified
-against each other in the tests and the choice can be forced either way.
+for averages of S = factor * T**step_power: it checks the factor, builds
+T's orbit once and picks the engine.  For the combined ladder graph started
+at its source, the generic pass that adds every orbit vector into a running
+sum adds about t**3/6 cells by window t, so it hands those averages to the
+exact structural sweep in :mod:`ergolab.sweeps`; the two engines are
+verified against each other in the tests, and ``engine="generic"`` forces
+the generic one there.
 On the ladder graphs at power 1 with factor +1 or -1 the generic engine
 sums in the orbit's moving frame (:meth:`ladder.LadderOrbit.accumulate`),
 paying per orbit event rather than per orbit cell and step.  The power and
@@ -83,34 +84,58 @@ def graph_handle(graph: C0Graph) -> OperatorHandle:
     )
 
 
-def _running_sums(step, start, den: int, windows: Sequence[int], max_support: Optional[int] = None):
+def _orbit(op: OperatorHandle, x: SparseVector, factor):
+    """T's exact orbit from x: the graph's own orbit state (:meth:`C0Graph.orbit`),
+    or on a handle without a graph :class:`_ApplyOrbit` over ``op.apply``,
+    which takes exact factors only."""
+    if op.graph is not None:
+        return op.graph.orbit(*graphop.int_vector(x))
+    if isinstance(factor, complex):
+        raise ValueError("complex factors need a graph-backed handle")
+    return _ApplyOrbit(op.apply, x)
+
+
+def _running_sums(orbit, windows: Sequence[int], step_power: int = 1, factor=ONE,
+                  max_support: Optional[int] = None):
     """Yield (n, sums, den) for each n of the ascending ``windows``, in one pass.
 
-    ``sums[key] / den`` is the entry of x + Sx + ... + S**(n-1) x, where
-    ``start`` holds the (key, value) pairs of x over the denominator ``den``
-    and each call ``step()`` returns the pairs of the next power of S applied
-    to x with their denominator, a multiple of the one before.  ``sums`` is
-    one dict updated in place, so read it before asking for the next window.
-    Raises :class:`BudgetExceeded` when the support outgrows ``max_support``.
-    Stepping a :class:`graphop.PushOrbit`, this is the deliberate second
-    route for the ladder graphs' moving-frame sums
+    ``sums[key] / den`` is the entry of x + Sx + ... + S**(n-1) x, where x is
+    the ``orbit``'s current vector and S = factor * T**step_power: each term
+    steps the orbit ``step_power`` times and weights it by factor**k.  For +1
+    or -1 that is a sign on the int numerators, over the orbit's den; for a
+    complex factor it is the running product factor**k (exact for +-i) times
+    each entry a / den, rounded once by int true division, which cannot
+    overflow where ``complex(a)`` would, over den 1.  ``sums`` is one dict
+    updated in place.  Raises :class:`BudgetExceeded` when its support
+    outgrows ``max_support``.  Stepping a :class:`graphop.PushOrbit`, this is
+    the deliberate second route for the ladder graphs' moving-frame sums
     (:meth:`ladder.LadderOrbit.accumulate`): the tests compare the two.
     """
-    sums = dict(start)
+    exact = not isinstance(factor, complex)
+    sums: dict = {}
     get = sums.get
     wanted = set(windows)
+    den = orbit.den if exact else 1
+    weight = 1
     for k in range(1, windows[-1] + 1):
         if k > 1:
-            pairs, new_den = step()
-            if new_den != den:
-                f = new_den // den
+            for _ in range(step_power):
+                orbit.step()
+            weight *= factor
+        if not exact:
+            d = orbit.den
+            pairs = [(key, weight * (a / d)) for key, a in orbit.items()]
+        else:
+            if orbit.den != den:
+                f = orbit.den // den
                 for key in sums:
                     sums[key] *= f
-                den = new_den
-            for key, value in pairs:
-                sums[key] = get(key, 0) + value
-            if max_support is not None and len(sums) > max_support:
-                raise BudgetExceeded(k, len(sums), max_support)
+                den = orbit.den
+            pairs = orbit.items() if weight == 1 else ((key, -a) for key, a in orbit.items())
+        for key, value in pairs:
+            sums[key] = get(key, 0) + value
+        if k > 1 and max_support is not None and len(sums) > max_support:
+            raise BudgetExceeded(k, len(sums), max_support)
         if k in wanted:
             yield k, sums, den
 
@@ -139,8 +164,7 @@ def cesaro_apply(
     """
     if n < 1:
         raise ValueError(f"window length must be positive, got {n}")
-    step, start, den = _generic_step(op, x, 1, ONE)
-    ((_, sums, den),) = _running_sums(step, start, den, [n], max_support)
+    ((_, sums, den),) = _running_sums(_orbit(op, x, ONE), [n], max_support=max_support)
     scale = n * den
     return SparseVector._from_clean(
         {key: Fraction(value, scale) for key, value in sums.items() if value}
@@ -183,98 +207,52 @@ def cesaro_trace(
 
     For every n in the schedule, the sup norm of A_n x with S in place of T,
     in one pass.  ``factor`` is +1 or -1 (exact) or a unimodular complex
-    number.  The generic engine steps T's exact orbit and weights the k-th
-    vector by factor**k (:func:`_generic_step`): a sign on int numerators for
-    exact factors, and for complex ones a double-precision product with
-    each entry rounded once from its exact value.
+    number.  engine "auto" uses the exact structural sweep, and reports
+    engine "fast", when the handle is the combined ladder graph started at
+    the source; "generic" forces the generic engine, the sweep's deliberate
+    second route: the tests and the benchmark's output checks compare the
+    two on shared windows.
 
-    engine "auto" uses the exact structural sweep when the handle is the
-    combined ladder graph started at the source; "generic" forces the
-    generic engine; "fast" requires the sweep and errors otherwise.  The
-    generic engine is the deliberate second route for the sweep: the tests
-    and the benchmark's output checks compare the two on shared windows.
-
-    On a ladder graph at step_power 1 with factor +1 or -1 and no
-    ``max_support``, the generic engine sums in the orbit's moving frame
+    The generic engine builds T's exact orbit once (:func:`_orbit`).  On a
+    ladder graph at step_power 1 with factor +1 or -1 and no
+    ``max_support``, it sums in the orbit's moving frame
     (:meth:`ladder.LadderOrbit.accumulate`).  Every other case, capped runs
-    included, adds each orbit vector into a running sum
-    (:func:`_running_sums`), which over :class:`graphop.PushOrbit` is the
-    moving-frame sums' deliberate second route.  Both report the support of
-    the sum as an int.  Raises :class:`BudgetExceeded` when that running
-    sum outgrows ``max_support``.
+    included, takes the step-by-step pass (:func:`_running_sums`), which
+    over :class:`graphop.PushOrbit` is the moving-frame sums' deliberate
+    second route.  Both report the support of the sum as an int.  Raises
+    :class:`BudgetExceeded` when the running sum outgrows ``max_support``.
     """
     wanted = sorted(set(int(n) for n in schedule))
     if not wanted or wanted[0] < 1:
         raise ValueError("schedule must be a nonempty collection of positive lengths")
     if step_power < 1:
         raise ValueError(f"step_power must be a positive integer, got {step_power}")
-    if engine not in ("auto", "generic", "fast"):
+    if engine not in ("auto", "generic"):
         raise ValueError(f"unknown engine {engine!r}")
     factor = sweeps.normalize_factor(factor)
-    fast = (
-        op.graph is not None
+    if (
+        engine == "auto"
+        and op.graph is not None
         and sweeps.fast_cesaro_available(op.graph)
         and x == SparseVector.unit(ladder.SOURCE)
-    )
-    if engine == "fast" and not fast:
-        raise ValueError("fast engine requires the combined graph started at the source")
-    if fast and engine != "generic":
+    ):
         values = sweeps.combined_cesaro_sup_norms(wanted, step_power, factor)
         records = [TraceRecord(n, values[n], None) for n in wanted]
         return CesaroTrace(op.description, records, "fast")
+    orbit = _orbit(op, x, factor)
     if (
-        isinstance(op.graph, ladder.LadderGraph)
+        isinstance(orbit, ladder.LadderOrbit)
         and step_power == 1
         and not isinstance(factor, complex)
         and max_support is None
     ):
-        orbit = op.graph.orbit(*graphop.int_vector(x))
         records = [TraceRecord(*reading) for reading in orbit.accumulate(wanted, factor)]
     else:
-        step, start, den = _generic_step(op, x, step_power, factor)
         records = [
             TraceRecord(k, *_sup_and_support(sums, k * d))
-            for k, sums, d in _running_sums(step, start, den, wanted, max_support)
+            for k, sums, d in _running_sums(orbit, wanted, step_power, factor, max_support)
         ]
     return CesaroTrace(op.description, records, "generic")
-
-
-def _generic_step(op: OperatorHandle, x: SparseVector, step_power: int, factor):
-    """(step, start, den) for the generic pass of S = factor * T**step_power.
-
-    S**k x = factor**k * T**(step_power*k) x, so each call advances T's own
-    exact orbit ``step_power`` times (the graph's orbit state,
-    :meth:`C0Graph.orbit`, or ``op.apply`` on a handle without a graph) and
-    weights the k-th vector by factor**k.  For factor +1 or -1 that is a sign
-    on the orbit's numerators over its denominator.  For a complex factor
-    each entry a / den is rounded once, by int true division, which cannot
-    overflow where ``complex(a)`` would, and multiplied by the running
-    product factor**k (exact for +-i); the pairs are then over den 1.
-    """
-    if op.graph is not None:
-        orbit = op.graph.orbit(*graphop.int_vector(x))
-    elif isinstance(factor, complex):
-        raise ValueError("complex factors need a graph-backed handle")
-    else:
-        orbit = _ApplyOrbit(op.apply, x)
-    exact = not isinstance(factor, complex)
-    weight = 1
-
-    def pairs():
-        if exact:
-            items = orbit.items()
-            return (items if weight == 1 else ((key, -a) for key, a in items)), orbit.den
-        den = orbit.den
-        return [(key, weight * (a / den)) for key, a in orbit.items()], 1
-
-    def step():
-        nonlocal weight
-        for _ in range(step_power):
-            orbit.step()
-        weight *= factor
-        return pairs()
-
-    return (step, *pairs())
 
 
 class _ApplyOrbit:

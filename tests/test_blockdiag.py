@@ -1,5 +1,6 @@
 """Block averages on ints, averaging coefficients and deviation sweeps."""
 
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -127,18 +128,22 @@ FLOAT_REL_ERR = 1e-14  # the bound stated in block_deviation_float's docstring
 EXACT_BITS = 20000  # the exact route's r**n has about p * n * log2(m) bits
 
 
-def _deviation_50_digits(m, n, p):
-    """block_deviation as |1 - r**n| / ((1 - r) * n) in 50-digit decimals."""
+def _deviation_decimal(m, n, p):
+    """block_deviation as |1 - r**n| / ((1 - r) * n) in decimals, with 30
+    digits beyond those of m, so that 1 - 1/m and 1 - r keep 30 of theirs."""
     with localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = 30 + len(str(m))
         r = (-(Decimal(m - 1) / m)) ** p
         return float(abs((1 - r**n) / ((1 - r) * n)))
 
 
+HUGE = st.integers(1, 10**400)  # past the float range, where 1/m underflows
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
-    m=st.one_of(st.integers(1, 1000), st.integers(1, 10**12)),
-    n=st.one_of(st.integers(1, 100), st.integers(1, 10**6)),
+    m=st.one_of(st.integers(1, 1000), st.integers(1, 10**12), HUGE),
+    n=st.one_of(st.integers(1, 100), st.integers(1, 10**6), HUGE),
     p=st.integers(1, 64),
 )
 @example(m=10**12, n=2, p=2)  # 1 - s cancelled here and the old formula gave 1.0
@@ -146,13 +151,19 @@ def _deviation_50_digits(m, n, p):
 @example(m=10**8, n=2, p=1)
 @example(m=1, n=10**6, p=64)
 @example(m=2, n=2, p=54)
+@example(m=10**320, n=10**320, p=2)  # 1/m is subnormal
+@example(m=10**400, n=10**400, p=2)  # 1/m underflows to 0
+@example(m=2**53 - 1, n=10**310, p=2)  # s**n underflows, and n is past the float range
+@example(m=2**53, n=10**20, p=10**400)  # p/m is past the float range
+@example(m=10**400, n=10**399 + 1, p=1)
 def test_float_deviation_within_its_stated_bound(m, n, p):
     got = block_deviation_float(m, n, p)
     if p * n * m.bit_length() <= EXACT_BITS:
         want = float(block_deviation(m, n, p))
     else:
-        want = _deviation_50_digits(m, n, p)
-    assert abs(got - want) <= FLOAT_REL_ERR * want, (got, want)
+        want = _deviation_decimal(m, n, p)
+    # relative below the normal range's edge, absolute at that edge under it
+    assert abs(got - want) <= FLOAT_REL_ERR * max(want, sys.float_info.min), (got, want)
 
 
 def test_float_deviation_at_a_huge_block_is_not_one():
@@ -161,7 +172,7 @@ def test_float_deviation_at_a_huge_block_is_not_one():
     want = float(block_deviation(10**12, 2, 2))
     assert got != 1.0
     assert abs(got - want) <= FLOAT_REL_ERR * want
-    assert abs(_deviation_50_digits(10**12, 2, 2) - want) <= 1e-16 * want
+    assert abs(_deviation_decimal(10**12, 2, 2) - want) <= 1e-16 * want
 
 
 def test_float_deviation_where_1_over_m_underflows():

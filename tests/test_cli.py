@@ -1,5 +1,6 @@
 """End-to-end command line runs, in process, with frozen outputs."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ergolab
 from ergolab import blockdiag, cli
@@ -131,6 +133,35 @@ def test_cesaro_default_cap_past_the_moving_frame_windows(capsys):
     code, out, err = run(capsys, argv + ["4097"])
     assert code == 3 and out == ""
     assert err == "error: budget exceeded at window 716: support 250595 above --max-support 250000\n"
+
+
+def test_step_by_step_pass_at_higher_powers_and_factor_minus_one_is_frozen(capsys):
+    # powers 2 and 3 from an entry always take the step-by-step pass
+    argv = ["cesaro", "--graph", "g0", "--start", "entry", "--schedule", "16,40",
+            "--powers", "2,3", "--factor", "-1"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert [row[2] for row in rows_of(out)[1:]] == ["3/16", "1/10", "1/8", "3/40"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "3046f2ee65b670555c3a3df77871bd190d6e5bf83845ef36ecdadaf10773a6be"
+    )
+
+
+@pytest.mark.parametrize(
+    "options, where",
+    [
+        ("--schedule 64 --powers 2 --max-support 100", "window 12: support 106 above --max-support 100"),
+        ("--schedule 64 --factor -1 --max-support 100", "window 17: support 107 above --max-support 100"),
+        ("--graph gk --k 2 --schedule 40 --powers 3 --factor -1 --max-support 300",
+         "window 15: support 301 above --max-support 300"),
+    ],
+    ids=["power-2", "factor-minus-1", "gk-power-3-factor-minus-1"],
+)
+def test_step_by_step_pass_budget_exits(capsys, options, where):
+    options = options.split()
+    graph = [] if "--graph" in options else ["--graph", "g0"]
+    code, out, err = run(capsys, ["cesaro", *graph, "--start", "entry", *options])
+    assert (code, out, err) == (3, "", f"error: budget exceeded at {where}\n")
 
 
 def test_max_support_does_not_cap_the_structural_sweep(capsys):
@@ -429,6 +460,28 @@ def test_float_values_compare_with_bounds_beyond_the_float_range(capsys, argv, c
 
 
 @pytest.mark.parametrize(
+    "options, row",
+    [
+        # s**n underflows for p = 10**400, so block 5 deviates by 1/3
+        (["--deviation", "--m-max", "5", "--p", str(10**400), "--windows", "3"],
+         ["5", "3", str(10**400), "0.333333333333", "0.333333333333"]),
+        # block 1 deviates by 1/n, which underflows to 0
+        (["--deviation", "--m-max", "5", "--windows", str(10**400)],
+         ["1", str(10**400), "1", "0", "0"]),
+        # on the diagonal s**n is about e**-2 however large m = n is, and 1/m
+        # is subnormal at 10**320 and underflows at 10**400
+        (["--windows", str(10**320)], [str(10**320)] * 2 + ["2"] + ["0.432332358382"] * 2),
+        (["--windows", str(10**400)], [str(10**400)] * 2 + ["2"] + ["0.432332358382"] * 2),
+    ],
+    ids=["p-1e400", "n-1e400", "diagonal-1e320", "diagonal-1e400"],
+)
+def test_block_float_mode_beyond_the_float_range(capsys, options, row):
+    code, out, err = run(capsys, ["block", "--mode", "float", *options])
+    assert (code, err) == (0, "")
+    assert rows_of(out)[1:] == [row]
+
+
+@pytest.mark.parametrize(
     "options, sha256",
     [
         ("--p 2 --m-max 5000 --windows 1000",
@@ -542,6 +595,46 @@ def test_block_rejects_flags_of_the_other_mode(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@st.composite
+def block_argv(draw):
+    """A block command line: valid, invalid or a mix.  Float mode draws from
+    small values and powers of ten up to 10**400; exact mode has no cap on
+    the window, so it draws small values only."""
+    mode = draw(st.sampled_from(["exact", "float"]))
+    value = st.integers(-1, 12)
+    if mode == "float":
+        value = st.one_of(value, st.integers(0, 400).map(lambda e: 10**e))
+    deviation = draw(st.booleans())
+    argv = ["block", "--mode", mode, "--deviation" if deviation else "--sweep-diag"]
+    argv += ["--windows", ",".join(map(str, draw(st.lists(value, min_size=1, max_size=3))))]
+    flags = ["--m-max", "--p"] if deviation else ["--j"]
+    flags += draw(st.lists(st.sampled_from(["--m-max", "--p", "--j"]), max_size=1))  # maybe a stray one
+    for flag in flags:
+        if draw(st.booleans()):
+            argv += [flag, str(draw(value))]
+    for flag in ("--at-least", "--at-most"):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(["0", "1/3", "1", "-1/2", "1e999", "x"]))]
+    return argv
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(argv=block_argv())
+def test_block_argument_vectors_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the line itself
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv
+    else:
+        assert err.getvalue() == "", argv
 
 
 def test_block_defaults_equal_the_spelled_out_values(capsys):

@@ -441,21 +441,29 @@ def test_moving_frame_sums_match_push_and_fraction_routes(name):
     # the same oracles without the ladder's orbit: _running_sums over PushOrbit
     pushed = graph_handle(graphop.C0Graph(graph.out_edges, graph.in_edges))
 
-    @settings(12)
-    @hypothesis.given(
-        x=signed_starts(name),
-        factor=st.sampled_from([1, -1]),
-        windows=st.sets(st.integers(1, 40), min_size=1, max_size=4),
-    )
-    def check(x, factor, windows):
-        assert isinstance(graph.orbit(*graphop.int_vector(x)), ladder.LadderOrbit)
-        moving = cesaro_trace(framed, x, windows, engine="generic", factor=factor)
-        reference = cesaro_trace(pushed, x, windows, engine="generic", factor=factor)
-        assert moving.records == reference.records
-        assert all(type(rec.support) is int for rec in moving.records)
-        assert moving.norms() == ref.cesaro_sup_norms(graph, x, windows, factor=factor)
+    # at powers 2 and 3 both handles run the step-by-step pass, one over the
+    # framed orbit's items(): that checks its rescale on a widening and its
+    # sign at factor -1; windows stay within 40 steps of T at power 1, 20 above
+    for step_power, max_steps, examples in ((1, 40, 12), (2, 20, 4), (3, 20, 4)):
 
-    check()
+        @settings(examples)
+        @hypothesis.given(
+            x=signed_starts(name),
+            factor=st.sampled_from([1, -1]),
+            steps=st.sets(st.integers(1, max_steps), min_size=1, max_size=4),
+        )
+        def check(x, factor, steps):
+            windows = {-(-t // step_power) for t in steps}
+            assert isinstance(graph.orbit(*graphop.int_vector(x)), ladder.LadderOrbit)
+            kwargs = dict(engine="generic", step_power=step_power, factor=factor)
+            moving = cesaro_trace(framed, x, windows, **kwargs)
+            reference = cesaro_trace(pushed, x, windows, **kwargs)
+            assert moving.records == reference.records
+            assert all(type(rec.support) is int for rec in moving.records)
+            want = ref.cesaro_sup_norms(graph, x, windows, step_power=step_power, factor=factor)
+            assert moving.norms() == want
+
+        check()
 
 
 @pytest.mark.parametrize("name", ["g0", "gk", "spine"])
