@@ -155,7 +155,8 @@ def _cmd_cesaro(args) -> int:
     if args.max_support is not None:
         _require_positive(args.max_support, "--max-support")
     schedule = _parse_int_list(args.schedule, "--schedule")
-    powers = _parse_int_list(args.powers, "--powers")
+    # a repeated power would print its rows again; keep the first-seen order
+    powers = list(dict.fromkeys(_parse_int_list(args.powers, "--powers")))
     factor = _FACTORS[args.factor]
     bound = _parse_fraction(args.bound, "--bound") if args.bound else None
     graph = _make_graph(args.graph, args.k)

@@ -45,8 +45,12 @@ a stream only when its bit length leaves room for enough records to beat
 the largest suffix sum found so far.  At factors +1 and -1 a window reads
 at most 4 streams (windows 128 to 10**20 tried), at +-i at most 16 up to
 window 10**5; at 0.6 + 0.8j, whose powers never repeat, the sums cancel
-and a window of 4096 reads 512 to 2048.  Bounding the bit lengths costs
-about log2(H)**2 per window.
+and a window of 4096 reads 512 to 2048.  Bounding the bit lengths needs
+one record count per bit length b and window.  A count takes about
+log2(H) steps and depends only on b and the bit length `last` of
+H + 2**b - 1, so a call builds it once per distinct (b, last): fewer than
+(max(H, 4).bit_length() + 2)**2 counts for the schedule's largest H,
+however many windows it holds.
 
 The averaging convention is A_n = (1/n) * (x + Sx + ... + S**(n-1) x) with
 S = factor * T**step_power, so A_1 is the identity.
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from .core import ONE, as_rational
 from .ladder import rung_index
@@ -102,6 +106,8 @@ def combined_cesaro_sup_norms(
     # lam**k for lam in {1, -1, i, -i} repeats with period 4; reducing k
     # keeps the power exact where complex pow would go through exp and log.
     period = 4 if lam**4 == 1 else None
+    # the prune's record counts c(b), keyed by (b, last); see below
+    most_records: Dict[Tuple[int, int], int] = {}
     results: Dict[int, Union[Fraction, float]] = {}
     for n in schedule:
         horizon = step_power * (n - 1)
@@ -119,12 +125,16 @@ def combined_cesaro_sup_norms(
         # none is built.  A rounded complex |lam**k| exceeds max(1,
         # |lam|)**k by a few ulps and a rounded sum of c records by a few
         # ulps per record, both far below the 1e-9 slack, so with a complex
-        # factor a skipped cell can never round above best.
+        # factor a skipped cell can never round above best.  c(b) depends
+        # only on b, last and step_power, so each distinct (b, last) is
+        # counted once per call and read back by every later window.
         slack = 1 if exact else (1 + 1e-9) * max(1.0, abs(lam)) ** (n - 1)
         for b in range(top.bit_length() + 1):
             last = (horizon + (1 << b) - 1).bit_length()
-            residues = Counter(pow(2, nn, step_power) for nn in range(b, last))
-            bound = max(residues.values(), default=0) * 2 * half * slack
+            if (b, last) not in most_records:
+                residues = Counter(pow(2, nn, step_power) for nn in range(b, last))
+                most_records[b, last] = max(residues.values(), default=0)
+            bound = most_records[b, last] * 2 * half * slack
             if bound <= best:
                 continue
             for j in range(1 << b >> 1, min(1 << b, top + 1)):

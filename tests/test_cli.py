@@ -228,6 +228,18 @@ def test_dense_sweep_outputs_are_frozen(capsys, options, sha256):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
+def test_repeated_powers_print_their_rows_once(capsys):
+    # a repeated power, like a repeated window, prints its rows once, in the
+    # order in which the powers first appear
+    _, plain, _ = run(capsys, ["cesaro", "--schedule", "3,16", "--powers", "2,1"])
+    order = [row[:2] for row in rows_of(plain)[1:]]
+    assert order == [["2", "3"], ["2", "16"], ["1", "3"], ["1", "16"]]
+    repeated = ["cesaro", "--schedule", "16,3,16", "--powers", "2,1,2,1,1"]
+    assert run(capsys, repeated) == (0, plain, "")
+    _, once, _ = run(capsys, ["cesaro", "--schedule", "3", "--powers", "1"])
+    assert run(capsys, ["cesaro", "--schedule", "3", "--powers", "1,1"]) == (0, once, "")
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_max_support_must_be_positive(capsys, cap):
     code, out, err = run(capsys, ["cesaro", "--graph", "g0", "--start", "entry",
@@ -597,6 +609,16 @@ def test_block_rejects_flags_of_the_other_mode(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the line itself
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @st.composite
 def block_argv(draw):
     """A block command line: valid, invalid or a mix.  Float mode draws from
@@ -623,18 +645,13 @@ def block_argv(draw):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(argv=block_argv())
 def test_block_argument_vectors_exit_cleanly(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects the line itself
-            code = exc.code
+    code, _, err = run_quietly(argv)
     assert code in (0, 1, 2), argv
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 2:
-        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv
+        assert sum("error:" in line for line in err.splitlines()) == 1, argv
     else:
-        assert err.getvalue() == "", argv
+        assert err == "", argv
 
 
 def test_block_defaults_equal_the_spelled_out_values(capsys):
@@ -658,3 +675,41 @@ def test_block_outputs_match_the_benchmark_digests(capsys):
         code, out, err = run(capsys, shlex.split(line))
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert (code, digest) == (expected[line]["exit"], expected[line]["sha256"]), line
+
+
+@st.composite
+def cesaro_argv(draw):
+    """A cesaro command line from the combined graph's source, where the
+    structural sweep runs: windows up to 5000 and a few up to 10**20, powers
+    with repeats, every factor, and bounds valid, huge, nan or garbage."""
+    window = st.one_of(st.integers(1, 5000), st.sampled_from([10**e for e in (4, 8, 12, 20)]))
+    windows = draw(st.lists(window, min_size=1, max_size=4))
+    powers = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    argv = ["cesaro", "--schedule", ",".join(map(str, windows))]
+    argv += ["--powers", ",".join(map(str, powers))]
+    argv += ["--factor", draw(st.sampled_from(["1", "-1", "i", "-i"]))]
+    if draw(st.booleans()):
+        bounds = ["0", "1/1000", "1/10", "1/3", "1", "-1/2", "1e999", "nan", "x", "1/0"]
+        argv += ["--bound", draw(st.sampled_from(bounds))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(argv=cesaro_argv(), fmt=st.sampled_from(["csv", "json"]))
+def test_cesaro_argument_vectors_exit_cleanly(tmp_path_factory, argv, fmt):
+    code, out, err = run_quietly(argv + ["--format", fmt])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, argv
+        return
+    assert err == "", argv
+    other = "json" if fmt == "csv" else "csv"
+    other_code, other_out, _ = run_quietly(argv + ["--format", other])
+    csv_out, json_out = (out, other_out) if fmt == "csv" else (other_out, out)
+    assert other_code == code
+    header, *rows = rows_of(csv_out)
+    assert json.loads(json_out) == {"columns": header, "rows": rows}, argv
+    target = tmp_path_factory.mktemp("out") / "rows"
+    assert run_quietly(argv + ["--format", fmt, "--out", str(target)]) == (code, "", "")
+    assert target.read_bytes() == out.encode("utf-8")

@@ -160,6 +160,38 @@ def test_batched_schedule_equals_separate_runs():
                 assert single == batched[n], (step_power, factor, n)
 
 
+def counts_built(monkeypatch):
+    """The residue counts the sweep's prune builds, as a list that grows."""
+    built = []
+
+    class CountingCounter(sweeps.Counter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(sweeps, "Counter", CountingCounter)
+    return built
+
+
+def test_the_prune_counts_each_residue_shape_once_per_call(monkeypatch):
+    # A bit length's record count depends only on (b, last) and the power:
+    # 4096 windows share fewer than 200 of them, where counting per window
+    # and bit length built 49,160.
+    built = counts_built(monkeypatch)
+    combined_cesaro_sup_norms(range(1, 4097))
+    assert 0 < len(built) <= 200
+    # The counts live for one call: a later call, at the same or another
+    # power, counts its own again and gets the reference's values.
+    schedule = [*range(1, 41), 1000, 4096]
+    runs = []
+    for step_power in (2, 3, 2):
+        built.clear()
+        values = combined_cesaro_sup_norms(schedule, step_power)
+        assert values == ref.batched_sweep(schedule, step_power, 1), step_power
+        runs.append((values, len(built)))
+    assert runs[0] == runs[2] and runs[1][1] > 0
+
+
 def test_a_window_reads_only_the_cells_of_its_own_horizon():
     # The powers of 0.6+0.8j are rounded, and a cell that only window 120's
     # horizon reaches reads |factor**k| = 1 + 2**-52, an ulp above the
