@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import List, Tuple
 
-from .core import cesaro_geometric, cesaro_geometric_pair
+from .core import _geometric_average, cesaro_geometric
 
 
 def a_coeff(m: int) -> Fraction:
@@ -35,8 +35,19 @@ def a_coeff(m: int) -> Fraction:
 
 def block_cesaro_entries(m: int, n: int, p: int) -> Tuple[int, int, int]:
     """(diagonal, off, den): :func:`block_cesaro`'s entries (1 + c)/2 and (1 - c)/2
-    as ints, not reduced, from the pair c = cesaro_geometric_pair(a_coeff(m), p, n)."""
-    num, den = cesaro_geometric_pair(a_coeff(m), p, n)
+    as ints, not reduced, with c = cesaro_geometric_pair(a_coeff(m), p, n).
+
+    The ratio r = (1 - m)**p / m**p is taken straight from m: (m - 1)/m is
+    in lowest terms, so the ints are those of the pair, and no Fraction is
+    built.  Raises the same ValueErrors for m, n or p below 1.
+    """
+    if m < 1:
+        raise ValueError(f"block index must be positive, got {m}")
+    if p < 1:
+        raise ValueError(f"p must be a positive integer, got {p}")
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    num, den = _geometric_average((1 - m) ** p, m**p, n)
     return den + num, den - num, 2 * den
 
 

@@ -42,6 +42,12 @@ DEFAULT_MAX_SUPPORT = 250000  # the running-sum cap of the generic engine's step
 # the window: on a standalone copy about 0.1 s and 25 MiB at 4096, less than
 # the step-by-step pass spends before DEFAULT_MAX_SUPPORT stops it.
 MOVING_FRAME_MAX_WINDOW = 4096
+# The largest --k.  Copy k's rungs land from bottom position 2**(k+2) - k - 3
+# on, so its births are (k+2)-bit ints and a sup norm probes their landings in
+# time quadratic in k: `norms --graph gk --n-max 60 --trunc 300` takes about
+# 0.07 s at this bound and about 3 s at 2**14.  Copy k's sink first reads 1
+# after 2**(k+2) - k - 1 steps, which no command steps to for k near the bound.
+MAX_COPY_INDEX = 2**10
 
 
 class UsageError(Exception):
@@ -106,8 +112,10 @@ def _make_graph(name: str, k: Optional[int]):
     if name == "g0":
         return ladder.make_g0()
     if name == "gk":
-        if k is None or k < 1:
-            raise UsageError("--graph gk needs --k with a copy index >= 1")
+        if k is None:
+            raise UsageError(f"--graph gk needs --k with a copy index from 1 to {MAX_COPY_INDEX}")
+        if not 1 <= k <= MAX_COPY_INDEX:
+            raise UsageError(f"--k must be a copy index from 1 to {MAX_COPY_INDEX}, got {k}")
         return ladder.make_gk(k)
     if name == "combined":
         return ladder.make_counterexample()
@@ -299,20 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("norms", _cmd_norms, "truncated norms of operator powers")
     p.add_argument("--graph", choices=("g0", "gk", "combined"), default="combined")
-    p.add_argument("--k", type=int, help="copy index for --graph gk")
+    p.add_argument("--k", type=int, help=f"copy index for --graph gk, 1..{MAX_COPY_INDEX}")
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
     p.add_argument("--trunc", type=int, default=500)
     p.add_argument("--bound", help="fail (exit 1) if any norm exceeds this rational")
 
     p = add("orbit", _cmd_orbit, "sink readings versus the orbit predicate")
     p.add_argument("--graph", choices=("g0", "gk", "combined"), default="combined")
-    p.add_argument("--k", type=int, help="copy index for --graph gk")
+    p.add_argument("--k", type=int, help=f"copy index for --graph gk, 1..{MAX_COPY_INDEX}")
     p.add_argument("--k-max", type=int, default=2, dest="k_max", help="sinks 0..k_max (combined)")
     p.add_argument("--n-max", type=int, default=64, dest="n_max")
 
     p = add("cesaro", _cmd_cesaro, "sup norms of Cesaro averages")
     p.add_argument("--graph", choices=("g0", "gk", "combined"), default="combined")
-    p.add_argument("--k", type=int, help="copy index for --graph gk")
+    p.add_argument("--k", type=int, help=f"copy index for --graph gk, 1..{MAX_COPY_INDEX}")
     p.add_argument("--start", choices=("source", "entry"), default="source")
     p.add_argument(
         "--x",

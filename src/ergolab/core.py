@@ -49,13 +49,18 @@ def _geometric_ratio(a, p: int, n: int) -> Tuple[int, int]:
     return (-num) ** p, den**p
 
 
-def cesaro_geometric_pair(a, p: int, n: int) -> Tuple[int, int]:
-    """:func:`cesaro_geometric` as an int pair (num, den), den > 0, not reduced."""
-    num, den = _geometric_ratio(a, p, n)
+def _geometric_average(num: int, den: int, n: int) -> Tuple[int, int]:
+    """The average of the first n powers of r = num/den (den > 0, |r| <= 1)
+    as an int pair, by the closed form; not reduced."""
     if num == den:
         return 1, 1
     lower = den ** (n - 1)
     return lower * den - num**n, lower * (den - num) * n
+
+
+def cesaro_geometric_pair(a, p: int, n: int) -> Tuple[int, int]:
+    """:func:`cesaro_geometric` as an int pair (num, den), den > 0, not reduced."""
+    return _geometric_average(*_geometric_ratio(a, p, n), n)
 
 
 def cesaro_geometric(a, p: int, n: int) -> Fraction:

@@ -330,21 +330,24 @@ def enumerate_paths_up_to(
 ) -> List[Path]:
     """All paths from u to v of every length 0..n_max, in one traversal.
 
-    Depth-first over out-edges; intended for short lengths where the number
-    of partial paths stays manageable.  Sorted by length, then vertices.
+    Depth-first over the int triples of ``out_edges``, carrying each partial
+    path's weight as an unreduced (numerator, denominator) pair; one
+    Fraction is built per path found.  Intended for short lengths where the
+    number of partial paths stays manageable.  Sorted by length, then
+    vertices.
     """
     if n_max < 0:
         raise ValueError(f"path length must be nonnegative, got {n_max}")
     found: List[Path] = []
-    frames: List[Tuple[Tuple[Vertex, ...], Fraction]] = [((u,), ONE)]
+    frames: List[Tuple[Tuple[Vertex, ...], int, int]] = [((u,), 1, 1)]
     while frames:
-        path, weight = frames.pop()
+        path, num, den = frames.pop()
         if path[-1] == v:
-            found.append(Path(path, weight))
+            found.append(Path(path, Fraction(num, den)))
         if len(path) - 1 == n_max:
             continue
-        for target, w in graph.successors(path[-1]):
-            frames.append((path + (target,), weight * w))
+        for target, p, q in graph.out_edges(path[-1]):
+            frames.append((path + (target,), num * p, den * q))
     found.sort(key=lambda p: (p.length, tuple(repr(x) for x in p.vertices)))
     return found
 
@@ -369,7 +372,11 @@ def count_paths_levels(graph: C0Graph, n_max: int, n_trunc: int):
     weights[v] / den, for each v among them that one reaches.  A backward
     search gives every vertex its distance to those vertices; their
     indicator then steps forward, keeping at length n only the vertices
-    within distance n_max - n.  Second route: :func:`count_paths_profile`.
+    within distance n_max - n.  Each stepped vertex's out-edges are read
+    once per call, into a table local to the call that keeps them as
+    (target, p, q, distance) with the targets that have no distance
+    dropped; it holds at most one entry per vertex of the distance map and
+    dies with the call.  Second route: :func:`count_paths_profile`.
     """
     if n_max < 0:
         raise ValueError(f"path length must be nonnegative, got {n_max}")
@@ -386,7 +393,8 @@ def _path_levels(graph: C0Graph, n_max: int, n_trunc: int):
         frontier = dict.fromkeys(reached, d)
         dist.update(frontier)
     den = 1
-    out_edges, reach = graph.out_edges, dist.get
+    out_edges = graph.out_edges
+    stepped: dict = {}  # x -> its out-edges (y, p, q, dist[y]), for y with a distance
     for horizon in range(n_max - 1, -2, -1):  # the distance left after the next step
         if any(map(dist.__getitem__, counts)):  # vertices beyond the first n_trunc
             ends = [v for v in counts if not dist[v]]
@@ -400,8 +408,11 @@ def _path_levels(graph: C0Graph, n_max: int, n_trunc: int):
         scale = 1
         for x, cnt in counts.items():
             mw = weights[x]
-            for y, p, q in out_edges(x):
-                if reach(y, n_max) > horizon:
+            edges = stepped.get(x)
+            if edges is None:
+                edges = stepped[x] = [(y, p, q, dist[y]) for y, p, q in out_edges(x) if y in dist]
+            for y, p, q, dy in edges:
+                if dy > horizon:
                     continue
                 c = p * mw * scale
                 if q != 1:

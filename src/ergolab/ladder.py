@@ -142,14 +142,12 @@ def _bump(table: Dict[int, int], key: int, c: int) -> None:
         del table[key]
 
 
-def _bottom_sup(cells: Dict[int, int], t: int, best: int, signed: bool) -> int:
+def _bottom_sup(cells: Dict[int, int], t: int, best: int, top: int) -> int:
     """The larger of ``best`` and twice the largest |u / P(j)| of a bottom table after t steps.
 
-    C-speed max (and min, if the orbit is ``signed``) bound the table by its
-    largest |u|; only when that could beat ``best`` are the O(log j) landing
-    keys probed.
+    ``top`` is the table's largest |u|, which bounds it; only when that
+    could beat ``best`` are the O(log j) landing keys probed.
     """
-    top = max(max(cells.values()), -min(cells.values())) if signed else max(cells.values())
     if 2 * top <= best:
         return best
     keys = (rung_position(n) + t for n in range(1, (max(cells) - t).bit_length() + 1))
@@ -254,6 +252,12 @@ class LadderOrbit:
     can be odd before then.  :meth:`items`, :meth:`value` and
     :meth:`sup_norm` read a bottom cell as u / (P(j) * den0).
 
+    An unsigned orbit keeps each copy's largest bottom u as it runs: a
+    birth only raises a u, so the step raises the maximum with it, and a
+    drain of the cell that holds it drops the maximum, which
+    :meth:`sup_norm` then rescans once.  A signed orbit's births may
+    cancel, so its :meth:`sup_norm` scans each bottom table.
+
     A restricted graph keeps one copy, so only its entry feeds a top chain;
     a standalone copy also has no source and no edge E(k) -> E(k+1).  Start
     vertices outside the graph are rejected by the graph's oracle.  These
@@ -272,6 +276,7 @@ class LadderOrbit:
         self._tops: Dict[int, Dict[int, int]] = {}  # k -> {n - t: numerator of T(k, n)}
         self._bottoms: Dict[int, Dict[int, int]] = {}  # k -> {j + t: u of B(k, j)}
         self._sinks: Dict[int, int] = {}  # k -> numerator of V(k)
+        self._bottom_max: Dict[int, int] = {}  # k -> largest u of B(k, .), if unsigned and known
         self._ledger: Optional[_Ledger] = None
         # T is positive, so an orbit whose start has no negative entry never has one
         self._signed = min(nums.values(), default=0) < 0
@@ -297,21 +302,32 @@ class LadderOrbit:
     def step(self) -> None:
         t = self._t
         ledger = self._ledger  # None unless accumulate() is running
-        bottoms = self._bottoms
+        bottoms, maxima = self._bottoms, self._bottom_max
         sinks = self._sinks = {}
         for k, cells in bottoms.items():  # B(k, 1) -> V(k) delivers u
             u = cells.pop(t + 1, 0)
             if u:
                 sinks[k] = u
+                if maxima.get(k) == u:  # the maximum drained
+                    del maxima[k]
                 if ledger is not None:
                     ledger.mark(("B", k), t + 1, t + 1, -u)
         for k, cells in self._tops.items():
             chain = bottoms.setdefault(k, {})
+            top = maxima.get(k)
             for d, a in cells.items():  # T(k, d + t) -> B(k, rung_position(d + t)), u = a
                 key = (1 << (d + t + 1)) - d - 1  # rung_position(d + t) + t + 1
-                _bump(chain, key, a)
+                c = chain.get(key, 0) + a
+                if c:
+                    chain[key] = c
+                    if top is not None and c > top:
+                        top = c
+                else:
+                    del chain[key]
                 if ledger is not None:
                     ledger.mark(("B", k), key, t + 1, a)
+            if top is not None:
+                maxima[k] = top
         entries = self._entries
         for e, a in entries.items():  # E(k) -> T(k, k+1), weight 1
             k = e + t
@@ -338,9 +354,17 @@ class LadderOrbit:
             if table:
                 best = max(best, max(table.values()), -min(table.values()))
         best *= 2  # in halves of 1 / den0, as a landing holds u / 2
-        for cells in self._bottoms.values():
-            if cells:
-                best = _bottom_sup(cells, self._t, best, self._signed)
+        maxima = self._bottom_max
+        for k, cells in self._bottoms.items():
+            if not cells:
+                continue
+            if self._signed:
+                top = max(max(cells.values()), -min(cells.values()))
+            else:
+                top = maxima.get(k)
+                if top is None:
+                    top = maxima[k] = max(cells.values())
+            best = _bottom_sup(cells, self._t, best, top)
         return Fraction(best, 2 * self._den0)
 
     def value(self, v: Vertex) -> Fraction:

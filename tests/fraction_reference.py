@@ -3,8 +3,9 @@
 ``graphop.push`` steps int numerators over a shared denominator.  Most
 functions here step the same graphs the way the package did before that
 kernel: one ``Fraction`` product per edge and per entry, read through the
-``successors`` and ``predecessors`` views.  :func:`oracle_problems` checks
-that a graph's int-triple oracles present an operator.
+``successors`` and ``predecessors`` views; :func:`paths_up_to` enumerates
+paths so.  :func:`oracle_problems` checks that a graph's int-triple oracles
+present an operator.
 :func:`deviation_argmaxes` is the block deviation scan over every block, in
 ints.  :func:`batched_sweep` is the structural Cesaro sweep that files
 every contribution record.
@@ -95,6 +96,23 @@ def count_paths(graph, v, n_max, n_trunc):
                 nxt[x] = (old_cnt + cnt, max(old_mw, w * mw))
         level = nxt
     return profile
+
+
+def paths_up_to(graph, u, v, n_max):
+    """``graphop.enumerate_paths_up_to`` as the package computed it before its
+    int walk: depth first over ``successors``, one Fraction product per frame."""
+    found = []
+    frames = [((u,), ONE)]
+    while frames:
+        path, weight = frames.pop()
+        if path[-1] == v:
+            found.append(graphop.Path(path, weight))
+        if len(path) - 1 == n_max:
+            continue
+        for target, w in graph.successors(path[-1]):
+            frames.append((path + (target,), weight * w))
+    found.sort(key=lambda p: (p.length, tuple(repr(x) for x in p.vertices)))
+    return found
 
 
 def oracle_problems(graph, vertices, bound):

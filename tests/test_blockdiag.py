@@ -12,6 +12,7 @@ from ergolab.blockdiag import (
     a_coeff,
     b_coeff,
     block_cesaro,
+    block_cesaro_entries,
     block_cesaro_literal,
     block_deviation,
     block_deviation_float,
@@ -19,7 +20,7 @@ from ergolab.blockdiag import (
     sup_deviation,
     sup_deviation_float,
 )
-from ergolab.core import HALF
+from ergolab.core import HALF, cesaro_geometric_pair
 
 
 def test_blocks_split_along_the_projections():
@@ -194,3 +195,27 @@ def test_domain_errors():
     for n, p in ((0, 1), (3, 0)):  # the float formula would not raise on its own
         with pytest.raises(ValueError):
             sup_deviation_float(5, n, p)
+
+
+def test_block_entries_are_the_ints_of_the_geometric_pair():
+    for m in range(1, 31):
+        for p in range(1, 7):
+            for n in range(1, 41):
+                num, den = cesaro_geometric_pair(a_coeff(m), p, n)
+                assert block_cesaro_entries(m, n, p) == (den + num, den - num, 2 * den)
+
+
+@pytest.mark.parametrize(
+    "m, n, p, message",
+    [
+        (0, 3, 1, "block index must be positive, got 0"),
+        (-2, 3, 1, "block index must be positive, got -2"),
+        (3, 0, 1, "n must be a positive integer, got 0"),
+        (3, 2, 0, "p must be a positive integer, got 0"),
+        (0, 0, 0, "block index must be positive, got 0"),  # m is checked first, then p
+        (3, 0, 0, "p must be a positive integer, got 0"),
+    ],
+)
+def test_block_entries_reject_nonpositive_arguments(m, n, p, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        block_cesaro_entries(m, n, p)

@@ -694,9 +694,9 @@ def cesaro_argv(draw):
     return argv
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(argv=cesaro_argv(), fmt=st.sampled_from(["csv", "json"]))
-def test_cesaro_argument_vectors_exit_cleanly(tmp_path_factory, argv, fmt):
+def assert_exits_cleanly(tmp_path_factory, argv, fmt):
+    """Exit 0, 1 or 2 with no traceback and one error line on exit 2; the
+    JSON rows equal the CSV rows and the --out bytes equal stdout."""
     code, out, err = run_quietly(argv + ["--format", fmt])
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err
@@ -713,3 +713,62 @@ def test_cesaro_argument_vectors_exit_cleanly(tmp_path_factory, argv, fmt):
     target = tmp_path_factory.mktemp("out") / "rows"
     assert run_quietly(argv + ["--format", fmt, "--out", str(target)]) == (code, "", "")
     assert target.read_bytes() == out.encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(argv=cesaro_argv(), fmt=st.sampled_from(["csv", "json"]))
+def test_cesaro_argument_vectors_exit_cleanly(tmp_path_factory, argv, fmt):
+    assert_exits_cleanly(tmp_path_factory, argv, fmt)
+
+
+# --k values: small ones, the bound, one past it and one whose shift used to overflow
+COPY_INDICES = st.one_of(
+    st.integers(-1, 6), st.sampled_from([cli.MAX_COPY_INDEX, cli.MAX_COPY_INDEX + 1, 10**20])
+)
+
+
+@st.composite
+def norms_or_orbit_argv(draw):
+    """A norms or orbit command line over every graph, with or without --k.
+    norms has no cap on --n-max or --trunc, so both stay small."""
+    command = draw(st.sampled_from(["norms", "orbit"]))
+    graph = draw(st.sampled_from(["g0", "gk", "combined"]))
+    argv = [command, "--graph", graph]
+    with_k = draw(st.integers(0, 3)) > 0  # gk needs --k: 3 times in 4; the others refuse it
+    if with_k == (graph == "gk"):
+        argv += ["--k", str(draw(COPY_INDICES))]
+    if draw(st.booleans()):
+        argv += ["--n-max", str(draw(st.integers(-1, 60)))]
+    if command == "norms":
+        argv += ["--trunc", str(draw(st.integers(-1, 300)))]
+        if draw(st.booleans()):
+            bounds = ["0", "1/3", "1", "2", "4", "-1/2", "1e999", "nan", "x", "1/0"]
+            argv += ["--bound", draw(st.sampled_from(bounds))]
+    elif draw(st.booleans()):
+        argv += ["--k-max", str(draw(st.integers(-1, 4)))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(argv=norms_or_orbit_argv(), fmt=st.sampled_from(["csv", "json"]))
+def test_norms_and_orbit_argument_vectors_exit_cleanly(tmp_path_factory, argv, fmt):
+    assert_exits_cleanly(tmp_path_factory, argv, fmt)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norms", "--graph", "gk", "--n-max", "2", "--trunc", "3"],
+        ["orbit", "--graph", "gk", "--n-max", "2"],
+        ["cesaro", "--graph", "gk", "--start", "entry", "--schedule", "1,2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_copy_index_bound(capsys, argv):
+    bound = cli.MAX_COPY_INDEX
+    code, out, err = run(capsys, argv + ["--k", str(bound)])
+    assert code == 0 and err == "" and out.count("\n") == 3
+    for k in (bound + 1, 10**20, 0):
+        code, out, err = run(capsys, argv + ["--k", str(k)])
+        assert code == 2 and out == ""
+        assert err == f"error: --k must be a copy index from 1 to {bound}, got {k}\n"

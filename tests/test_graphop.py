@@ -227,3 +227,50 @@ def test_long_orbits_leave_no_state_on_the_graph():
             x = graphop.apply_adjoint(graph, x)
         after = {key: copy.copy(value) for key, value in vars(graph).items()}
         assert after == before, graph
+
+
+def test_path_weights_walk_on_ints():
+    """Each path's weight is the product of the successors' weights along it,
+    and the list is the Fraction walk's, on weights 2/3, 3/5 and 7/2."""
+    graph = graph_from_edges(
+        {
+            "a": [("b", "2/3"), ("c", "3/5")],
+            "b": [("c", "7/2"), ("a", "3/5")],
+            "c": [("a", "7/2"), ("d", "2/3"), ("c", "3/5")],
+            "d": [("b", "7/2")],
+        },
+        "odd weights",
+    )
+    for u, v in (("a", "c"), ("a", "a"), ("d", "d")):
+        paths = graphop.enumerate_paths_up_to(graph, u, v, 8)
+        assert paths == ref.paths_up_to(graph, u, v, 8)
+        assert len(paths) > 20
+        for path in paths:
+            weight = ONE
+            for x, y in zip(path.vertices, path.vertices[1:]):
+                weight *= dict(graph.successors(x))[y]
+            assert type(path.weight) is Fraction and path.weight == weight
+
+
+def counting_out_edges(graph):
+    """Wrap ``graph.out_edges`` so each call records its vertex; returns the record."""
+    calls = []
+    oracle = graph.out_edges
+
+    def out_edges(v):
+        calls.append(v)
+        return oracle(v)
+
+    graph.out_edges = out_edges
+    return calls
+
+
+def test_path_counts_read_each_stepped_vertex_once_per_call():
+    graph = ladder.make_counterexample()
+    calls = counting_out_edges(graph)
+    first = list(graphop.count_paths_levels(graph, 40, 2000))
+    stepped = len(calls)
+    assert stepped == len(set(calls)) <= 2080  # one call per stepped vertex
+    # the table dies with the call: a second call asks every vertex again
+    assert list(graphop.count_paths_levels(graph, 40, 2000)) == first
+    assert len(calls) == 2 * stepped and calls[stepped:] == calls[:stepped]

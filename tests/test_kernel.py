@@ -512,3 +512,57 @@ def test_moving_frame_sums_of_unit_vectors(name):
                 pushed, x, [1, 2, 3, 8], engine="generic", factor=factor
             ).records, (v, factor)
             assert moving.records[0] == (1, 1, 1)
+
+
+# Copy 0 of g0: T(0, 3) and B(0, 12) both reach the landing B(0, 11) =
+# B(0, rung_position(3)) in one step, the rung's birth adding to the cell.
+# With 4 and 5 the cell's u becomes 9, the largest bottom u, which drains at
+# step 12; from step 13 on the top chain's 4 is the largest entry.
+RISING = {("T", 0, 3): 4, ("B", 0, 12): 5, ("B", 0, 40): 3}
+
+
+def framed_and_pushed_norms(start, steps, reads):
+    """Sup norms of g0's framed orbit and of PushOrbit from ``start``, read at
+    the steps in ``reads`` (0 is the start) and nowhere else."""
+    graph = ladder.make_g0()
+    framed = graph.orbit(dict(start))
+    pushed = graphop.PushOrbit(graph.out_edges, dict(start))
+    got, want = [], []
+    for t in range(steps + 1):
+        if t:
+            framed.step()
+            pushed.step()
+        if t in reads:
+            got.append(framed.sup_norm())
+            want.append(pushed.sup_norm())
+    return got, want
+
+
+def test_running_bottom_maximum_falls_when_it_drains():
+    got, want = framed_and_pushed_norms(RISING, 16, range(17))
+    assert got == want
+    assert want[1] == Fraction(9, 2) and want[12] == 9 and want[13:] == [4] * 4
+
+
+@pytest.mark.parametrize("reads", [{16}, {0, 16}], ids=["last", "first-and-last"])
+def test_running_bottom_maximum_between_unread_steps(reads):
+    # read at the start, the maximum is set; the unread steps raise it at the
+    # birth of step 1 and must drop it at the drain of step 12.  Read only at
+    # the end, no maximum may be known before that read scans for it.
+    got, want = framed_and_pushed_norms(RISING, 16, reads)
+    assert got == want and want[-1] == 4
+
+
+@pytest.mark.parametrize(
+    "start, norms",
+    [
+        # a birth of -4 cuts the largest cell's u from 9 to 5
+        ({("T", 0, 3): -4, ("B", 0, 12): 9, ("B", 0, 40): 3}, [9, 4, 5]),
+        # a birth of -9 cancels it; the top chain then holds 9
+        ({("T", 0, 3): -9, ("B", 0, 12): 9, ("B", 0, 40): 3}, [9, 9, 9]),
+    ],
+    ids=["cut", "cancelled"],
+)
+def test_signed_orbit_scans_past_a_cancelling_birth(start, norms):
+    got, want = framed_and_pushed_norms(start, 16, range(17))
+    assert got == want and want[:3] == norms
