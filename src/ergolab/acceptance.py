@@ -218,12 +218,13 @@ def _criterion_9() -> Tuple[bool, str]:
             if dict(x.items()) != expected:
                 bad += 1
     duality_checked = 0
+    paired = graph.vertices_up_to(20)
     for v in graph.vertices_up_to(30):
         y = SparseVector.unit(v)
         for n in range(5):
             if n:
                 y = graphop.apply_adjoint(graph, y)
-            for u in graph.vertices_up_to(20):
+            for u in paired:
                 duality_checked += 1
                 if powers[(u, n)][v] != y[u]:
                     bad += 1
@@ -280,9 +281,8 @@ def _criterion_12() -> Tuple[bool, str]:
             for n, ((a, b, c, d), den) in enumerate(literal, start=1):
                 checked += 1
                 diagonal, off, closed_den = blockdiag.block_cesaro_entries(m, n, p)
-                diagonal, off = diagonal * den, off * den
-                if not (a * closed_den == d * closed_den == diagonal
-                        and b * closed_den == c * closed_den == off):
+                if not (a == d and b == c and a * closed_den == diagonal * den
+                        and b * closed_den == off * den):
                     bad += 1
     ok = bad == 0
     return ok, f"{checked} grid points (m <= 20, n <= 64, p <= 4), {bad} mismatches"
@@ -329,8 +329,8 @@ def run_all(
     numbers: Optional[Sequence[int]] = None,
     report: Optional[Callable[[CriterionResult], None]] = None,
 ) -> List[CriterionResult]:
-    """Run the selected criteria (all by default), in order."""
-    selected = list(numbers) if numbers is not None else criterion_numbers()
+    """Run the selected criteria (all by default), each once, in first-seen order."""
+    selected = list(dict.fromkeys(numbers)) if numbers is not None else criterion_numbers()
     unknown = [n for n in selected if n not in TARGETS]
     if unknown:
         raise ValueError(f"unknown criteria {unknown}; known: {criterion_numbers()}")

@@ -47,6 +47,7 @@ MOVING_FRAME_MAX_WINDOW = 4096
 # time quadratic in k: `norms --graph gk --n-max 60 --trunc 300` takes about
 # 0.07 s at this bound and about 3 s at 2**14.  Copy k's sink first reads 1
 # after 2**(k+2) - k - 1 steps, which no command steps to for k near the bound.
+# `orbit --graph combined` steps one orbit per copy 0..--k-max, bounded so too.
 MAX_COPY_INDEX = 2**10
 
 
@@ -144,6 +145,8 @@ def _cmd_orbit(args) -> int:
         raise UsageError(f"--k-max must be nonnegative, got {args.k_max}")
     graph = _make_graph(args.graph, args.k)
     if args.graph == "combined":
+        if args.k_max > MAX_COPY_INDEX:
+            raise UsageError(f"--k-max must be at most {MAX_COPY_INDEX}, got {args.k_max}")
         runs = [("combined", k) for k in range(args.k_max + 1)]
     else:
         runs = [(graph.kind, graph.copy_index)]
@@ -315,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("orbit", _cmd_orbit, "sink readings versus the orbit predicate")
     p.add_argument("--graph", choices=("g0", "gk", "combined"), default="combined")
     p.add_argument("--k", type=int, help=f"copy index for --graph gk, 1..{MAX_COPY_INDEX}")
-    p.add_argument("--k-max", type=int, default=2, dest="k_max", help="sinks 0..k_max (combined)")
+    p.add_argument("--k-max", type=int, default=2, dest="k_max",
+                   help=f"sinks 0..k_max (combined), k_max up to {MAX_COPY_INDEX}")
     p.add_argument("--n-max", type=int, default=64, dest="n_max")
 
     p = add("cesaro", _cmd_cesaro, "sup norms of Cesaro averages")

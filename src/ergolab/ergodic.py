@@ -56,10 +56,10 @@ class OperatorHandle:
     """One-step access to an operator on finitely supported vectors.
 
     ``graph`` links back to a graph presentation when one exists; averages
-    then step the graph's own exact orbit state (:meth:`C0Graph.orbit`),
-    complex factors included, and the structural fast sweep becomes
-    available.  Without a graph, averages step ``apply`` and take exact
-    factors only.
+    then step the graph's own exact orbit state (:meth:`C0Graph.orbit`), at
+    every factor 1, -1, i and -i, and the structural fast sweep becomes
+    available.  Without a graph, averages step ``apply`` and take the
+    factors +1 and -1 only.
     """
 
     __slots__ = ("apply", "description", "graph")
@@ -84,71 +84,67 @@ def graph_handle(graph: C0Graph) -> OperatorHandle:
     )
 
 
-def _orbit(op: OperatorHandle, x: SparseVector, factor):
+def _orbit(op: OperatorHandle, x: SparseVector, exact: bool):
     """T's exact orbit from x: the graph's own orbit state (:meth:`C0Graph.orbit`),
     or on a handle without a graph :class:`_ApplyOrbit` over ``op.apply``,
     which takes exact factors only."""
     if op.graph is not None:
         return op.graph.orbit(*graphop.int_vector(x))
-    if isinstance(factor, complex):
+    if not exact:
         raise ValueError("complex factors need a graph-backed handle")
     return _ApplyOrbit(op.apply, x)
 
 
-def _running_sums(orbit, windows: Sequence[int], step_power: int = 1, factor=ONE,
+def _running_sums(orbit, windows: Sequence[int], step_power: int = 1, turns: int = 0,
                   max_support: Optional[int] = None):
-    """Yield (n, sums, den) for each n of the ascending ``windows``, in one pass.
+    """Yield (n, re, im, den) for each n of the ascending ``windows``, in one pass.
 
-    ``sums[key] / den`` is the entry of x + Sx + ... + S**(n-1) x, where x is
-    the ``orbit``'s current vector and S = factor * T**step_power: each term
-    steps the orbit ``step_power`` times and weights it by factor**k.  For +1
-    or -1 that is a sign on the int numerators, over the orbit's den; for a
-    complex factor it is the running product factor**k (exact for +-i) times
-    each entry a / den, rounded once by int true division, which cannot
-    overflow where ``complex(a)`` would, over den 1.  ``sums`` is one dict
-    updated in place.  Raises :class:`BudgetExceeded` when its support
-    outgrows ``max_support``.  Stepping a :class:`graphop.PushOrbit`, this is
+    ``(re[key] + i * im[key]) / den`` is the entry of x + Sx + ... +
+    S**(n-1) x, where x is the ``orbit``'s current vector and S = i**turns *
+    T**step_power.  The k-th term steps the orbit ``step_power`` times; its
+    turn i**(turns * k mod 4) adds its int numerators to ``re`` or ``im``,
+    with a sign.  Both dicts are updated in place and rescaled when the
+    orbit's den widens.  Raises :class:`BudgetExceeded` when the keys
+    outgrow ``max_support``.  Stepping a :class:`graphop.PushOrbit`, this is
     the deliberate second route for the ladder graphs' moving-frame sums
     (:meth:`ladder.LadderOrbit.accumulate`): the tests compare the two.
     """
-    exact = not isinstance(factor, complex)
-    sums: dict = {}
-    get = sums.get
+    re: dict = {}
+    im: dict = {}
     wanted = set(windows)
-    den = orbit.den if exact else 1
-    weight = 1
+    den = orbit.den
     for k in range(1, windows[-1] + 1):
         if k > 1:
             for _ in range(step_power):
                 orbit.step()
-            weight *= factor
-        if not exact:
-            d = orbit.den
-            pairs = [(key, weight * (a / d)) for key, a in orbit.items()]
-        else:
-            if orbit.den != den:
-                f = orbit.den // den
+        if orbit.den != den:
+            f = orbit.den // den
+            for sums in (re, im):
                 for key in sums:
                     sums[key] *= f
-                den = orbit.den
-            pairs = orbit.items() if weight == 1 else ((key, -a) for key, a in orbit.items())
+            den = orbit.den
+        r = turns * (k - 1) % 4
+        sums = im if r & 1 else re
+        get = sums.get
+        pairs = orbit.items() if r < 2 else ((key, -a) for key, a in orbit.items())
         for key, value in pairs:
             sums[key] = get(key, 0) + value
-        if k > 1 and max_support is not None and len(sums) > max_support:
-            raise BudgetExceeded(k, len(sums), max_support)
+        if k > 1 and max_support is not None:
+            support = len(re.keys() | im.keys()) if im else len(re)
+            if support > max_support:
+                raise BudgetExceeded(k, support, max_support)
         if k in wanted:
-            yield k, sums, den
+            yield k, re, im, den
 
 
-def _sup_and_support(sums: dict, scale: int) -> Tuple[Union[Fraction, float], int]:
-    """Sup norm of sums / scale, and the number of nonzero entries.
-
-    Int numerators give a Fraction, Fractions stay Fractions and complex
-    entries give a float.
-    """
-    nonzero = [value for value in sums.values() if value]
-    best = max((abs(value) for value in nonzero), default=0)
-    return (Fraction(best, scale) if isinstance(best, int) else best / scale), len(nonzero)
+def _sup_and_support(re, im, den, n, exact) -> Tuple[Union[Fraction, float], int]:
+    """Sup norm of (re + i * im) / (den * n), and the number of nonzero entries:
+    a Fraction for +-1 (``exact``), else the float :func:`sweeps.gaussian_abs`
+    makes from the entry of largest re**2 + im**2."""
+    pairs = [(re.get(key, 0), im.get(key, 0)) for key in re.keys() | im.keys()]
+    nonzero = [(a, b) for a, b in pairs if a or b]
+    a, b = max(nonzero, key=lambda z: z[0] * z[0] + z[1] * z[1], default=(0, 0))
+    return (Fraction(abs(a), den * n) if exact else sweeps.gaussian_abs(a, b, den, n)), len(nonzero)
 
 
 def cesaro_apply(
@@ -164,7 +160,7 @@ def cesaro_apply(
     """
     if n < 1:
         raise ValueError(f"window length must be positive, got {n}")
-    ((_, sums, den),) = _running_sums(_orbit(op, x, ONE), [n], max_support=max_support)
+    ((_, sums, _, den),) = _running_sums(_orbit(op, x, True), [n], max_support=max_support)
     scale = n * den
     return SparseVector._from_clean(
         {key: Fraction(value, scale) for key, value in sums.items() if value}
@@ -206,12 +202,13 @@ def cesaro_trace(
     """Record sup norms of the Cesaro averages of S = factor * T**step_power.
 
     For every n in the schedule, the sup norm of A_n x with S in place of T,
-    in one pass.  ``factor`` is +1 or -1 (exact) or a unimodular complex
-    number.  engine "auto" uses the exact structural sweep, and reports
-    engine "fast", when the handle is the combined ladder graph started at
-    the source; "generic" forces the generic engine, the sweep's deliberate
-    second route: the tests and the benchmark's output checks compare the
-    two on shared windows.
+    in one pass.  ``factor`` is 1, -1, i or -i; every sum is exact, and at
+    +-i the value is one float (:func:`sweeps.gaussian_abs`).  engine
+    "auto" uses the exact structural sweep, and reports engine "fast", when
+    the handle is the combined ladder graph started at the source;
+    "generic" forces the generic engine, the sweep's deliberate second
+    route: the tests and the benchmark's output checks compare the two on
+    shared windows.
 
     The generic engine builds T's exact orbit once (:func:`_orbit`).  On a
     ladder graph at step_power 1 with factor +1 or -1 and no
@@ -229,7 +226,7 @@ def cesaro_trace(
         raise ValueError(f"step_power must be a positive integer, got {step_power}")
     if engine not in ("auto", "generic"):
         raise ValueError(f"unknown engine {engine!r}")
-    factor = sweeps.normalize_factor(factor)
+    turns = sweeps.normalize_factor(factor)
     if (
         engine == "auto"
         and op.graph is not None
@@ -239,18 +236,14 @@ def cesaro_trace(
         values = sweeps.combined_cesaro_sup_norms(wanted, step_power, factor)
         records = [TraceRecord(n, values[n], None) for n in wanted]
         return CesaroTrace(op.description, records, "fast")
-    orbit = _orbit(op, x, factor)
-    if (
-        isinstance(orbit, ladder.LadderOrbit)
-        and step_power == 1
-        and not isinstance(factor, complex)
-        and max_support is None
-    ):
-        records = [TraceRecord(*reading) for reading in orbit.accumulate(wanted, factor)]
+    exact = turns % 2 == 0
+    orbit = _orbit(op, x, exact)
+    if isinstance(orbit, ladder.LadderOrbit) and step_power == 1 and exact and max_support is None:
+        records = [TraceRecord(*reading) for reading in orbit.accumulate(wanted, 1 - turns)]
     else:
         records = [
-            TraceRecord(k, *_sup_and_support(sums, k * d))
-            for k, sums, d in _running_sums(orbit, wanted, step_power, factor, max_support)
+            TraceRecord(k, *_sup_and_support(re, im, den, k, exact))
+            for k, re, im, den in _running_sums(orbit, wanted, step_power, turns, max_support)
         ]
     return CesaroTrace(op.description, records, "generic")
 
@@ -342,13 +335,10 @@ def scalar_rotation_check(
     threshold,
     engine: str = "auto",
 ) -> CheckResult:
-    """Check the n-th Cesaro average of factor * T at x, |factor| = 1.
+    """Check the n-th Cesaro average of factor * T at x, factor 1, -1, i or -i.
 
-    Exact for factor +1 or -1.  Complex factors sum in double precision,
-    from exact contribution data (fast engine) or from the graph's exact
-    orbit, each vector rounded once and weighted by factor**k (generic
-    engine, graph-backed handles only), with threshold comparisons
-    slackened by an absolute 1e-9.
+    Both engines sum exactly.  At +-i (graph-backed handles only) the value
+    is one float, compared with an absolute slack of 1e-9 (:func:`at_most`).
     """
     detail = f"window {n} of {factor} * {op.description}"
     return _check(op, x, n, threshold, engine, detail, factor=factor)

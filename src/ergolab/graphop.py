@@ -325,6 +325,17 @@ class Path(NamedTuple):
         return self.vertices[-1]
 
 
+def _distances_to(graph: C0Graph, targets, radius: int) -> Dict[Vertex, int]:
+    """Distance to ``targets`` of each vertex within ``radius`` steps, by a backward search."""
+    dist = dict.fromkeys(targets, 0)
+    frontier = dist
+    for d in range(1, radius + 1):
+        reached = (x for y in frontier for x, _, _ in graph.in_edges(y) if x not in dist)
+        frontier = dict.fromkeys(reached, d)
+        dist.update(frontier)
+    return dist
+
+
 def enumerate_paths_up_to(
     graph: C0Graph, u: Vertex, v: Vertex, n_max: int
 ) -> List[Path]:
@@ -332,14 +343,15 @@ def enumerate_paths_up_to(
 
     Depth-first over the int triples of ``out_edges``, carrying each partial
     path's weight as an unreduced (numerator, denominator) pair; one
-    Fraction is built per path found.  Intended for short lengths where the
-    number of partial paths stays manageable.  Sorted by length, then
+    Fraction is built per path found.  A partial path enters only vertices
+    whose distance to v fits the length still left.  Sorted by length, then
     vertices.
     """
     if n_max < 0:
         raise ValueError(f"path length must be nonnegative, got {n_max}")
+    dist = _distances_to(graph, (v,), n_max)
     found: List[Path] = []
-    frames: List[Tuple[Tuple[Vertex, ...], int, int]] = [((u,), 1, 1)]
+    frames: List[Tuple[Tuple[Vertex, ...], int, int]] = [((u,), 1, 1)] if u in dist else []
     while frames:
         path, num, den = frames.pop()
         if path[-1] == v:
@@ -347,7 +359,8 @@ def enumerate_paths_up_to(
         if len(path) - 1 == n_max:
             continue
         for target, p, q in graph.out_edges(path[-1]):
-            frames.append((path + (target,), num * p, den * q))
+            if dist.get(target, n_max + 1) + len(path) <= n_max:
+                frames.append((path + (target,), num * p, den * q))
     found.sort(key=lambda p: (p.length, tuple(repr(x) for x in p.vertices)))
     return found
 
@@ -386,12 +399,7 @@ def count_paths_levels(graph: C0Graph, n_max: int, n_trunc: int):
 def _path_levels(graph: C0Graph, n_max: int, n_trunc: int):
     counts = dict.fromkeys(graph.vertices_up_to(n_trunc), 1)
     weights = dict(counts)
-    dist = dict.fromkeys(counts, 0)  # shortest distance to the first n_trunc vertices
-    frontier = counts
-    for d in range(1, n_max + 1):
-        reached = (x for y in frontier for x, _, _ in graph.in_edges(y) if x not in dist)
-        frontier = dict.fromkeys(reached, d)
-        dist.update(frontier)
+    dist = _distances_to(graph, counts, n_max)  # to the first n_trunc vertices
     den = 1
     out_edges = graph.out_edges
     stepped: dict = {}  # x -> its out-edges (y, p, q, dist[y]), for y with a distance

@@ -34,22 +34,19 @@ Window n ends at engine step n - 1, at time H = step_power * (n - 1).  A
 cell at position j > max(H, 4) is visited at most once inside the window
 (consecutive powers of two are too far apart), so its accumulated
 magnitude is at most 1 and never exceeds the source coordinate's exact
-contribution of 1; only cells with j up to max(H, 4) need streams.  (A
-rounded complex power can read an ulp above 1; such cells stay out too.)
+contribution of 1; only cells with j up to max(H, 4) need streams.
 
 Cost.  Each window is swept on its own, and nothing carries over from one
 window to the next, so a window's value does not depend on the rest of the
 schedule.  Cell j gets at most one record per rung, about log2(H / j) of
 them.  The sweep takes the cells by bit length, shortest first, and builds
 a stream only when its bit length leaves room for enough records to beat
-the largest suffix sum found so far.  At factors +1 and -1 a window reads
-at most 4 streams (windows 128 to 10**20 tried), at +-i at most 16 up to
-window 10**5; at 0.6 + 0.8j, whose powers never repeat, the sums cancel
-and a window of 4096 reads 512 to 2048.  Bounding the bit lengths needs
-one record count per bit length b and window.  A count takes about
-log2(H) steps and depends only on b and the bit length `last` of
-H + 2**b - 1, so a call builds it once per distinct (b, last): fewer than
-(max(H, 4).bit_length() + 2)**2 counts for the schedule's largest H,
+the largest suffix sum found so far.  A window reads at most 4 streams at
+every factor (windows 128 to 10**20 tried, powers 1 to 3).  Bounding the
+bit lengths needs one record count per bit length b and window.  A count
+takes about log2(H) steps and depends only on b and the bit length `last`
+of H + 2**b - 1, so a call builds it once per distinct (b, last): fewer
+than (max(H, 4).bit_length() + 2)**2 counts for the schedule's largest H,
 however many windows it holds.
 
 The averaging convention is A_n = (1/n) * (x + Sx + ... + S**(n-1) x) with
@@ -62,51 +59,51 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple, Union
 
-from .core import ONE, as_rational
+from .core import as_rational
 from .ladder import rung_index
 
-Factor = Union[Fraction, int, complex]
+# i**r as a Gaussian int (re, im), at index r
+_QUARTER_TURNS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def normalize_factor(factor) -> Union[Fraction, complex]:
-    """Accept +1, -1 (exact) or a unimodular complex number."""
-    if isinstance(factor, complex):
-        if abs(abs(factor) - 1.0) > 1e-12:
-            raise ValueError(f"factor must have modulus 1, got {factor!r}")
-        return factor
-    factor = as_rational(factor)
-    if factor == ONE or factor == -ONE:
-        return factor
-    raise ValueError(f"exact factors must be 1 or -1, got {factor}; pass a complex for rotations")
+def normalize_factor(factor) -> int:
+    """The e in 0..3 with factor = i**e, for factor exactly 1, i, -1 or -i.
+    A factor that is not complex goes through :func:`core.as_rational`."""
+    roots = (1, 1j, -1, -1j)
+    value = factor if isinstance(factor, complex) else as_rational(factor)
+    if value not in roots:
+        raise ValueError(f"factor must be 1, -1, i or -i, got {factor!r}")
+    return roots.index(value)
+
+
+def gaussian_abs(re: int, im: int, den: int, n: int) -> float:
+    """|re + i*im| / (den * n) as a float: each part rounded once by int true
+    division, which cannot overflow where float(re) would, then abs and / n.
+    Both averaging engines make their complex values so."""
+    return abs(complex(re / den, im / den)) / n
 
 
 def combined_cesaro_sup_norms(
-    schedule: Iterable[int], step_power: int = 1, factor: Factor = 1
+    schedule: Iterable[int], step_power: int = 1, factor: Union[Fraction, int, complex] = 1
 ) -> Dict[int, Union[Fraction, float]]:
     """Sup norms of Cesaro averages of factor * T**step_power at the source.
 
     For every n in ``schedule`` returns the sup norm of the n-th Cesaro
     average applied to the source unit vector of the combined ladder graph.
-    Exact rationals for factor +1 or -1; floats (from exact rational
-    contribution streams, combined in double precision) for complex factors.
+    ``factor`` is 1, -1, i or -i: exact Fractions for +-1, and for +-i the
+    float :func:`gaussian_abs` makes from the largest exact sum.
     """
     schedule = sorted(set(int(n) for n in schedule))
     if not schedule or schedule[0] < 1:
         raise ValueError("schedule must be a nonempty set of positive window lengths")
     if step_power < 1:
         raise ValueError(f"step_power must be a positive integer, got {step_power}")
-    factor = normalize_factor(factor)
-    exact = isinstance(factor, Fraction)
+    turns = normalize_factor(factor)
 
-    # A contribution is a cell's value at engine step k times factor**k,
-    # counted in halves (1 for a wave's 1/2, 2 for a value 1): an int for
-    # exact factors, so every sum stays an int over the shared denominator
-    # 2, and in double precision for complex ones, where a half is 0.5.
-    lam, half = (int(factor), 1) if exact else (factor, 0.5)
-    # lam**k for lam in {1, -1, i, -i} repeats with period 4; reducing k
-    # keeps the power exact where complex pow would go through exp and log.
-    period = 4 if lam**4 == 1 else None
-    # the prune's record counts c(b), keyed by (b, last); see below
+    # A contribution is a cell's value at engine step k turned by factor**k
+    # = i**(turns*k mod 4), counted in halves (1 for a wave's 1/2, 2 for a
+    # value 1), so every sum is an exact Gaussian int (re, im) over the shared
+    # denominator 2.  The prune's record counts c(b) are keyed by (b, last).
     most_records: Dict[Tuple[int, int], int] = {}
     results: Dict[int, Union[Fraction, float]] = {}
     for n in schedule:
@@ -114,28 +111,24 @@ def combined_cesaro_sup_norms(
         top = max(horizon, 4)
         # The source coordinate contributes exactly 1 (two halves) at engine
         # step 0; every other single-visit cell contributes at most that much.
-        best = 2 * half
+        best, best_sq = (2, 0), 4
         # Prune.  Cell j gets a record at t = 2**nn - j for each nn >=
         # j.bit_length() with t <= horizon and t = 0 mod step_power; j = 0
         # is the sink, where a wave dies at each power of two t >= 4 with
         # value 1.  So a cell of bit length b has at most c(b) records: the
         # most nn in [b, last) that share one residue of 2**nn mod
         # step_power.  Each record has magnitude at most two halves, so when
-        # c(b) * 2 * half <= best no cell of bit length b can raise best and
-        # none is built.  A rounded complex |lam**k| exceeds max(1,
-        # |lam|)**k by a few ulps and a rounded sum of c records by a few
-        # ulps per record, both far below the 1e-9 slack, so with a complex
-        # factor a skipped cell can never round above best.  c(b) depends
-        # only on b, last and step_power, so each distinct (b, last) is
-        # counted once per call and read back by every later window.
-        slack = 1 if exact else (1 + 1e-9) * max(1.0, abs(lam)) ** (n - 1)
+        # (2 * c(b))**2 <= best_sq no cell of bit length b can raise best and
+        # none is built.  c(b) depends only on b, last and step_power, so
+        # each distinct (b, last) is counted once per call and read back by
+        # every later window.
         for b in range(top.bit_length() + 1):
             last = (horizon + (1 << b) - 1).bit_length()
             if (b, last) not in most_records:
                 residues = Counter(pow(2, nn, step_power) for nn in range(b, last))
                 most_records[b, last] = max(residues.values(), default=0)
-            bound = most_records[b, last] * 2 * half * slack
-            if bound <= best:
+            bound = 2 * most_records[b, last]
+            if bound * bound <= best_sq:
                 continue
             for j in range(1 << b >> 1, min(1 << b, top + 1)):
                 # a wave is worth 1/2 on a rung landing and 1 elsewhere
@@ -144,7 +137,8 @@ def combined_cesaro_sup_norms(
                 # first.  Its copy bound nn - 2 falls strictly along the scan
                 # (rises in birth order), which is what makes every suffix
                 # realizable by some copy.
-                total, kmax = 0, last
+                re = im = 0
+                kmax = last
                 for nn in reversed(range(b, last)):
                     t = (1 << nn) - j
                     if t > horizon or t % step_power or t < max(3, nn + 1):
@@ -152,12 +146,14 @@ def combined_cesaro_sup_norms(
                     if nn - 2 >= kmax:
                         raise AssertionError("copy bounds must increase along a contribution stream")
                     kmax = nn - 2
-                    k = t // step_power
-                    total += lam ** (k % period if period else k) * (halves * half)
-                    mag = abs(total)
-                    if mag > best:
-                        best = mag
-        results[n] = Fraction(best, 2 * n) if exact else best / n
+                    turn_re, turn_im = _QUARTER_TURNS[turns * (t // step_power) % 4]
+                    re += turn_re * halves
+                    im += turn_im * halves
+                    sq = re * re + im * im
+                    if sq > best_sq:
+                        best, best_sq = (re, im), sq
+        re, im = best
+        results[n] = gaussian_abs(re, im, 2, n) if turns % 2 else Fraction(abs(re), 2 * n)
     return results
 
 

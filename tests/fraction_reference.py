@@ -11,7 +11,6 @@ ints.  :func:`batched_sweep` is the structural Cesaro sweep that files
 every contribution record.
 """
 
-import math
 from fractions import Fraction
 
 from typing import Dict, List, Tuple, Union
@@ -59,8 +58,10 @@ def gaussian_cesaro_sup_norms(graph, x, windows, step_power, factor):
     """:func:`cesaro_sup_norms` for a Gaussian-rational factor (re, im), as floats.
 
     The k-th vector T**(step_power*k) x is stepped in Fractions and weighted
-    by factor**k, kept as an exact pair; every sum is an exact pair (re, im)
-    and only the final square root is rounded.
+    by factor**k, kept as an exact pair; every sum is an exact pair (re, im).
+    The entry with the largest re**2 + im**2 gives the one float,
+    abs(complex(float(re), float(im))) / k: each part rounded once, as the
+    package rounds its exact sums.
     """
     a, b = map(Fraction, factor)
     cur, (wr, wi) = x, (ONE, ZERO)
@@ -75,7 +76,8 @@ def gaussian_cesaro_sup_norms(graph, x, windows, step_power, factor):
                 re, im = sums.get(key, (ZERO, ZERO))
                 sums[key] = (re + wr * value, im + wi * value)
         if k in windows:
-            out[k] = math.sqrt(max(re * re + im * im for re, im in sums.values())) / k
+            re, im = max(sums.values(), key=lambda z: z[0] * z[0] + z[1] * z[1])
+            out[k] = abs(complex(float(re), float(im))) / k
     return out
 
 
@@ -174,18 +176,20 @@ def batched_sweep(schedule, step_power=1, factor=1):
     sweeps each window on its own and reads only the streams that can beat
     its running maximum.  This pass files every record of every
     contribution stream up to the largest window, keeps one peak per
-    stream and rescans a stream only when it grows.  It tracks the cells up
-    to the largest window's horizon, so where a factor's powers are rounded
-    (0.6+0.8j, not +-1 or +-i) a shorter window can read a cell of value
-    1 + 2**-52 that its own horizon leaves out.
+    stream and rescans a stream only when it grows.  Contributions are
+    Gaussian ints (re, im) in halves, turned by the factor's powers one
+    multiplication at a time; a window's largest sum is picked by
+    re**2 + im**2 and read as a Fraction at +-1, and at +-i as the float
+    abs(complex(re / 2, im / 2)) / n.
     """
     schedule = sorted(set(int(n) for n in schedule))
     if not schedule or schedule[0] < 1:
         raise ValueError("schedule must be a nonempty set of positive window lengths")
     if step_power < 1:
         raise ValueError(f"step_power must be a positive integer, got {step_power}")
-    factor = normalize_factor(factor)
-    exact = isinstance(factor, Fraction)
+    turns = normalize_factor(factor)
+    exact = turns % 2 == 0
+    lam = ((1, 0), (0, 1), (-1, 0), (0, -1))[turns]  # the factor as a Gaussian int
 
     n_max = schedule[-1]
     horizon = step_power * (n_max - 1)
@@ -195,47 +199,50 @@ def batched_sweep(schedule, step_power=1, factor=1):
     # streams[j] collects (max copy index, contribution) for the copy-0
     # bottom cell at position j >= 1; streams[0] is the sink's.  A
     # contribution is the cell's value at engine step k times factor**k,
-    # counted in halves (1 for a wave's 1/2, 2 for a value 1): an int for
-    # exact factors, so every sum stays an int over the shared denominator
-    # 2, and in double precision for complex ones, where a half is 0.5.
+    # counted in halves (1 for a wave's 1/2, 2 for a value 1), as a
+    # Gaussian int (re, im) over the shared denominator 2.
     # The max copy index is strictly increasing along each stream, which is
     # what makes every suffix realizable by some copy.
-    streams: Dict[int, List[Tuple[int, Union[int, complex]]]] = {}
+    streams: Dict[int, List[Tuple[int, Tuple[int, int]]]] = {}
     results: Dict[int, Union[Fraction, float]] = {}
-    lam, half = (int(factor), 1) if exact else (factor, 0.5)
-    # peaks[j] is the largest |suffix sum| of streams[j] as of the last
-    # window, and grown holds the streams recorded into since then.  A
-    # stream's suffix sums change only when it gets a record, so a window
+    # peaks[j] is (re**2 + im**2, re, im) of the largest suffix sum of
+    # streams[j] as of the last window, and grown holds the streams
+    # recorded into since then.  A stream's suffix sums change only when it
+    # gets a record, so a window
     # rescans just the grown streams and reads every other peak as stored.
     # peaks[-1] is the source coordinate, which contributes exactly 1 (two
     # halves) at engine step 0; every other single-visit cell contributes at
     # most that much.
-    peaks: Dict[int, Union[int, float]] = {-1: 2 * half}
-    grown: Dict[int, List[Tuple[int, Union[int, complex]]]] = {}
+    peaks: Dict[int, Tuple[int, int, int]] = {-1: (4, 2, 0)}
+    grown: Dict[int, List[Tuple[int, Tuple[int, int]]]] = {}
 
     def record(j: int, kmax: int, weight, halves: int) -> None:
         stream = streams.setdefault(j, [])
         if stream and stream[-1][0] >= kmax:
             raise AssertionError("copy bounds must increase along a contribution stream")
-        stream.append((kmax, weight * (halves * half)))
+        stream.append((kmax, (weight[0] * halves, weight[1] * halves)))
         grown[j] = stream
 
     def evaluate(n_eval: int) -> Union[Fraction, float]:
         for j, stream in grown.items():
-            best = total = 0
-            for _, contribution in reversed(stream):
-                total += contribution
-                mag = abs(total)
-                if mag > best:
-                    best = mag
+            best = (0, 0, 0)
+            re = im = 0
+            for _, (a, b) in reversed(stream):
+                re, im = re + a, im + b
+                best = max(best, (re * re + im * im, re, im))
             peaks[j] = best
         grown.clear()
-        best = max(peaks.values())
-        return Fraction(best, 2 * n_eval) if exact else best / n_eval
+        _, re, im = max(peaks.values())
+        if exact:
+            return Fraction(abs(re), 2 * n_eval)
+        return abs(complex(re / 2, im / 2)) / n_eval
 
+    weight = (1, 0)  # factor**k
     for k in range(n_max):
         t = step_power * k
-        weight = lam**k
+        if k:
+            (a, b), (c, d) = weight, lam
+            weight = (a * c - b * d, a * d + b * c)
         if t >= 4 and not (t & (t - 1)):
             # a wave dies into the sink exactly at the powers of two; the
             # arriving mass is exactly 1 and reaches sinks V(0)..V(n-1)

@@ -6,7 +6,7 @@ Run with ``pytest -v tests/test_acceptance.py`` or ``ergolab verify``.
 
 import pytest
 
-from ergolab import acceptance
+from ergolab import acceptance, blockdiag
 
 
 def _check(number: int):
@@ -62,3 +62,32 @@ def test_criterion_11_sink_hit_triangle():
 
 def test_criterion_12_closed_form_versus_literal():
     _check(12)
+
+
+def test_criteria_9_and_12_report_their_frozen_counts():
+    assert acceptance.run_criterion(9).detail == (
+        "420 power/path-sum comparisons and 3000 duality pairings on the first 60 vertices, "
+        "0 disagreements"
+    )
+    assert acceptance.run_criterion(12).detail == (
+        "5120 grid points (m <= 20, n <= 64, p <= 4), 0 mismatches"
+    )
+
+
+@pytest.mark.parametrize("entry", range(4), ids="abcd")
+def test_criterion_12_sees_one_wrong_literal_entry(monkeypatch, entry):
+    # each of the four entries of [[a, b], [c, d]] is compared, the symmetric
+    # pairs a, d and b, c included
+    literal = blockdiag.block_cesaro_literal
+
+    def perturbed(m, n_max, p):
+        rows = literal(m, n_max, p)
+        if (m, p) == (7, 2):
+            entries, den = rows[4]
+            rows[4] = (tuple(e + (i == entry) for i, e in enumerate(entries)), den)
+        return rows
+
+    monkeypatch.setattr(blockdiag, "block_cesaro_literal", perturbed)
+    result = acceptance.run_criterion(12)
+    assert not result.passed
+    assert result.detail.endswith(", 1 mismatches")

@@ -551,6 +551,28 @@ def test_verify_unknown_criterion(capsys):
     assert code == 2
 
 
+def drop_timings(text):
+    """verify output without what it measures: each text line's trailing
+    ``[x.xxs / ys]``, and JSON's ``elapsed_seconds``."""
+    if text.startswith("["):
+        rows = json.loads(text)
+        for row in rows:
+            del row["elapsed_seconds"]
+        return rows
+    return [line.rsplit(" [", 1)[0] for line in text.splitlines(True)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_repeated_criteria_run_once(capsys, fmt):
+    # a repeated criterion, like a repeated power, runs and prints once, in
+    # the order in which the criteria first appear
+    code, once, err = run(capsys, ["verify", "--criteria", "8,7", "--format", fmt])
+    assert code == 0 and err == "" and len(drop_timings(once)) == 2
+    code, repeated, err = run(capsys, ["verify", "--criteria", "8,7,8,7,7", "--format", fmt])
+    assert (code, err) == (0, "")
+    assert drop_timings(repeated) == drop_timings(once)
+
+
 def test_norms_frozen_second_power(capsys):
     code, out, _ = run(capsys, ["norms", "--graph", "g0", "--n-max", "2", "--trunc", "30"])
     assert code == 0
@@ -745,7 +767,8 @@ def norms_or_orbit_argv(draw):
             bounds = ["0", "1/3", "1", "2", "4", "-1/2", "1e999", "nan", "x", "1/0"]
             argv += ["--bound", draw(st.sampled_from(bounds))]
     elif draw(st.booleans()):
-        argv += ["--k-max", str(draw(st.integers(-1, 4)))]
+        k_max = st.one_of(st.integers(-1, 4), st.sampled_from([cli.MAX_COPY_INDEX + 1, 10**20]))
+        argv += ["--k-max", str(draw(k_max))]
     return argv
 
 
@@ -772,3 +795,64 @@ def test_copy_index_bound(capsys, argv):
         code, out, err = run(capsys, argv + ["--k", str(k)])
         assert code == 2 and out == ""
         assert err == f"error: --k must be a copy index from 1 to {bound}, got {k}\n"
+
+
+def test_orbit_k_max_bound(capsys, monkeypatch):
+    # one combined-graph orbit per copy 0..--k-max: the bound is --k's, and
+    # g0 and gk, which read one copy, ignore --k-max
+    bound = cli.MAX_COPY_INDEX
+    for k_max in (bound + 1, 10**20):
+        code, out, err = run(capsys, ["orbit", "--k-max", str(k_max), "--n-max", "1"])
+        assert code == 2 and out == ""
+        assert err == f"error: --k-max must be at most {bound}, got {k_max}\n"
+    _, g0_rows, _ = run(capsys, ["orbit", "--graph", "g0", "--n-max", "4"])
+    huge = ["orbit", "--graph", "g0", "--n-max", "4", "--k-max", str(10**20)]
+    assert run(capsys, huge) == (0, g0_rows, "")
+    # at a small bound, the bound itself passes and one past it does not
+    monkeypatch.setattr(cli, "MAX_COPY_INDEX", 3)
+    code, out, err = run(capsys, ["orbit", "--k-max", "3", "--n-max", "1"])
+    assert code == 0 and err == "" and rows_of(out)[1:] == [["1", str(k), "0", "0", "1"] for k in range(4)]
+    code, out, err = run(capsys, ["orbit", "--k-max", "4", "--n-max", "1"])
+    assert (code, out, err) == (2, "", "error: --k-max must be at most 3, got 4\n")
+
+
+# --criteria tokens, valid half the time: the cheap criteria 7, 8 and 10 or an
+# empty token, else zero, unknown, huge, negative or garbage; repeats come
+# from drawing a token twice
+CRITERIA_TOKENS = st.one_of(
+    st.sampled_from(["7", "8", "10", ""]),
+    st.sampled_from(["0", "13", str(10**20), "-1", "x", "7.5"]),
+)
+
+
+@st.composite
+def verify_argv(draw):
+    """A verify command line with a --criteria list of 1 to 4 tokens.  A lone
+    empty token is left out: an empty --criteria runs all twelve criteria,
+    as no --criteria does, which the README examples test runs."""
+    tokens = draw(st.lists(CRITERIA_TOKENS, min_size=1, max_size=4).filter(lambda t: t != [""]))
+    return ["verify", "--criteria", ",".join(tokens)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(argv=verify_argv(), fmt=st.sampled_from(["csv", "json"]))
+def test_verify_argument_vectors_exit_cleanly(tmp_path_factory, argv, fmt):
+    """Exit 0, 1 or 2 with no traceback and one error line on exit 2; each
+    criterion runs once, in first-seen order; --out holds stdout's bytes but
+    for the timings."""
+    code, out, err = run_quietly(argv + ["--format", fmt])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, argv
+        return
+    assert err == "", argv
+    numbers = list(dict.fromkeys(int(token) for token in argv[2].split(",") if token))
+    shown = drop_timings(out)
+    if fmt == "json":
+        assert [row["number"] for row in shown] == numbers, argv
+    else:
+        assert [int(line[6:8]) for line in shown] == numbers, argv
+    target = tmp_path_factory.mktemp("out") / "verify"
+    assert run_quietly(argv + ["--format", fmt, "--out", str(target)]) == (code, "", "")
+    assert drop_timings(target.read_text(encoding="utf-8")) == shown

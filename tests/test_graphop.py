@@ -4,6 +4,7 @@ import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
 from ergolab import graphop, ladder
@@ -252,17 +253,51 @@ def test_path_weights_walk_on_ints():
             assert type(path.weight) is Fraction and path.weight == weight
 
 
-def counting_out_edges(graph):
-    """Wrap ``graph.out_edges`` so each call records its vertex; returns the record."""
+def counting_out_edges(graph, name="out_edges"):
+    """Wrap the oracle ``graph.<name>`` so each call records its vertex; returns the record."""
     calls = []
-    oracle = graph.out_edges
+    oracle = getattr(graph, name)
 
-    def out_edges(v):
+    def counted(v):
         calls.append(v)
         return oracle(v)
 
-    graph.out_edges = out_edges
+    setattr(graph, name, counted)
     return calls
+
+
+SMALL_GRAPHS = st.dictionaries(
+    st.sampled_from("abcde"),
+    st.lists(st.tuples(st.sampled_from("abcde"), st.sampled_from(["1/2", "1", "2", "2/3", "3"])),
+             max_size=2, unique_by=lambda edge: edge[0]),
+    min_size=1,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(edges=SMALL_GRAPHS, u=st.sampled_from("abcde"), v=st.sampled_from("abcde"),
+       n_max=st.integers(0, 6))
+def test_pruned_paths_equal_the_unpruned_walk(edges, u, v, n_max):
+    # the walk enters only vertices that can still reach v in the length
+    # left; the reference walks every partial path out of u
+    graph = graph_from_edges(edges, "random")
+    calls = counting_out_edges(graph)
+    paths = graphop.enumerate_paths_up_to(graph, u, v, n_max)
+    # so it asks for the out-edges of exactly the prefixes of the paths found
+    # that are shorter than n_max
+    prefixes = {p.vertices[:i] for p in paths for i in range(1, min(len(p.vertices), n_max) + 1)}
+    assert len(calls) == len(prefixes)
+    assert paths == ref.paths_up_to(graph, u, v, n_max)
+
+
+def test_paths_walk_only_the_backward_ball_of_the_target():
+    # criterion 2's six entry-to-sink paths: walking every partial path out
+    # of E(0) asked out_edges 7,491 times
+    graph = ladder.make_g0()
+    out_calls, in_calls = counting_out_edges(graph), counting_out_edges(graph, "in_edges")
+    paths = graphop.enumerate_paths_up_to(graph, ladder.entry(0), ladder.sink(0), 127)
+    assert [p.length for p in paths] == [3, 7, 15, 31, 63, 127]
+    assert len(out_calls) <= 231 and len(in_calls) <= 134
 
 
 def test_path_counts_read_each_stepped_vertex_once_per_call():

@@ -474,15 +474,14 @@ def test_complex_generic_traces_match_the_gaussian_reference(name):
     @settings(6)
     @hypothesis.given(
         x=signed_starts(name),
-        factor=st.sampled_from([(0, 1), (0, -1), (Fraction(3, 5), Fraction(4, 5))]),
+        factor=st.sampled_from([(0, 1), (0, -1)]),
         step_power=st.integers(1, 3),
         windows=st.sets(st.integers(1, 16), min_size=1, max_size=3),
     )
     def check(x, factor, step_power, windows):
-        rotation = complex(*map(float, factor))
+        rotation = complex(*factor)
         trace = cesaro_trace(op, x, windows, engine="generic", step_power=step_power, factor=rotation)
-        want = ref.gaussian_cesaro_sup_norms(graph, x, windows, step_power, factor)
-        assert trace.norms() == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert trace.norms() == ref.gaussian_cesaro_sup_norms(graph, x, windows, step_power, factor)
 
     check()
 

@@ -31,19 +31,6 @@ def direct_sup_norms(schedule, step_power=1, factor=ONE):
     return out
 
 
-def complex_direct_sup(n, lam):
-    """Reference for rotated averages: exact orbits, complex accumulation."""
-    graph = ladder.make_counterexample()
-    cur = SparseVector.unit(ladder.SOURCE)
-    acc = {ladder.SOURCE: 1.0 + 0.0j}
-    for k in range(1, n):
-        cur = graphop.apply(graph, cur)
-        weight = lam**k
-        for v, value in cur.items():
-            acc[v] = acc.get(v, 0.0j) + weight * float(value)
-    return max(abs(z) for z in acc.values()) / n
-
-
 def test_sweep_matches_direct_engine_every_window():
     schedule = set(range(1, 41))
     assert combined_cesaro_sup_norms(schedule) == direct_sup_norms(schedule)
@@ -63,11 +50,15 @@ def test_sweep_matches_direct_engine_for_higher_powers(step_power, top):
 
 
 def test_sweep_matches_complex_reference():
-    lam = 1j
-    fast = combined_cesaro_sup_norms([8, 20, 32], factor=lam)
-    for n, value in fast.items():
-        assert isinstance(value, float)
-        assert value == pytest.approx(complex_direct_sup(n, lam), rel=1e-12)
+    # the reference sums the orbit's Fractions as exact Gaussian pairs and
+    # rounds once at the end, so the floats agree to the last bit
+    graph = ladder.make_counterexample()
+    x = SparseVector.unit(ladder.SOURCE)
+    windows = [1, 2, 3, 8, 20, 32]
+    for factor, pair in ((1j, (0, 1)), (-1j, (0, -1))):
+        fast = combined_cesaro_sup_norms(windows, factor=factor)
+        assert all(type(value) is float for value in fast.values())
+        assert fast == ref.gaussian_cesaro_sup_norms(graph, x, windows, 1, pair)
 
 
 def test_long_window_values_are_frozen():
@@ -84,21 +75,20 @@ def test_long_window_values_for_powers_and_signs():
     assert combined_cesaro_sup_norms([1024], step_power=2) == {1024: Fraction(9, 1024)}
     assert combined_cesaro_sup_norms([1024], step_power=3) == {1024: Fraction(5, 1024)}
     assert combined_cesaro_sup_norms([1024], factor=-1) == {1024: Fraction(1, 128)}
-    rotated = combined_cesaro_sup_norms([1024], factor=1j)
-    assert rotated[1024] == pytest.approx(0.0078125, rel=1e-9)
+    assert combined_cesaro_sup_norms([1024], factor=1j) == {1024: 0.0078125}
 
 
 @pytest.mark.parametrize(
     "step_power,expected",
     [
-        (1, {100: 0.022310388510373126, 1000: 0.00285435924193459, 3000: 0.0006154179934850945}),
-        (3, {100: 0.02268180500253985, 1000: 0.0019007943103184074, 3000: 0.0008478159701293365}),
+        (1, {100: 0.05, 1000: 0.008, 3000: 0.0033333333333333335}),
+        (3, {100: 0.03, 1000: 0.005, 3000: 0.002}),
     ],
 )
 def test_complex_factor_values_are_pinned_bit_for_bit(step_power, expected):
-    # double-precision contributions added in birth order; any change to the
-    # order or scaling of the float route moves the last bits
-    assert combined_cesaro_sup_norms(sorted(expected), step_power, 0.6 + 0.8j) == expected
+    # one float per window from the exact Gaussian sum; here the largest sum
+    # lies on an axis, so each value is the float nearest an int over n
+    assert combined_cesaro_sup_norms(sorted(expected), step_power, -1j) == expected
 
 
 def test_sweep_equals_generic_engine_on_random_schedules():
@@ -152,7 +142,7 @@ def test_batched_schedule_equals_separate_runs():
     # agree to the last bit, hence == and not approx.
     schedules = [(1, [*range(1, 201), 1000, 4096]), (2, range(1, 121)), (3, range(1, 121))]
     for step_power, schedule in schedules:
-        for factor in (1, -1, 1j, 0.6 + 0.8j):
+        for factor in (1, -1, 1j, -1j):
             batched = combined_cesaro_sup_norms(schedule, step_power, factor)
             assert sorted(batched) == sorted(schedule)
             for n in schedule:
@@ -192,13 +182,6 @@ def test_the_prune_counts_each_residue_shape_once_per_call(monkeypatch):
     assert runs[0] == runs[2] and runs[1][1] > 0
 
 
-def test_a_window_reads_only_the_cells_of_its_own_horizon():
-    # The powers of 0.6+0.8j are rounded, and a cell that only window 120's
-    # horizon reaches reads |factor**k| = 1 + 2**-52, an ulp above the
-    # source's exact 1.  Window 5 at power 3 must not see it.
-    assert combined_cesaro_sup_norms(range(1, 121), 3, 0.6 + 0.8j)[5] == 0.2
-
-
 # powers 1 to 8 give the prune's residue counts of 2**nn mod step_power
 # their different shapes: 2 has order 1, 2, 4 and 3 modulo 1, 3, 5 and 7,
 # and modulo an even power the first residues do not repeat
@@ -210,9 +193,8 @@ REFERENCE_CASES = [(p, f) for p in (1, 2, 3) for f in (1, -1, 1j, -1j)] + [
 def test_pruned_sweep_equals_the_batched_reference_bit_for_bit():
     # The reference files every record of every stream, so it checks the
     # prune at windows far beyond the generic engine's reach: every window
-    # up to 150, then random ones up to 20000.  The rounded factor 0.6+0.8j
-    # is compared one window at a time, where the reference tracks the same
-    # cells.
+    # up to 150, then random ones up to 20000, and then single windows,
+    # where the reference tracks only the cells of that window.
     rng = random.Random(16)
     for i, (step_power, factor) in enumerate(REFERENCE_CASES):
         # one log-uniform window from 150 up, and in two cases one from 10000
@@ -222,16 +204,8 @@ def test_pruned_sweep_equals_the_batched_reference_bit_for_bit():
         assert swept == ref.batched_sweep(schedule, step_power, factor), (step_power, factor)
     for step_power in (1, 2, 3):
         for n in [*range(1, 61), *(rng.randint(100, 3000) for _ in range(3))]:
-            swept = combined_cesaro_sup_norms([n], step_power, 0.6 + 0.8j)
-            assert swept == ref.batched_sweep([n], step_power, 0.6 + 0.8j), (step_power, n)
-
-
-def test_the_prune_allows_for_a_factor_of_modulus_above_one():
-    # |factor| = 1 + 5e-13 passes normalize_factor, and its powers grow to
-    # 1 + 1.1e-8 by step 21844: a stream the 1e-9 slack alone would skip
-    # holds the maximum
-    factor = complex(1 + 5e-13, 0)
-    assert combined_cesaro_sup_norms([21845], 3, factor) == ref.batched_sweep([21845], 3, factor)
+            swept = combined_cesaro_sup_norms([n], step_power, -1j)
+            assert swept == ref.batched_sweep([n], step_power, -1j), (step_power, n)
 
 
 def streams_built(monkeypatch, n, step_power, factor):
@@ -244,19 +218,14 @@ def streams_built(monkeypatch, n, step_power, factor):
 
 def test_a_window_builds_only_the_streams_that_can_beat_its_maximum(monkeypatch):
     # the sink and cell 1 hold the most records, and from bit length 3 on no
-    # cell has enough records left to beat them
+    # cell has enough records left to beat them; +-i sum as exactly as +-1,
+    # so a stream that can only tie the maximum is skipped there too
     for step_power in (1, 2, 3):
-        for factor in (1, -1):
+        for factor in (1, -1, 1j, -1j):
             for n in (128, 1024, 4096, 10**20):
                 assert streams_built(monkeypatch, n, step_power, factor) in ([0, 1], [0, 1, 2, 3])
+        for factor in (1, -1):
             assert streams_built(monkeypatch, 5, step_power, factor) == [0, 1]
-
-
-def test_the_float_slack_keeps_every_stream_that_could_round_above_the_maximum(monkeypatch):
-    # At window 5 the maximum is near the source's 1 and a stream of every
-    # bit length can hold one record, which a rounded power of 0.6+0.8j can
-    # lift an ulp above 1: every cell up to the horizon is read.
-    assert streams_built(monkeypatch, 5, 1, 0.6 + 0.8j) == [0, 1, 2, 3, 4]
 
 
 def test_one_term_average_is_the_start_vector():
@@ -279,8 +248,11 @@ def test_validation():
         combined_cesaro_sup_norms([4], step_power=0)
     with pytest.raises(ValueError):
         combined_cesaro_sup_norms([4], factor=2)
-    with pytest.raises(ValueError):
-        combined_cesaro_sup_norms([4], factor=0.5 + 0.5j)
+    for factor in (0.5 + 0.5j, 0.6 + 0.8j, complex(1 + 5e-13, 0)):
+        with pytest.raises(ValueError):
+            combined_cesaro_sup_norms([4], factor=factor)
+        with pytest.raises(ValueError):
+            sweeps.normalize_factor(factor)
     with pytest.raises(TypeError):
         combined_cesaro_sup_norms([4], factor=0.5)
 
