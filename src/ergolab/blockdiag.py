@@ -14,7 +14,7 @@ averages converge block by block but not uniformly: along even powers the
 V-coefficients stay bounded away from zero as m grows with n.
 
 No matrix type is needed: a block average is its two distinct entries, as
-ints (:func:`block_cesaro_entries`) or Fractions (:func:`block_cesaro`).
+ints (:func:`block_cesaro_entries`).
 """
 
 from __future__ import annotations
@@ -34,12 +34,17 @@ def a_coeff(m: int) -> Fraction:
 
 
 def block_cesaro_entries(m: int, n: int, p: int) -> Tuple[int, int, int]:
-    """(diagonal, off, den): :func:`block_cesaro`'s entries (1 + c)/2 and (1 - c)/2
-    as ints, not reduced, with c = cesaro_geometric_pair(a_coeff(m), p, n).
+    """(diagonal, off, den): the entries of the average of the first n powers
+    of block m to the power p, as ints, not reduced.
+
+    The average is U + c * V with c = cesaro_geometric_pair(a_coeff(m), p, n),
+    so it is symmetric with diagonal (1 + c)/2 and off-diagonal (1 - c)/2.
 
     The ratio r = (1 - m)**p / m**p is taken straight from m: (m - 1)/m is
     in lowest terms, so the ints are those of the pair, and no Fraction is
-    built.  Raises the same ValueErrors for m, n or p below 1.
+    built.  Raises ValueErrors for m, n or p below 1.  The deliberate second
+    route that multiplies matrices and averages them literally is
+    :func:`block_cesaro_literal`.
     """
     if m < 1:
         raise ValueError(f"block index must be positive, got {m}")
@@ -51,30 +56,17 @@ def block_cesaro_entries(m: int, n: int, p: int) -> Tuple[int, int, int]:
     return den + num, den - num, 2 * den
 
 
-def block_cesaro(m: int, n: int, p: int) -> Tuple[Fraction, Fraction]:
-    """(diagonal, off): the entries of the average of the first n powers of
-    block m to the power p, via the projection split.
-
-    The average is U + c * V with c = cesaro_geometric(a_coeff(m), p, n), so
-    it is symmetric with diagonal (1 + c)/2 and off-diagonal (1 - c)/2, built
-    from :func:`block_cesaro_entries`; exact for every argument.  The
-    deliberate second route that multiplies matrices and averages them
-    literally is :func:`block_cesaro_literal`.
-    """
-    diagonal, off, den = block_cesaro_entries(m, n, p)
-    return Fraction(diagonal, den), Fraction(off, den)
-
-
 def block_cesaro_literal(m: int, n_max: int, p: int) -> List[Tuple[Tuple[int, int, int, int], int]]:
-    """The averages of :func:`block_cesaro` for n = 1..n_max, by literal matrix summation.
+    """The averages of :func:`block_cesaro_entries` for n = 1..n_max, by literal matrix summation.
 
     Entry n - 1 is the n-th average as (entries, den), the row-major int
     numerators over d**(n - 1) * n, not reduced.  Block m is
     [[1, 2m - 1], [2m - 1, 1]] over 2m, its p-th power is held over
     d = (2m)**p, the k-th power of that over d**k and the running total of
     the first n powers over d**(n - 1).  No closed form and no symmetry of
-    the entries is used.  Deliberate second route for :func:`block_cesaro`;
-    the tests and acceptance criterion 12 compare the two.
+    the entries is used.  Deliberate second route for
+    :func:`block_cesaro_entries`; the tests and acceptance criterion 12
+    compare the two.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
@@ -216,8 +208,3 @@ def sup_deviation(m_max: int, n: int, p: int) -> Fraction:
     decay at all once m_max grows with n.
     """
     return deviation_argmax(block_deviation, m_max, n, p)[1]
-
-
-def sup_deviation_float(m_max: int, n: int, p: int) -> float:
-    """Double-precision version of :func:`sup_deviation` for quick sweeps."""
-    return deviation_argmax(block_deviation_float, m_max, n, p)[1]

@@ -2,10 +2,10 @@
 
 Everything downstream works over arbitrary-precision rationals so that norms,
 orbit entries and averaging coefficients come out exact, never rounded.  The
-scalar type is the standard library ``fractions.Fraction``; this module pins
-the alias and adds the small amount of vector plumbing the operator code
-needs: sparse vectors with no stored zeros and their sup norm, and the Cesaro
-average of a signed geometric sequence in closed form.
+scalar type is the standard library ``fractions.Fraction``; this module adds
+the small amount of vector plumbing the operator code needs: sparse vectors
+with no stored zeros and their sup norm, and the Cesaro average of a signed
+geometric sequence in closed form.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Tuple
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -31,7 +29,7 @@ def as_rational(value) -> Fraction:
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
-        raise TypeError("refusing to coerce float to Rational; pass a Fraction or string")
+        raise TypeError("refusing to coerce float to rational; pass a Fraction or string")
     return Fraction(value)
 
 

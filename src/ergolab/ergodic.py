@@ -15,8 +15,8 @@ verified against each other in the tests, and ``engine="generic"`` forces
 the generic one there.
 On the ladder graphs at power 1 with factor +1 or -1 the generic engine
 sums in the orbit's moving frame (:meth:`ladder.LadderOrbit.accumulate`),
-paying per orbit event rather than per orbit cell and step.  The power and
-rotation checks compare one record of a trace with a threshold.
+paying per orbit event rather than per orbit cell and step.  The rotation
+check compares one record of a trace with a threshold.
 
 The certificate machinery addresses the other half of mean ergodicity.  An
 average of powers can only converge to 0 for every start vector if no
@@ -147,26 +147,6 @@ def _sup_and_support(re, im, den, n, exact) -> Tuple[Union[Fraction, float], int
     return (Fraction(abs(a), den * n) if exact else sweeps.gaussian_abs(a, b, den, n)), len(nonzero)
 
 
-def cesaro_apply(
-    op: OperatorHandle,
-    x: SparseVector,
-    n: int,
-    max_support: Optional[int] = None,
-) -> SparseVector:
-    """The n-th Cesaro average A_n x, by one incremental pass.
-
-    Raises :class:`BudgetExceeded` if the running sum's support outgrows
-    ``max_support``.
-    """
-    if n < 1:
-        raise ValueError(f"window length must be positive, got {n}")
-    ((_, sums, _, den),) = _running_sums(_orbit(op, x, True), [n], max_support=max_support)
-    scale = n * den
-    return SparseVector._from_clean(
-        {key: Fraction(value, scale) for key, value in sums.items() if value}
-    )
-
-
 class TraceRecord(NamedTuple):
     n: int
     sup_norm: Fraction
@@ -275,10 +255,6 @@ class CheckResult(NamedTuple):
     detail: str
     engine: str
 
-    def summary(self) -> str:
-        state = "pass" if self.passed else "fail"
-        return f"[{state}] {self.detail}: value {self.value} vs threshold {self.threshold}"
-
 
 FLOAT_TOL = 1e-9  # absolute slack for threshold comparisons on the float path
 
@@ -296,37 +272,6 @@ def at_most(value: Union[Fraction, float], bound: Fraction) -> bool:
     return value <= bound
 
 
-def _check(op, x, n: int, threshold, engine: str, detail: str, **stepping) -> CheckResult:
-    threshold = as_rational(threshold)
-    trace = cesaro_trace(op, x, [n], engine=engine, **stepping)
-    (record,) = trace.records
-    return CheckResult(
-        passed=at_most(record.sup_norm, threshold),
-        value=record.sup_norm,
-        threshold=threshold,
-        n=n,
-        detail=detail,
-        engine=trace.engine,
-    )
-
-
-def power_mean_ergodic_check(
-    op: OperatorHandle,
-    x: SparseVector,
-    step_power: int,
-    n: int,
-    threshold,
-    engine: str = "auto",
-) -> CheckResult:
-    """Check that the n-th Cesaro average of T**step_power stays small at x.
-
-    Computes the sup norm of (1/n) * sum_{k<n} T**(step_power*k) x exactly
-    and compares it with the threshold.
-    """
-    detail = f"window {n} of {op.description} to the power {step_power}"
-    return _check(op, x, n, threshold, engine, detail, step_power=step_power)
-
-
 def scalar_rotation_check(
     op: OperatorHandle,
     x: SparseVector,
@@ -340,8 +285,17 @@ def scalar_rotation_check(
     Both engines sum exactly.  At +-i (graph-backed handles only) the value
     is one float, compared with an absolute slack of 1e-9 (:func:`at_most`).
     """
-    detail = f"window {n} of {factor} * {op.description}"
-    return _check(op, x, n, threshold, engine, detail, factor=factor)
+    threshold = as_rational(threshold)
+    trace = cesaro_trace(op, x, [n], engine=engine, factor=factor)
+    (record,) = trace.records
+    return CheckResult(
+        passed=at_most(record.sup_norm, threshold),
+        value=record.sup_norm,
+        threshold=threshold,
+        n=n,
+        detail=f"window {n} of {factor} * {op.description}",
+        engine=trace.engine,
+    )
 
 
 class SinkHitTriangle:
@@ -368,16 +322,6 @@ class SinkHitTriangle:
             for m, row in enumerate(self.values)
             for k, value in enumerate(row)
         )
-
-    @property
-    def conclusion(self) -> str:
-        if self.matches_triangle:
-            return (
-                "every tested sink coordinate is exactly 1 from index k onward, "
-                "so no pointwise cluster point of the orbit subsequence vanishes "
-                "at infinity on the tested window"
-            )
-        return "triangle pattern violated; no conclusion"
 
 
 def weak_compactness_witness(graph: C0Graph, k_max: int, m_max: int) -> SinkHitTriangle:
@@ -463,15 +407,6 @@ class FixedSpaceCertificate:
         self.steps = steps
         self.relations = relations
         self.conclusion = conclusion
-
-    def covers(self, v: Vertex) -> bool:
-        return any(step.family.members(v) for step in self.steps)
-
-    def summary(self) -> str:
-        lines = [f"fixed-space certificate for {self.graph_description}: {self.conclusion}"]
-        for step in self.steps:
-            lines.append(f"  [{step.rule}] {step.family.label}: {step.reason}")
-        return "\n".join(lines)
 
 
 def _tag_family(tag: str, label: str, samples, infinite=False) -> VertexFamily:
@@ -647,14 +582,6 @@ class ReplayReport:
         self.samples_checked = samples_checked
         self.coverage_checked = coverage_checked
         self.issues = [] if issues is None else issues
-
-    def summary(self) -> str:
-        state = "pass" if self.ok else "fail"
-        return (
-            f"[{state}] replayed {self.steps_checked} steps on "
-            f"{self.samples_checked} samples, coverage {self.coverage_checked}; "
-            f"{len(self.issues)} issues"
-        )
 
 
 def replay_certificate(

@@ -250,9 +250,7 @@ def operator_norm_truncated(graph: C0Graph, n_trunc: int) -> Fraction:
     """Sup norm of the image of the indicator of the first n_trunc vertices.
 
     By positivity this increases with n_trunc toward the operator norm, so
-    any single value is a certified lower bound.  Deliberate second route:
-    it goes through :func:`apply`, while :func:`operator_norm_profile` sums
-    columns directly, and the tests compare the two.
+    any single value is a certified lower bound.
     """
     return apply(graph, truncation_indicator(graph, n_trunc)).sup_norm()
 
@@ -264,7 +262,9 @@ def operator_norm_profile(graph: C0Graph, n_trunc: int) -> List[Fraction]:
     column at a time, and the running sup is recorded after each column.
     The column sums are int numerators over one shared denominator.  On a
     finite graph with fewer vertices, the entries past its end repeat the
-    whole graph's value.
+    whole graph's value.  Deliberate second route for
+    :func:`operator_norm_truncated`: it sums columns directly, while that
+    goes through :func:`apply`, and the tests compare the two.
     """
     out: dict = {}
     den = 1
@@ -285,15 +285,6 @@ def operator_norm_profile(graph: C0Graph, n_trunc: int) -> List[Fraction]:
         profile.append(Fraction(best, den))
     profile.extend([Fraction(best, den)] * (n_trunc - len(profile)))
     return profile
-
-
-def power_norm_truncated(graph: C0Graph, n_power: int, n_trunc: int) -> Fraction:
-    """Sup norm of T^n_power applied to the truncation indicator."""
-    if n_power < 0:
-        raise ValueError(f"power must be nonnegative, got {n_power}")
-    if n_power == 0:
-        return truncation_indicator(graph, n_trunc).sup_norm()
-    return power_norms_sweep(graph, n_power, n_trunc)[-1]
 
 
 def power_norms_sweep(graph: C0Graph, n_max: int, n_trunc: int) -> List[Fraction]:
@@ -363,11 +354,6 @@ def enumerate_paths_up_to(
                 frames.append((path + (target,), num * p, den * q))
     found.sort(key=lambda p: (p.length, tuple(repr(x) for x in p.vertices)))
     return found
-
-
-def enumerate_paths(graph: C0Graph, u: Vertex, v: Vertex, n: int) -> List[Path]:
-    """All directed paths from u to v of length exactly n, with weights."""
-    return [p for p in enumerate_paths_up_to(graph, u, v, n) if p.length == n]
 
 
 class PathCount(NamedTuple):

@@ -9,7 +9,7 @@ import pytest
 from ergolab import acceptance, blockdiag
 
 
-def _check(number: int):
+def _run_criterion(number: int):
     result = acceptance.run_criterion(number)
     print(result.line())
     assert result.passed, result.line()
@@ -17,51 +17,51 @@ def _check(number: int):
 
 
 def test_criterion_01_truncated_power_norms():
-    _check(1)
+    _run_criterion(1)
 
 
 def test_criterion_02_entry_to_sink_paths():
-    _check(2)
+    _run_criterion(2)
 
 
 def test_criterion_03_orbit_predicate():
-    _check(3)
+    _run_criterion(3)
 
 
 def test_criterion_04_path_count_bounds():
-    _check(4)
+    _run_criterion(4)
 
 
 def test_criterion_05_long_window_decay():
-    _check(5)
+    _run_criterion(5)
 
 
 def test_criterion_06_powers_and_signs_decay():
-    _check(6)
+    _run_criterion(6)
 
 
 def test_criterion_07_odd_power_uniform_decay():
-    _check(7)
+    _run_criterion(7)
 
 
 def test_criterion_08_diagonal_lower_bounds():
-    _check(8)
+    _run_criterion(8)
 
 
 def test_criterion_09_power_action_against_path_sums():
-    _check(9)
+    _run_criterion(9)
 
 
 def test_criterion_10_fixed_space_certificates():
-    _check(10)
+    _run_criterion(10)
 
 
 def test_criterion_11_sink_hit_triangle():
-    _check(11)
+    _run_criterion(11)
 
 
 def test_criterion_12_closed_form_versus_literal():
-    _check(12)
+    _run_criterion(12)
 
 
 def test_criteria_9_and_12_report_their_frozen_counts():

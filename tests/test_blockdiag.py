@@ -11,14 +11,12 @@ import fraction_reference as ref
 from ergolab.blockdiag import (
     a_coeff,
     b_coeff,
-    block_cesaro,
     block_cesaro_entries,
     block_cesaro_literal,
     block_deviation,
     block_deviation_float,
     deviation_argmax,
     sup_deviation,
-    sup_deviation_float,
 )
 from ergolab.core import HALF, cesaro_geometric_pair
 
@@ -43,11 +41,17 @@ def test_blocks_are_doubly_stochastic():
                 assert a + b == c + d == a + c == b + d == den, (m, p)
 
 
+def block_average(m, n, p):
+    """(diagonal, off) of block_cesaro_entries as Fractions."""
+    diagonal, off, den = block_cesaro_entries(m, n, p)
+    return Fraction(diagonal, den), Fraction(off, den)
+
+
 def test_block_cesaro_frozen_values():
     # U + c V has diagonal (1 + c)/2 and off-diagonal (1 - c)/2
-    assert block_cesaro(2, 2, 2) == (Fraction(13, 16), Fraction(3, 16))  # c = 5/8
-    assert block_cesaro(1, 7, 1) == (Fraction(4, 7), Fraction(3, 7))  # c = 1/7
-    assert block_cesaro(1, 1, 1) == (1, 0)  # the one-term average is the identity
+    assert block_average(2, 2, 2) == (Fraction(13, 16), Fraction(3, 16))  # c = 5/8
+    assert block_average(1, 7, 1) == (Fraction(4, 7), Fraction(3, 7))  # c = 1/7
+    assert block_average(1, 1, 1) == (1, 0)  # the one-term average is the identity
 
 
 def test_block_cesaro_agrees_with_literal_summation():
@@ -57,7 +61,7 @@ def test_block_cesaro_agrees_with_literal_summation():
             assert len(literal) == 24
             for n, (entries, den) in enumerate(literal, start=1):
                 assert den == (2 * m) ** (p * (n - 1)) * n
-                diagonal, off = block_cesaro(m, n, p)
+                diagonal, off = block_average(m, n, p)
                 assert [Fraction(t, den) for t in entries] == [diagonal, off, off, diagonal], (m, n, p)
     assert block_cesaro_literal(3, 1, 2) == [((1, 0, 0, 1), 1)]
     for m, n_max, p in ((1, 0, 1), (1, 3, 0)):
@@ -121,7 +125,7 @@ def test_sup_deviation_float_tracks_exact():
     for n in (3, 10, 64):
         for p in (1, 2):
             exact = float(sup_deviation(200, n, p))
-            approx = sup_deviation_float(200, n, p)
+            approx = deviation_argmax(block_deviation_float, 200, n, p)[1]
             assert abs(exact - approx) <= 1e-12 * max(1.0, abs(exact))
 
 
@@ -187,14 +191,14 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         a_coeff(0)
     with pytest.raises(ValueError):
-        block_cesaro(1, 0, 1)
+        block_cesaro_entries(1, 0, 1)
     with pytest.raises(ValueError):
         b_coeff(2, 3, 0)
     with pytest.raises(ValueError):
         sup_deviation(0, 3, 1)
     for n, p in ((0, 1), (3, 0)):  # the float formula would not raise on its own
         with pytest.raises(ValueError):
-            sup_deviation_float(5, n, p)
+            deviation_argmax(block_deviation_float, 5, n, p)
 
 
 def test_block_entries_are_the_ints_of_the_geometric_pair():

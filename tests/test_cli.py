@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -716,15 +717,21 @@ def cesaro_argv(draw):
     return argv
 
 
-def assert_exits_cleanly(tmp_path_factory, argv, fmt):
-    """Exit 0, 1 or 2 with no traceback and one error line on exit 2; the
-    JSON rows equal the CSV rows and the --out bytes equal stdout."""
+BUDGET_LINE = re.compile(r"error: budget exceeded at window (\d+): support (\d+) above --max-support (\d+)\n")
+
+
+def assert_exits_cleanly(tmp_path_factory, argv, fmt, budget_exit=False):
+    """Exit 0, 1 or 2, or 3 where ``budget_exit`` allows it, with no
+    traceback; exit 2 and 3 print one error line, on exit 3 the budget line
+    that names the window.  On exit 0 or 1 the JSON rows equal the CSV rows
+    and the --out bytes equal stdout.  Returns the exit code and stderr."""
     code, out, err = run_quietly(argv + ["--format", fmt])
-    assert code in (0, 1, 2), argv
+    assert code in ((0, 1, 2, 3) if budget_exit else (0, 1, 2)), argv
     assert "Traceback" not in err
-    if code == 2:
+    if code in (2, 3):
         assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, argv
-        return
+        assert code == 2 or BUDGET_LINE.fullmatch(err), (argv, err)
+        return code, err
     assert err == "", argv
     other = "json" if fmt == "csv" else "csv"
     other_code, other_out, _ = run_quietly(argv + ["--format", other])
@@ -735,12 +742,45 @@ def assert_exits_cleanly(tmp_path_factory, argv, fmt):
     target = tmp_path_factory.mktemp("out") / "rows"
     assert run_quietly(argv + ["--format", fmt, "--out", str(target)]) == (code, "", "")
     assert target.read_bytes() == out.encode("utf-8")
+    return code, err
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(argv=cesaro_argv(), fmt=st.sampled_from(["csv", "json"]))
 def test_cesaro_argument_vectors_exit_cleanly(tmp_path_factory, argv, fmt):
     assert_exits_cleanly(tmp_path_factory, argv, fmt)
+
+
+@st.composite
+def cesaro_entry_argv(draw):
+    """A cesaro command line from an entry of g0 or gk, where the generic
+    engine's step-by-step pass runs under an explicit --max-support of at
+    most 2000, so that no draw runs long: windows up to 200, powers 1 to 3
+    with repeats, factors 1 and -1, and a few invalid caps and bounds."""
+    graph = draw(st.sampled_from(["g0", "gk"]))
+    argv = ["cesaro", "--graph", graph, *draw(st.sampled_from([["--start", "entry"], ["--x", "e_o"]]))]
+    if graph == "gk":
+        argv += ["--k", str(draw(st.integers(1, 4)))]
+    windows = draw(st.lists(st.integers(0, 200), min_size=1, max_size=3))
+    powers = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    argv += ["--schedule", ",".join(map(str, windows)), "--powers", ",".join(map(str, powers))]
+    argv += ["--factor", draw(st.sampled_from(["1", "-1"]))]
+    argv += ["--max-support", str(draw(st.integers(-1, 2000)))]
+    if draw(st.booleans()):
+        argv += ["--bound", draw(st.sampled_from(["0", "1/10", "1/2", "1", "x"]))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(argv=cesaro_entry_argv(), fmt=st.sampled_from(["csv", "json"]))
+def test_cesaro_entry_argument_vectors_exit_cleanly(tmp_path_factory, argv, fmt):
+    """Exit 3 stops at a window of the schedule, at a support above the cap given."""
+    code, err = assert_exits_cleanly(tmp_path_factory, argv, fmt, budget_exit=True)
+    if code == 3:
+        window, support, cap = map(int, BUDGET_LINE.fullmatch(err).groups())
+        schedule = argv[argv.index("--schedule") + 1].split(",")
+        assert 1 < window <= max(map(int, schedule)), (argv, err)
+        assert support > cap == int(argv[argv.index("--max-support") + 1]), (argv, err)
 
 
 # --k values: small ones, the bound, one past it and one whose shift used to overflow

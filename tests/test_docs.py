@@ -8,20 +8,31 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def second_routes():
-    """The first dotted name of each bullet in README's second-route list."""
+    """The backquoted dotted names of each bullet in README's second-route
+    list: the second route first, then the names it is a route for."""
     text = README.read_text(encoding="utf-8")
     start = re.search(r"Each deliberate second\s+route says so where it is defined", text).start()
     block = text[start:].split("\n\n", 2)[1]
-    return re.findall(r"^- `([\w.]+)`", block, re.M)
+    bullets = re.split(r"^- ", block, flags=re.M)[1:]
+    assert all(bullet.startswith("`") for bullet in bullets), bullets
+    return [re.findall(r"`(\w+\.[\w.]+)`", bullet) for bullet in bullets]
+
+
+def resolve(name):
+    """The object ``ergolab.<name>`` names; AttributeError if there is none."""
+    module, _, attr = name.partition(".")
+    target = importlib.import_module(f"ergolab.{module}")
+    for part in attr.split("."):
+        target = getattr(target, part)
+    return target
 
 
 def test_every_listed_second_route_says_so_where_it_is_defined():
-    names = second_routes()
-    assert len(names) >= 8, names
-    for name in names:
-        module, _, attr = name.partition(".")
-        target = importlib.import_module(f"ergolab.{module}")
-        for part in attr.split("."):
-            target = getattr(target, part)
-        doc = " ".join((target.__doc__ or "").split()).lower()
-        assert "second route" in doc, name
+    bullets = second_routes()
+    assert len(bullets) >= 8, bullets
+    assert sum(len(names) - 1 for names in bullets) >= 6, bullets  # the partners are read
+    for route, *partners in bullets:
+        for name in partners:
+            resolve(name)
+        doc = " ".join((resolve(route).__doc__ or "").split()).lower()
+        assert "second route" in doc, route

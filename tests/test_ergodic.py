@@ -13,27 +13,13 @@ from ergolab.ergodic import (
     OperatorHandle,
     ReplayReport,
     at_most,
-    cesaro_apply,
     cesaro_trace,
     fixed_space_certificate,
     graph_handle,
-    power_mean_ergodic_check,
     replay_certificate,
     scalar_rotation_check,
     weak_compactness_witness,
 )
-
-
-def test_cesaro_apply_satisfies_the_averaging_recurrence():
-    graph = ladder.make_g0()
-    op = graph_handle(graph)
-    x = SparseVector.unit(ladder.entry(0))
-    avg = x
-    power = x
-    for n in range(1, 25):
-        assert cesaro_apply(op, x, n) == avg, n
-        power = graphop.apply(graph, power)
-        avg = (avg.scale(n) + power).scale(Fraction(1, n + 1))
 
 
 @pytest.mark.parametrize("bound", [Fraction(1, 10), Fraction(1, 3), Fraction(-2, 7)])
@@ -100,21 +86,20 @@ def test_engine_forcing_and_validation():
         cesaro_trace(op, x, [4], engine="warp")
     with pytest.raises(ValueError):
         cesaro_trace(op, x, [])
-    with pytest.raises(ValueError):
-        cesaro_apply(op, x, 0)
-    with pytest.raises(ValueError):
-        power_mean_ergodic_check(op, x, 0, 4, 1)
+    with pytest.raises(ValueError, match="schedule must be a nonempty collection of positive lengths"):
+        cesaro_trace(op, x, [0])
+    with pytest.raises(ValueError, match="step_power must be a positive integer, got 0"):
+        cesaro_trace(op, x, [4], step_power=0)
 
 
 def test_power_mean_check_cross_engine():
     op = graph_handle(ladder.make_counterexample())
     x = SparseVector.unit(ladder.SOURCE)
-    fast = power_mean_ergodic_check(op, x, 2, 32, Fraction(1, 4))
-    slow = power_mean_ergodic_check(op, x, 2, 32, Fraction(1, 4), engine="generic")
+    fast = cesaro_trace(op, x, [32], step_power=2)
+    slow = cesaro_trace(op, x, [32], engine="generic", step_power=2)
     assert fast.engine == "fast" and slow.engine == "generic"
-    assert fast.value == slow.value
-    assert fast.passed and slow.passed
-    assert "pass" in fast.summary()
+    assert fast.norms() == slow.norms()
+    assert at_most(fast.norms()[32], Fraction(1, 4))
 
 
 def test_scalar_rotation_cross_engine():
@@ -176,14 +161,11 @@ def test_plain_handle_matches_the_graph_backed_generic_engine():
         kwargs = dict(engine="generic", step_power=step_power, factor=factor)
         expected = cesaro_trace(op, x, windows, **kwargs).norms()
         assert cesaro_trace(plain, x, windows, **kwargs).norms() == expected, kwargs
-    assert cesaro_apply(plain, x, 9) == cesaro_apply(op, x, 9)
 
 
 def test_budget_cap_interrupts_wide_averages():
     op = graph_handle(ladder.make_counterexample())
     x = SparseVector.unit(ladder.SOURCE)
-    with pytest.raises(BudgetExceeded):
-        cesaro_apply(op, x, 64, max_support=10)
     with pytest.raises(BudgetExceeded):
         cesaro_trace(op, x, [64], max_support=10, engine="generic")
     # the cap counts the keys of the sum, of its real and imaginary parts alike
@@ -202,7 +184,6 @@ def test_weak_compactness_witness_small_triangle():
         [ONE, ONE, 0, 0],
     ]
     assert witness.matches_triangle
-    assert "cluster point" in witness.conclusion
     with pytest.raises(ValueError):
         weak_compactness_witness(graph, -1, 0)
 
@@ -226,7 +207,6 @@ def test_ladder_certificates_replay_cleanly(make):
     replay = replay_certificate(cert, graph)
     assert replay.ok, replay.issues
     assert replay.coverage_checked == 200
-    assert "pass" in replay.summary()
 
 
 def test_certificate_structure_for_the_combined_graph():
@@ -238,10 +218,10 @@ def test_certificate_structure_for_the_combined_graph():
         "null_class",
         "substitution",
     ]
-    assert cert.covers(ladder.SOURCE)
-    assert cert.covers(ladder.top(2, 9))
-    assert not cert.covers(("X", 0))
-    assert "only_zero" in cert.summary()
+    families = [step.family for step in cert.steps]
+    for v in (ladder.SOURCE, ladder.top(2, 9), ladder.bottom(4, 7), ladder.entry(3)):
+        assert sum(family.members(v) for family in families) == 1, v
+    assert not any(family.members(("X", 0)) for family in families)
 
 
 def test_replay_detects_a_tampered_graph():

@@ -53,14 +53,18 @@ def test_adjoint_duality_on_all_pairs(diamond):
                 assert fw[v] == bw[u], (u, v, n)
 
 
+def paths_of_length(graph, u, v, n):
+    return [p for p in graphop.enumerate_paths_up_to(graph, u, v, n) if p.length == n]
+
+
 def test_enumerate_paths(diamond):
-    paths = graphop.enumerate_paths(diamond, "a", "d", 2)
+    paths = paths_of_length(diamond, "a", "d", 2)
     assert len(paths) == 2
     assert {p.weight for p in paths} == {H, ONE}
     assert all(p.length == 2 and p.start == "a" and p.end == "d" for p in paths)
-    assert graphop.enumerate_paths(diamond, "a", "d", 1) == []
+    assert graphop.enumerate_paths_up_to(diamond, "a", "d", 1) == []
     both = graphop.enumerate_paths_up_to(diamond, "a", "d", 5)
-    assert [p.length for p in both] == [2, 2]
+    assert both == paths
 
 
 def test_count_paths_matches_enumeration(diamond):
@@ -69,7 +73,7 @@ def test_count_paths_matches_enumeration(diamond):
             expected = [
                 p
                 for u in diamond.finite_vertices
-                for p in graphop.enumerate_paths(diamond, u, v, n)
+                for p in paths_of_length(diamond, u, v, n)
             ]
             got = graphop.count_paths_to(diamond, v, n, len(diamond.finite_vertices))
             assert got.count == len(expected)
@@ -94,7 +98,7 @@ def test_count_paths_respects_truncation(diamond):
 def test_path_records_are_immutable_values(diamond):
     assert PathCount(2, ONE) == PathCount(2, ONE)
     assert PathCount(2, ONE) != PathCount(2, H)
-    (path,) = graphop.enumerate_paths(diamond, "a", "b", 1)
+    (path,) = graphop.enumerate_paths_up_to(diamond, "a", "b", 1)
     assert path == graphop.Path(vertices=("a", "b"), weight=H)
     for record, field in ((PathCount(2, ONE), "count"), (path, "weight")):
         with pytest.raises(AttributeError):
@@ -165,7 +169,7 @@ def test_truncations_past_the_end_of_a_finite_graph(edges):
     whole = graphop.power_norms_sweep(graph, 3, size)
     assert graphop.power_norms_sweep(graph, 3, size + 6) == whole
     assert ref.power_norms(graph, 3, size + 6) == whole
-    assert graphop.power_norm_truncated(graph, 0, size + 6) == 1
+    assert graphop.truncation_indicator(graph, size + 6).sup_norm() == 1
 
 
 def test_one_edge_truncated_far_past_its_end():
@@ -178,24 +182,21 @@ def test_power_norm_monotone_in_truncation():
     graph = ladder.make_counterexample()
     for n_power in (2, 3):
         values = [
-            graphop.power_norm_truncated(graph, n_power, n_trunc)
+            graphop.power_norms_sweep(graph, n_power, n_trunc)[-1]
             for n_trunc in (10, 50, 200, 800)
         ]
         assert all(x <= y for x, y in zip(values, values[1:]))
 
 
 def test_power_norms_sweep_matches_pointwise():
-    """The integer sweep against the Fraction reference push; the pointwise
-    form reads the sweep."""
+    """The integer sweep against the Fraction reference push; a shorter
+    sweep ends at the longer one's value for its last power."""
     graph = ladder.make_g0()
     sweep = graphop.power_norms_sweep(graph, 5, 60)
     assert sweep == ref.power_norms(graph, 5, 60)
     for n, value in enumerate(sweep, start=1):
-        assert value == graphop.power_norm_truncated(graph, n, 60)
-    assert graphop.power_norm_truncated(graph, 0, 60) == 1
-    assert graphop.power_norm_truncated(graph, 0, 0) == 0
-    with pytest.raises(ValueError):
-        graphop.power_norm_truncated(graph, -1, 60)
+        assert value == graphop.power_norms_sweep(graph, n, 60)[-1]
+    assert graphop.power_norms_sweep(graph, 5, 0) == [ZERO] * 5
 
 
 def test_missing_enumeration_raises():
