@@ -43,10 +43,12 @@ DEFAULT_MAX_SUPPORT = 250000  # the running-sum cap of the generic engine's step
 # the step-by-step pass spends before DEFAULT_MAX_SUPPORT stops it.
 MOVING_FRAME_MAX_WINDOW = 4096
 # The largest --k.  Copy k's rungs land from bottom position 2**(k+2) - k - 3
-# on, so its births are (k+2)-bit ints and a sup norm probes their landings in
-# time quadratic in k: `norms --graph gk --n-max 60 --trunc 300` takes about
-# 0.07 s at this bound and about 3 s at 2**14.  Copy k's sink first reads 1
-# after 2**(k+2) - k - 1 steps, which no command steps to for k near the bound.
+# on, above every bottom cell of a start with --trunc below about 2**(k+3), so
+# the orbit stores none of those births and a sup norm probes no landing that
+# high: `norms --graph gk --n-max 60 --trunc 300` takes about 3 ms in process
+# at this bound and at 2**14 alike.  Copy k's sink first reads 1 after
+# 2**(k+2) - k - 1 steps, which no command steps to for k near the bound, so
+# a larger bound would show nothing new; this one keeps the exit codes.
 # `orbit --graph combined` steps one orbit per copy 0..--k-max, bounded so too.
 MAX_COPY_INDEX = 2**10
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import inf, isqrt
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .core import HALF, ONE, TWO
 from .graphop import C0Graph, Vertex
@@ -236,12 +236,48 @@ class LadderOrbit:
     stored as u = P(j) times its numerator, which no bottom move changes,
     and u is what it will deliver to the sink.  A step touches only:
 
-    - one rung arrival per top cell, T(k, n) -> B(k, rung_position(n)) with
+    - one rung birth per top cell, T(k, n) -> B(k, rung_position(n)) with
       weight 1/2, a birth with u = the top's numerator;
     - one top arrival per entry cell, E(k) -> T(k, k+1);
     - the source, which moves to E(0);
     - one drain probe per copy, at the key t + 1 of B(k, 1), whose u goes to
       V(k).  The sinks hold only what drained in the last step.
+
+    Far births.  The top under key d makes at step s (from t = s to s + 1)
+    the birth u = a, its numerator, at the key K = 2**m - d - 1 with
+    m = d + s + 1 >= 2, forever.  Frame keys are at least -1: a start top
+    T(k, n) has d = n >= 1, a start entry E(k0) feeds its tops under
+    k0 >= 0 and the source under -1.
+
+    - Tops never merge: an entry-fed top of copy k arrives under
+      k - s <= k, a start top stands under n >= k + 1, and two entries feed
+      copy k under their own keys.  So a top's numerator never changes.
+    - Births never meet: if 2**m - d = 2**m' - d' with m > m', then
+      2**(m-1) <= d - d' <= (m - 1) - (-1) = m, as s >= 0, so m <= 2,
+      which leaves no m' >= 2 below it.  (m = m' forces d = d'.)
+    - So with R the largest bottom key of the start (0 if none), a birth
+      with K > R meets no cell ever.  Only births with K <= R are stored;
+      a top's K grows with s, so once one birth lands above R all its later
+      ones do.  Each such top keeps only the step of its oldest live far
+      birth; its far births are those of the steps from it to t - 1.
+    - They drain in turn: the birth of step s drains in step K - 1 =
+      2**m - m + s - 1 >= s + 1, before that of step s + 1 (a larger K),
+      which is made by then.  So one scheduled drain per top suffices, and
+      a step loops over the copies, the drains due and the tops still
+      below R, not over every top.  While :meth:`accumulate` runs, its
+      ledger still files every birth.
+    - A far birth's value is at most |a|, which its top still holds, so
+      :meth:`sup_norm` scans only the stored cells.  A stored table holds
+      at most R keys, and :meth:`items`, :meth:`value` and
+      :meth:`accumulate` read the far births off the tops that make them.
+
+    Tops neither change nor leave, so the orbit keeps their largest |a| as
+    they arrive.  An unsigned orbit also keeps each copy's largest stored u
+    and the number of cells holding it: a birth only raises a u, so the
+    step raises the maximum or its count with it, and a drain of a holder
+    lowers the count; once the last holder drained, :meth:`sup_norm`
+    rescans that table once.  A signed orbit's births may cancel, so its
+    :meth:`sup_norm` scans each stored table.
 
     Every table holds numerators over the start's denominator den0.  Since
     nothing is halved in this frame, ``den`` widens as in
@@ -251,12 +287,6 @@ class LadderOrbit:
     and a bottom cell's u changes only by births of those, so no other cell
     can be odd before then.  :meth:`items`, :meth:`value` and
     :meth:`sup_norm` read a bottom cell as u / (P(j) * den0).
-
-    An unsigned orbit keeps each copy's largest bottom u as it runs: a
-    birth only raises a u, so the step raises the maximum with it, and a
-    drain of the cell that holds it drops the maximum, which
-    :meth:`sup_norm` then rescans once.  A signed orbit's births may
-    cancel, so its :meth:`sup_norm` scans each bottom table.
 
     A restricted graph keeps one copy, so only its entry feeds a top chain;
     a standalone copy also has no source and no edge E(k) -> E(k+1).  Start
@@ -274,9 +304,12 @@ class LadderOrbit:
         self._source = 0
         self._entries: Dict[int, int] = {}  # k - t -> numerator of E(k)
         self._tops: Dict[int, Dict[int, int]] = {}  # k -> {n - t: numerator of T(k, n)}
-        self._bottoms: Dict[int, Dict[int, int]] = {}  # k -> {j + t: u of B(k, j)}
+        self._bottoms: Dict[int, Dict[int, int]] = {}  # k -> {j + t: u of B(k, j)}, stored cells
         self._sinks: Dict[int, int] = {}  # k -> numerator of V(k)
-        self._bottom_max: Dict[int, int] = {}  # k -> largest u of B(k, .), if unsigned and known
+        self._near: List[Tuple[int, int]] = []  # (k, d) of the tops whose births are stored
+        self._far: Dict[int, Dict[int, int]] = {}  # k -> {d: step of the oldest live far birth}
+        self._drains: Dict[int, List[Tuple[int, int]]] = {}  # key -> (k, d) of the far birth there
+        self._bottom_max: Dict[int, List[int]] = {}  # k -> [largest stored u, cells holding it]
         self._ledger: Optional[_Ledger] = None
         # T is positive, so an orbit whose start has no negative entry never has one
         self._signed = min(nums.values(), default=0) < 0
@@ -290,49 +323,72 @@ class LadderOrbit:
                 self._bottoms.setdefault(v[1], {})[v[2]] = u
             elif tag == "T":
                 self._tops.setdefault(v[1], {})[v[2]] = a
+                self._near.append((v[1], v[2]))
             elif tag == "E":
                 self._entries[v[1]] = a
             elif tag == "V":
                 self._sinks[v[1]] = a
             else:
                 self._source = a
+        self._reach = max((max(cells) for cells in self._bottoms.values()), default=0)
+        self._top_sup = max((abs(a) for cells in self._tops.values() for a in cells.values()), default=0)
         odd = [v for v, a in nums.items() if a & 1]
         self._widens_at = min((_widening_step(v, self._copy) for v in odd), default=inf)
 
     def step(self) -> None:
         t = self._t
         ledger = self._ledger  # None unless accumulate() is running
-        bottoms, maxima = self._bottoms, self._bottom_max
+        bottoms, tops, far, drains = self._bottoms, self._tops, self._far, self._drains
+        maxima = self._bottom_max
         sinks = self._sinks = {}
         for k, cells in bottoms.items():  # B(k, 1) -> V(k) delivers u
             u = cells.pop(t + 1, 0)
             if u:
                 sinks[k] = u
-                if maxima.get(k) == u:  # the maximum drained
-                    del maxima[k]
+                held = maxima.get(k)
+                if held is not None and held[0] == u:  # a holder of the maximum drained
+                    held[1] -= 1
+                    if not held[1]:
+                        del maxima[k]
                 if ledger is not None:
                     ledger.mark(("B", k), t + 1, t + 1, -u)
-        for k, cells in self._tops.items():
-            chain = bottoms.setdefault(k, {})
-            top = maxima.get(k)
-            for d, a in cells.items():  # T(k, d + t) -> B(k, rung_position(d + t)), u = a
-                key = (1 << (d + t + 1)) - d - 1  # rung_position(d + t) + t + 1
-                c = chain.get(key, 0) + a
-                if c:
-                    chain[key] = c
-                    if top is not None and c > top:
-                        top = c
-                else:
-                    del chain[key]
-                if ledger is not None:
-                    ledger.mark(("B", k), key, t + 1, a)
-            if top is not None:
-                maxima[k] = top
+        for k, d in drains.pop(t + 1, ()):  # a far birth drains; the top's next one is due
+            u = sinks[k] = tops[k][d]
+            s = far[k][d] = far[k][d] + 1
+            drains.setdefault((1 << (d + s + 1)) - d - 1, []).append((k, d))
+            if ledger is not None:
+                ledger.mark(("B", k), t + 1, t + 1, -u)
+        if ledger is not None:
+            for k, cells in tops.items():
+                for d, a in cells.items():
+                    ledger.mark(("B", k), (1 << (d + t + 1)) - d - 1, t + 1, a)
+        near = []
+        for k, d in self._near:  # T(k, d + t) -> B(k, rung_position(d + t)), u = a
+            key = (1 << (d + t + 1)) - d - 1  # rung_position(d + t) + t + 1
+            if key <= self._reach:
+                chain = bottoms.setdefault(k, {})
+                _bump(chain, key, tops[k][d])
+                held = maxima.get(k)
+                if held is not None:  # unsigned, so the birth raised the cell
+                    c = chain[key]
+                    if c > held[0]:
+                        maxima[k] = [c, 1]
+                    elif c == held[0]:
+                        held[1] += 1
+                near.append((k, d))
+            else:  # this birth and every later one are far
+                far.setdefault(k, {})[d] = t
+                drains.setdefault(key, []).append((k, d))
+        self._near = near
         entries = self._entries
         for e, a in entries.items():  # E(k) -> T(k, k+1), weight 1
             k = e + t
             if self._copy is None or k == self._copy:
-                _bump(self._tops.setdefault(k, {}), e, a)
+                cells = tops.setdefault(k, {})
+                assert e not in cells, "tops never merge"
+                cells[e] = a
+                self._top_sup = max(self._top_sup, abs(a))
+                near.append((k, e))
                 if ledger is not None:
                     ledger.mark(("T", k), -e, t + 1, a)
             if ledger is not None and not self._entry_chain:  # the entry clears
@@ -349,29 +405,54 @@ class LadderOrbit:
             self.den *= 2
 
     def sup_norm(self) -> Fraction:
-        best = abs(self._source)
-        for table in (*self._tops.values(), self._entries, self._sinks):
+        best = max(abs(self._source), self._top_sup)
+        for table in (self._entries, self._sinks):
             if table:
                 best = max(best, max(table.values()), -min(table.values()))
         best *= 2  # in halves of 1 / den0, as a landing holds u / 2
         maxima = self._bottom_max
-        for k, cells in self._bottoms.items():
+        for k, cells in self._bottoms.items():  # far births stay within their tops' |a|
             if not cells:
                 continue
             if self._signed:
                 top = max(max(cells.values()), -min(cells.values()))
             else:
-                top = maxima.get(k)
-                if top is None:
-                    top = maxima[k] = max(cells.values())
+                held = maxima.get(k)
+                if held is None:
+                    stored = list(cells.values())
+                    top = max(stored)
+                    held = maxima[k] = [top, stored.count(top)]
+                top = held[0]
             best = _bottom_sup(cells, self._t, best, top)
         return Fraction(best, 2 * self._den0)
+
+    def _far_u(self, k: int, key: int) -> int:
+        """The u of copy k's far birth under ``key``, or 0: key = 2**m - d - 1
+        with -1 <= d <= m - 1 gives m the bit length of key, or one less."""
+        far, t = self._far.get(k, {}), self._t
+        for m in (key.bit_length() - 1, key.bit_length()):
+            d = (1 << m) - key - 1
+            if far.get(d, t) <= m - d - 1 < t:
+                return self._tops[k][d]
+        return 0
+
+    def _bottom_cells(self):
+        """Every bottom cell as (k, frame key, u), the stored ones and then the far births."""
+        for k, cells in self._bottoms.items():
+            for key, u in cells.items():
+                yield k, key, u
+        for k, tops in self._far.items():
+            for d, oldest in tops.items():
+                a = self._tops[k][d]
+                for s in range(oldest, self._t):
+                    yield k, (1 << (d + s + 1)) - d - 1, a
 
     def value(self, v: Vertex) -> Fraction:
         t, tag = self._t, v[0]
         if tag == "B":
-            j = v[2]
-            u = self._bottoms.get(v[1], {}).get(j + t, 0)
+            k, j = v[1], v[2]
+            key = j + t
+            u = self._bottoms.get(k, {}).get(key, 0) if key <= self._reach else self._far_u(k, key)
             return Fraction(u, self._den0 * (2 if rung_index(j) is not None else 1))
         if tag == "T":
             a = self._tops.get(v[1], {}).get(v[2] - t, 0)
@@ -393,17 +474,18 @@ class LadderOrbit:
         for k, cells in self._tops.items():
             for d, a in cells.items():
                 yield ("T", k, d + t), w * a
-        for k, cells in self._bottoms.items():
-            for key, u in cells.items():
-                j = key - t
-                yield ("B", k, j), w * u // 2 if rung_index(j) is not None else w * u
+        for k, key, u in self._bottom_cells():
+            j = key - t
+            yield ("B", k, j), w * u // 2 if rung_index(j) is not None else w * u
         for k, a in self._sinks.items():
             yield ("V", k), w * a
 
     def _chains(self):
         """Each chain's cells as (frame key, stored numerator) pairs, under its ledger name."""
-        for k, cells in self._bottoms.items():
-            yield ("B", k), cells.items()
+        bottoms: Dict[tuple, list] = {}
+        for k, key, u in self._bottom_cells():
+            bottoms.setdefault(("B", k), []).append((key, u))
+        yield from bottoms.items()
         for k, cells in self._tops.items():
             yield ("T", k), [(-d, a) for d, a in cells.items()]
         yield ("E", None), [(-e, a) for e, a in self._entries.items()]

@@ -3,12 +3,13 @@ the all-endpoint path count against the per-endpoint sweep, criterion 12's
 int comparison under perturbed closed forms, and the ladder enumerations and
 oracles far out in the graph."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import fraction_reference as ref
-from ergolab import acceptance, blockdiag, graphop, ladder
+from ergolab import acceptance, blockdiag, ergodic, graphop, ladder
 from ergolab.core import SparseVector
 from ergolab.ergodic import cesaro_trace, graph_handle
 
@@ -565,3 +566,110 @@ def test_running_bottom_maximum_between_unread_steps(reads):
 def test_signed_orbit_scans_past_a_cancelling_birth(start, norms):
     got, want = framed_and_pushed_norms(start, 16, range(17))
     assert got == want and want[:3] == norms
+
+
+def rule_edge(k, n, s, values):
+    """Tops T(k, n) and T(k, n + 1), whose births at steps s and s - 1 land
+    on the start cells B(k, R) and B(k, R - 1), R = 2**(n+s+1) - n - 1 the
+    start's largest bottom key: those births are stored, the later ones far."""
+    r = (1 << (n + s + 1)) - n - 1
+    cells = [("T", k, n), ("T", k, n + 1), ("B", k, r), ("B", k, r - 1)]
+    return dict(zip(cells, values))
+
+
+def far_rule_starts(two_copies):
+    """Signed starts at the edges of LadderOrbit's far rule.  On the entry
+    spine of copy 0: the source and T(0, 1), both making births from m = 2
+    on, or one edge, with the source, entries and tops of copy 0.  On the
+    combined graph: the edge n = 2, s = 1 (R = 13) in copies 0 and 1 at
+    once, so that their far births drain in the same steps, with tops of
+    copies 0 to 3."""
+    values = st.lists(VALUES, min_size=8, max_size=8)
+    if two_copies:
+        edge = st.builds(lambda v: {**rule_edge(0, 2, 1, v[:4]), **rule_edge(1, 2, 1, v[4:])}, values)
+        extra = st.builds(lambda k, d: ("T", k, k + 1 + d), st.integers(0, 3), st.integers(0, 4))
+    else:
+        source_pair = st.builds(lambda a, b: {ladder.SOURCE: a, ("T", 0, 1): b}, VALUES, VALUES)
+        edge = st.one_of(
+            source_pair,
+            st.builds(lambda n, s, v: rule_edge(0, n, s, v), st.integers(1, 3), st.integers(1, 3), values),
+        )
+        extra = st.one_of(
+            st.just(ladder.SOURCE),
+            st.builds(lambda k: ("E", k), st.integers(0, 3)),
+            st.builds(lambda n: ("T", 0, n), st.integers(1, 5)),
+        )
+    rest = st.dictionaries(extra, VALUES, max_size=3)
+    return st.builds(lambda start, more: SparseVector({**more, **start}), edge, rest)
+
+
+FAR_RULE = {
+    "spine": (ladder.make_entry_spine(0), far_rule_starts(False)),
+    "combined": (ladder.make_counterexample(), far_rule_starts(True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_RULE))
+def test_far_births_match_push_at_every_step(name):
+    # far births drain within the run: the source's top at steps 7, 15 and 31,
+    # E(0)'s at 6, 14 and 30, T(0, 1)'s at 13 and 29 past R = 6; on the
+    # combined graph those of T(k, 3) and T(k, 2) at 27 and 28 past R = 13
+    graph, starts = FAR_RULE[name]
+
+    @settings(5)
+    @hypothesis.given(x=starts, steps=st.integers(32, 40))
+    def check(x, steps):
+        framed = graph.orbit(*graphop.int_vector(x))
+        pushed = push_orbit(graph, x)
+        for _ in range(steps):
+            framed.step()
+            pushed.step()
+            assert framed.den == pushed.den
+            # each bottom cell's neighbours along its chain
+            probes = [("B", v[1], v[2] + dj) for v, _ in pushed.items() if v[0] == "B"
+                      for dj in (-1, 1) if v[2] + dj]
+            assert_same_state(framed, pushed, probes)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(FAR_RULE))
+def test_moving_frame_sums_from_an_orbit_with_far_births(name):
+    # accumulate() starts mid-orbit, so its first marks read the far births
+    graph, starts = FAR_RULE[name]
+
+    @settings(5)
+    @hypothesis.given(
+        x=starts,
+        warm=st.integers(0, 30),
+        turns=st.sampled_from([0, 2]),
+        windows=st.sets(st.integers(1, 36), min_size=1, max_size=3),
+    )
+    def check(x, warm, turns, windows):
+        wanted = sorted(windows)
+        framed = graph.orbit(*graphop.int_vector(x))
+        pushed = push_orbit(graph, x)
+        for _ in range(warm):
+            framed.step()
+            pushed.step()
+        moving = list(framed.accumulate(wanted, 1 - turns))
+        reference = [
+            (n, *ergodic._sup_and_support(re, im, den, n, True))
+            for n, re, im, den in ergodic._running_sums(pushed, wanted, 1, turns)
+        ]
+        assert moving == reference
+
+    check()
+
+
+def test_norms_orbit_memory_follows_the_tops():
+    # the README norms run: its orbit once stored one bottom cell per birth,
+    # 73,617 at step 40 and a traced peak of about 5.4 MiB
+    graph = ladder.make_counterexample()
+    tracemalloc.start()
+    try:
+        graphop.power_norms_sweep(graph, 40, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
