@@ -382,7 +382,6 @@ class DerivationStep(NamedTuple):
 
     rule: str
     family: VertexFamily
-    reason: str
 
 
 class FixedSpaceCertificate:
@@ -394,18 +393,10 @@ class FixedSpaceCertificate:
     "inconclusive".
     """
 
-    __slots__ = ("graph_description", "steps", "relations", "conclusion")
+    __slots__ = ("steps", "conclusion")
 
-    def __init__(
-        self,
-        graph_description: str,
-        steps: List[DerivationStep],
-        relations: List[str],
-        conclusion: str,
-    ):
-        self.graph_description = graph_description
+    def __init__(self, steps: List[DerivationStep], conclusion: str):
         self.steps = steps
-        self.relations = relations
         self.conclusion = conclusion
 
 
@@ -419,6 +410,15 @@ def _tag_family(tag: str, label: str, samples, infinite=False) -> VertexFamily:
 
 
 def _ladder_certificate(graph: ladder.LadderFamilyGraph) -> FixedSpaceCertificate:
+    """The symbolic derivation for a ladder graph, from the fixed-functional relations
+
+        y[V(k)] = 0
+        y[B(k,j)] = bottom_weight(j) * y[B(k,j-1)]
+        y[T(k,n)] = y[T(k,n+1)] + (1/2) * y[B(k, rung_position(n))]
+
+    and, at the entries, y[E(k)] = y[E(k+1)] + y[T(k,k+1)] and y[S] = y[E(0)]
+    on the combined graph, y[E(k)] = y[T(k,k+1)] on a standalone copy.
+    """
     combined = graph.kind == "combined"
     k = 0 if combined else graph.copy_index
     ks = (0, 1, 3) if combined else (k,)
@@ -441,27 +441,9 @@ def _ladder_certificate(graph: ladder.LadderFamilyGraph) -> FixedSpaceCertificat
         infinite=True,
     )
     steps = [
-        DerivationStep(
-            rule="sink",
-            family=sinks,
-            reason="no out-edges, so the fixed equation reads y = 0",
-        ),
-        DerivationStep(
-            rule="chain_to_zero",
-            family=bottoms,
-            reason="y[B(k,j)] = w * y[B(k,j-1)] down to y[B(k,1)] = 2 * y[V(k)] = 0",
-        ),
-        DerivationStep(
-            rule="null_class",
-            family=tops,
-            reason="y[T(k,n)] = y[T(k,n+1)] + (1/2) * y[bottom] = y[T(k,n+1)]; "
-            "a summable functional constant on an infinite chain is 0",
-        ),
-    ]
-    relations = [
-        "y[V(k)] = 0",
-        "y[B(k,j)] = bottom_weight(j) * y[B(k,j-1)]",
-        "y[T(k,n)] = y[T(k,n+1)] + (1/2) * y[B(k, rung_position(n))]",
+        DerivationStep("sink", sinks),
+        DerivationStep("chain_to_zero", bottoms),
+        DerivationStep("null_class", tops),
     ]
     if combined:
         entries = _tag_family(
@@ -470,38 +452,18 @@ def _ladder_certificate(graph: ladder.LadderFamilyGraph) -> FixedSpaceCertificat
             [ladder.entry(i) for i in (0, 1, 4)],
             infinite=True,
         )
+        steps.append(DerivationStep("null_class", entries))
         steps.append(
-            DerivationStep(
-                rule="null_class",
-                family=entries,
-                reason="y[E(k)] = y[E(k+1)] + y[T(k,k+1)] = y[E(k+1)]; "
-                "summable and constant on an infinite chain, hence 0",
-            )
+            DerivationStep("substitution", _tag_family("S", "the source S", [ladder.SOURCE]))
         )
-        steps.append(
-            DerivationStep(
-                rule="substitution",
-                family=_tag_family("S", "the source S", [ladder.SOURCE]),
-                reason="y[S] = y[E(0)] = 0",
-            )
-        )
-        relations.append("y[E(k)] = y[E(k+1)] + y[T(k,k+1)]")
-        relations.append("y[S] = y[E(0)]")
     else:
         steps.append(
             DerivationStep(
-                rule="substitution",
-                family=_tag_family("E", f"the entry vertex E({k})", [ladder.entry(k)]),
-                reason=f"y[E({k})] = y[T({k},{k + 1})] = 0",
+                "substitution",
+                _tag_family("E", f"the entry vertex E({k})", [ladder.entry(k)]),
             )
         )
-        relations.append(f"y[E({k})] = y[T({k},{k + 1})]")
-    return FixedSpaceCertificate(
-        graph_description=graph.description,
-        steps=steps,
-        relations=relations,
-        conclusion="only_zero",
-    )
+    return FixedSpaceCertificate(steps, "only_zero")
 
 
 def _finite_certificate(graph: C0Graph) -> FixedSpaceCertificate:
@@ -521,28 +483,10 @@ def _finite_certificate(graph: C0Graph) -> FixedSpaceCertificate:
                 family = VertexFamily(
                     label=f"vertex {u!r}", members=lambda v, _u=u: v == _u, samples=(u,)
                 )
-                steps.append(
-                    DerivationStep(
-                        rule="sink" if not out else "substitution",
-                        family=family,
-                        reason="no out-edges"
-                        if not out
-                        else "all out-edges point at zeroed vertices",
-                    )
-                )
+                steps.append(DerivationStep("sink" if not out else "substitution", family))
                 changed = True
-    remaining = [u for u in vertices if u not in zeroed]
-    relations = []
-    for u in remaining:
-        terms = " + ".join(f"{w} * y[{v!r}]" for v, w in graph.successors(u))
-        relations.append(f"y[{u!r}] = {terms}")
-    conclusion = "only_zero" if not remaining else "inconclusive"
-    return FixedSpaceCertificate(
-        graph_description=graph.description,
-        steps=steps,
-        relations=relations,
-        conclusion=conclusion,
-    )
+    conclusion = "only_zero" if all(u in zeroed for u in vertices) else "inconclusive"
+    return FixedSpaceCertificate(steps, conclusion)
 
 
 def fixed_space_certificate(graph: C0Graph) -> FixedSpaceCertificate:
@@ -556,12 +500,7 @@ def fixed_space_certificate(graph: C0Graph) -> FixedSpaceCertificate:
         return _ladder_certificate(graph)
     if graph.finite_vertices is not None:
         return _finite_certificate(graph)
-    return FixedSpaceCertificate(
-        graph_description=graph.description,
-        steps=[],
-        relations=[],
-        conclusion="inconclusive",
-    )
+    return FixedSpaceCertificate([], "inconclusive")
 
 
 class ReplayReport:

@@ -307,14 +307,6 @@ class Path(NamedTuple):
     def length(self) -> int:
         return len(self.vertices) - 1
 
-    @property
-    def start(self) -> Vertex:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> Vertex:
-        return self.vertices[-1]
-
 
 def _distances_to(graph: C0Graph, targets, radius: int) -> Dict[Vertex, int]:
     """Distance to ``targets`` of each vertex within ``radius`` steps, by a backward search."""

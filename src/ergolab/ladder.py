@@ -163,6 +163,8 @@ def _bottom_sup(cells: Dict[int, int], t: int, best: int, top: int) -> int:
 class _Ledger:
     """Every change to a chain cell's stored numerator since :meth:`LadderOrbit.accumulate` began.
 
+    The orbit's own step files nothing; ``accumulate`` reads each change
+    off the orbit just before and just after the step that makes it.
     Each chain is read in walking-down coordinates: a bottom cell's frame
     key K is its key, a top or entry cell's is minus its key, and the cell
     stands at y = K - t after t steps.  A change of c at step t0 is filed
@@ -264,8 +266,9 @@ class LadderOrbit:
       2**m - m + s - 1 >= s + 1, before that of step s + 1 (a larger K),
       which is made by then.  So one scheduled drain per top suffices, and
       a step loops over the copies, the drains due and the tops still
-      below R, not over every top.  While :meth:`accumulate` runs, its
-      ledger still files every birth.
+      below R, not over every top.  Stored keys are at most R, below every
+      far key, so at most one cell drains from a copy in a step, and the
+      sink then holds that cell's u.
     - A far birth's value is at most |a|, which its top still holds, so
       :meth:`sup_norm` scans only the stored cells.  A stored table holds
       at most R keys, and :meth:`items`, :meth:`value` and
@@ -294,6 +297,9 @@ class LadderOrbit:
     rules encode the ladder's edges apart from the oracles;
     :class:`graphop.PushOrbit` over the graph's ``out_edges`` is the
     deliberate second route, and the tests compare the two.
+
+    :meth:`step` keeps no record of what it changed: :meth:`accumulate`
+    reads that off the orbit around each step, and the reads change nothing.
     """
 
     def __init__(self, graph: "LadderGraph", nums: Dict[Vertex, int], den: int = 1):
@@ -310,7 +316,6 @@ class LadderOrbit:
         self._far: Dict[int, Dict[int, int]] = {}  # k -> {d: step of the oldest live far birth}
         self._drains: Dict[int, List[Tuple[int, int]]] = {}  # key -> (k, d) of the far birth there
         self._bottom_max: Dict[int, List[int]] = {}  # k -> [largest stored u, cells holding it]
-        self._ledger: Optional[_Ledger] = None
         # T is positive, so an orbit whose start has no negative entry never has one
         self._signed = min(nums.values(), default=0) < 0
         for v, a in nums.items():
@@ -337,7 +342,6 @@ class LadderOrbit:
 
     def step(self) -> None:
         t = self._t
-        ledger = self._ledger  # None unless accumulate() is running
         bottoms, tops, far, drains = self._bottoms, self._tops, self._far, self._drains
         maxima = self._bottom_max
         sinks = self._sinks = {}
@@ -350,18 +354,10 @@ class LadderOrbit:
                     held[1] -= 1
                     if not held[1]:
                         del maxima[k]
-                if ledger is not None:
-                    ledger.mark(("B", k), t + 1, t + 1, -u)
         for k, d in drains.pop(t + 1, ()):  # a far birth drains; the top's next one is due
-            u = sinks[k] = tops[k][d]
+            sinks[k] = tops[k][d]
             s = far[k][d] = far[k][d] + 1
             drains.setdefault((1 << (d + s + 1)) - d - 1, []).append((k, d))
-            if ledger is not None:
-                ledger.mark(("B", k), t + 1, t + 1, -u)
-        if ledger is not None:
-            for k, cells in tops.items():
-                for d, a in cells.items():
-                    ledger.mark(("B", k), (1 << (d + t + 1)) - d - 1, t + 1, a)
         near = []
         for k, d in self._near:  # T(k, d + t) -> B(k, rung_position(d + t)), u = a
             key = (1 << (d + t + 1)) - d - 1  # rung_position(d + t) + t + 1
@@ -389,16 +385,10 @@ class LadderOrbit:
                 cells[e] = a
                 self._top_sup = max(self._top_sup, abs(a))
                 near.append((k, e))
-                if ledger is not None:
-                    ledger.mark(("T", k), -e, t + 1, a)
-            if ledger is not None and not self._entry_chain:  # the entry clears
-                ledger.mark(("E", None), -e, t + 1, -a)
         if not self._entry_chain:
             entries.clear()
         if self._source:  # S -> E(0), weight 1
             _bump(entries, -(t + 1), self._source)
-            if ledger is not None:
-                ledger.mark(("E", None), t + 1, t + 1, self._source)
             self._source = 0
         self._t = t = t + 1
         if t == self._widens_at:
@@ -496,11 +486,24 @@ class LadderOrbit:
         x is the current vector, S = factor * T with factor +1 or -1, the
         ``windows`` ascend, and the orbit steps on to the last of them.  The
         support is the number of nonzero entries of the sum.  No running sum
-        is kept: the steps file every change to a chain cell's stored
-        numerator in a :class:`_Ledger`, over den0 (for a bottom cell, its
-        birth and its drain), and each window reads every chain's sum off
-        the ledger and the current cells (:func:`_chain_sup_and_support`).
-        So the cost is the orbit's plus one sort per chain and window.
+        is kept: every change to a chain cell's stored numerator, over den0,
+        goes into a :class:`_Ledger`, and each window reads every chain's sum
+        off the ledger and the current cells (:func:`_chain_sup_and_support`).
+        The changes are read off the orbit around each step from t to t + 1:
+
+        - births: before the step, each top (k, d) with numerator a births
+          u = a under (1 << (d + t + 1)) - d - 1;
+        - the source's move to E(0), read before the step;
+        - drains: after it, the sink of copy k holds the u that drained
+          from that copy, at most one cell;
+        - top arrivals: entry e fed a top iff e is a key of copy e + t's top
+          table after the step, as start tops stand under keys >= k + 1 > e
+          and tops never merge;
+        - cleared entries: a standalone entry cleared iff its key left the
+          entry table.
+
+        So the cost is the orbit's, a pass over the tops per step, and one
+        sort per chain and window.
         ``_running_sums`` in :mod:`ergolab.ergodic`, over
         :class:`graphop.PushOrbit`, is the deliberate second route, and the
         tests compare the two.
@@ -508,23 +511,33 @@ class LadderOrbit:
         if factor not in (1, -1):
             raise ValueError(f"factor must be 1 or -1, got {factor}")
         ledger = _Ledger(int(factor == -1))
+        mark, tops, entries = ledger.mark, self._tops, self._entries
         start = self._t
         for chain, cells in self._chains():
             for key, a in cells:
-                ledger.mark(chain, key, start, a)
+                mark(chain, key, start, a)
         ledger.sinks = dict(self._sinks)
         ledger.source = self._source
-        self._ledger = ledger
-        try:
-            for n in windows:
-                while self._t < start + n - 1:
-                    self.step()
-                    sign = -1 if ledger.flip and (self._t - start) & 1 else 1
-                    for k, a in self._sinks.items():
-                        ledger.sinks[k] = ledger.sinks.get(k, 0) + sign * a
-                yield (n, *self._window_sup_and_support(ledger, n))
-        finally:
-            self._ledger = None
+        for n in windows:
+            while self._t < start + n - 1:
+                t, source = self._t, self._source
+                fed = list(entries.items()) if entries else ()
+                for k, cells in tops.items():  # every top births u = a
+                    for d, a in cells.items():
+                        mark(("B", k), (1 << (d + t + 1)) - d - 1, t + 1, a)
+                self.step()
+                sign = -1 if ledger.flip and (t + 1 - start) & 1 else 1
+                for k, u in self._sinks.items():  # the one cell that drained from copy k
+                    mark(("B", k), t + 1, t + 1, -u)
+                    ledger.sinks[k] = ledger.sinks.get(k, 0) + sign * u
+                for e, a in fed:
+                    if e in tops.get(e + t, ()):  # E(e + t) fed its top
+                        mark(("T", e + t), -e, t + 1, a)
+                    if e not in entries:  # a standalone entry cleared
+                        mark(("E", None), -e, t + 1, -a)
+                if source:  # S moved to E(0)
+                    mark(("E", None), t + 1, t + 1, source)
+            yield (n, *self._window_sup_and_support(ledger, n))
 
     def _window_sup_and_support(self, ledger: _Ledger, n: int):
         """The sup norm of the n-term average read off the ledger, and the sum's support."""

@@ -270,7 +270,6 @@ def test_self_loop_is_reported_not_guessed():
     )
     cert = fixed_space_certificate(graph)
     assert cert.conclusion == "inconclusive"
-    assert cert.relations  # the unresolved equation is recorded
     replay = replay_certificate(cert, graph)
     assert replay.ok  # nothing was claimed, so nothing fails
     assert replay.coverage_checked == 0

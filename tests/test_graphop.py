@@ -61,7 +61,7 @@ def test_enumerate_paths(diamond):
     paths = paths_of_length(diamond, "a", "d", 2)
     assert len(paths) == 2
     assert {p.weight for p in paths} == {H, ONE}
-    assert all(p.length == 2 and p.start == "a" and p.end == "d" for p in paths)
+    assert all(p.length == 2 and p.vertices[0] == "a" and p.vertices[-1] == "d" for p in paths)
     assert graphop.enumerate_paths_up_to(diamond, "a", "d", 1) == []
     both = graphop.enumerate_paths_up_to(diamond, "a", "d", 5)
     assert both == paths

@@ -662,6 +662,47 @@ def test_moving_frame_sums_from_an_orbit_with_far_births(name):
     check()
 
 
+# signed starts on every ladder graph, far-rule starts on the graphs they are made for
+TWINS = {
+    **{name: (GRAPHS[name][0], signed_starts(name)) for name in LADDERS},
+    **{f"{name}-far": FAR_RULE[name] for name in FAR_RULE},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_accumulate_leaves_the_orbit_where_step_leaves_it(name):
+    # accumulate() reads its ledger marks off the orbit around each step; a
+    # twin orbit that only steps must stay equal to it after every window
+    graph, starts = TWINS[name]
+
+    @settings(6)
+    @hypothesis.given(
+        x=starts,
+        warm=st.integers(0, 12),
+        factor=st.sampled_from([1, -1]),
+        windows=st.sets(st.integers(1, 36), min_size=1, max_size=3),
+    )
+    def check(x, warm, factor, windows):
+        copies = {v[1] for v, _ in x.items() if v[0] != "S"} | {graph.copy_index or 0}
+        summed = graph.orbit(*graphop.int_vector(x))
+        stepped = graph.orbit(*graphop.int_vector(x))
+        for _ in range(warm):
+            summed.step()
+            stepped.step()
+        done = 0
+        for n, _, _ in summed.accumulate(sorted(windows), factor):
+            for _ in range(n - 1 - done):
+                stepped.step()
+            done = n - 1
+            assert list(summed.items()) == list(stepped.items())
+            assert summed.den == stepped.den
+            assert summed.sup_norm() == stepped.sup_norm()
+            for k in copies:
+                assert summed.value(("V", k)) == stepped.value(("V", k))
+
+    check()
+
+
 def test_norms_orbit_memory_follows_the_tops():
     # the README norms run: its orbit once stored one bottom cell per birth,
     # 73,617 at step 40 and a traced peak of about 5.4 MiB
