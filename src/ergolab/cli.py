@@ -50,7 +50,8 @@ MOVING_FRAME_MAX_WINDOW = 4096
 # at this bound and at 2**14 alike.  Copy k's sink first reads 1 after
 # 2**(k+2) - k - 1 steps, which no command steps to for k near the bound, so
 # a larger bound would show nothing new; this one keeps the exit codes.
-# `orbit --graph combined` steps one orbit per copy 0..--k-max, bounded so too.
+# `orbit --graph combined` reads copies 0..--k-max off one orbit of the
+# source, bounded so too.
 MAX_COPY_INDEX = 2**10
 
 
@@ -150,14 +151,13 @@ def _cmd_orbit(args) -> int:
     if args.graph == "combined":
         if args.k_max > MAX_COPY_INDEX:
             raise UsageError(f"--k-max must be at most {MAX_COPY_INDEX}, got {args.k_max}")
-        runs = [("combined", k) for k in range(args.k_max + 1)]
+        copies = range(args.k_max + 1)
     else:
-        runs = [(graph.kind, graph.copy_index)]
-    rows: List[Tuple[str, ...]] = []
-    for kind, k in runs:
-        for n, got, want in ladder.sink_readings(kind, k, args.n_max):
-            rows.append((str(n), str(k), fraction_str(got), str(want), str(int(got == want))))
-    rows.sort(key=lambda row: (int(row[0]), int(row[1])))
+        copies = (graph.copy_index,)
+    rows = [
+        (str(n), str(k), fraction_str(got), str(want), str(int(got == want)))
+        for n, k, got, want in ladder.sink_readings(graph.kind, copies, args.n_max)
+    ]
     _emit(args, ("n", "k", "simulated", "predicate", "match"), rows)
     return EXIT_OK if all(row[4] == "1" for row in rows) else EXIT_CHECK_FAILED
 

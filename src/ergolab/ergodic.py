@@ -409,7 +409,7 @@ def _tag_family(tag: str, label: str, samples, infinite=False) -> VertexFamily:
     )
 
 
-def _ladder_certificate(graph: ladder.LadderFamilyGraph) -> FixedSpaceCertificate:
+def _ladder_certificate(graph: ladder.LadderGraph) -> FixedSpaceCertificate:
     """The symbolic derivation for a ladder graph, from the fixed-functional relations
 
         y[V(k)] = 0
@@ -496,7 +496,7 @@ def fixed_space_certificate(graph: C0Graph) -> FixedSpaceCertificate:
     concrete substitution fixpoint.  Anything else is reported inconclusive
     rather than guessed at.
     """
-    if isinstance(graph, ladder.LadderFamilyGraph):
+    if isinstance(graph, ladder.LadderGraph):
         return _ladder_certificate(graph)
     if graph.finite_vertices is not None:
         return _finite_certificate(graph)

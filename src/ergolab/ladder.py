@@ -108,11 +108,10 @@ def bottom_weight(j: int) -> Fraction:
     return ONE
 
 
-def _widening_step(v: Vertex, copy: Optional[int]):
+def _widening_step(v: Vertex):
     """The step at which an odd numerator at the start vertex v meets a weight 1/2, or inf.
 
-    ``copy`` is the one copy a restricted graph keeps, or None for all.  A
-    top crosses its rung at once; an entry or the source first travels to
+    A top crosses its rung at once; an entry or the source first travels to
     the top it feeds; a bottom cell crosses from the position after the
     first landing below it, and one on a landing holds the even u = 2a.
     """
@@ -125,11 +124,9 @@ def _widening_step(v: Vertex, copy: Optional[int]):
             return inf
         return j - max(rung_position(n) for n in range(1, j.bit_length()) if rung_position(n) < j)
     if tag == "S":
-        return 3 if copy is None else copy + 3
+        return 3
     if tag == "E":
-        if copy is None:
-            return 2
-        return copy - v[1] + 2 if v[1] <= copy else inf
+        return 2
     return inf
 
 
@@ -291,10 +288,10 @@ class LadderOrbit:
     can be odd before then.  :meth:`items`, :meth:`value` and
     :meth:`sup_norm` read a bottom cell as u / (P(j) * den0).
 
-    A restricted graph keeps one copy, so only its entry feeds a top chain;
-    a standalone copy also has no source and no edge E(k) -> E(k+1).  Start
-    vertices outside the graph are rejected by the graph's oracle.  These
-    rules encode the ladder's edges apart from the oracles;
+    A standalone copy has no source and no edge E(k) -> E(k+1), so its
+    entry cell is cleared once it has fed the top chain.  Start vertices
+    outside the graph are rejected by the graph's oracle.  These rules
+    encode the ladder's edges apart from the oracles;
     :class:`graphop.PushOrbit` over the graph's ``out_edges`` is the
     deliberate second route, and the tests compare the two.
 
@@ -304,8 +301,7 @@ class LadderOrbit:
 
     def __init__(self, graph: "LadderGraph", nums: Dict[Vertex, int], den: int = 1):
         self.den = self._den0 = den
-        self._copy = graph.copy_index  # the one copy kept, or None for all
-        self._entry_chain = graph.entry_chain
+        self._standalone = graph.copy_index is not None
         self._t = 0
         self._source = 0
         self._entries: Dict[int, int] = {}  # k - t -> numerator of E(k)
@@ -338,7 +334,7 @@ class LadderOrbit:
         self._reach = max((max(cells) for cells in self._bottoms.values()), default=0)
         self._top_sup = max((abs(a) for cells in self._tops.values() for a in cells.values()), default=0)
         odd = [v for v, a in nums.items() if a & 1]
-        self._widens_at = min((_widening_step(v, self._copy) for v in odd), default=inf)
+        self._widens_at = min((_widening_step(v) for v in odd), default=inf)
 
     def step(self) -> None:
         t = self._t
@@ -379,13 +375,12 @@ class LadderOrbit:
         entries = self._entries
         for e, a in entries.items():  # E(k) -> T(k, k+1), weight 1
             k = e + t
-            if self._copy is None or k == self._copy:
-                cells = tops.setdefault(k, {})
-                assert e not in cells, "tops never merge"
-                cells[e] = a
-                self._top_sup = max(self._top_sup, abs(a))
-                near.append((k, e))
-        if not self._entry_chain:
+            cells = tops.setdefault(k, {})
+            assert e not in cells, "tops never merge"
+            cells[e] = a
+            self._top_sup = max(self._top_sup, abs(a))
+            near.append((k, e))
+        if self._standalone:
             entries.clear()
         if self._source:  # S -> E(0), weight 1
             _bump(entries, -(t + 1), self._source)
@@ -555,32 +550,25 @@ class LadderOrbit:
 
 
 class LadderGraph(C0Graph):
-    """The combined ladder graph or its restriction to one copy.
+    """A ladder graph: the combined form, or one standalone copy.
 
-    ``copy_index`` is the copy kept, or None for every copy;
-    ``entry_chain`` says whether the source and the whole entry chain are
-    kept.  Orbits step in the moving frame of :class:`LadderOrbit`.
+    ``copy_index`` is the standalone copy's k, or None for the combined
+    graph.  Orbits step in the moving frame of :class:`LadderOrbit`.
     """
 
-    def __init__(self, copy_index: Optional[int], entry_chain: bool, **kwargs):
+    def __init__(self, copy_index: Optional[int], **kwargs):
         super().__init__(**kwargs)
         self.copy_index = copy_index
-        self.entry_chain = entry_chain
+
+    @property
+    def kind(self) -> str:
+        """The graph's kind as :func:`orbit_predicate` names it: "combined", "g0" or "gk"."""
+        if self.copy_index is None:
+            return "combined"
+        return "g0" if self.copy_index == 0 else "gk"
 
     def orbit(self, nums: Dict[Vertex, int], den: int = 1) -> LadderOrbit:
         return LadderOrbit(self, nums, den)
-
-
-class LadderFamilyGraph(LadderGraph):
-    """A ladder graph, either one standalone copy or the combined form.
-
-    kind is "g0", "gk" or "combined"; copy_index records k for standalone
-    copies and is None for the combined graph.
-    """
-
-    def __init__(self, kind: str, copy_index: Optional[int], **kwargs):
-        super().__init__(copy_index, kind == "combined", **kwargs)
-        self.kind = kind
 
 
 def _bad_vertex(v: Vertex) -> ValueError:
@@ -655,24 +643,6 @@ def _in_edges(v: Vertex):
     raise _bad_vertex(v)
 
 
-def _restricted(oracle, keep, where: str):
-    """``oracle`` on a vertex set ``keep`` that holds whole copies.
-
-    Vertices outside the set are rejected and edges leaving it are dropped.
-    Only the source and entry vertices have edges between copies, so only
-    their edge lists need filtering.
-    """
-
-    def edges(v: Vertex):
-        if not keep(v):
-            raise ValueError(f"vertex {v!r} is not in {where}")
-        if v[0] in ("S", "E"):
-            return tuple(edge for edge in oracle(v) if keep(edge[0]))
-        return oracle(v)
-
-    return edges
-
-
 def _standalone_enumerate(k: int, i: int) -> Vertex:
     # order: E(k), V(k), then T and B alternating by depth
     if i == 0:
@@ -702,29 +672,43 @@ def _standalone_index(k: int, v: Vertex) -> int:
     raise ValueError(f"vertex {v!r} is not in copy {k}")
 
 
-def _make_standalone(k: int) -> LadderFamilyGraph:
-    """Copy k on its own: the combined graph restricted to E(k) and copy k."""
+def _make_standalone(k: int) -> LadderGraph:
+    """Copy k on its own: the combined graph restricted to E(k) and copy k.
+
+    Vertices outside it are rejected.  Only the entry has edges to or from
+    outside (to E(k+1), from S or E(k-1)), so only its edge lists are
+    filtered.
+    """
 
     def keep(v: Vertex) -> bool:
         return v[0] != "S" and v[1] == k
 
-    return LadderFamilyGraph(
-        out_edges=_restricted(_out_edges, keep, f"copy {k}"),
-        in_edges=_restricted(_in_edges, keep, f"copy {k}"),
-        kind="g0" if k == 0 else "gk",
-        copy_index=k,
+    def restricted(oracle):
+        def edges(v: Vertex):
+            if not keep(v):
+                raise ValueError(f"vertex {v!r} is not in copy {k}")
+            if v[0] == "E":
+                return tuple(edge for edge in oracle(v) if keep(edge[0]))
+            return oracle(v)
+
+        return edges
+
+    return LadderGraph(
+        k,
+        out_edges=restricted(_out_edges),
+        in_edges=restricted(_in_edges),
         enumerate_vertex=lambda i: _standalone_enumerate(k, i),
         index_of_vertex=lambda v: _standalone_index(k, v),
         description=f"ladder copy {k}",
     )
 
 
-def make_g0() -> LadderFamilyGraph:
+def make_g0() -> LadderGraph:
     """The full ladder copy: entry, top chain from depth 1, all rungs."""
     return _make_standalone(0)
 
 
-def make_gk(k: int) -> LadderFamilyGraph:
+def make_gk(k: int) -> LadderGraph:
     """Ladder copy k >= 1: the top chain starts at depth k+1, so the first
     k rungs are missing while the bottom chain keeps its full weight pattern."""
     if k < 1:
@@ -775,85 +759,20 @@ def _combined_index(v: Vertex) -> int:
     return _tier_start(t) + t + 3 + k
 
 
-def make_counterexample() -> LadderFamilyGraph:
+def make_counterexample() -> LadderGraph:
     """The combined graph: source, entry chain, one ladder copy per k >= 0.
 
     The entry chain E(0) -> E(1) -> ... carries weight-1 edges, every E(k)
     also feeds the top chain of copy k, and the source feeds E(0).
     """
-    return LadderFamilyGraph(
+    return LadderGraph(
+        None,
         out_edges=_out_edges,
         in_edges=_in_edges,
-        kind="combined",
-        copy_index=None,
         enumerate_vertex=_combined_enumerate,
         index_of_vertex=_combined_index,
         description="combined ladder graph",
     )
-
-
-def make_entry_spine(copy: int = 0) -> LadderGraph:
-    """The combined graph restricted to the source, entry chain and one copy.
-
-    This is the induced subgraph on spine_vertex_set(copy): {S, all E(i)}
-    plus the top chain, bottom chain and sink of the chosen copy.  Its
-    oracles are the combined graph's, with edges leaving the set dropped and
-    vertices outside it rejected.  No path of the combined graph leaves this
-    vertex set and returns, so orbits restricted to these coordinates agree
-    with orbits computed in the full graph.
-    """
-    if copy < 0:
-        raise ValueError(f"copy index must be nonnegative, got {copy}")
-    keep = spine_vertex_set(copy)
-    where = f"the entry spine of copy {copy}"
-
-    def enum(i: int) -> Vertex:
-        if i == 0:
-            return SOURCE
-        if i == 1:
-            return sink(copy)
-        t, off = divmod(i - 2, 3)
-        if off == 0:
-            return entry(t)
-        if off == 1:
-            return top(copy, copy + 1 + t)
-        return bottom(copy, 1 + t)
-
-    def index_of(v: Vertex) -> int:
-        tag = v[0]
-        if tag == "S":
-            return 0
-        if tag == "V" and v[1] == copy:
-            return 1
-        if tag == "E" and v[1] >= 0:
-            return 2 + 3 * v[1]
-        if tag == "T" and v[1] == copy and v[2] > copy:
-            return 3 + 3 * (v[2] - copy - 1)
-        if tag == "B" and v[1] == copy and v[2] >= 1:
-            return 4 + 3 * (v[2] - 1)
-        raise ValueError(f"vertex {v!r} is not in {where}")
-
-    return LadderGraph(
-        copy,
-        True,
-        out_edges=_restricted(_out_edges, keep, where),
-        in_edges=_restricted(_in_edges, keep, where),
-        enumerate_vertex=enum,
-        index_of_vertex=index_of,
-        description=f"entry spine of copy {copy}",
-    )
-
-
-def spine_vertex_set(copy: int):
-    """Membership test for the vertex set of make_entry_spine(copy)."""
-
-    def contains(v: Vertex) -> bool:
-        tag = v[0]
-        if tag in ("S", "E"):
-            return True
-        return v[1] == copy
-
-    return contains
 
 
 def orbit_predicate(kind: str, k: int, n: int) -> int:
@@ -888,21 +807,25 @@ def orbit_predicate(kind: str, k: int, n: int) -> int:
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
-def sink_readings(kind: str, k: int, n_max: int):
-    """Yield (n, simulated, predicted) sink readings for n = 1..n_max.
+def sink_readings(kind: str, copies, n_max: int):
+    """Yield (n, k, simulated, predicted) for n = 1..n_max and each k of ``copies``.
 
     simulated is the V(k) coordinate of the n-th orbit vector and predicted
-    is orbit_predicate(kind, k, n).  For kind "combined" the orbit starts at
-    the source and runs on make_entry_spine(k); for "g0" and "gk" it starts
-    at the entry vertex of the standalone copy k.  The orbit is the graph's
-    own (:meth:`LadderGraph.orbit`), in int numerators between readings.
+    is orbit_predicate(kind, k, n); the readings come in (n, k) order, with
+    the k in the order ``copies`` gives them.  One orbit serves every copy:
+    for kind "combined" it starts at the source of make_counterexample(),
+    and for "g0" and "gk" at the entry of the standalone copy, the one k of
+    ``copies``.  The orbit is the graph's own (:meth:`LadderGraph.orbit`),
+    in int numerators between readings.
     """
     if kind == "combined":
-        graph, start = make_entry_spine(k), SOURCE
+        graph, start = make_counterexample(), SOURCE
     else:
+        (k,) = copies
         graph, start = (make_g0() if kind == "g0" else make_gk(k)), entry(k)
-    target = sink(k)
+    targets = [(k, sink(k)) for k in copies]
     orbit = graph.orbit({start: 1})
     for n in range(1, n_max + 1):
         orbit.step()
-        yield n, orbit.value(target), orbit_predicate(kind, k, n)
+        for k, target in targets:
+            yield n, k, orbit.value(target), orbit_predicate(kind, k, n)

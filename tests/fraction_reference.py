@@ -8,15 +8,18 @@ paths so.  :func:`oracle_problems` checks that a graph's int-triple oracles
 present an operator.
 :func:`deviation_argmaxes` is the block deviation scan over every block, in
 ints.  :func:`batched_sweep` is the structural Cesaro sweep that files
-every contribution record.
+every contribution record.  :func:`source_sup_norm_by_copies` sums the
+average from the combined graph's source copy by copy, on the standalone
+copies.
 """
 
 from fractions import Fraction
 
 from typing import Dict, List, Tuple, Union
 
-from ergolab import graphop
+from ergolab import graphop, ladder
 from ergolab.core import ONE, ZERO, SparseVector
+from ergolab.ergodic import cesaro_trace, graph_handle
 from ergolab.ladder import rung_index
 from ergolab.sweeps import normalize_factor
 
@@ -259,3 +262,45 @@ def batched_sweep(schedule, step_power=1, factor=1):
         if (k + 1) in wanted:
             results[k + 1] = evaluate(k + 1)
     return results
+
+
+def source_sup_norm_by_copies(n, factor=1):
+    """Sup norm of the n-th Cesaro average of factor * T at the combined
+    graph's source, factor +1 or -1, from the standalone copies.
+
+    In the combined graph the only edge into E(k) comes from E(k-1) (from
+    the source S for k = 0), and copy k's cells have in-edges only from E(k)
+    and copy k.  From S, E(k) holds 1 at step k + 1 and 0 at every other
+    step, and S holds 1 at step 0 only.  So on E(k) and copy k the orbit at
+    step t is the standalone copy's orbit from E(k) (``make_g0``,
+    ``make_gk(k)``) at step t - k - 1, and 0 before.  The sum of the first
+    n terms of the orbit, each weighted factor**t, is therefore 1 at S and,
+    on E(k) and copy k, factor**(k+1) times copy k's own sum of n - k - 1
+    terms from E(k).  These sets of vertices partition the graph, so the
+    sum's sup norm is the largest of 1 and the copies' sup norms S_k.
+
+    Only copies with 2**(k+2) <= n - 1 can reach a cell twice inside the
+    window.  From E(k), the rung of T(k, n') lands its wave at step
+    n' - k + 1, and waves reach a cell in the order of their rungs.  The
+    earliest second visit is wave k + 2's to a cell at or below
+    rung_position(k+1), at step 2**(k+2) + 2 or later, and the sink first
+    reads 1 at step 2**(k+2) - k - 1 and next at 2**(k+3) - k - 1.  Every
+    cell of a wave holds at most 1, so any other copy adds at most 1 to a
+    cell, which the source's 1 already covers.
+
+    S_k is read off ``cesaro_trace`` with the generic engine, which sums a
+    standalone copy in its moving frame and shares none of the sweep's
+    structural facts.
+    """
+    best = 1
+    k = 0
+    while 1 << (k + 2) <= n - 1:
+        copy = ladder.make_g0() if k == 0 else ladder.make_gk(k)
+        terms = n - k - 1
+        trace = cesaro_trace(
+            graph_handle(copy), SparseVector.unit(ladder.entry(k)), [terms],
+            engine="generic", factor=factor,
+        )
+        best = max(best, trace.norms()[terms] * terms)
+        k += 1
+    return Fraction(best, n)

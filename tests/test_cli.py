@@ -66,6 +66,21 @@ def test_orbit_combined_sinks(capsys):
     assert ones == {(4, 0), (8, 0), (16, 0), (32, 0), (8, 1), (16, 1), (32, 1), (16, 2), (32, 2)}
 
 
+def test_orbit_combined_rows_come_in_step_then_copy_order(capsys):
+    # every row of `orbit --k-max 3 --n-max 70`, frozen: copy k's sink reads 1
+    # at the steps 2**(m+2) with m >= k, and 0 at every other step
+    ones = {(4, 0), (8, 0), (16, 0), (32, 0), (64, 0), (8, 1), (16, 1), (32, 1), (64, 1),
+            (16, 2), (32, 2), (64, 2), (32, 3), (64, 3)}
+    lines = ["n,k,simulated,predicate,match"]
+    for n in range(1, 71):
+        for k in range(4):
+            hit = int((n, k) in ones)
+            lines.append(f"{n},{k},{hit},{hit},1")
+    code, out, err = run(capsys, ["orbit", "--k-max", "3", "--n-max", "70"])
+    assert (code, err) == (0, "")
+    assert out == "\n".join(lines) + "\n"
+
+
 def test_cesaro_csv_frozen(capsys):
     code, out, err = run(capsys, ["cesaro", "--schedule", "16,64"])
     assert code == 0

@@ -1,8 +1,11 @@
-"""README's list of deliberate second routes against the code it names."""
+"""README's names, and its list of deliberate second routes, against the code."""
 
 import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import ergolab
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,3 +39,15 @@ def test_every_listed_second_route_says_so_where_it_is_defined():
             resolve(name)
         doc = " ".join((resolve(route).__doc__ or "").split()).lower()
         assert "second route" in doc, route
+
+
+def test_every_name_readme_gives_a_module_of_exists():
+    # a backquoted `module.name` whose module is one of ergolab's must resolve,
+    # so README cannot keep naming a function the code has dropped
+    modules = {m.name for m in pkgutil.iter_modules(ergolab.__path__) if not m.name.startswith("_")}
+    assert len(modules) == 8, modules
+    text = README.read_text(encoding="utf-8")
+    names = {name for name in re.findall(r"`(\w+\.[\w.]+)`", text) if name.split(".")[0] in modules}
+    assert len(names) >= 20, names
+    for name in names:
+        resolve(name)

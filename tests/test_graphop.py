@@ -220,7 +220,6 @@ def test_long_orbits_leave_no_state_on_the_graph():
     """Long orbits, forward and adjoint, change nothing the graph holds."""
     for graph, start, steps in (
         (ladder.make_g0(), ladder.entry(0), 256),
-        (ladder.make_entry_spine(0), ladder.SOURCE, 256),
         (ladder.make_counterexample(), ladder.SOURCE, 64),
     ):
         before = {key: copy.copy(value) for key, value in vars(graph).items()}

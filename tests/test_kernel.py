@@ -70,10 +70,6 @@ GRAPHS = {
     ),
     "g0": (ladder.make_g0(), ladder_vertices(st.just(0), False, st.just(("E", 0)))),
     "gk": (ladder.make_gk(2), ladder_vertices(st.just(2), False, st.just(("E", 2)))),
-    "spine": (
-        ladder.make_entry_spine(1),
-        ladder_vertices(st.just(1), True, st.builds(lambda k: ("E", k), st.integers(0, 6))),
-    ),
     "thirds": (THIRDS, st.sampled_from(THIRDS.finite_vertices)),
 }
 
@@ -82,7 +78,6 @@ LADDERS = {
     "combined": (st.integers(0, 6), True, st.builds(lambda k: ("E", k), st.integers(0, 6))),
     "g0": (st.just(0), False, st.just(("E", 0))),
     "gk": (st.just(2), False, st.just(("E", 2))),
-    "spine": (st.just(1), True, st.builds(lambda k: ("E", k), st.integers(0, 6))),
 }
 # start vertices for the framed orbits: landings and their neighbours as well
 FRAMED = {
@@ -93,7 +88,6 @@ FRAMED = {
 FOREIGN = {
     "g0": (("E", 0), [("S",), ("E", 1), ("T", 1, 2), ("B", 1, 4), ("V", 2)]),
     "gk": (("E", 2), [("S",), ("E", 0), ("T", 0, 3), ("B", 3, 1), ("V", 1)]),
-    "spine": (("E", 3), [("T", 0, 2), ("B", 2, 5), ("V", 0)]),
     "combined": (("S",), [("B", 0, 0), ("T", 2, 2), ("V", -1), ("X", 1)]),
 }
 
@@ -110,7 +104,6 @@ DEEP = {
     "combined": deep_vertices(st.integers(0, 6)),
     "g0": deep_vertices(st.just(0)),
     "gk": deep_vertices(st.just(2)),
-    "spine": deep_vertices(st.just(1)),
 }
 
 VALUES = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
@@ -358,7 +351,7 @@ def odd_cells(name, kind):
     copies, _, entries = LADDERS[name]
     if kind == "top":
         return st.builds(lambda k, d: ("T", k, k + 1 + d), copies, DEPTHS)
-    if kind == "entry":  # on the spine of copy 1: upstream, at and past the copy
+    if kind == "entry":  # on the combined graph, upstream of, at and past the copies drawn
         return entries
     if kind == "source":
         return st.just(ladder.SOURCE)
@@ -467,7 +460,7 @@ def test_moving_frame_sums_match_push_and_fraction_routes(name):
         check()
 
 
-@pytest.mark.parametrize("name", ["g0", "gk", "spine"])
+@pytest.mark.parametrize("name", ["combined", "g0", "gk"])
 def test_complex_generic_traces_match_the_gaussian_reference(name):
     graph, _ = GRAPHS[name]
     op = graph_handle(graph)
@@ -494,7 +487,7 @@ def test_moving_frame_sums_of_unit_vectors(name):
     graph, _ = GRAPHS[name]
     k = graph.copy_index or 0
     starts = [("E", k), ("T", k, k + 1), ("T", k, k + 4), ("B", k, 1), ("B", k, 5), ("V", k)]
-    if graph.entry_chain:
+    if graph.kind == "combined":
         starts.append(ladder.SOURCE)
     # a bottom cell on a landing holds half of what it delivers to the sink;
     # at windows 1 and 2 these sums' largest entries stand on a landing, alone
@@ -578,12 +571,13 @@ def rule_edge(k, n, s, values):
 
 
 def far_rule_starts(two_copies):
-    """Signed starts at the edges of LadderOrbit's far rule.  On the entry
-    spine of copy 0: the source and T(0, 1), both making births from m = 2
-    on, or one edge, with the source, entries and tops of copy 0.  On the
-    combined graph: the edge n = 2, s = 1 (R = 13) in copies 0 and 1 at
-    once, so that their far births drain in the same steps, with tops of
-    copies 0 to 3."""
+    """Signed starts at the edges of LadderOrbit's far rule, on the combined
+    graph.  In one copy: the source and T(0, 1), both making births from
+    m = 2 on, or one edge in copy 0, with the source, entries and tops of
+    copy 0; the source and the entries also feed the later copies.  In two
+    copies: the edge n = 2, s = 1 (R = 13) in copies 0 and 1 at once, so
+    that their far births drain in the same steps, with tops of copies 0
+    to 3."""
     values = st.lists(VALUES, min_size=8, max_size=8)
     if two_copies:
         edge = st.builds(lambda v: {**rule_edge(0, 2, 1, v[:4]), **rule_edge(1, 2, 1, v[4:])}, values)
@@ -604,16 +598,17 @@ def far_rule_starts(two_copies):
 
 
 FAR_RULE = {
-    "spine": (ladder.make_entry_spine(0), far_rule_starts(False)),
     "combined": (ladder.make_counterexample(), far_rule_starts(True)),
+    "combined-source": (ladder.make_counterexample(), far_rule_starts(False)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FAR_RULE))
 def test_far_births_match_push_at_every_step(name):
-    # far births drain within the run: the source's top at steps 7, 15 and 31,
-    # E(0)'s at 6, 14 and 30, T(0, 1)'s at 13 and 29 past R = 6; on the
-    # combined graph those of T(k, 3) and T(k, 2) at 27 and 28 past R = 13
+    # far births drain within the run: from the one-copy starts the source's
+    # top at steps 7, 15 and 31, E(0)'s at 6, 14 and 30, T(0, 1)'s at 13 and
+    # 29 past R = 6; from the two-copy ones those of T(k, 3) and T(k, 2) at
+    # 27 and 28 past R = 13
     graph, starts = FAR_RULE[name]
 
     @settings(5)

@@ -1,4 +1,4 @@
-"""Ladder graph structure: weights, enumeration, orbits, restriction."""
+"""Ladder graph structure: weights, enumeration, orbits, standalone copies."""
 
 import pytest
 
@@ -87,9 +87,6 @@ def test_enumerations_are_bijective():
     for graph in (ladder.make_g0(), ladder.make_gk(3)):
         for i in range(600):
             assert graph.index_of_vertex(graph.enumerate_vertex(i)) == i
-    spine = ladder.make_entry_spine(2)
-    for i in range(600):
-        assert spine.index_of_vertex(spine.enumerate_vertex(i)) == i
 
 
 def test_index_rejects_foreign_vertices():
@@ -103,7 +100,6 @@ def test_index_rejects_foreign_vertices():
                 ("V", -1), ("E", -1), ("T", -1, 0), ("B", -1, 3), ("X", 0),
             ),
         ),
-        (ladder.make_entry_spine(0), (V(1), ("B", 0, 0), ("T", 0, 0), ("E", -1))),
     ):
         for v in foreign:
             with pytest.raises(ValueError):
@@ -118,7 +114,6 @@ def test_oracles_are_consistent_and_column_bounded():
         (ladder.make_counterexample(), 2000),
         (ladder.make_g0(), 800),
         (ladder.make_gk(3), 800),
-        (ladder.make_entry_spine(1), 800),
     ):
         assert ref.oracle_problems(graph, graph.vertices_up_to(n), 2) == []
 
@@ -195,30 +190,26 @@ def test_orbit_matches_simulation_on_standalone_copies():
             assert x[V(k)] == ladder.orbit_predicate(kind, k, n), (kind, k, n)
 
 
-def test_spine_restriction_is_exact():
-    """Powers restricted to the spine vertex set equal powers of the spine."""
+def test_source_orbit_on_a_copy_is_the_standalone_orbit_from_its_entry():
+    """On copy k, the combined graph's orbit from the source at step t is
+    the standalone copy's orbit from E(k) at step t - k - 1, and 0 before:
+    E(k) holds 1 at step k + 1 and at no other step, and only E(k) feeds
+    copy k."""
     combined = ladder.make_counterexample()
-    for copy in (0, 2):
-        spine = ladder.make_entry_spine(copy)
-        keep = ladder.spine_vertex_set(copy)
+    for k in (0, 2):
+        standalone = ladder.make_g0() if k == 0 else ladder.make_gk(k)
         full = SparseVector.unit(S)
-        small = SparseVector.unit(S)
+        alone = SparseVector()
         for t in range(1, 41):
             full = graphop.apply(combined, full)
-            small = graphop.apply(spine, small)
-            assert {v: x for v, x in full.items() if keep(v)} == dict(small.items()), (copy, t)
-
-
-def test_spine_vertex_set_membership():
-    keep = ladder.spine_vertex_set(1)
-    assert keep(S) and keep(E(7)) and keep(T(1, 2)) and keep(B(1, 9)) and keep(V(1))
-    assert not keep(T(0, 1)) and not keep(V(0)) and not keep(B(2, 1))
+            alone = SparseVector.unit(E(k)) if t == k + 1 else graphop.apply(standalone, alone)
+            on_copy = {v: x for v, x in full.items() if v != S and v[1] == k}
+            assert on_copy == dict(alone.items()), (k, t)
 
 
 @pytest.mark.parametrize(
     "graph, entry_vertex, entry_edges, foreign",
     [
-        (ladder.make_entry_spine(0), E(3), ((E(4), ONE),), (T(3, 5), B(1, 4), V(2))),
         (ladder.make_g0(), E(0), ((T(0, 1), ONE),), (T(3, 5), B(1, 4), V(2), E(1), S)),
         (ladder.make_gk(2), E(2), ((T(2, 3), ONE),), (T(3, 5), B(0, 4), V(0), E(0), S)),
     ],

@@ -122,8 +122,10 @@ def test_sweep_equals_generic_engine_on_random_schedules():
 
 @pytest.mark.parametrize("factor", [1, -1])
 def test_sweep_equals_generic_engine_at_the_criteria_windows(factor):
-    # windows 128 and 256 are frozen in criteria 5 and 6; the generic engine
-    # reaches them by its moving-frame sums
+    # windows 128 and 256 are two of criterion 5's; the generic engine reaches
+    # them from the source by the combined graph's moving-frame sums; the test
+    # below checks criterion 5's windows and criterion 6's sign twist copy by
+    # copy
     generic = cesaro_trace(
         graph_handle(ladder.make_counterexample()),
         SparseVector.unit(ladder.SOURCE),
@@ -134,6 +136,16 @@ def test_sweep_equals_generic_engine_at_the_criteria_windows(factor):
     assert generic.engine == "generic"
     assert combined_cesaro_sup_norms([128, 256], factor=factor) == generic.norms()
     assert generic.norms() == {128: Fraction(5, 128), 256: Fraction(3, 128)}
+
+
+@pytest.mark.parametrize(
+    "window, factor", [(128, 1), (256, 1), (512, 1), (1024, 1), (1024, -1)]
+)
+def test_sweep_equals_the_copy_by_copy_sums_at_the_criteria_windows(window, factor):
+    # criterion 5's windows and criterion 6's sign twist, summed by the
+    # generic engine on the standalone copies (fraction_reference)
+    swept = combined_cesaro_sup_norms([window], factor=factor)[window]
+    assert swept == ref.source_sup_norm_by_copies(window, factor)
 
 
 def test_batched_schedule_equals_separate_runs():
@@ -260,6 +272,5 @@ def test_validation():
 def test_fast_route_is_advertised_only_for_the_combined_graph():
     assert fast_cesaro_available(ladder.make_counterexample())
     assert not fast_cesaro_available(ladder.make_g0())
-    assert not fast_cesaro_available(ladder.make_entry_spine(0))
     plain = graphop.graph_from_edges({"a": [("b", ONE)], "b": []})
     assert not fast_cesaro_available(plain)
