@@ -95,14 +95,14 @@ def _criterion_3() -> Tuple[bool, str]:
     at the sinks of copies k <= 4, and those of g0 and gk(2) from their
     entries.
     """
-    runs = [("combined", range(5)), ("g0", (0,)), ("gk", (2,))]
+    runs = [(ladder.make_counterexample(), range(5)), (ladder.make_g0(), (0,)), (ladder.make_gk(2), (2,))]
     mismatches = []
     checked = 0
-    for kind, copies in runs:
-        for n, k, got, want in ladder.sink_readings(kind, copies, 300):
+    for graph, copies in runs:
+        for n, k, got, want in ladder.sink_readings(graph, copies, 300):
             checked += 1
             if got != want:
-                mismatches.append((kind, k, n, got, want))
+                mismatches.append((graph.kind, k, n, got, want))
     ok = not mismatches
     return ok, (
         f"{checked} sink readings compared, {len(mismatches)} mismatches"

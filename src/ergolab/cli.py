@@ -156,7 +156,7 @@ def _cmd_orbit(args) -> int:
         copies = (graph.copy_index,)
     rows = [
         (str(n), str(k), fraction_str(got), str(want), str(int(got == want)))
-        for n, k, got, want in ladder.sink_readings(graph.kind, copies, args.n_max)
+        for n, k, got, want in ladder.sink_readings(graph, copies, args.n_max)
     ]
     _emit(args, ("n", "k", "simulated", "predicate", "match"), rows)
     return EXIT_OK if all(row[4] == "1" for row in rows) else EXIT_CHECK_FAILED

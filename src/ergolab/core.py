@@ -3,16 +3,15 @@
 Everything downstream works over arbitrary-precision rationals so that norms,
 orbit entries and averaging coefficients come out exact, never rounded.  The
 scalar type is the standard library ``fractions.Fraction``; this module adds
-the small amount of vector plumbing the operator code needs: sparse vectors
-with no stored zeros and their sup norm, and the Cesaro average of a signed
-geometric sequence in closed form.
+the vector type at the API edge, :class:`SparseVector`, and the Cesaro
+average of a signed geometric sequence in closed form.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Tuple
+from typing import Iterator, Mapping, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -91,39 +90,23 @@ def cesaro_geometric_sum(a, p: int, n: int) -> Fraction:
 
 
 class SparseVector:
-    """Finitely supported vector with exact rational entries.
+    """Finitely supported vector with exact rational entries, no vector algebra.
 
-    Keys may be any hashable index (integers for abstract sequence spaces,
-    vertex tuples for graph operators).  Zero entries are never stored, so two
-    vectors are equal exactly when their stored entries agree.
+    The operators compute on int numerators over a shared denominator and
+    take and return these at the API edge.  Keys may be any hashable index
+    (vertex tuples for graph operators).  Zero entries are never stored, so
+    two vectors are equal exactly when their stored entries agree.
     """
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries: Mapping | Iterable[Tuple] | None = None):
-        clean: dict = {}
-        if entries is not None:
-            items = entries.items() if isinstance(entries, Mapping) else entries
-            for key, value in items:
-                value = as_rational(value)
-                if value:
-                    cur = clean.get(key)
-                    if cur is None:
-                        clean[key] = value
-                    else:
-                        cur = cur + value
-                        if cur:
-                            clean[key] = cur
-                        else:
-                            del clean[key]
-        self._entries = clean
+    def __init__(self, entries: Mapping = {}):  # the default is only read
+        self._entries = {key: q for key, value in entries.items() if (q := as_rational(value))}
 
     @classmethod
     def unit(cls, index) -> "SparseVector":
         """Coordinate vector e_index."""
-        vec = cls.__new__(cls)
-        vec._entries = {index: ONE}
-        return vec
+        return cls._from_clean({index: ONE})
 
     @classmethod
     def _from_clean(cls, entries: dict) -> "SparseVector":
@@ -138,44 +121,16 @@ class SparseVector:
     def items(self):
         return self._entries.items()
 
-    def support(self):
-        """The set of indices carrying a nonzero entry."""
-        return set(self._entries)
-
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __iter__(self) -> Iterator:
+    def __iter__(self) -> Iterator:  # else iteration calls __getitem__(0), (1), ... forever
         return iter(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SparseVector):
             return self._entries == other._entries
         return NotImplemented
-
-    def __add__(self, other: "SparseVector") -> "SparseVector":
-        if not isinstance(other, SparseVector):
-            return NotImplemented
-        out = dict(self._entries)
-        for key, value in other._entries.items():
-            cur = out.get(key)
-            if cur is None:
-                out[key] = value
-            else:
-                cur = cur + value
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
-        return SparseVector._from_clean(out)
-
-    def __sub__(self, other: "SparseVector") -> "SparseVector":
-        if not isinstance(other, SparseVector):
-            return NotImplemented
-        return self + other.scale(-ONE)
 
     def scale(self, scalar) -> "SparseVector":
         scalar = as_rational(scalar)
@@ -185,25 +140,9 @@ class SparseVector:
             {key: scalar * value for key, value in self._entries.items()}
         )
 
-    def __mul__(self, scalar) -> "SparseVector":
-        return self.scale(scalar)
-
-    __rmul__ = __mul__
-
     def sup_norm(self) -> Fraction:
         """Largest absolute entry; 0 for the zero vector."""
-        if not self._entries:
-            return ZERO
-        return max(-value if value < ZERO else value for value in self._entries.values())
-
-    def __repr__(self) -> str:
-        if not self._entries:
-            return "SparseVector(0)"
-        shown = sorted(self._entries.items(), key=lambda kv: repr(kv[0]))
-        body = ", ".join(f"{key!r}: {value}" for key, value in shown[:8])
-        if len(shown) > 8:
-            body += f", ... ({len(shown)} entries)"
-        return f"SparseVector({{{body}}})"
+        return max(map(abs, self._entries.values()), default=ZERO)
 
 
 def _int_str(n: int) -> str:

@@ -159,10 +159,9 @@ class CesaroTrace:
     ``engine`` names the engine that ran: "fast" or "generic".
     """
 
-    __slots__ = ("description", "records", "engine")
+    __slots__ = ("records", "engine")
 
-    def __init__(self, description: str, records: List[TraceRecord], engine: str):
-        self.description = description
+    def __init__(self, records: List[TraceRecord], engine: str):
         self.records = records
         self.engine = engine
 
@@ -215,7 +214,7 @@ def cesaro_trace(
     ):
         values = sweeps.combined_cesaro_sup_norms(wanted, step_power, factor)
         records = [TraceRecord(n, values[n], None) for n in wanted]
-        return CesaroTrace(op.description, records, "fast")
+        return CesaroTrace(records, "fast")
     exact = turns % 2 == 0
     orbit = _orbit(op, x, exact)
     if isinstance(orbit, ladder.LadderOrbit) and step_power == 1 and exact and max_support is None:
@@ -225,7 +224,7 @@ def cesaro_trace(
             TraceRecord(k, *_sup_and_support(re, im, den, k, exact))
             for k, re, im, den in _running_sums(orbit, wanted, step_power, turns, max_support)
         ]
-    return CesaroTrace(op.description, records, "generic")
+    return CesaroTrace(records, "generic")
 
 
 class _ApplyOrbit:

@@ -105,9 +105,6 @@ class C0Graph:
             n = min(n, len(self.finite_vertices))
         return [self.enumerate_vertex(i) for i in range(n)]
 
-    def __repr__(self) -> str:
-        return f"C0Graph({self.description!r})"
-
 
 def graph_from_edges(
     edges: dict, description: str = "finite graph"

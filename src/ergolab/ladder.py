@@ -263,9 +263,12 @@ class LadderOrbit:
       2**m - m + s - 1 >= s + 1, before that of step s + 1 (a larger K),
       which is made by then.  So one scheduled drain per top suffices, and
       a step loops over the copies, the drains due and the tops still
-      below R, not over every top.  Stored keys are at most R, below every
-      far key, so at most one cell drains from a copy in a step, and the
-      sink then holds that cell's u.
+      below R, not over every top.  Drains are filed under (m, d), not K,
+      as from the source every K is a power of two and Python hashes those
+      onto 61 values; those due in step t have K = t + 1, m = K's bit
+      length or one less, d = 2**m - K - 1.  Stored keys are at most R,
+      below every far key, so at most one cell drains from a copy in a
+      step, and the sink then holds that cell's u.
     - A far birth's value is at most |a|, which its top still holds, so
       :meth:`sup_norm` scans only the stored cells.  A stored table holds
       at most R keys, and :meth:`items`, :meth:`value` and
@@ -310,7 +313,7 @@ class LadderOrbit:
         self._sinks: Dict[int, int] = {}  # k -> numerator of V(k)
         self._near: List[Tuple[int, int]] = []  # (k, d) of the tops whose births are stored
         self._far: Dict[int, Dict[int, int]] = {}  # k -> {d: step of the oldest live far birth}
-        self._drains: Dict[int, List[Tuple[int, int]]] = {}  # key -> (k, d) of the far birth there
+        self._drains: Dict[Tuple[int, int], List[int]] = {}  # (m, d) -> k of the far birth due
         self._bottom_max: Dict[int, List[int]] = {}  # k -> [largest stored u, cells holding it]
         # T is positive, so an orbit whose start has no negative entry never has one
         self._signed = min(nums.values(), default=0) < 0
@@ -350,10 +353,14 @@ class LadderOrbit:
                     held[1] -= 1
                     if not held[1]:
                         del maxima[k]
-        for k, d in drains.pop(t + 1, ()):  # a far birth drains; the top's next one is due
-            sinks[k] = tops[k][d]
-            s = far[k][d] = far[k][d] + 1
-            drains.setdefault((1 << (d + s + 1)) - d - 1, []).append((k, d))
+        if drains:  # far births under t + 1 = 2**m - d - 1 drain; their tops' next ones are due
+            key = t + 1
+            for m in (key.bit_length() - 1, key.bit_length()):
+                d = (1 << m) - key - 1
+                for k in drains.pop((m, d), ()):
+                    sinks[k] = tops[k][d]
+                    far[k][d] += 1
+                    drains.setdefault((m + 1, d), []).append(k)
         near = []
         for k, d in self._near:  # T(k, d + t) -> B(k, rung_position(d + t)), u = a
             key = (1 << (d + t + 1)) - d - 1  # rung_position(d + t) + t + 1
@@ -370,7 +377,7 @@ class LadderOrbit:
                 near.append((k, d))
             else:  # this birth and every later one are far
                 far.setdefault(k, {})[d] = t
-                drains.setdefault(key, []).append((k, d))
+                drains.setdefault((d + t + 1, d), []).append(k)
         self._near = near
         entries = self._entries
         for e, a in entries.items():  # E(k) -> T(k, k+1), weight 1
@@ -807,22 +814,17 @@ def orbit_predicate(kind: str, k: int, n: int) -> int:
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
-def sink_readings(kind: str, copies, n_max: int):
+def sink_readings(graph: LadderGraph, copies, n_max: int):
     """Yield (n, k, simulated, predicted) for n = 1..n_max and each k of ``copies``.
 
     simulated is the V(k) coordinate of the n-th orbit vector and predicted
-    is orbit_predicate(kind, k, n); the readings come in (n, k) order, with
-    the k in the order ``copies`` gives them.  One orbit serves every copy:
-    for kind "combined" it starts at the source of make_counterexample(),
-    and for "g0" and "gk" at the entry of the standalone copy, the one k of
-    ``copies``.  The orbit is the graph's own (:meth:`LadderGraph.orbit`),
-    in int numerators between readings.
+    is orbit_predicate(graph.kind, k, n); the readings come in (n, k)
+    order, with the k in the order ``copies`` gives them.  One orbit serves
+    every copy: on the combined graph it starts at the source, and on a
+    standalone copy at its entry.  The orbit is the graph's own
+    (:meth:`LadderGraph.orbit`), in int numerators between readings.
     """
-    if kind == "combined":
-        graph, start = make_counterexample(), SOURCE
-    else:
-        (k,) = copies
-        graph, start = (make_g0() if kind == "g0" else make_gk(k)), entry(k)
+    kind, start = graph.kind, SOURCE if graph.copy_index is None else entry(graph.copy_index)
     targets = [(k, sink(k)) for k in copies]
     orbit = graph.orbit({start: 1})
     for n in range(1, n_max + 1):

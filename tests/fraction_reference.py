@@ -45,15 +45,16 @@ def power_norms(graph, n_max, n_trunc):
 
 def cesaro_sup_norms(graph, x, windows, step_power=1, factor=ONE):
     """Sup norm of the n-th Cesaro average of factor * T**step_power at x, per window."""
-    cur, total, out = x, x, {}
+    cur, sums, out = x, dict(x.items()), {}
     for k in range(1, max(windows) + 1):
         if k > 1:
             for _ in range(step_power):
                 cur = push(graph.successors, cur)
             cur = cur.scale(factor)
-            total = total + cur
+            for key, value in cur.items():
+                sums[key] = sums.get(key, ZERO) + value
         if k in windows:
-            out[k] = total.sup_norm() / k
+            out[k] = max(map(abs, sums.values()), default=ZERO) / k
     return out
 
 

@@ -1,5 +1,6 @@
 """Exact scalar and sparse vector behaviour."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -74,21 +75,20 @@ def test_as_rational_rejects_floats():
 
 
 def test_sparse_vector_never_stores_zeros():
-    v = SparseVector({0: 1, 1: 0, 2: Fraction(1, 3)})
-    assert v.support() == {0, 2}
-    w = v + SparseVector({2: Fraction(-1, 3)})
-    assert w.support() == {0}
-    assert w[2] == 0
-    assert len(v - v) == 0
-    assert not (v - v)
+    v = SparseVector({0: 1, 1: 0, 2: Fraction(1, 3), 3: "0/5"})
+    assert dict(v.items()) == {0: 1, 2: Fraction(1, 3)}
+    # __getitem__ never raises, so without __iter__ iteration (and `in`)
+    # would read v[0], v[1], ... forever; the islice makes that fail at once
+    assert list(itertools.islice(iter(v), 5)) == [0, 2]
+    assert len(v) == 2 and 1 not in v and v[1] == 0
+    assert not SparseVector({5: 0})
+    with pytest.raises(TypeError):
+        SparseVector({0: 0.5})
 
 
 def test_sparse_vector_algebra():
     v = SparseVector({0: Fraction(1, 2), 3: -2})
-    w = SparseVector({0: Fraction(1, 2), 5: 1})
-    assert (v + w)[0] == 1
-    assert (v - w)[5] == -1
-    assert (3 * v)[3] == -6
+    assert v.scale(-2) == SparseVector({0: -1, 3: 4})
     assert v.scale(0) == SparseVector()
     assert SparseVector.unit("x")["x"] == 1
 
@@ -97,12 +97,6 @@ def test_norms_and_pairing():
     v = SparseVector({0: Fraction(1, 2), 1: -2, 9: Fraction(3, 4)})
     assert v.sup_norm() == 2
     assert SparseVector().sup_norm() == 0
-    # triangle inequality, on random vectors
-    rng = random.Random(11)
-    for _ in range(50):
-        x = SparseVector({i: Fraction(rng.randrange(-9, 10), 7) for i in range(6)})
-        y = SparseVector({i: Fraction(rng.randrange(-9, 10), 7) for i in range(3, 9)})
-        assert (x + y).sup_norm() <= x.sup_norm() + y.sup_norm()
 
 
 def test_fraction_str():

@@ -12,41 +12,25 @@ from ergolab.ergodic import cesaro_trace, graph_handle
 from ergolab.sweeps import combined_cesaro_sup_norms, fast_cesaro_available
 
 
-def direct_sup_norms(schedule, step_power=1, factor=ONE):
-    """Reference values by explicit orbit accumulation; exact, quadratic."""
-    graph = ladder.make_counterexample()
-    cur = SparseVector.unit(ladder.SOURCE)
-    acc = cur
-    out = {}
-    if 1 in schedule:
-        out[1] = ONE
-    for k in range(1, max(schedule)):
-        for _ in range(step_power):
-            cur = graphop.apply(graph, cur)
-        if factor == -ONE:
-            cur = cur.scale(-ONE)
-        acc = acc + cur
-        if (k + 1) in schedule:
-            out[k + 1] = acc.sup_norm() / (k + 1)
-    return out
-
-
 def test_sweep_matches_direct_engine_every_window():
     schedule = set(range(1, 41))
-    assert combined_cesaro_sup_norms(schedule) == direct_sup_norms(schedule)
+    graph, x = ladder.make_counterexample(), SparseVector.unit(ladder.SOURCE)
+    assert combined_cesaro_sup_norms(schedule) == ref.cesaro_sup_norms(graph, x, schedule)
 
 
 def test_sweep_matches_direct_engine_with_sign():
     schedule = set(range(1, 41))
+    graph, x = ladder.make_counterexample(), SparseVector.unit(ladder.SOURCE)
     fast = combined_cesaro_sup_norms(schedule, factor=-1)
-    assert fast == direct_sup_norms(schedule, factor=-ONE)
+    assert fast == ref.cesaro_sup_norms(graph, x, schedule, factor=-ONE)
 
 
 @pytest.mark.parametrize("step_power,top", [(2, 24), (3, 16)])
 def test_sweep_matches_direct_engine_for_higher_powers(step_power, top):
     schedule = set(range(1, top + 1))
+    graph, x = ladder.make_counterexample(), SparseVector.unit(ladder.SOURCE)
     fast = combined_cesaro_sup_norms(schedule, step_power=step_power)
-    assert fast == direct_sup_norms(schedule, step_power=step_power)
+    assert fast == ref.cesaro_sup_norms(graph, x, schedule, step_power=step_power)
 
 
 def test_sweep_matches_complex_reference():
