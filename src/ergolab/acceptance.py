@@ -20,22 +20,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import blockdiag, ergodic, graphop, ladder, sweeps
 from .core import ONE, TWO, ZERO, SparseVector, fraction_str
 
-#: wall-clock budget per criterion, seconds
-TARGETS: Dict[int, float] = {
-    1: 10.0,
-    2: 5.0,
-    3: 10.0,
-    4: 30.0,
-    5: 30.0,
-    6: 60.0,
-    7: 5.0,
-    8: 5.0,
-    9: 30.0,
-    10: 5.0,
-    11: 60.0,
-    12: 5.0,
-}
-
 
 class CriterionResult:
     __slots__ = ("number", "name", "passed", "detail", "elapsed", "budget")
@@ -249,7 +233,7 @@ def _criterion_10() -> Tuple[bool, str]:
     ]
     for graph in graphs:
         cert = ergodic.fixed_space_certificate(graph)
-        replay = ergodic.replay_certificate(cert, graph, coverage=200)
+        replay = ergodic.replay_certificate(cert, graph)
         good = cert.conclusion == "only_zero" and replay.ok
         ok = ok and good
         pieces.append(f"{graph.description}: {cert.conclusion}, replay {'ok' if replay.ok else 'FAILED'}")
@@ -289,41 +273,33 @@ def _criterion_12() -> Tuple[bool, str]:
     return ok, f"{checked} grid points (m <= 20, n <= 64, p <= 4), {bad} mismatches"
 
 
-_CRITERIA: List[Tuple[int, str, Callable[[], Tuple[bool, str]]]] = [
-    (1, "power norms stay bounded by 4", _criterion_1),
-    (2, "entry-to-sink path lengths thin out geometrically", _criterion_2),
-    (3, "orbit sink readings match the closed-form predicate", _criterion_3),
-    (4, "at most two paths per endpoint and length, weight at most 2", _criterion_4),
-    (5, "source averages decay through the long schedule", _criterion_5),
-    (6, "higher powers and the sign twist keep averages small", _criterion_6),
-    (7, "odd-power block averages decay uniformly", _criterion_7),
-    (8, "even-power diagonal block averages stay large", _criterion_8),
-    (9, "matrix, path and adjoint routes agree", _criterion_9),
-    (10, "fixed-space certificates replay and conclude", _criterion_10),
-    (11, "sink-hit triangle blocks vanishing cluster points", _criterion_11),
-    (12, "closed-form block averages equal literal averaging", _criterion_12),
-]
-
-
-def criterion_numbers() -> List[int]:
-    return [number for number, _, _ in _CRITERIA]
+#: criterion number -> (name, check, wall-clock budget in seconds)
+CRITERIA: Dict[int, Tuple[str, Callable[[], Tuple[bool, str]], float]] = {
+    1: ("power norms stay bounded by 4", _criterion_1, 10.0),
+    2: ("entry-to-sink path lengths thin out geometrically", _criterion_2, 5.0),
+    3: ("orbit sink readings match the closed-form predicate", _criterion_3, 10.0),
+    4: ("at most two paths per endpoint and length, weight at most 2", _criterion_4, 30.0),
+    5: ("source averages decay through the long schedule", _criterion_5, 30.0),
+    6: ("higher powers and the sign twist keep averages small", _criterion_6, 60.0),
+    7: ("odd-power block averages decay uniformly", _criterion_7, 5.0),
+    8: ("even-power diagonal block averages stay large", _criterion_8, 5.0),
+    9: ("matrix, path and adjoint routes agree", _criterion_9, 30.0),
+    10: ("fixed-space certificates replay and conclude", _criterion_10, 5.0),
+    11: ("sink-hit triangle blocks vanishing cluster points", _criterion_11, 60.0),
+    12: ("closed-form block averages equal literal averaging", _criterion_12, 5.0),
+}
 
 
 def run_criterion(number: int) -> CriterionResult:
-    for num, name, fn in _CRITERIA:
-        if num == number:
-            start = time.perf_counter()
-            passed, detail = fn()
-            elapsed = time.perf_counter() - start
-            return CriterionResult(
-                number=num,
-                name=name,
-                passed=passed,
-                detail=detail,
-                elapsed=elapsed,
-                budget=TARGETS[num],
-            )
-    raise ValueError(f"no criterion {number}; known: {criterion_numbers()}")
+    if number not in CRITERIA:
+        raise ValueError(f"no criterion {number}; known: {list(CRITERIA)}")
+    name, check, budget = CRITERIA[number]
+    start = time.perf_counter()
+    passed, detail = check()
+    elapsed = time.perf_counter() - start
+    return CriterionResult(
+        number=number, name=name, passed=passed, detail=detail, elapsed=elapsed, budget=budget
+    )
 
 
 def run_all(
@@ -331,10 +307,10 @@ def run_all(
     report: Optional[Callable[[CriterionResult], None]] = None,
 ) -> List[CriterionResult]:
     """Run the selected criteria (all by default), each once, in first-seen order."""
-    selected = list(dict.fromkeys(numbers)) if numbers is not None else criterion_numbers()
-    unknown = [n for n in selected if n not in TARGETS]
+    selected = list(dict.fromkeys(numbers)) if numbers is not None else list(CRITERIA)
+    unknown = [n for n in selected if n not in CRITERIA]
     if unknown:
-        raise ValueError(f"unknown criteria {unknown}; known: {criterion_numbers()}")
+        raise ValueError(f"unknown criteria {unknown}; known: {list(CRITERIA)}")
     results = []
     for number in selected:
         result = run_criterion(number)

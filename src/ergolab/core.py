@@ -156,7 +156,8 @@ def _int_str(n: int) -> str:
 
 def fraction_str(value: Fraction) -> str:
     """Render a rational as ``p/q`` (or ``p`` when the denominator is 1)."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return _int_str(value.numerator)
     return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"

@@ -208,8 +208,7 @@ def cesaro_trace(
     turns = sweeps.normalize_factor(factor)
     if (
         engine == "auto"
-        and op.graph is not None
-        and sweeps.fast_cesaro_available(op.graph)
+        and getattr(op.graph, "kind", None) == "combined"
         and x == SparseVector.unit(ladder.SOURCE)
     ):
         values = sweeps.combined_cesaro_sup_norms(wanted, step_power, factor)
@@ -348,24 +347,17 @@ def weak_compactness_witness(graph: C0Graph, k_max: int, m_max: int) -> SinkHitT
 # ---------------------------------------------------------------------------
 # fixed-space certificates
 
-
-class VertexFamily(NamedTuple):
-    """A batch of vertices handled by one derivation step.
-
-    ``members`` is a membership test, ``samples`` a finite set of concrete
-    representatives used when the derivation is replayed, ``infinite``
-    states whether each equality class inside the family is infinite (the
-    summability argument needs that).
-    """
-
-    label: str
-    members: Callable[[Vertex], bool]
-    samples: Tuple[Vertex, ...]
-    infinite: bool = False
+CHAIN_LIMIT = 64  # hops a replayed "chain_to_zero" chain may take to a zeroed vertex
+COVERAGE = 200  # enumerated vertices a replay checks some step covers
 
 
-class DerivationStep(NamedTuple):
-    """One rule application: every vertex of the family is forced to zero.
+class DerivationStep:
+    """One rule application: every vertex of a family is forced to zero.
+
+    ``label`` names the family, ``members`` tests membership in it,
+    ``samples`` are the concrete representatives a replay checks, and
+    ``infinite`` states whether each equality class inside the family is
+    infinite (the summability argument needs that).
 
     rule "sink": the vertex has no out-edges, so the fixed-functional
         equation reads y = 0 directly.
@@ -379,8 +371,15 @@ class DerivationStep(NamedTuple):
     rule "substitution": every out-edge points at an already zeroed vertex.
     """
 
-    rule: str
-    family: VertexFamily
+    __slots__ = ("rule", "label", "members", "samples", "infinite")
+
+    def __init__(self, rule: str, label: str, members: Callable[[Vertex], bool],
+                 samples: Sequence[Vertex], infinite: bool = False):
+        self.rule = rule
+        self.label = label
+        self.members = members
+        self.samples = tuple(samples)
+        self.infinite = infinite
 
 
 class FixedSpaceCertificate:
@@ -399,13 +398,9 @@ class FixedSpaceCertificate:
         self.conclusion = conclusion
 
 
-def _tag_family(tag: str, label: str, samples, infinite=False) -> VertexFamily:
-    return VertexFamily(
-        label=label,
-        members=lambda v, _tag=tag: v[0] == _tag,
-        samples=tuple(samples),
-        infinite=infinite,
-    )
+def _tag_step(rule: str, tag: str, label: str, samples, infinite=False) -> DerivationStep:
+    """A step over every vertex tagged ``tag``."""
+    return DerivationStep(rule, label, lambda v: v[0] == tag, samples, infinite)
 
 
 def _ladder_certificate(graph: ladder.LadderGraph) -> FixedSpaceCertificate:
@@ -421,47 +416,21 @@ def _ladder_certificate(graph: ladder.LadderGraph) -> FixedSpaceCertificate:
     combined = graph.kind == "combined"
     k = 0 if combined else graph.copy_index
     ks = (0, 1, 3) if combined else (k,)
-
-    sinks = _tag_family(
-        "V",
-        "V(k)" + (" for all k >= 0" if combined else f" for k = {k}"),
-        [ladder.sink(i) for i in ks],
-    )
-    bottoms = _tag_family(
-        "B",
-        "B(k,j), j >= 1" + (" for all k >= 0" if combined else f" for k = {k}"),
-        [ladder.bottom(i, j) for i in ks for j in (1, 2, 5, 11)],
-    )
-    tops = _tag_family(
-        "T",
-        "T(k,n), n >= k+1"
-        + (", one infinite class per k" if combined else f" for k = {k}"),
-        [ladder.top(i, i + 1 + d) for i in ks for d in (0, 1, 3)],
-        infinite=True,
-    )
+    each = " for all k >= 0" if combined else f" for k = {k}"
     steps = [
-        DerivationStep("sink", sinks),
-        DerivationStep("chain_to_zero", bottoms),
-        DerivationStep("null_class", tops),
+        _tag_step("sink", "V", "V(k)" + each, [ladder.sink(i) for i in ks]),
+        _tag_step("chain_to_zero", "B", "B(k,j), j >= 1" + each,
+                  [ladder.bottom(i, j) for i in ks for j in (1, 2, 5, 11)]),
+        _tag_step("null_class", "T",
+                  "T(k,n), n >= k+1" + (", one infinite class per k" if combined else each),
+                  [ladder.top(i, i + 1 + d) for i in ks for d in (0, 1, 3)], infinite=True),
     ]
     if combined:
-        entries = _tag_family(
-            "E",
-            "E(k), k >= 0, one infinite class",
-            [ladder.entry(i) for i in (0, 1, 4)],
-            infinite=True,
-        )
-        steps.append(DerivationStep("null_class", entries))
-        steps.append(
-            DerivationStep("substitution", _tag_family("S", "the source S", [ladder.SOURCE]))
-        )
+        steps.append(_tag_step("null_class", "E", "E(k), k >= 0, one infinite class",
+                               [ladder.entry(i) for i in (0, 1, 4)], infinite=True))
+        steps.append(_tag_step("substitution", "S", "the source S", [ladder.SOURCE]))
     else:
-        steps.append(
-            DerivationStep(
-                "substitution",
-                _tag_family("E", f"the entry vertex E({k})", [ladder.entry(k)]),
-            )
-        )
+        steps.append(_tag_step("substitution", "E", f"the entry vertex E({k})", [ladder.entry(k)]))
     return FixedSpaceCertificate(steps, "only_zero")
 
 
@@ -479,10 +448,8 @@ def _finite_certificate(graph: C0Graph) -> FixedSpaceCertificate:
             out = graph.successors(u)
             if all(v in zeroed for v, _ in out):
                 zeroed.add(u)
-                family = VertexFamily(
-                    label=f"vertex {u!r}", members=lambda v, _u=u: v == _u, samples=(u,)
-                )
-                steps.append(DerivationStep("sink" if not out else "substitution", family))
+                steps.append(DerivationStep("sink" if not out else "substitution",
+                                            f"vertex {u!r}", lambda v, _u=u: v == _u, (u,)))
                 changed = True
     conclusion = "only_zero" if all(u in zeroed for u in vertices) else "inconclusive"
     return FixedSpaceCertificate(steps, conclusion)
@@ -505,109 +472,75 @@ def fixed_space_certificate(graph: C0Graph) -> FixedSpaceCertificate:
 class ReplayReport:
     """Outcome of replaying a certificate against the graph oracles."""
 
-    __slots__ = ("ok", "steps_checked", "samples_checked", "coverage_checked", "issues")
+    __slots__ = ("ok", "issues", "coverage_checked")
 
-    def __init__(
-        self,
-        ok: bool,
-        steps_checked: int,
-        samples_checked: int,
-        coverage_checked: int,
-        issues: Optional[List[str]] = None,
-    ):
-        self.ok = ok
-        self.steps_checked = steps_checked
-        self.samples_checked = samples_checked
+    def __init__(self, issues: List[str], coverage_checked: int):
+        self.ok = not issues
+        self.issues = issues
         self.coverage_checked = coverage_checked
-        self.issues = [] if issues is None else issues
 
 
-def replay_certificate(
-    cert: FixedSpaceCertificate,
-    graph: C0Graph,
-    chain_limit: int = 64,
-    coverage: int = 200,
-) -> ReplayReport:
+def _sample_issues(step: DerivationStep, u: Vertex, graph: C0Graph,
+                   zeroed: Callable[[Vertex], bool]) -> List[str]:
+    """The issues with ``step``'s premise at its sample u; ``zeroed`` tells
+    the vertices that earlier steps zeroed."""
+    fam = step.label
+    try:
+        out = graph.successors(u)
+    except (ValueError, KeyError) as exc:
+        return [f"{fam}: oracle rejected sample {u!r}: {exc}"]
+    if step.rule == "sink":
+        return [f"{fam}: sample {u!r} has out-edges"] if out else []
+    if step.rule == "substitution":
+        bad = [v for v, _ in out if not zeroed(v)]
+        return [f"{fam}: sample {u!r} has non-zeroed targets {bad!r}"] if bad else []
+    if step.rule == "null_class":
+        issues = [] if step.infinite else [f"{fam}: null_class needs an infinite class"]
+        deeper = [(v, w) for v, w in out if not zeroed(v)]
+        if len(deeper) != 1 or deeper[0][1] != ONE or not step.members(deeper[0][0]):
+            issues.append(f"{fam}: sample {u!r} does not step to a single same-class "
+                          f"weight-1 successor (got {deeper!r})")
+        return issues
+    if step.rule != "chain_to_zero":
+        return [f"unknown rule {step.rule!r}"]
+    cur = u
+    for _ in range(CHAIN_LIMIT):
+        try:
+            out = graph.successors(cur)
+        except (ValueError, KeyError) as exc:
+            return [f"{fam}: oracle rejected chain vertex {cur!r}: {exc}"]
+        if len(out) != 1:
+            return [f"{fam}: chain vertex {cur!r} is not single-exit"]
+        cur = out[0][0]
+        if zeroed(cur):
+            return []
+        if not step.members(cur):
+            return [f"{fam}: chain from {u!r} leaves the family at {cur!r}"]
+    return [f"{fam}: chain from {u!r} did not reach a zeroed vertex within {CHAIN_LIMIT} hops"]
+
+
+def replay_certificate(cert: FixedSpaceCertificate, graph: C0Graph) -> ReplayReport:
     """Re-check every derivation step of a certificate against the graph.
 
     Each rule's premise is verified on the recorded sample vertices using
     only the successor oracle, in derivation order (so "already zeroed"
     means zeroed by an earlier step).  For graphs with an enumeration the
-    first ``coverage`` vertices must each be covered by some step, which
+    first ``COVERAGE`` vertices must each be covered by some step, which
     ties the symbolic families back to the actual vertex set.
     """
-    report = ReplayReport(ok=True, steps_checked=0, samples_checked=0, coverage_checked=0)
-    done: List[VertexFamily] = []
+    done: List[DerivationStep] = []
 
     def zeroed(v: Vertex) -> bool:
-        return any(f.members(v) for f in done)
+        return any(step.members(v) for step in done)
 
+    issues: List[str] = []
     for step in cert.steps:
-        fam = step.family
-        for u in fam.samples:
-            report.samples_checked += 1
-            try:
-                out = graph.successors(u)
-            except (ValueError, KeyError) as exc:
-                report.issues.append(f"{fam.label}: oracle rejected sample {u!r}: {exc}")
-                continue
-            if step.rule == "sink":
-                if out:
-                    report.issues.append(f"{fam.label}: sample {u!r} has out-edges")
-            elif step.rule == "substitution":
-                bad = [v for v, _ in out if not zeroed(v)]
-                if bad:
-                    report.issues.append(
-                        f"{fam.label}: sample {u!r} has non-zeroed targets {bad!r}"
-                    )
-            elif step.rule == "chain_to_zero":
-                cur = u
-                for _ in range(chain_limit):
-                    try:
-                        out_cur = graph.successors(cur)
-                    except (ValueError, KeyError) as exc:
-                        report.issues.append(
-                            f"{fam.label}: oracle rejected chain vertex {cur!r}: {exc}"
-                        )
-                        break
-                    if len(out_cur) != 1:
-                        report.issues.append(
-                            f"{fam.label}: chain vertex {cur!r} is not single-exit"
-                        )
-                        break
-                    nxt = out_cur[0][0]
-                    if zeroed(nxt):
-                        break
-                    if not fam.members(nxt):
-                        report.issues.append(
-                            f"{fam.label}: chain from {u!r} leaves the family at {nxt!r}"
-                        )
-                        break
-                    cur = nxt
-                else:
-                    report.issues.append(
-                        f"{fam.label}: chain from {u!r} did not reach a zeroed vertex "
-                        f"within {chain_limit} hops"
-                    )
-            elif step.rule == "null_class":
-                if not fam.infinite:
-                    report.issues.append(f"{fam.label}: null_class needs an infinite class")
-                deeper = [(v, w) for v, w in out if not zeroed(v)]
-                if len(deeper) != 1 or deeper[0][1] != ONE or not fam.members(deeper[0][0]):
-                    report.issues.append(
-                        f"{fam.label}: sample {u!r} does not step to a single same-class "
-                        f"weight-1 successor (got {deeper!r})"
-                    )
-            else:
-                report.issues.append(f"unknown rule {step.rule!r}")
-        done.append(fam)
-        report.steps_checked += 1
-
+        for u in step.samples:
+            issues += _sample_issues(step, u, graph, zeroed)
+        done.append(step)
+    covered: List[Vertex] = []
     if cert.conclusion == "only_zero" and graph._enumerate is not None:
-        for i, v in enumerate(graph.vertices_up_to(coverage)):
-            report.coverage_checked += 1
-            if not zeroed(v):
-                report.issues.append(f"vertex {v!r} (index {i}) not covered by any step")
-
-    report.ok = not report.issues
-    return report
+        covered = graph.vertices_up_to(COVERAGE)
+        issues += [f"vertex {v!r} (index {i}) not covered by any step"
+                   for i, v in enumerate(covered) if not zeroed(v)]
+    return ReplayReport(issues, len(covered))

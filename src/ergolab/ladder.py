@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import inf, isqrt
 from typing import Dict, List, Optional, Tuple
 
-from .core import HALF, ONE, TWO
+from .core import HALF, ONE, TWO, ZERO
 from .graphop import C0Graph, Vertex
 
 SOURCE: Vertex = ("S",)
@@ -445,7 +445,7 @@ class LadderOrbit:
             k, j = v[1], v[2]
             key = j + t
             u = self._bottoms.get(k, {}).get(key, 0) if key <= self._reach else self._far_u(k, key)
-            return Fraction(u, self._den0 * (2 if rung_index(j) is not None else 1))
+            return Fraction(u, self._den0 * (2 if rung_index(j) is not None else 1)) if u else ZERO
         if tag == "T":
             a = self._tops.get(v[1], {}).get(v[2] - t, 0)
         elif tag == "E":
@@ -454,7 +454,7 @@ class LadderOrbit:
             a = self._sinks.get(v[1], 0)
         else:
             a = self._source if v == SOURCE else 0
-        return Fraction(a, self._den0)
+        return Fraction(a, self._den0) if a else ZERO
 
     def items(self):
         """The nonzero entries as (vertex, numerator) pairs over ``den``."""

@@ -155,8 +155,3 @@ def combined_cesaro_sup_norms(
         re, im = best
         results[n] = gaussian_abs(re, im, 2, n) if turns % 2 else Fraction(abs(re), 2 * n)
     return results
-
-
-def fast_cesaro_available(graph) -> bool:
-    """Whether the sweep applies to this graph (the combined ladder form)."""
-    return getattr(graph, "kind", None) == "combined"

@@ -1,6 +1,7 @@
 """Averaging engines, compactness witness, and fixed-space certificates."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,6 @@ from ergolab.core import HALF, ONE, ZERO, SparseVector
 from ergolab.ergodic import (
     BudgetExceeded,
     OperatorHandle,
-    ReplayReport,
     at_most,
     cesaro_trace,
     fixed_space_certificate,
@@ -40,14 +40,6 @@ def test_trace_from_a_dead_end_vertex():
     assert [rec.support for rec in trace.records] == [1, 1, 1]
     with pytest.raises(AttributeError):
         trace.records[0].sup_norm = ZERO
-
-
-def test_replay_reports_do_not_share_their_issues():
-    first = ReplayReport(True, 0, 0, 0)
-    second = ReplayReport(ok=True, steps_checked=0, samples_checked=0, coverage_checked=0)
-    first.issues.append("noted")
-    assert second.issues == []
-    assert ReplayReport(True, 0, 0, 0).issues == []
 
 
 def test_trace_fast_engine_agrees_with_generic():
@@ -218,10 +210,9 @@ def test_certificate_structure_for_the_combined_graph():
         "null_class",
         "substitution",
     ]
-    families = [step.family for step in cert.steps]
     for v in (ladder.SOURCE, ladder.top(2, 9), ladder.bottom(4, 7), ladder.entry(3)):
-        assert sum(family.members(v) for family in families) == 1, v
-    assert not any(family.members(("X", 0)) for family in families)
+        assert sum(step.members(v) for step in cert.steps) == 1, v
+    assert not any(step.members(("X", 0)) for step in cert.steps)
 
 
 def test_replay_detects_a_tampered_graph():
@@ -249,6 +240,153 @@ def test_replay_detects_a_mismatched_graph():
     replay = replay_certificate(cert, ladder.make_g0())
     assert not replay.ok
     assert any("rejected" in issue for issue in replay.issues)
+
+
+# Each replay premise, broken on its own: copy 0 with some out-edges
+# replaced, or its certificate with one step replaced or dropped.  Copy 0's
+# certificate samples V(0); B(0,j) for j = 1, 2, 5, 11; T(0,n) for n = 1, 2,
+# 4; then E(0).
+
+BOTTOMS = "B(k,j), j >= 1 for k = 0"
+TOPS = "T(k,n), n >= k+1 for k = 0"
+
+
+def _patched_g0(edges):
+    """Copy 0 with the out-edges of the vertices ``edges`` names replaced,
+    or computed by ``edges`` when it is a function of the vertex."""
+    base = ladder.make_g0()
+    patch = edges if callable(edges) else edges.get
+
+    def out_edges(v):
+        out = patch(v)
+        return base.out_edges(v) if out is None else out
+
+    return graphop.C0Graph(
+        out_edges=out_edges,
+        in_edges=base.in_edges,
+        enumerate_vertex=base.enumerate_vertex,
+        index_of_vertex=base.index_of_vertex,
+        description="copy 0, patched",
+    )
+
+
+def _hand_step(rule, label, members, samples, infinite=False):
+    """A derivation step built by hand.  Replay reads a step only through
+    these attributes; ``family`` lets the step also read as a (rule,
+    family) pair whose family holds the other four."""
+    step = SimpleNamespace(
+        rule=rule, label=label, members=members, samples=tuple(samples), infinite=infinite
+    )
+    step.family = step
+    return step
+
+
+def _replay_g0_issues(graph, swap=None):
+    """The issues of copy 0's certificate replayed on ``graph``, with step i
+    replaced by ``swap[1]`` when ``swap`` is (i, step)."""
+    cert = fixed_space_certificate(ladder.make_g0())
+    if swap is not None:
+        cert.steps[swap[0]] = swap[1]
+    replay = replay_certificate(cert, graph)
+    assert replay.ok == (not replay.issues)
+    return replay.issues
+
+
+def _climbing_bottoms(v):
+    """Every bottom above B(0,1) steps up, so no chain from one ends."""
+    return ((ladder.bottom(0, v[2] + 1), 1, 1),) if v[0] == "B" and v[2] >= 2 else None
+
+
+def _doubled_tops(v):
+    """Copy 0's top edges, with weight 2 on the edge deeper into the top chain."""
+    if v[0] == "T":
+        _, k, n = v
+        return ((ladder.top(k, n + 1), 2, 1), (ladder.bottom(k, ladder.rung_position(n)), 1, 2))
+    return None
+
+
+def _doubled_top_issue(n):
+    return (f"{TOPS}: sample ('T', 0, {n}) does not step to a single same-class "
+            f"weight-1 successor (got [(('T', 0, {n + 1}), Fraction(2, 1))])")
+
+
+B3, T2, T4 = ladder.bottom(0, 3), ladder.top(0, 2), ladder.top(0, 4)
+TWO_EXITS = f"{BOTTOMS}: chain vertex ('B', 0, 3) is not single-exit"
+
+
+@pytest.mark.parametrize("edges, issues", [
+    pytest.param(
+        {ladder.entry(0): ((ladder.top(0, 1), 1, 1), (("X", 0), 1, 1))},
+        ["the entry vertex E(0): sample ('E', 0) has non-zeroed targets [('X', 0)]"],
+        id="substitution-onto-a-target-not-zeroed"),
+    pytest.param({B3: ((ladder.bottom(0, 2), 1, 1), (ladder.sink(0), 1, 1))}, [TWO_EXITS] * 2,
+                 id="chain-vertex-with-two-exits"),
+    pytest.param({B3: ()}, [TWO_EXITS] * 2, id="chain-vertex-with-no-exit"),
+    pytest.param(
+        {B3: ((ladder.top(0, 5), 1, 1),)},
+        [f"{BOTTOMS}: chain from ('B', 0, {j}) leaves the family at ('T', 0, 5)" for j in (5, 11)],
+        id="chain-leaves-its-family"),
+    pytest.param(
+        {B3: ((("B", 0, 0), 1, 1),)},
+        [f"{BOTTOMS}: oracle rejected chain vertex ('B', 0, 0): not a ladder vertex: ('B', 0, 0)"] * 2,
+        id="chain-vertex-the-oracle-rejects"),
+    pytest.param(
+        _climbing_bottoms,
+        [f"{BOTTOMS}: chain from ('B', 0, {j}) did not reach a zeroed vertex within 64 hops"
+         for j in (2, 5, 11)],
+        id="chain-longer-than-the-limit"),
+    pytest.param(_doubled_tops, [_doubled_top_issue(n) for n in (1, 2, 4)],
+                 id="null-class-deeper-edge-of-weight-2"),
+    pytest.param(
+        {T2: ((("X", 0), 1, 1), (ladder.bottom(0, 5), 1, 2))},
+        [f"{TOPS}: sample ('T', 0, 2) does not step to a single same-class "
+         "weight-1 successor (got [(('X', 0), Fraction(1, 1))])"],
+        id="null-class-deeper-edge-out-of-its-class"),
+    pytest.param(
+        {T4: ((ladder.top(0, 5), 1, 1), (ladder.top(0, 6), 1, 1))},
+        [f"{TOPS}: sample ('T', 0, 4) does not step to a single same-class weight-1 successor "
+         "(got [(('T', 0, 5), Fraction(1, 1)), (('T', 0, 6), Fraction(1, 1))])"],
+        id="null-class-two-deeper-edges"),
+])
+def test_replay_flags_each_broken_premise(edges, issues):
+    assert _replay_g0_issues(_patched_g0(edges)) == issues
+
+
+@pytest.mark.parametrize("j, ok", [(64, True), (65, False)])
+def test_replay_follows_a_chain_of_exactly_the_limit(j, ok):
+    # B(0,j) is j hops above the sink V(0): 64 hops are allowed, 65 are not
+    bottoms = _hand_step("chain_to_zero", BOTTOMS, lambda v: v[0] == "B", [ladder.bottom(0, j)])
+    assert _replay_g0_issues(ladder.make_g0(), (1, bottoms)) == ([] if ok else [
+        f"{BOTTOMS}: chain from ('B', 0, 65) did not reach a zeroed vertex within 64 hops"
+    ])
+
+
+def test_replay_flags_null_class_on_a_finite_family():
+    tops = _hand_step("null_class", TOPS, lambda v: v[0] == "T",
+                      [ladder.top(0, n) for n in (1, 2, 4)])
+    finite = f"{TOPS}: null_class needs an infinite class"
+    assert _replay_g0_issues(ladder.make_g0(), (2, tops)) == [finite] * 3
+    # the class's edges are still checked: a finite class can fail both ways
+    assert _replay_g0_issues(_patched_g0(_doubled_tops), (2, tops)) == [
+        issue for n in (1, 2, 4) for issue in (finite, _doubled_top_issue(n))
+    ]
+
+
+def test_replay_flags_an_unknown_rule():
+    sinks = _hand_step("by_inspection", "V(k) for k = 0", lambda v: v[0] == "V", [ladder.sink(0)])
+    assert _replay_g0_issues(ladder.make_g0(), (0, sinks)) == ["unknown rule 'by_inspection'"]
+
+
+def test_replay_flags_a_coverage_gap():
+    graph = ladder.make_g0()
+    cert = fixed_space_certificate(graph)
+    assert cert.steps[-1].rule == "substitution"
+    del cert.steps[-1]  # nothing zeroes the entry E(0) now
+    replay = replay_certificate(cert, graph)
+    index = graph.index_of_vertex(ladder.entry(0))
+    assert not replay.ok
+    assert replay.issues == [f"vertex ('E', 0) (index {index}) not covered by any step"]
+    assert replay.coverage_checked == 200
 
 
 def test_finite_chain_certificate():

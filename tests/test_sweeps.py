@@ -9,7 +9,7 @@ import pytest
 from ergolab import graphop, ladder, sweeps
 from ergolab.core import ONE, SparseVector
 from ergolab.ergodic import cesaro_trace, graph_handle
-from ergolab.sweeps import combined_cesaro_sup_norms, fast_cesaro_available
+from ergolab.sweeps import combined_cesaro_sup_norms
 
 
 def test_sweep_matches_direct_engine_every_window():
@@ -254,7 +254,10 @@ def test_validation():
 
 
 def test_fast_route_is_advertised_only_for_the_combined_graph():
-    assert fast_cesaro_available(ladder.make_counterexample())
-    assert not fast_cesaro_available(ladder.make_g0())
+    def engine(graph, start):
+        return cesaro_trace(graph_handle(graph), SparseVector.unit(start), [4]).engine
+
+    assert engine(ladder.make_counterexample(), ladder.SOURCE) == "fast"
+    assert engine(ladder.make_g0(), ladder.entry(0)) == "generic"
     plain = graphop.graph_from_edges({"a": [("b", ONE)], "b": []})
-    assert not fast_cesaro_available(plain)
+    assert engine(plain, "a") == "generic"
