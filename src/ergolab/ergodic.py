@@ -349,6 +349,7 @@ def weak_compactness_witness(graph: C0Graph, k_max: int, m_max: int) -> SinkHitT
 
 CHAIN_LIMIT = 64  # hops a replayed "chain_to_zero" chain may take to a zeroed vertex
 COVERAGE = 200  # enumerated vertices a replay checks some step covers
+RULES = ("sink", "chain_to_zero", "null_class", "substitution")
 
 
 class DerivationStep:
@@ -501,9 +502,7 @@ def _sample_issues(step: DerivationStep, u: Vertex, graph: C0Graph,
             issues.append(f"{fam}: sample {u!r} does not step to a single same-class "
                           f"weight-1 successor (got {deeper!r})")
         return issues
-    if step.rule != "chain_to_zero":
-        return [f"unknown rule {step.rule!r}"]
-    cur = u
+    cur = u  # rule "chain_to_zero"
     for _ in range(CHAIN_LIMIT):
         try:
             out = graph.successors(cur)
@@ -524,9 +523,11 @@ def replay_certificate(cert: FixedSpaceCertificate, graph: C0Graph) -> ReplayRep
 
     Each rule's premise is verified on the recorded sample vertices using
     only the successor oracle, in derivation order (so "already zeroed"
-    means zeroed by an earlier step).  For graphs with an enumeration the
-    first ``COVERAGE`` vertices must each be covered by some step, which
-    ties the symbolic families back to the actual vertex set.
+    means zeroed by an earlier step).  A family's premise is checked only
+    at its samples, so a step with an unknown rule, or with no samples, is
+    one issue.  For graphs with an enumeration the first ``COVERAGE``
+    vertices must each be covered by some step, which ties the symbolic
+    families back to the actual vertex set.
     """
     done: List[DerivationStep] = []
 
@@ -535,8 +536,13 @@ def replay_certificate(cert: FixedSpaceCertificate, graph: C0Graph) -> ReplayRep
 
     issues: List[str] = []
     for step in cert.steps:
-        for u in step.samples:
-            issues += _sample_issues(step, u, graph, zeroed)
+        if step.rule not in RULES:
+            issues.append(f"unknown rule {step.rule!r}")
+        elif not step.samples:
+            issues.append(f"{step.label}: no samples to check the {step.rule} premise at")
+        else:
+            for u in step.samples:
+                issues += _sample_issues(step, u, graph, zeroed)
         done.append(step)
     covered: List[Vertex] = []
     if cert.conclusion == "only_zero" and graph._enumerate is not None:

@@ -29,7 +29,7 @@ sink, and the orbits of :class:`LadderOrbit` store it so.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, isqrt
+from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
 from .core import HALF, ONE, TWO, ZERO
@@ -108,26 +108,9 @@ def bottom_weight(j: int) -> Fraction:
     return ONE
 
 
-def _widening_step(v: Vertex):
-    """The step at which an odd numerator at the start vertex v meets a weight 1/2, or inf.
-
-    A top crosses its rung at once; an entry or the source first travels to
-    the top it feeds; a bottom cell crosses from the position after the
-    first landing below it, and one on a landing holds the even u = 2a.
-    """
-    tag = v[0]
-    if tag == "T":
-        return 1
-    if tag == "B":
-        j = v[2]
-        if rung_index(j) is not None:
-            return inf
-        return j - max(rung_position(n) for n in range(1, j.bit_length()) if rung_position(n) < j)
-    if tag == "S":
-        return 3
-    if tag == "E":
-        return 2
-    return inf
+def _halves(u: int, j: int) -> int:
+    """The bottom cell B(k, j) stored as u, in halves: 2u / P(j)."""
+    return u if rung_index(j) is not None else 2 * u
 
 
 def _bump(table: Dict[int, int], key: int, c: int) -> None:
@@ -282,14 +265,9 @@ class LadderOrbit:
     rescans that table once.  A signed orbit's births may cancel, so its
     :meth:`sup_norm` scans each stored table.
 
-    Every table holds numerators over the start's denominator den0.  Since
-    nothing is halved in this frame, ``den`` widens as in
-    :func:`graphop.push`, where a weight 1/2 meets an odd numerator, at most
-    once: to 2 * den0, at a step fixed by the start's odd cells
-    (:func:`_widening_step`).  Every top carries a start cell's numerator,
-    and a bottom cell's u changes only by births of those, so no other cell
-    can be odd before then.  :meth:`items`, :meth:`value` and
-    :meth:`sup_norm` read a bottom cell as u / (P(j) * den0).
+    Every table holds numerators over the start's denominator den0, and
+    every read counts in halves of 1 / den0, so ``den`` is 2 * den0 from the
+    start and a bottom cell reads as 2u / P(j) halves (:func:`_halves`).
 
     A standalone copy has no source and no edge E(k) -> E(k+1), so its
     entry cell is cleared once it has fed the top chain.  Start vertices
@@ -303,7 +281,7 @@ class LadderOrbit:
     """
 
     def __init__(self, graph: "LadderGraph", nums: Dict[Vertex, int], den: int = 1):
-        self.den = self._den0 = den
+        self.den = 2 * den
         self._standalone = graph.copy_index is not None
         self._t = 0
         self._source = 0
@@ -336,8 +314,6 @@ class LadderOrbit:
                 self._source = a
         self._reach = max((max(cells) for cells in self._bottoms.values()), default=0)
         self._top_sup = max((abs(a) for cells in self._tops.values() for a in cells.values()), default=0)
-        odd = [v for v, a in nums.items() if a & 1]
-        self._widens_at = min((_widening_step(v) for v in odd), default=inf)
 
     def step(self) -> None:
         t = self._t
@@ -392,16 +368,14 @@ class LadderOrbit:
         if self._source:  # S -> E(0), weight 1
             _bump(entries, -(t + 1), self._source)
             self._source = 0
-        self._t = t = t + 1
-        if t == self._widens_at:
-            self.den *= 2
+        self._t = t + 1
 
     def sup_norm(self) -> Fraction:
         best = max(abs(self._source), self._top_sup)
         for table in (self._entries, self._sinks):
             if table:
                 best = max(best, max(table.values()), -min(table.values()))
-        best *= 2  # in halves of 1 / den0, as a landing holds u / 2
+        best *= 2  # in halves, as a landing holds u / 2
         maxima = self._bottom_max
         for k, cells in self._bottoms.items():  # far births stay within their tops' |a|
             if not cells:
@@ -416,7 +390,7 @@ class LadderOrbit:
                     held = maxima[k] = [top, stored.count(top)]
                 top = held[0]
             best = _bottom_sup(cells, self._t, best, top)
-        return Fraction(best, 2 * self._den0)
+        return Fraction(best, self.den)
 
     def _far_u(self, k: int, key: int) -> int:
         """The u of copy k's far birth under ``key``, or 0: key = 2**m - d - 1
@@ -445,7 +419,7 @@ class LadderOrbit:
             k, j = v[1], v[2]
             key = j + t
             u = self._bottoms.get(k, {}).get(key, 0) if key <= self._reach else self._far_u(k, key)
-            return Fraction(u, self._den0 * (2 if rung_index(j) is not None else 1)) if u else ZERO
+            return Fraction(_halves(u, j), self.den) if u else ZERO
         if tag == "T":
             a = self._tops.get(v[1], {}).get(v[2] - t, 0)
         elif tag == "E":
@@ -454,23 +428,22 @@ class LadderOrbit:
             a = self._sinks.get(v[1], 0)
         else:
             a = self._source if v == SOURCE else 0
-        return Fraction(a, self._den0) if a else ZERO
+        return Fraction(2 * a, self.den) if a else ZERO
 
     def items(self):
         """The nonzero entries as (vertex, numerator) pairs over ``den``."""
-        t, w = self._t, self.den // self._den0
+        t = self._t
         if self._source:
-            yield SOURCE, w * self._source
+            yield SOURCE, 2 * self._source
         for e, a in self._entries.items():
-            yield ("E", e + t), w * a
+            yield ("E", e + t), 2 * a
         for k, cells in self._tops.items():
             for d, a in cells.items():
-                yield ("T", k, d + t), w * a
+                yield ("T", k, d + t), 2 * a
         for k, key, u in self._bottom_cells():
-            j = key - t
-            yield ("B", k, j), w * u // 2 if rung_index(j) is not None else w * u
+            yield ("B", k, key - t), _halves(u, key - t)
         for k, a in self._sinks.items():
-            yield ("V", k), w * a
+            yield ("V", k), 2 * a
 
     def _chains(self):
         """Each chain's cells as (frame key, stored numerator) pairs, under its ledger name."""
@@ -553,7 +526,7 @@ class LadderOrbit:
             )
             best = max(best, chain_best)
             support += chain_support
-        return Fraction(best, 2 * n * self._den0), support
+        return Fraction(best, n * self.den), support
 
 
 class LadderGraph(C0Graph):

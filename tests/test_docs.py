@@ -1,5 +1,7 @@
-"""README's names, and its list of deliberate second routes, against the code."""
+"""README's names, its list of deliberate second routes, and the cross-references
+of the docstrings, against the code."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -24,8 +26,12 @@ def second_routes():
 def resolve(name):
     """The object ``ergolab.<name>`` names; AttributeError if there is none."""
     module, _, attr = name.partition(".")
-    target = importlib.import_module(f"ergolab.{module}")
-    for part in attr.split("."):
+    return lookup(importlib.import_module(f"ergolab.{module}"), attr)
+
+
+def lookup(target, dotted):
+    """The attribute path ``dotted`` of ``target``; AttributeError if there is none."""
+    for part in dotted.split("."):
         target = getattr(target, part)
     return target
 
@@ -51,3 +57,48 @@ def test_every_name_readme_gives_a_module_of_exists():
     assert len(names) >= 20, names
     for name in names:
         resolve(name)
+
+
+def docstring_references():
+    """Every :func:, :meth:, :class: and :attr: reference in an ergolab
+    docstring, as (module name, referenced name) pairs."""
+    refs = []
+    for info in pkgutil.iter_modules(ergolab.__path__):
+        module = importlib.import_module(f"ergolab.{info.name}")
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node) or ""
+                names = re.findall(r":(?:func|meth|class|attr):`([\w.]+)`", doc)
+                refs += [(info.name, name) for name in names]
+    return refs
+
+
+def resolve_reference(module_name, name):
+    """What a docstring reference names: in its own module, else as
+    ``ergolab.<name>``, else as a member of a class defined in that module."""
+    module = importlib.import_module(f"ergolab.{module_name}")
+    try:
+        return lookup(module, name)
+    except AttributeError:
+        pass
+    try:
+        return resolve(name.removeprefix("ergolab."))
+    except (AttributeError, ImportError):
+        pass
+    classes = [obj for obj in vars(module).values()
+               if isinstance(obj, type) and obj.__module__ == module.__name__]
+    for cls in classes:
+        try:
+            return lookup(cls, name)
+        except AttributeError:
+            pass
+    raise AssertionError(f"ergolab.{module_name} docstring names {name!r}, which does not exist")
+
+
+def test_every_docstring_reference_resolves():
+    # a :func:`name` left behind by a removed function fails here
+    refs = docstring_references()
+    assert len(refs) >= 50, len(refs)
+    for module_name, name in refs:
+        resolve_reference(module_name, name)

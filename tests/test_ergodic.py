@@ -11,6 +11,8 @@ from ergolab import graphop, ladder
 from ergolab.core import HALF, ONE, ZERO, SparseVector
 from ergolab.ergodic import (
     BudgetExceeded,
+    DerivationStep,
+    FixedSpaceCertificate,
     OperatorHandle,
     at_most,
     cesaro_trace,
@@ -375,6 +377,24 @@ def test_replay_flags_null_class_on_a_finite_family():
 def test_replay_flags_an_unknown_rule():
     sinks = _hand_step("by_inspection", "V(k) for k = 0", lambda v: v[0] == "V", [ladder.sink(0)])
     assert _replay_g0_issues(ladder.make_g0(), (0, sinks)) == ["unknown rule 'by_inspection'"]
+    # once per step, however many samples it has
+    tops = _hand_step("by_inspection", TOPS, lambda v: v[0] == "T",
+                      [ladder.top(0, n) for n in (1, 2, 4)])
+    assert _replay_g0_issues(ladder.make_g0(), (2, tops)) == ["unknown rule 'by_inspection'"]
+    # and for its rule when it has no samples either
+    everything = DerivationStep("bogus", "every vertex", lambda v: True, ())
+    replay = replay_certificate(FixedSpaceCertificate([everything], "only_zero"), ladder.make_g0())
+    assert replay.issues == ["unknown rule 'bogus'"]
+    assert replay.coverage_checked == 200
+
+
+@pytest.mark.parametrize("rule", ["sink", "chain_to_zero", "null_class", "substitution"])
+def test_replay_flags_a_step_with_no_samples(rule):
+    # a premise is checked only at the samples, so a step without any checks nothing
+    empty = DerivationStep(rule, "every vertex", lambda v: True, (), infinite=True)
+    replay = replay_certificate(FixedSpaceCertificate([empty], "only_zero"), ladder.make_g0())
+    assert replay.issues == [f"every vertex: no samples to check the {rule} premise at"]
+    assert not replay.ok
 
 
 def test_replay_flags_a_coverage_gap():

@@ -261,3 +261,19 @@ def test_fast_route_is_advertised_only_for_the_combined_graph():
     assert engine(ladder.make_g0(), ladder.entry(0)) == "generic"
     plain = graphop.graph_from_edges({"a": [("b", ONE)], "b": []})
     assert engine(plain, "a") == "generic"
+
+
+def test_gaussian_abs_is_unchanged_by_doubling_every_part():
+    # int true division rounds the exact quotient once, so re / den and
+    # 2re / 2den are the same float; an orbit counting in halves of 1 / den0
+    # therefore reads the same complex values as one over den0.  Parts and
+    # denominators reach past the float range, as in a sum over 3**999.
+    rng = random.Random(29)
+    for _ in range(400):
+        bits = rng.choice([8, 60, 1100])
+        den = rng.randint(1, 1 << bits)
+        re, im = (rng.randint(-den << 40, den << 40) for _ in range(2))
+        n = rng.randint(1, 5000)
+        assert sweeps.gaussian_abs(2 * re, 2 * im, 2 * den, n) == sweeps.gaussian_abs(re, im, den, n)
+    big = 3**999
+    assert sweeps.gaussian_abs(2 * (big - 1), 2, 2 * big, 7) == sweeps.gaussian_abs(big - 1, 1, big, 7)
