@@ -131,7 +131,7 @@ def _cmd_norms(args) -> int:
     _require_positive(args.n_max, "--n-max")
     _require_positive(args.trunc, "--trunc")
     graph = _make_graph(args.graph, args.k)
-    bound = _parse_fraction(args.bound, "--bound") if args.bound else None
+    bound = _parse_fraction(args.bound, "--bound") if args.bound is not None else None
     norms = graphop.power_norms_sweep(graph, args.n_max, args.trunc)
     rows = [
         (str(n), str(args.trunc), fraction_str(v), _decimal(v))
@@ -172,7 +172,7 @@ def _cmd_cesaro(args) -> int:
     # a repeated power would print its rows again; keep the first-seen order
     powers = list(dict.fromkeys(_parse_int_list(args.powers, "--powers")))
     factor = _FACTORS[args.factor]
-    bound = _parse_fraction(args.bound, "--bound") if args.bound else None
+    bound = _parse_fraction(args.bound, "--bound") if args.bound is not None else None
     graph = _make_graph(args.graph, args.k)
     start = args.start
     if args.x is not None:
@@ -227,8 +227,8 @@ def _cmd_block(args) -> int:
     if args.sweep_diag and args.deviation:
         raise UsageError("--sweep-diag and --deviation are mutually exclusive")
     windows = sorted(set(_parse_int_list(args.windows, "--windows")))
-    at_least = _parse_fraction(args.at_least, "--at-least") if args.at_least else None
-    at_most = _parse_fraction(args.at_most, "--at-most") if args.at_most else None
+    at_least = _parse_fraction(args.at_least, "--at-least") if args.at_least is not None else None
+    at_most = _parse_fraction(args.at_most, "--at-most") if args.at_most is not None else None
     rows: List[Tuple[str, ...]] = []
     values = []
     if args.deviation:

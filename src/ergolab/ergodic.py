@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import graphop, ladder, sweeps
-from .core import ONE, ZERO, SparseVector, as_rational
+from .core import ONE, SparseVector, as_rational
 from .graphop import C0Graph, Vertex
 
 
@@ -208,7 +208,8 @@ def cesaro_trace(
     turns = sweeps.normalize_factor(factor)
     if (
         engine == "auto"
-        and getattr(op.graph, "kind", None) == "combined"
+        and isinstance(op.graph, ladder.LadderGraph)
+        and op.graph.copy_index is None
         and x == SparseVector.unit(ladder.SOURCE)
     ):
         values = sweeps.combined_cesaro_sup_norms(wanted, step_power, factor)
@@ -296,39 +297,17 @@ def scalar_rotation_check(
     )
 
 
-class SinkHitTriangle:
-    """Exact sink readings of the source orbit along the doubling subsequence.
-
-    values[m][k] holds the coordinate of T**(2**(m+2)) e_S at sink V(k).
-    When the triangle pattern holds (1 exactly for k <= m, 0 above), every
-    pointwise limit of the subsequence is 1 on all tested sinks, so no
-    subsequence of the orbit can settle down inside the space of sequences
-    vanishing at infinity.
-    """
-
-    __slots__ = ("k_max", "m_max", "values")
-
-    def __init__(self, k_max: int, m_max: int, values: List[List[Fraction]]):
-        self.k_max = k_max
-        self.m_max = m_max
-        self.values = values
-
-    @property
-    def matches_triangle(self) -> bool:
-        return all(
-            value == (ONE if k <= m else ZERO)
-            for m, row in enumerate(self.values)
-            for k, value in enumerate(row)
-        )
-
-
-def weak_compactness_witness(graph: C0Graph, k_max: int, m_max: int) -> SinkHitTriangle:
+def weak_compactness_witness(graph: C0Graph, k_max: int, m_max: int) -> List[List[Fraction]]:
     """Read the sinks of the combined graph along the doubling subsequence.
 
     Simulates the full orbit of the source vector out to 2**(m_max+2) steps
     on the graph's own orbit state (exact arithmetic on the graph's edges,
-    none of the sweep's closed forms) and records the coordinate at V(k) for
-    k <= k_max at each step 2**(m+2), m <= m_max.
+    none of the sweep's closed forms) and returns the rows values[m][k]:
+    the coordinate of T**(2**(m+2)) e_S at V(k), for m <= m_max and
+    k <= k_max.  When they form the triangle (1 exactly for k <= m, 0
+    above), every pointwise limit of the subsequence is 1 on all tested
+    sinks, so no subsequence of the orbit can settle down inside the space
+    of sequences vanishing at infinity.
     """
     if k_max < 0 or m_max < 0:
         raise ValueError("k_max and m_max must be nonnegative")
@@ -341,7 +320,7 @@ def weak_compactness_witness(graph: C0Graph, k_max: int, m_max: int) -> SinkHitT
         m = checkpoints.get(t)
         if m is not None:
             values[m] = [orbit.value(ladder.sink(k)) for k in range(k_max + 1)]
-    return SinkHitTriangle(k_max=k_max, m_max=m_max, values=values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +393,7 @@ def _ladder_certificate(graph: ladder.LadderGraph) -> FixedSpaceCertificate:
     and, at the entries, y[E(k)] = y[E(k+1)] + y[T(k,k+1)] and y[S] = y[E(0)]
     on the combined graph, y[E(k)] = y[T(k,k+1)] on a standalone copy.
     """
-    combined = graph.kind == "combined"
+    combined = graph.copy_index is None
     k = 0 if combined else graph.copy_index
     ks = (0, 1, 3) if combined else (k,)
     each = " for all k >= 0" if combined else f" for k = {k}"

@@ -540,13 +540,6 @@ class LadderGraph(C0Graph):
         super().__init__(**kwargs)
         self.copy_index = copy_index
 
-    @property
-    def kind(self) -> str:
-        """The graph's kind as :func:`orbit_predicate` names it: "combined", "g0" or "gk"."""
-        if self.copy_index is None:
-            return "combined"
-        return "g0" if self.copy_index == 0 else "gk"
-
     def orbit(self, nums: Dict[Vertex, int], den: int = 1) -> LadderOrbit:
         return LadderOrbit(self, nums, den)
 
@@ -755,52 +748,42 @@ def make_counterexample() -> LadderGraph:
     )
 
 
-def orbit_predicate(kind: str, k: int, n: int) -> int:
-    """Predicted sink coordinate of the n-th orbit vector, 0 or 1.
+def orbit_predicate(copy_index: Optional[int], k: int, n: int) -> int:
+    """Predicted V(k) coordinate of the n-th orbit vector, 0 or 1.
 
-    For a standalone copy k started at its entry vertex, the sink coordinate
-    of T^n e_entry is 1 exactly when n = 2**(m+2) - k - 1 for some m >= k,
-    and 0 otherwise.  For the combined graph started at the source, the sink
-    of copy k reads 1 exactly when n = 2**(m+2) for some m >= k.  All other
-    values of n give 0 because at most one path of each length reaches a
-    given sink and its weight telescopes to 1.
+    ``copy_index`` is the graph's (:class:`LadderGraph`): None for the
+    combined graph started at the source, or k for standalone copy k
+    started at its entry vertex.  The sink of copy k reads 1 exactly when
+    n + k + 1 = 2**(m+2) on copy k, and n = 2**(m+2) on the combined graph,
+    for some m >= k; every other n gives 0, because at most one path of
+    each length reaches a given sink and its weight telescopes to 1.  The
+    combined graph's E(k) holds 1 at step k + 1 only, so the two readings
+    are one orbit, delayed by k + 1 steps.
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     if k < 0:
         raise ValueError(f"copy index must be nonnegative, got {k}")
-    if kind in ("g0", "gk"):
-        if kind == "g0" and k != 0:
-            raise ValueError(f"kind 'g0' requires k = 0, got {k}")
-        if kind == "gk" and k < 1:
-            raise ValueError(f"kind 'gk' requires k >= 1, got {k}")
-        target = n + k + 1
-        if target & (target - 1):
-            return 0
-        m = target.bit_length() - 3
-        return 1 if m >= k else 0
-    if kind == "combined":
-        if n < 4 or n & (n - 1):
-            return 0
-        m = n.bit_length() - 3
-        return 1 if m >= k else 0
-    raise ValueError(f"unknown graph kind {kind!r}")
+    if copy_index not in (None, k):
+        raise ValueError(f"copy {copy_index} has no sink V({k})")
+    target = n if copy_index is None else n + k + 1
+    return int(not target & (target - 1) and target.bit_length() - 3 >= k)
 
 
 def sink_readings(graph: LadderGraph, copies, n_max: int):
     """Yield (n, k, simulated, predicted) for n = 1..n_max and each k of ``copies``.
 
     simulated is the V(k) coordinate of the n-th orbit vector and predicted
-    is orbit_predicate(graph.kind, k, n); the readings come in (n, k)
+    is orbit_predicate(graph.copy_index, k, n); the readings come in (n, k)
     order, with the k in the order ``copies`` gives them.  One orbit serves
     every copy: on the combined graph it starts at the source, and on a
     standalone copy at its entry.  The orbit is the graph's own
     (:meth:`LadderGraph.orbit`), in int numerators between readings.
     """
-    kind, start = graph.kind, SOURCE if graph.copy_index is None else entry(graph.copy_index)
+    index = graph.copy_index
     targets = [(k, sink(k)) for k in copies]
-    orbit = graph.orbit({start: 1})
+    orbit = graph.orbit({SOURCE if index is None else entry(index): 1})
     for n in range(1, n_max + 1):
         orbit.step()
         for k, target in targets:
-            yield n, k, orbit.value(target), orbit_predicate(kind, k, n)
+            yield n, k, orbit.value(target), orbit_predicate(index, k, n)

@@ -6,7 +6,7 @@ Run with ``pytest -v tests/test_acceptance.py`` or ``ergolab verify``.
 
 import pytest
 
-from ergolab import acceptance, blockdiag
+from ergolab import acceptance, blockdiag, ergodic, ladder
 
 
 def _run_criterion(number: int):
@@ -91,3 +91,25 @@ def test_criterion_12_sees_one_wrong_literal_entry(monkeypatch, entry):
     result = acceptance.run_criterion(12)
     assert not result.passed
     assert result.detail.endswith(", 1 mismatches")
+
+
+def test_criterion_11_reports_its_frozen_triangle():
+    assert acceptance.run_criterion(11).detail == (
+        "sinks 0..4 sampled at steps 2^2..2^8: exact 0/1 triangle"
+    )
+
+
+def test_criterion_11_sees_one_wrong_witness_entry(monkeypatch):
+    witness = ergodic.weak_compactness_witness
+
+    def perturbed(graph, k_max, m_max):
+        values = witness(graph, k_max, m_max)
+        values[3][4] += 1  # a 0 above the diagonal reads 1
+        return values
+
+    monkeypatch.setattr(ergodic, "weak_compactness_witness", perturbed)
+    result = acceptance.run_criterion(11)
+    assert result.passed is False
+    values = witness(ladder.make_counterexample(), 4, 6)
+    values[3][4] += 1
+    assert result.detail == f"sinks 0..4 sampled at steps 2^2..2^8: pattern violated: {values!r}"

@@ -336,6 +336,23 @@ def test_bound_options_accept_a_dash_led_value_after_a_space(capsys, argv, optio
     assert glued[2] == ""
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["norms", "--n-max", "2", "--trunc", "10"], "--bound"),
+        (["cesaro", "--schedule", "8"], "--bound"),
+        (["block", "--windows", "10"], "--at-least"),
+        (["block", "--windows", "10"], "--at-most"),
+    ],
+    ids=["norms-bound", "cesaro-bound", "block-at-least", "block-at-most"],
+)
+def test_an_empty_bound_is_a_usage_error(capsys, argv, option):
+    # an empty value is no bound at all: it must not pass as "no check"
+    code, out, err = run(capsys, argv + [option, ""])
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} must be a rational like 3/4, got ''\n"
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(Path(ergolab.__file__).parents[1]))
     done = subprocess.run(

@@ -497,7 +497,7 @@ def test_moving_frame_sums_of_unit_vectors(name):
     graph, _ = GRAPHS[name]
     k = graph.copy_index or 0
     starts = [("E", k), ("T", k, k + 1), ("T", k, k + 4), ("B", k, 1), ("B", k, 5), ("V", k)]
-    if graph.kind == "combined":
+    if graph.copy_index is None:
         starts.append(ladder.SOURCE)
     # a bottom cell on a landing holds half of what it delivers to the sink;
     # at windows 1 and 2 these sums' largest entries stand on a landing, alone

@@ -163,31 +163,52 @@ def test_source_to_sink_paths_in_the_combined_graph():
 
 
 def test_orbit_predicate_values():
-    assert [n for n in range(1, 130) if ladder.orbit_predicate("g0", 0, n)] == [3, 7, 15, 31, 63, 127]
-    assert [n for n in range(1, 70) if ladder.orbit_predicate("gk", 2, n)] == [13, 29, 61]
-    assert [n for n in range(1, 70) if ladder.orbit_predicate("combined", 0, n)] == [4, 8, 16, 32, 64]
-    assert [n for n in range(1, 70) if ladder.orbit_predicate("combined", 2, n)] == [16, 32, 64]
-    assert ladder.orbit_predicate("combined", 3, 16) == 0
+    assert [n for n in range(1, 130) if ladder.orbit_predicate(0, 0, n)] == [3, 7, 15, 31, 63, 127]
+    assert [n for n in range(1, 70) if ladder.orbit_predicate(2, 2, n)] == [13, 29, 61]
+    assert [n for n in range(1, 70) if ladder.orbit_predicate(None, 0, n)] == [4, 8, 16, 32, 64]
+    assert [n for n in range(1, 70) if ladder.orbit_predicate(None, 2, n)] == [16, 32, 64]
+    assert ladder.orbit_predicate(None, 3, 16) == 0
 
 
 def test_orbit_predicate_validates():
-    with pytest.raises(ValueError):
-        ladder.orbit_predicate("g0", 1, 3)
-    with pytest.raises(ValueError):
-        ladder.orbit_predicate("gk", 0, 3)
-    with pytest.raises(ValueError):
-        ladder.orbit_predicate("nope", 0, 3)
-    with pytest.raises(ValueError):
-        ladder.orbit_predicate("combined", 0, -1)
+    with pytest.raises(ValueError, match="step count must be nonnegative, got -1"):
+        ladder.orbit_predicate(None, 0, -1)
+    with pytest.raises(ValueError, match="copy index must be nonnegative, got -1"):
+        ladder.orbit_predicate(None, -1, 3)
+    for copy_index, k in ((0, 1), (1, 0), (2, 3)):  # a sink outside the standalone copy
+        with pytest.raises(ValueError, match=rf"copy {copy_index} has no sink V\({k}\)"):
+            ladder.orbit_predicate(copy_index, k, 3)
+
+
+def test_orbit_predicate_on_the_combined_graph_is_the_copy_reading_delayed():
+    # E(k) holds 1 at step k + 1 only, so the source's orbit reads copy k's
+    # sink as copy k's own orbit from E(k), k + 1 steps late, and 0 before
+    for k in range(13):
+        for n in range(2**12 + 1):
+            delayed = ladder.orbit_predicate(k, k, n - k - 1) if n > k else 0
+            assert ladder.orbit_predicate(None, k, n) == delayed, (k, n)
+
+
+def test_sink_readings_match_the_predicate_on_late_copies():
+    # copies 5..10 first read 1 at steps 2**(k+2) from 128 to 4096, beyond
+    # the reach of criterion 3 (copies k <= 4, steps n <= 300)
+    readings = list(ladder.sink_readings(ladder.make_counterexample(), range(11), 4100))
+    assert len(readings) == 11 * 4100
+    assert [(n, k) for n, k, got, want in readings if got != want] == []
+    first = {}
+    for n, k, got, _ in readings:
+        if got:
+            first.setdefault(k, n)
+    assert first == {k: 2 ** (k + 2) for k in range(11)}
 
 
 def test_orbit_matches_simulation_on_standalone_copies():
-    for kind, k in (("g0", 0), ("gk", 1)):
+    for k in (0, 1):
         graph = ladder.make_g0() if k == 0 else ladder.make_gk(k)
         x = SparseVector.unit(E(k))
         for n in range(1, 140):
             x = graphop.apply(graph, x)
-            assert x[V(k)] == ladder.orbit_predicate(kind, k, n), (kind, k, n)
+            assert x[V(k)] == ladder.orbit_predicate(k, k, n), (k, n)
 
 
 def test_source_orbit_on_a_copy_is_the_standalone_orbit_from_its_entry():
