@@ -101,7 +101,7 @@ def _emit(args, columns: Sequence[str], rows: List[Tuple[str, ...]]) -> None:
 
 def _write(args, text: str) -> None:
     """Write a command's output to --out, or to stdout when it is not given."""
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(text)
         return
     try:
@@ -271,7 +271,7 @@ def _cmd_verify(args) -> int:
     numbers = _parse_int_list(args.criteria, "--criteria") if args.criteria else None
 
     def report(result):
-        if args.format != "json" and not args.out:
+        if args.format != "json" and args.out is None:
             print(result.line(), flush=True)
 
     try:
@@ -291,7 +291,7 @@ def _cmd_verify(args) -> int:
             for r in results
         ]
         _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif args.out:  # without --out each line went to stdout as its criterion ended
+    elif args.out is not None:  # without --out each line went to stdout as its criterion ended
         _write(args, "".join(r.line() + "\n" for r in results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 

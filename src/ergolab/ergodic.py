@@ -326,8 +326,7 @@ def weak_compactness_witness(graph: C0Graph, k_max: int, m_max: int) -> List[Lis
 # ---------------------------------------------------------------------------
 # fixed-space certificates
 
-CHAIN_LIMIT = 64  # hops a replayed "chain_to_zero" chain may take to a zeroed vertex
-COVERAGE = 200  # enumerated vertices a replay checks some step covers
+COVERAGE = 200  # enumerated vertices a replay checks against the step that covers each
 RULES = ("sink", "chain_to_zero", "null_class", "substitution")
 
 
@@ -341,9 +340,9 @@ class DerivationStep:
 
     rule "sink": the vertex has no out-edges, so the fixed-functional
         equation reads y = 0 directly.
-    rule "chain_to_zero": the vertex has a single out-edge; following the
-        unique successors stays inside the family and reaches an already
-        zeroed vertex, so zero propagates back along the chain.
+    rule "chain_to_zero": the vertex has a single out-edge, to an already
+        zeroed vertex or to a family member of smaller enumeration index,
+        so strong induction on the index zeroes the whole family.
     rule "null_class": the out-edges split into already zeroed targets and
         exactly one weight-1 edge deeper into the same family, so all
         members of the (infinite) class carry one common value; a summable
@@ -438,9 +437,9 @@ def _finite_certificate(graph: C0Graph) -> FixedSpaceCertificate:
 def fixed_space_certificate(graph: C0Graph) -> FixedSpaceCertificate:
     """Derive triviality of the transposed fixed space, when possible.
 
-    Ladder family graphs get the symbolic derivation; finite graphs get a
-    concrete substitution fixpoint.  Anything else is reported inconclusive
-    rather than guessed at.
+    A :class:`ladder.LadderGraph` gets the symbolic derivation; a finite
+    graph gets a concrete substitution fixpoint.  Anything else is reported
+    inconclusive rather than guessed at.
     """
     if isinstance(graph, ladder.LadderGraph):
         return _ladder_certificate(graph)
@@ -460,72 +459,72 @@ class ReplayReport:
         self.coverage_checked = coverage_checked
 
 
-def _sample_issues(step: DerivationStep, u: Vertex, graph: C0Graph,
-                   zeroed: Callable[[Vertex], bool]) -> List[str]:
-    """The issues with ``step``'s premise at its sample u; ``zeroed`` tells
-    the vertices that earlier steps zeroed."""
+def _premise_issues(step: DerivationStep, u: Vertex, graph: C0Graph,
+                    zeroed: Callable[[Vertex], bool]) -> List[str]:
+    """The issues with ``step``'s premise at the vertex u and its out-edges;
+    ``zeroed`` tells the vertices that earlier steps zeroed."""
     fam = step.label
     try:
         out = graph.successors(u)
     except (ValueError, KeyError) as exc:
-        return [f"{fam}: oracle rejected sample {u!r}: {exc}"]
+        return [f"{fam}: oracle rejected vertex {u!r}: {exc}"]
     if step.rule == "sink":
-        return [f"{fam}: sample {u!r} has out-edges"] if out else []
+        return [f"{fam}: vertex {u!r} has out-edges"] if out else []
     if step.rule == "substitution":
         bad = [v for v, _ in out if not zeroed(v)]
-        return [f"{fam}: sample {u!r} has non-zeroed targets {bad!r}"] if bad else []
+        return [f"{fam}: vertex {u!r} has non-zeroed targets {bad!r}"] if bad else []
     if step.rule == "null_class":
         issues = [] if step.infinite else [f"{fam}: null_class needs an infinite class"]
         deeper = [(v, w) for v, w in out if not zeroed(v)]
         if len(deeper) != 1 or deeper[0][1] != ONE or not step.members(deeper[0][0]):
-            issues.append(f"{fam}: sample {u!r} does not step to a single same-class "
+            issues.append(f"{fam}: vertex {u!r} does not step to a single same-class "
                           f"weight-1 successor (got {deeper!r})")
         return issues
-    cur = u  # rule "chain_to_zero"
-    for _ in range(CHAIN_LIMIT):
-        try:
-            out = graph.successors(cur)
-        except (ValueError, KeyError) as exc:
-            return [f"{fam}: oracle rejected chain vertex {cur!r}: {exc}"]
-        if len(out) != 1:
-            return [f"{fam}: chain vertex {cur!r} is not single-exit"]
-        cur = out[0][0]
-        if zeroed(cur):
-            return []
-        if not step.members(cur):
-            return [f"{fam}: chain from {u!r} leaves the family at {cur!r}"]
-    return [f"{fam}: chain from {u!r} did not reach a zeroed vertex within {CHAIN_LIMIT} hops"]
+    if len(out) != 1:  # rule "chain_to_zero"
+        return [f"{fam}: vertex {u!r} is not single-exit"]
+    v = out[0][0]
+    if zeroed(v):
+        return []
+    if not step.members(v):
+        return [f"{fam}: vertex {u!r} leaves the family at {v!r}"]
+    try:
+        descends = graph.index_of_vertex(v) < graph.index_of_vertex(u)
+    except (ValueError, KeyError) as exc:
+        return [f"{fam}: no index to descend by at {u!r}: {exc}"]
+    return [] if descends else [f"{fam}: vertex {u!r} steps to {v!r}, whose index is not smaller"]
 
 
 def replay_certificate(cert: FixedSpaceCertificate, graph: C0Graph) -> ReplayReport:
     """Re-check every derivation step of a certificate against the graph.
 
-    Each rule's premise is verified on the recorded sample vertices using
-    only the successor oracle, in derivation order (so "already zeroed"
-    means zeroed by an earlier step).  A family's premise is checked only
-    at its samples, so a step with an unknown rule, or with no samples, is
-    one issue.  For graphs with an enumeration the first ``COVERAGE``
-    vertices must each be covered by some step, which ties the symbolic
-    families back to the actual vertex set.
+    Each rule's premise is a check of one vertex and its out-edges through
+    the successor oracle, run in derivation order (so "already zeroed"
+    means zeroed by an earlier step).  For graphs with an enumeration, a
+    step checks its premise at each of the first ``COVERAGE`` vertices that
+    its family holds and no earlier step did, and at its samples, which
+    test the family beyond that prefix; a vertex no step holds is an issue.
+    A step with an unknown rule, or with no samples, is one issue.
     """
     done: List[DerivationStep] = []
 
     def zeroed(v: Vertex) -> bool:
         return any(step.members(v) for step in done)
 
+    claimed = cert.conclusion == "only_zero" and graph._enumerate is not None
+    pending = {v: i for i, v in enumerate(graph.vertices_up_to(COVERAGE if claimed else 0))}
+    coverage = len(pending)
     issues: List[str] = []
     for step in cert.steps:
+        held = [v for v in pending if step.members(v)]
+        for v in held:
+            del pending[v]
         if step.rule not in RULES:
             issues.append(f"unknown rule {step.rule!r}")
         elif not step.samples:
             issues.append(f"{step.label}: no samples to check the {step.rule} premise at")
         else:
-            for u in step.samples:
-                issues += _sample_issues(step, u, graph, zeroed)
+            for u in dict.fromkeys((*step.samples, *held)):
+                issues += _premise_issues(step, u, graph, zeroed)
         done.append(step)
-    covered: List[Vertex] = []
-    if cert.conclusion == "only_zero" and graph._enumerate is not None:
-        covered = graph.vertices_up_to(COVERAGE)
-        issues += [f"vertex {v!r} (index {i}) not covered by any step"
-                   for i, v in enumerate(covered) if not zeroed(v)]
-    return ReplayReport(issues, len(covered))
+    issues += [f"vertex {v!r} (index {i}) not covered by any step" for v, i in pending.items()]
+    return ReplayReport(issues, coverage)

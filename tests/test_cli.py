@@ -424,9 +424,10 @@ def test_verify_writes_its_output_to_the_out_file(tmp_path, capsys, fmt):
 )
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv):
     target = tmp_path / "missing" / "x.csv"
-    code, out, err = run(capsys, argv + ["--out", str(target)])
-    assert code == 2 and out == ""
-    assert err == f"error: cannot write --out {target}: No such file or directory\n"
+    for path in (str(target), ""):  # an empty path is a path, not a missing --out
+        code, out, err = run(capsys, argv + ["--out", path])
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write --out {path}: No such file or directory\n"
     assert not target.exists()
 
 

@@ -244,7 +244,8 @@ def test_replay_detects_a_mismatched_graph():
 # Each replay premise, broken on its own: copy 0 with some out-edges
 # replaced, or its certificate with one step replaced or dropped.  Copy 0's
 # certificate samples V(0); B(0,j) for j = 1, 2, 5, 11; T(0,n) for n = 1, 2,
-# 4; then E(0).
+# 4; then E(0).  Its first 200 vertices are E(0), V(0) and T(0,n), B(0,n)
+# for n < 100, each checked after the samples of the step that holds it.
 
 BOTTOMS = "B(k,j), j >= 1 for k = 0"
 TOPS = "T(k,n), n >= k+1 for k = 0"
@@ -271,13 +272,10 @@ def _patched_g0(edges):
 
 def _hand_step(rule, label, members, samples, infinite=False):
     """A derivation step built by hand.  Replay reads a step only through
-    these attributes; ``family`` lets the step also read as a (rule,
-    family) pair whose family holds the other four."""
-    step = SimpleNamespace(
+    these attributes."""
+    return SimpleNamespace(
         rule=rule, label=label, members=members, samples=tuple(samples), infinite=infinite
     )
-    step.family = step
-    return step
 
 
 def _replay_g0_issues(graph, swap=None):
@@ -292,7 +290,7 @@ def _replay_g0_issues(graph, swap=None):
 
 
 def _climbing_bottoms(v):
-    """Every bottom above B(0,1) steps up, so no chain from one ends."""
+    """Every bottom above B(0,1) steps up, so none descends."""
     return ((ladder.bottom(0, v[2] + 1), 1, 1),) if v[0] == "B" and v[2] >= 2 else None
 
 
@@ -305,45 +303,50 @@ def _doubled_tops(v):
 
 
 def _doubled_top_issue(n):
-    return (f"{TOPS}: sample ('T', 0, {n}) does not step to a single same-class "
+    return (f"{TOPS}: vertex ('T', 0, {n}) does not step to a single same-class "
             f"weight-1 successor (got [(('T', 0, {n + 1}), Fraction(2, 1))])")
 
 
+def _climbing_issue(j):
+    return (f"{BOTTOMS}: vertex ('B', 0, {j}) steps to ('B', 0, {j + 1}), "
+            "whose index is not smaller")
+
+
 B3, T2, T4 = ladder.bottom(0, 3), ladder.top(0, 2), ladder.top(0, 4)
-TWO_EXITS = f"{BOTTOMS}: chain vertex ('B', 0, 3) is not single-exit"
+TWO_EXITS = f"{BOTTOMS}: vertex ('B', 0, 3) is not single-exit"
+TOPS_IN_REPLAY_ORDER = (1, 2, 4, 3, *range(5, 100))  # samples first, then the covered rest
 
 
 @pytest.mark.parametrize("edges, issues", [
     pytest.param(
         {ladder.entry(0): ((ladder.top(0, 1), 1, 1), (("X", 0), 1, 1))},
-        ["the entry vertex E(0): sample ('E', 0) has non-zeroed targets [('X', 0)]"],
+        ["the entry vertex E(0): vertex ('E', 0) has non-zeroed targets [('X', 0)]"],
         id="substitution-onto-a-target-not-zeroed"),
-    pytest.param({B3: ((ladder.bottom(0, 2), 1, 1), (ladder.sink(0), 1, 1))}, [TWO_EXITS] * 2,
+    pytest.param({B3: ((ladder.bottom(0, 2), 1, 1), (ladder.sink(0), 1, 1))}, [TWO_EXITS],
                  id="chain-vertex-with-two-exits"),
-    pytest.param({B3: ()}, [TWO_EXITS] * 2, id="chain-vertex-with-no-exit"),
+    pytest.param({B3: ()}, [TWO_EXITS], id="chain-vertex-with-no-exit"),
     pytest.param(
         {B3: ((ladder.top(0, 5), 1, 1),)},
-        [f"{BOTTOMS}: chain from ('B', 0, {j}) leaves the family at ('T', 0, 5)" for j in (5, 11)],
+        [f"{BOTTOMS}: vertex ('B', 0, 3) leaves the family at ('T', 0, 5)"],
         id="chain-leaves-its-family"),
     pytest.param(
         {B3: ((("B", 0, 0), 1, 1),)},
-        [f"{BOTTOMS}: oracle rejected chain vertex ('B', 0, 0): not a ladder vertex: ('B', 0, 0)"] * 2,
+        [f"{BOTTOMS}: no index to descend by at ('B', 0, 3): bottom position must be positive, got 0"],
         id="chain-vertex-the-oracle-rejects"),
     pytest.param(
         _climbing_bottoms,
-        [f"{BOTTOMS}: chain from ('B', 0, {j}) did not reach a zeroed vertex within 64 hops"
-         for j in (2, 5, 11)],
+        [_climbing_issue(j) for j in (2, 5, 11, 3, 4, *range(6, 11), *range(12, 100))],
         id="chain-longer-than-the-limit"),
-    pytest.param(_doubled_tops, [_doubled_top_issue(n) for n in (1, 2, 4)],
+    pytest.param(_doubled_tops, [_doubled_top_issue(n) for n in TOPS_IN_REPLAY_ORDER],
                  id="null-class-deeper-edge-of-weight-2"),
     pytest.param(
         {T2: ((("X", 0), 1, 1), (ladder.bottom(0, 5), 1, 2))},
-        [f"{TOPS}: sample ('T', 0, 2) does not step to a single same-class "
+        [f"{TOPS}: vertex ('T', 0, 2) does not step to a single same-class "
          "weight-1 successor (got [(('X', 0), Fraction(1, 1))])"],
         id="null-class-deeper-edge-out-of-its-class"),
     pytest.param(
         {T4: ((ladder.top(0, 5), 1, 1), (ladder.top(0, 6), 1, 1))},
-        [f"{TOPS}: sample ('T', 0, 4) does not step to a single same-class weight-1 successor "
+        [f"{TOPS}: vertex ('T', 0, 4) does not step to a single same-class weight-1 successor "
          "(got [(('T', 0, 5), Fraction(1, 1)), (('T', 0, 6), Fraction(1, 1))])"],
         id="null-class-two-deeper-edges"),
 ])
@@ -351,23 +354,36 @@ def test_replay_flags_each_broken_premise(edges, issues):
     assert _replay_g0_issues(_patched_g0(edges)) == issues
 
 
-@pytest.mark.parametrize("j, ok", [(64, True), (65, False)])
-def test_replay_follows_a_chain_of_exactly_the_limit(j, ok):
-    # B(0,j) is j hops above the sink V(0): 64 hops are allowed, 65 are not
-    bottoms = _hand_step("chain_to_zero", BOTTOMS, lambda v: v[0] == "B", [ladder.bottom(0, j)])
-    assert _replay_g0_issues(ladder.make_g0(), (1, bottoms)) == ([] if ok else [
-        f"{BOTTOMS}: chain from ('B', 0, 65) did not reach a zeroed vertex within 64 hops"
-    ])
+def test_replay_checks_chain_to_zero_as_a_one_hop_descent():
+    g0 = ladder.make_g0()
+    # a family's premise is checked at each covered member, not only at its samples
+    everything = DerivationStep("sink", "every vertex", lambda v: True, [ladder.sink(0)])
+    replay = replay_certificate(FixedSpaceCertificate([everything], "only_zero"), g0)
+    assert replay.issues == [f"every vertex: vertex {v!r} has out-edges"
+                             for v in g0.vertices_up_to(200) if v != ladder.sink(0)]
+    assert replay.coverage_checked == 200
+    # a step onto an equal index does not descend
+    assert _replay_g0_issues(_patched_g0({B3: ((B3, 1, 1),)})) == [
+        f"{BOTTOMS}: vertex ('B', 0, 3) steps to ('B', 0, 3), whose index is not smaller"
+    ]
+    # deep samples descend one hop, with no limit on their height above V(0)
+    deep = (65, 2**70)
+    bottoms = _hand_step("chain_to_zero", BOTTOMS, lambda v: v[0] == "B",
+                         [ladder.bottom(0, j) for j in deep])
+    assert _replay_g0_issues(g0, (1, bottoms)) == []
+    assert _replay_g0_issues(_patched_g0(_climbing_bottoms), (1, bottoms)) == [
+        _climbing_issue(j) for j in (*deep, *range(2, 65), *range(66, 100))
+    ]
 
 
 def test_replay_flags_null_class_on_a_finite_family():
     tops = _hand_step("null_class", TOPS, lambda v: v[0] == "T",
                       [ladder.top(0, n) for n in (1, 2, 4)])
     finite = f"{TOPS}: null_class needs an infinite class"
-    assert _replay_g0_issues(ladder.make_g0(), (2, tops)) == [finite] * 3
+    assert _replay_g0_issues(ladder.make_g0(), (2, tops)) == [finite] * 99
     # the class's edges are still checked: a finite class can fail both ways
     assert _replay_g0_issues(_patched_g0(_doubled_tops), (2, tops)) == [
-        issue for n in (1, 2, 4) for issue in (finite, _doubled_top_issue(n))
+        issue for n in TOPS_IN_REPLAY_ORDER for issue in (finite, _doubled_top_issue(n))
     ]
 
 
@@ -387,7 +403,7 @@ def test_replay_flags_an_unknown_rule():
 
 @pytest.mark.parametrize("rule", ["sink", "chain_to_zero", "null_class", "substitution"])
 def test_replay_flags_a_step_with_no_samples(rule):
-    # a premise is checked only at the samples, so a step without any checks nothing
+    # the samples test a family beyond the covered prefix, so a step needs some
     empty = DerivationStep(rule, "every vertex", lambda v: True, (), infinite=True)
     replay = replay_certificate(FixedSpaceCertificate([empty], "only_zero"), ladder.make_g0())
     assert replay.issues == [f"every vertex: no samples to check the {rule} premise at"]
