@@ -527,19 +527,68 @@ def test_block_float_mode_beyond_the_float_range(capsys, options, row):
     assert rows_of(out)[1:] == [row]
 
 
+B_10_10_1 = "4623280765312793221/10000000000000000000"  # b(10, 10, 1), exactly
+B_10_10_1_FLOAT = 0.4623280765312794
+
+
 @pytest.mark.parametrize(
-    "options, sha256",
+    "options, code, sha256",
     [
-        ("--p 2 --m-max 5000 --windows 1000",
+        ("--deviation --p 2 --m-max 5000 --windows 1000", 0,
          "61f21dda65e10cbdfd51f1588c4191e5fdc5c254cefc0fafb927730dc85c71c3"),
-        ("--p 4 --m-max 2000 --windows 10,100,1000",
+        ("--deviation --p 4 --m-max 2000 --windows 10,100,1000", 0,
          "25e02ff54c990be0b331d3a3fc9fae97a949e130734292f9e77ab52af1f44770"),
+        # the diagonal sweep: block m = n at the even power p = 2j
+        ("--j 1 --windows 1,2,10,1000", 0,
+         "fa60d1f89d63b7dd99138de8500768d4c5d8942423031e0343656383d97c54b8"),
+        ("--j 2 --windows 1,2,10,1000", 0,
+         "13dec0cb62c93c2b90f57c53ee82b588d1c0b40eaab73eac46a68675e4e7a422"),
+        ("--j 3 --windows 1,2,10,1000", 0,
+         "72ca96b118a8ff4eb90d3e20b1bcee8ece147235be9cf434036adc663d1f0801"),
+        ("--mode float --j 1 --windows 1,2,10,1000", 0,
+         "9885495bec629294f2aa09493d0a23741ba4741aedc286316087f7e38bbe7918"),
+        ("--mode float --j 2 --windows 1,2,10,1000", 0,
+         "5cb17f50a7ec9857e3ccece8e84ef1755fdcd0a4dd8d364137281df47fd572fd"),
+        ("--mode float --j 3 --windows 1,2,10,1000", 0,
+         "d8681f1d517f567eab5e425c6a3fb1d8056b08a8ea83b208605d4f70548cb9de"),
+        (f"--mode float --j 1 --windows {10**320}", 0,
+         "b97418d7174d2bd2fb2f9e67a28653aa1aff718e43c9e9eb45cb16ced9edfb90"),
+        (f"--mode float --j 2 --windows {10**320}", 0,
+         "1a10df1cb979097ec6cd7df6a673e8f79771b351a63a42f42900d52e2942467c"),
+        (f"--mode float --j 3 --windows {10**320}", 0,
+         "25084cb1f61913c79750ef81636cbc04953c0adc05ee0c5d51f926491d92dde1"),
+        # the bounds on both sides of b(10, 10, 1): exact, and in float mode
+        # with 1e-9 of slack
+        (f"--windows 10 --at-least {B_10_10_1}", 0,
+         "6457198f14ea8ca88ad53b6287c0363abc5518ccdc752fb376729d5be16ddfb0"),
+        ("--windows 10 --at-least 4623280765312793222/10000000000000000000", 1,
+         "6457198f14ea8ca88ad53b6287c0363abc5518ccdc752fb376729d5be16ddfb0"),
+        (f"--windows 10 --at-most {B_10_10_1}", 0,
+         "6457198f14ea8ca88ad53b6287c0363abc5518ccdc752fb376729d5be16ddfb0"),
+        ("--windows 10 --at-most 4623280765312793220/10000000000000000000", 1,
+         "6457198f14ea8ca88ad53b6287c0363abc5518ccdc752fb376729d5be16ddfb0"),
+        (f"--mode float --windows 10 --at-least {B_10_10_1_FLOAT!r}", 0,
+         "fdbd9fa347eb75dc7a701e6cb271ff13d61fafb627d66601e005f8426cccb598"),
+        (f"--mode float --windows 10 --at-least {B_10_10_1_FLOAT + 5e-10!r}", 0,
+         "fdbd9fa347eb75dc7a701e6cb271ff13d61fafb627d66601e005f8426cccb598"),
+        (f"--mode float --windows 10 --at-least {B_10_10_1_FLOAT + 2e-9!r}", 1,
+         "fdbd9fa347eb75dc7a701e6cb271ff13d61fafb627d66601e005f8426cccb598"),
+        (f"--mode float --windows 10 --at-most {B_10_10_1_FLOAT!r}", 0,
+         "fdbd9fa347eb75dc7a701e6cb271ff13d61fafb627d66601e005f8426cccb598"),
+        (f"--mode float --windows 10 --at-most {B_10_10_1_FLOAT - 5e-10!r}", 0,
+         "fdbd9fa347eb75dc7a701e6cb271ff13d61fafb627d66601e005f8426cccb598"),
+        (f"--mode float --windows 10 --at-most {B_10_10_1_FLOAT - 2e-9!r}", 1,
+         "fdbd9fa347eb75dc7a701e6cb271ff13d61fafb627d66601e005f8426cccb598"),
     ],
-    ids=["p2", "p4"],
+    ids=["p2", "p4", "diagonal-j1", "diagonal-j2", "diagonal-j3", "float-j1", "float-j2",
+         "float-j3", "float-j1-1e320", "float-j2-1e320", "float-j3-1e320", "at-least-equal",
+         "at-least-above", "at-most-equal", "at-most-below", "float-at-least-equal",
+         "float-at-least-in-slack", "float-at-least-above", "float-at-most-equal",
+         "float-at-most-in-slack", "float-at-most-below"],
 )
-def test_block_even_power_deviation_outputs_are_frozen(capsys, options, sha256):
-    code, out, _ = run(capsys, ["block", "--deviation", *options.split()])
-    assert code == 0
+def test_block_even_power_deviation_outputs_are_frozen(capsys, options, code, sha256):
+    exit_code, out, err = run(capsys, ["block", *options.split()])
+    assert (exit_code, err) == (code, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
