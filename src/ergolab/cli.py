@@ -82,8 +82,10 @@ def _parse_int_list(raw: str, what: str) -> List[int]:
     return values
 
 
-def _decimal(value) -> str:
-    return "%.12g" % float(value)
+def _value_columns(value) -> Tuple[str, str]:
+    """A value's two columns: the exact fraction (a float's decimal) and the decimal."""
+    decimal = "%.12g" % float(value)
+    return (decimal if isinstance(value, float) else fraction_str(value)), decimal
 
 
 def _emit(args, columns: Sequence[str], rows: List[Tuple[str, ...]]) -> None:
@@ -133,10 +135,7 @@ def _cmd_norms(args) -> int:
     graph = _make_graph(args.graph, args.k)
     bound = _parse_fraction(args.bound, "--bound") if args.bound is not None else None
     norms = graphop.power_norms_sweep(graph, args.n_max, args.trunc)
-    rows = [
-        (str(n), str(args.trunc), fraction_str(v), _decimal(v))
-        for n, v in enumerate(norms, start=1)
-    ]
+    rows = [(str(n), str(args.trunc), *_value_columns(v)) for n, v in enumerate(norms, start=1)]
     _emit(args, ("n", "trunc", "norm", "norm_decimal"), rows)
     if bound is not None and any(v > bound for v in norms):
         return EXIT_CHECK_FAILED
@@ -208,61 +207,54 @@ def _cmd_cesaro(args) -> int:
             )
             return EXIT_BUDGET
         results += [(power, record.n, record.sup_norm) for record in trace.records]
-    rows = [
-        (
-            str(power),
-            str(n),
-            fraction_str(value) if isinstance(value, Fraction) else _decimal(value),
-            _decimal(value),
-        )
-        for power, n, value in results
-    ]
+    rows = [(str(power), str(n), *_value_columns(value)) for power, n, value in results]
     _emit(args, ("power", "n", "sup_norm", "sup_norm_decimal"), rows)
     if bound is not None and not all(ergodic.at_most(value, bound) for _, _, value in results):
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
+FLOAT_TOL = 1e-9  # absolute slack of the bounds on `block --mode float` values
+
+
+def _block_at_most(value, bound: Fraction) -> bool:
+    """value <= bound: exact for a Fraction, with FLOAT_TOL of slack for a
+    float.  ``_block_at_most(-value, -bound)`` is the lower-bound test."""
+    if isinstance(value, float):
+        try:
+            return value <= float(bound) + FLOAT_TOL
+        except OverflowError:  # |bound| is beyond every finite float
+            return bound > 0
+    return value <= bound
+
+
 def _cmd_block(args) -> int:
+    """One row per window from one deviation function, exact or float: at the
+    block m <= --m-max that deviates most (``--deviation``), or at m = n and
+    p = 2 * --j, where it is the positive coefficient b_coeff(n, n, j)."""
     if args.sweep_diag and args.deviation:
         raise UsageError("--sweep-diag and --deviation are mutually exclusive")
     windows = sorted(set(_parse_int_list(args.windows, "--windows")))
     at_least = _parse_fraction(args.at_least, "--at-least") if args.at_least is not None else None
     at_most = _parse_fraction(args.at_most, "--at-most") if args.at_most is not None else None
-    rows: List[Tuple[str, ...]] = []
-    values = []
+    deviation = blockdiag.block_deviation_float if args.mode == "float" else blockdiag.block_deviation
     if args.deviation:
         if args.j is not None:
             raise UsageError("--j applies only to the diagonal sweep, not --deviation")
         m_max = _require_positive(1000 if args.m_max is None else args.m_max, "--m-max")
         p = _require_positive(1 if args.p is None else args.p, "--p")
-        deviation = (
-            blockdiag.block_deviation_float if args.mode == "float" else blockdiag.block_deviation
-        )
-        for n in windows:
-            m_at, value = blockdiag.deviation_argmax(deviation, m_max, n, p)
-            values.append(value)
-            shown = _decimal(value) if args.mode == "float" else fraction_str(value)
-            rows.append((str(m_at), str(n), str(p), shown, _decimal(value)))
+        readings = [blockdiag.deviation_argmax(deviation, m_max, n, p) for n in windows]
     else:
         for flag, value in (("--m-max", args.m_max), ("--p", args.p)):
             if value is not None:
                 raise UsageError(f"{flag} applies only to --deviation")
-        j = _require_positive(1 if args.j is None else args.j, "--j")
-        p = 2 * j
-        for n in windows:
-            if args.mode == "float":
-                value = blockdiag.block_deviation_float(n, n, p)
-                shown = _decimal(value)
-            else:
-                value = blockdiag.b_coeff(n, n, j)
-                shown = fraction_str(value)
-            values.append(value)
-            rows.append((str(n), str(n), str(p), shown, _decimal(value)))
+        p = 2 * _require_positive(1 if args.j is None else args.j, "--j")
+        readings = [(n, deviation(n, n, p)) for n in windows]
+    rows = [(str(m), str(n), str(p), *_value_columns(v)) for (m, v), n in zip(readings, windows)]
     _emit(args, ("m", "n", "p", "value", "value_decimal"), rows)
-    if at_least is not None and not all(ergodic.at_most(-v, -at_least) for v in values):
+    if at_least is not None and not all(_block_at_most(-v, -at_least) for _, v in readings):
         return EXIT_CHECK_FAILED
-    if at_most is not None and not all(ergodic.at_most(v, at_most) for v in values):
+    if at_most is not None and not all(_block_at_most(v, at_most) for _, v in readings):
         return EXIT_CHECK_FAILED
     return EXIT_OK
 

@@ -182,7 +182,9 @@ def cesaro_trace(
 
     For every n in the schedule, the sup norm of A_n x with S in place of T,
     in one pass.  ``factor`` is 1, -1, i or -i; every sum is exact, and at
-    +-i the value is one float (:func:`sweeps.gaussian_abs`).  engine
+    +-i the value is one float that keeps its exact sum
+    (:func:`sweeps.gaussian_abs`); :func:`sweeps.cesaro_request` checks the
+    request, as for the sweep.  engine
     "auto" uses the exact structural sweep, and reports engine "fast", when
     the handle is the combined ladder graph started at the source;
     "generic" forces the generic engine, the sweep's deliberate second
@@ -198,14 +200,9 @@ def cesaro_trace(
     second route.  Both report the support of the sum as an int.  Raises
     :class:`BudgetExceeded` when the running sum outgrows ``max_support``.
     """
-    wanted = sorted(set(int(n) for n in schedule))
-    if not wanted or wanted[0] < 1:
-        raise ValueError("schedule must be a nonempty collection of positive lengths")
-    if step_power < 1:
-        raise ValueError(f"step_power must be a positive integer, got {step_power}")
+    wanted, turns = sweeps.cesaro_request(schedule, step_power, factor)
     if engine not in ("auto", "generic"):
         raise ValueError(f"unknown engine {engine!r}")
-    turns = sweeps.normalize_factor(factor)
     if (
         engine == "auto"
         and isinstance(op.graph, ladder.LadderGraph)
@@ -255,19 +252,12 @@ class CheckResult(NamedTuple):
     engine: str
 
 
-FLOAT_TOL = 1e-9  # absolute slack for threshold comparisons on the float path
-
-
 def at_most(value: Union[Fraction, float], bound: Fraction) -> bool:
-    """value <= bound: exact for rationals, with FLOAT_TOL of slack for floats.
-
-    ``at_most(-value, -bound)`` is the matching lower-bound test.
-    """
-    if isinstance(value, float):
-        try:
-            return value <= float(bound) + FLOAT_TOL
-        except OverflowError:  # |bound| is beyond every finite float
-            return bound > 0
+    """value <= bound, with no slack.  A :class:`sweeps.GaussianAbs` compares
+    its exact sum: |re + i*im| / scale <= bound iff bound >= 0 and
+    re**2 + im**2 <= (bound * scale)**2."""
+    if isinstance(value, sweeps.GaussianAbs):
+        return bound >= 0 and value.re**2 + value.im**2 <= (bound * value.scale) ** 2
     return value <= bound
 
 
@@ -282,7 +272,8 @@ def scalar_rotation_check(
     """Check the n-th Cesaro average of factor * T at x, factor 1, -1, i or -i.
 
     Both engines sum exactly.  At +-i (graph-backed handles only) the value
-    is one float, compared with an absolute slack of 1e-9 (:func:`at_most`).
+    is one float, and the threshold is compared with the exact sum it was
+    rounded from (:func:`at_most`).
     """
     threshold = as_rational(threshold)
     trace = cesaro_trace(op, x, [n], engine=engine, factor=factor)
@@ -300,27 +291,24 @@ def scalar_rotation_check(
 def weak_compactness_witness(graph: C0Graph, k_max: int, m_max: int) -> List[List[Fraction]]:
     """Read the sinks of the combined graph along the doubling subsequence.
 
-    Simulates the full orbit of the source vector out to 2**(m_max+2) steps
-    on the graph's own orbit state (exact arithmetic on the graph's edges,
+    Steps the full orbit of the source vector out to 2**(m_max+2) steps
+    (:func:`ladder.sink_readings`: exact arithmetic on the graph's edges,
     none of the sweep's closed forms) and returns the rows values[m][k]:
     the coordinate of T**(2**(m+2)) e_S at V(k), for m <= m_max and
     k <= k_max.  When they form the triangle (1 exactly for k <= m, 0
     above), every pointwise limit of the subsequence is 1 on all tested
     sinks, so no subsequence of the orbit can settle down inside the space
-    of sequences vanishing at infinity.
+    of sequences vanishing at infinity.  Raises ValueErrors for a negative
+    k_max or m_max and for a standalone copy, which has no source.
     """
     if k_max < 0 or m_max < 0:
         raise ValueError("k_max and m_max must be nonnegative")
-    checkpoints = {1 << (m + 2): m for m in range(m_max + 1)}
-    values: List[List[Fraction]] = [[] for _ in range(m_max + 1)]
-    horizon = 1 << (m_max + 2)
-    orbit = graph.orbit({ladder.SOURCE: 1})
-    for t in range(1, horizon + 1):
-        orbit.step()
-        m = checkpoints.get(t)
-        if m is not None:
-            values[m] = [orbit.value(ladder.sink(k)) for k in range(k_max + 1)]
-    return values
+    if graph.copy_index is not None:
+        raise ValueError(f"the witness needs the combined graph, not copy {graph.copy_index}")
+    checkpoints = {1 << (m + 2) for m in range(m_max + 1)}
+    readings = ladder.sink_readings(graph, range(k_max + 1), 1 << (m_max + 2))
+    got = [value for n, _, value, _ in readings if n in checkpoints]  # in (n, k) order
+    return [got[i:i + k_max + 1] for i in range(0, len(got), k_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +462,11 @@ def _premise_issues(step: DerivationStep, u: Vertex, graph: C0Graph,
         bad = [v for v, _ in out if not zeroed(v)]
         return [f"{fam}: vertex {u!r} has non-zeroed targets {bad!r}"] if bad else []
     if step.rule == "null_class":
-        issues = [] if step.infinite else [f"{fam}: null_class needs an infinite class"]
         deeper = [(v, w) for v, w in out if not zeroed(v)]
         if len(deeper) != 1 or deeper[0][1] != ONE or not step.members(deeper[0][0]):
-            issues.append(f"{fam}: vertex {u!r} does not step to a single same-class "
-                          f"weight-1 successor (got {deeper!r})")
-        return issues
+            return [f"{fam}: vertex {u!r} does not step to a single same-class "
+                    f"weight-1 successor (got {deeper!r})"]
+        return []
     if len(out) != 1:  # rule "chain_to_zero"
         return [f"{fam}: vertex {u!r} is not single-exit"]
     v = out[0][0]
@@ -503,7 +490,8 @@ def replay_certificate(cert: FixedSpaceCertificate, graph: C0Graph) -> ReplayRep
     step checks its premise at each of the first ``COVERAGE`` vertices that
     its family holds and no earlier step did, and at its samples, which
     test the family beyond that prefix; a vertex no step holds is an issue.
-    A step with an unknown rule, or with no samples, is one issue.
+    A step with an unknown rule, or with no samples, is one issue, and so is
+    a "null_class" step over a finite class.
     """
     done: List[DerivationStep] = []
 
@@ -523,6 +511,8 @@ def replay_certificate(cert: FixedSpaceCertificate, graph: C0Graph) -> ReplayRep
         elif not step.samples:
             issues.append(f"{step.label}: no samples to check the {step.rule} premise at")
         else:
+            if step.rule == "null_class" and not step.infinite:
+                issues.append(f"{step.label}: null_class needs an infinite class")
             for u in dict.fromkeys((*step.samples, *held)):
                 issues += _premise_issues(step, u, graph, zeroed)
         done.append(step)

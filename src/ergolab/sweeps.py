@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .core import as_rational
 from .ladder import rung_index
@@ -76,11 +76,31 @@ def normalize_factor(factor) -> int:
     return roots.index(value)
 
 
-def gaussian_abs(re: int, im: int, den: int, n: int) -> float:
+def cesaro_request(schedule: Iterable[int], step_power: int, factor) -> Tuple[List[int], int]:
+    """(windows, turns): ``schedule``'s distinct windows in ascending order and
+    :func:`normalize_factor` (factor), as both averaging engines check them."""
+    windows = sorted(set(int(n) for n in schedule))
+    if not windows or windows[0] < 1:
+        raise ValueError("schedule must be a nonempty collection of positive lengths")
+    if step_power < 1:
+        raise ValueError(f"step_power must be a positive integer, got {step_power}")
+    return windows, normalize_factor(factor)
+
+
+class GaussianAbs(float):
+    """A float rounded from |re + i*im| / scale that keeps those ints, so that
+    :func:`ergodic.at_most` compares it with no slack."""
+
+    __slots__ = ("re", "im", "scale")
+
+
+def gaussian_abs(re: int, im: int, den: int, n: int) -> GaussianAbs:
     """|re + i*im| / (den * n) as a float: each part rounded once by int true
     division, which cannot overflow where float(re) would, then abs and / n.
-    Both averaging engines make their complex values so."""
-    return abs(complex(re / den, im / den)) / n
+    Both averaging engines make their complex values so (:class:`GaussianAbs`)."""
+    value = GaussianAbs(abs(complex(re / den, im / den)) / n)
+    value.re, value.im, value.scale = re, im, den * n
+    return value
 
 
 def combined_cesaro_sup_norms(
@@ -91,14 +111,10 @@ def combined_cesaro_sup_norms(
     For every n in ``schedule`` returns the sup norm of the n-th Cesaro
     average applied to the source unit vector of the combined ladder graph.
     ``factor`` is 1, -1, i or -i: exact Fractions for +-1, and for +-i the
-    float :func:`gaussian_abs` makes from the largest exact sum.
+    float :func:`gaussian_abs` makes from the largest exact sum.  Checks the
+    request by :func:`cesaro_request`.
     """
-    schedule = sorted(set(int(n) for n in schedule))
-    if not schedule or schedule[0] < 1:
-        raise ValueError("schedule must be a nonempty set of positive window lengths")
-    if step_power < 1:
-        raise ValueError(f"step_power must be a positive integer, got {step_power}")
-    turns = normalize_factor(factor)
+    schedule, turns = cesaro_request(schedule, step_power, factor)
 
     # A contribution is a cell's value at engine step k turned by factor**k
     # = i**(turns*k mod 4), counted in halves (1 for a wave's 1/2, 2 for a

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,15 @@ def test_cesaro_bound_checks(capsys):
     assert code == 0
     code, _, _ = run(capsys, ["cesaro", "--schedule", "128", "--bound", "1/100"])
     assert code == 1
+
+
+@pytest.mark.parametrize("factor", ["i", "-i"])
+def test_bounds_at_plus_minus_i_have_no_float_slack(capsys, factor):
+    # window 100 reads 1/20 exactly at +-i; a bound 10**-10 below it fails
+    argv = ["cesaro", "--schedule", "100", "--factor", factor, "--bound"]
+    output = "power,n,sup_norm,sup_norm_decimal\n1,100,0.05,0.05\n"
+    assert run(capsys, argv + ["1/20"]) == (0, output, "")
+    assert run(capsys, argv + ["499999999/10000000000"]) == (1, output, "")
 
 
 def test_cesaro_generic_budget_exit(capsys):
@@ -484,6 +494,18 @@ def test_block_float_mode_tracks_exact(capsys, monkeypatch):
     argv = ["block", "--deviation", "--m-max", "2", "--windows", "2", "--p", "54", "--mode", "float"]
     code, out, _ = run(capsys, argv)
     assert code == 0 and rows_of(out)[1] == ["2", "2", "54", "0.5", "0.5"]
+
+
+@pytest.mark.parametrize("bound", [Fraction(1, 10), Fraction(1, 3), Fraction(-2, 7)])
+def test_float_comparisons_allow_a_slack_of_1e_9(bound):
+    # `block --mode float` values within 1e-9 above the bound pass, 2e-9 above it fail
+    at_most = cli._block_at_most
+    assert at_most(float(bound) + 5e-10, bound)
+    assert not at_most(float(bound) + 2e-9, bound)
+    assert at_most(-(float(bound) - 5e-10), -bound)  # the matching lower-bound test
+    assert not at_most(-(float(bound) - 2e-9), -bound)
+    # rationals compare with no slack at all
+    assert not at_most(bound + Fraction(1, 10**12), bound)
 
 
 BLOCK_FLOAT = ["block", "--mode", "float", "--windows", "3"]

@@ -35,13 +35,14 @@ def test_sweep_matches_direct_engine_for_higher_powers(step_power, top):
 
 def test_sweep_matches_complex_reference():
     # the reference sums the orbit's Fractions as exact Gaussian pairs and
-    # rounds once at the end, so the floats agree to the last bit
+    # rounds once at the end, so the floats agree to the last bit; each float
+    # keeps the exact sum it was rounded from
     graph = ladder.make_counterexample()
     x = SparseVector.unit(ladder.SOURCE)
     windows = [1, 2, 3, 8, 20, 32]
     for factor, pair in ((1j, (0, 1)), (-1j, (0, -1))):
         fast = combined_cesaro_sup_norms(windows, factor=factor)
-        assert all(type(value) is float for value in fast.values())
+        assert all(type(value) is sweeps.GaussianAbs for value in fast.values())
         assert fast == ref.gaussian_cesaro_sup_norms(graph, x, windows, 1, pair)
 
 
