@@ -129,7 +129,7 @@ def _make_graph(name: str, k: Optional[int]):
     raise UsageError(f"unknown graph {name!r}")
 
 
-def _cmd_norms(args) -> int:
+def _cmd_norms(args) -> bool:
     _require_positive(args.n_max, "--n-max")
     _require_positive(args.trunc, "--trunc")
     graph = _make_graph(args.graph, args.k)
@@ -137,12 +137,10 @@ def _cmd_norms(args) -> int:
     norms = graphop.power_norms_sweep(graph, args.n_max, args.trunc)
     rows = [(str(n), str(args.trunc), *_value_columns(v)) for n, v in enumerate(norms, start=1)]
     _emit(args, ("n", "trunc", "norm", "norm_decimal"), rows)
-    if bound is not None and any(v > bound for v in norms):
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return bound is None or all(v <= bound for v in norms)
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args) -> bool:
     _require_positive(args.n_max, "--n-max")
     if args.k_max < 0:
         raise UsageError(f"--k-max must be nonnegative, got {args.k_max}")
@@ -155,16 +153,16 @@ def _cmd_orbit(args) -> int:
         copies = (graph.copy_index,)
     rows = [
         (str(n), str(k), fraction_str(got), str(want), str(int(got == want)))
-        for n, k, got, want in ladder.sink_readings(graph, copies, args.n_max)
+        for n, k, got, want in ladder.sink_readings(graph, copies, range(1, args.n_max + 1))
     ]
     _emit(args, ("n", "k", "simulated", "predicate", "match"), rows)
-    return EXIT_OK if all(row[4] == "1" for row in rows) else EXIT_CHECK_FAILED
+    return all(row[4] == "1" for row in rows)
 
 
 _FACTORS = {"1": ONE, "-1": -ONE, "i": complex(0, 1), "-i": complex(0, -1)}
 
 
-def _cmd_cesaro(args) -> int:
+def _cmd_cesaro(args) -> bool:
     if args.max_support is not None:
         _require_positive(args.max_support, "--max-support")
     schedule = _parse_int_list(args.schedule, "--schedule")
@@ -195,23 +193,12 @@ def _cmd_cesaro(args) -> int:
         cap = args.max_support
         if cap is None and (power != 1 or max(schedule) > MOVING_FRAME_MAX_WINDOW):
             cap = DEFAULT_MAX_SUPPORT
-        try:
-            trace = ergodic.cesaro_trace(
-                op, x, schedule, max_support=cap, step_power=power, factor=factor
-            )
-        except ergodic.BudgetExceeded as exc:
-            print(
-                f"error: budget exceeded at window {exc.window}: "
-                f"support {exc.support} above --max-support {exc.cap}",
-                file=sys.stderr,
-            )
-            return EXIT_BUDGET
+        trace = ergodic.cesaro_trace(op, x, schedule, max_support=cap,
+                                     step_power=power, factor=factor)
         results += [(power, record.n, record.sup_norm) for record in trace.records]
     rows = [(str(power), str(n), *_value_columns(value)) for power, n, value in results]
     _emit(args, ("power", "n", "sup_norm", "sup_norm_decimal"), rows)
-    if bound is not None and not all(ergodic.at_most(value, bound) for _, _, value in results):
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return bound is None or all(ergodic.at_most(value, bound) for _, _, value in results)
 
 
 FLOAT_TOL = 1e-9  # absolute slack of the bounds on `block --mode float` values
@@ -228,7 +215,7 @@ def _block_at_most(value, bound: Fraction) -> bool:
     return value <= bound
 
 
-def _cmd_block(args) -> int:
+def _cmd_block(args) -> bool:
     """One row per window from one deviation function, exact or float: at the
     block m <= --m-max that deviates most (``--deviation``), or at m = n and
     p = 2 * --j, where it is the positive coefficient b_coeff(n, n, j)."""
@@ -252,14 +239,11 @@ def _cmd_block(args) -> int:
         readings = [(n, deviation(n, n, p)) for n in windows]
     rows = [(str(m), str(n), str(p), *_value_columns(v)) for (m, v), n in zip(readings, windows)]
     _emit(args, ("m", "n", "p", "value", "value_decimal"), rows)
-    if at_least is not None and not all(_block_at_most(-v, -at_least) for _, v in readings):
-        return EXIT_CHECK_FAILED
-    if at_most is not None and not all(_block_at_most(v, at_most) for _, v in readings):
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return all((at_least is None or _block_at_most(-v, -at_least))
+               and (at_most is None or _block_at_most(v, at_most)) for _, v in readings)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> bool:
     numbers = _parse_int_list(args.criteria, "--criteria") if args.criteria else None
 
     def report(result):
@@ -285,7 +269,7 @@ def _cmd_verify(args) -> int:
         _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     elif args.out is not None:  # without --out each line went to stdout as its criterion ended
         _write(args, "".join(r.line() + "\n" for r in results))
-    return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
+    return all(r.passed for r in results)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,13 +365,23 @@ def _glue_dash_values(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; the one place that maps its outcome to an exit code.
+
+    A ``_cmd_*`` returns whether its checks held (0 or 1), or raises
+    :class:`UsageError` (2) or :class:`ergodic.BudgetExceeded` (3), for
+    which this prints the one ``error:`` line."""
     parser = build_parser()
     args = parser.parse_args(_glue_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.run(args)
+        return EXIT_OK if args.run(args) else EXIT_CHECK_FAILED
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, str(exc)
+    except ergodic.BudgetExceeded as exc:
+        code = EXIT_BUDGET
+        message = (f"budget exceeded at window {exc.window}: "
+                   f"support {exc.support} above --max-support {exc.cap}")
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -84,17 +84,6 @@ def graph_handle(graph: C0Graph) -> OperatorHandle:
     )
 
 
-def _orbit(op: OperatorHandle, x: SparseVector, exact: bool):
-    """T's exact orbit from x: the graph's own orbit state (:meth:`C0Graph.orbit`),
-    or on a handle without a graph :class:`_ApplyOrbit` over ``op.apply``,
-    which takes exact factors only."""
-    if op.graph is not None:
-        return op.graph.orbit(*graphop.int_vector(x))
-    if not exact:
-        raise ValueError("complex factors need a graph-backed handle")
-    return _ApplyOrbit(op.apply, x)
-
-
 def _running_sums(orbit, windows: Sequence[int], step_power: int = 1, turns: int = 0,
                   max_support: Optional[int] = None):
     """Yield (n, re, im, den) for each n of the ascending ``windows``, in one pass.
@@ -191,8 +180,10 @@ def cesaro_trace(
     route: the tests and the benchmark's output checks compare the two on
     shared windows.
 
-    The generic engine builds T's exact orbit once (:func:`_orbit`).  On a
-    ladder graph at step_power 1 with factor +1 or -1 and no
+    The generic engine builds T's exact orbit once: the graph's own orbit
+    state (:meth:`C0Graph.orbit`), or on a handle without a graph an
+    :class:`_ApplyOrbit` over ``op.apply``, which takes exact factors only.
+    On a ladder graph at step_power 1 with factor +1 or -1 and no
     ``max_support``, it sums in the orbit's moving frame
     (:meth:`ladder.LadderOrbit.accumulate`).  Every other case, capped runs
     included, takes the step-by-step pass (:func:`_running_sums`), which
@@ -213,7 +204,12 @@ def cesaro_trace(
         records = [TraceRecord(n, values[n], None) for n in wanted]
         return CesaroTrace(records, "fast")
     exact = turns % 2 == 0
-    orbit = _orbit(op, x, exact)
+    if op.graph is not None:
+        orbit = op.graph.orbit(*graphop.int_vector(x))
+    elif exact:
+        orbit = _ApplyOrbit(op.apply, x)
+    else:
+        raise ValueError("complex factors need a graph-backed handle")
     if isinstance(orbit, ladder.LadderOrbit) and step_power == 1 and exact and max_support is None:
         records = [TraceRecord(*reading) for reading in orbit.accumulate(wanted, 1 - turns)]
     else:
@@ -292,8 +288,9 @@ def weak_compactness_witness(graph: C0Graph, k_max: int, m_max: int) -> List[Lis
     """Read the sinks of the combined graph along the doubling subsequence.
 
     Steps the full orbit of the source vector out to 2**(m_max+2) steps
+    and reads the sinks at the checkpoints 2**(m+2) only
     (:func:`ladder.sink_readings`: exact arithmetic on the graph's edges,
-    none of the sweep's closed forms) and returns the rows values[m][k]:
+    none of the sweep's closed forms); it returns the rows values[m][k]:
     the coordinate of T**(2**(m+2)) e_S at V(k), for m <= m_max and
     k <= k_max.  When they form the triangle (1 exactly for k <= m, 0
     above), every pointwise limit of the subsequence is 1 on all tested
@@ -305,9 +302,9 @@ def weak_compactness_witness(graph: C0Graph, k_max: int, m_max: int) -> List[Lis
         raise ValueError("k_max and m_max must be nonnegative")
     if graph.copy_index is not None:
         raise ValueError(f"the witness needs the combined graph, not copy {graph.copy_index}")
-    checkpoints = {1 << (m + 2) for m in range(m_max + 1)}
-    readings = ladder.sink_readings(graph, range(k_max + 1), 1 << (m_max + 2))
-    got = [value for n, _, value, _ in readings if n in checkpoints]  # in (n, k) order
+    checkpoints = [1 << (m + 2) for m in range(m_max + 1)]
+    readings = ladder.sink_readings(graph, range(k_max + 1), checkpoints)
+    got = [value for _, _, value, _ in readings]  # in (n, k) order
     return [got[i:i + k_max + 1] for i in range(0, len(got), k_max + 1)]
 
 

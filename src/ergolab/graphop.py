@@ -193,7 +193,7 @@ class PushOrbit:
         self.nums, self.den = push(self._edges, self.nums, self.den)
 
     def sup_norm(self) -> Fraction:
-        return int_sup_norm(self.nums, self.den)
+        return Fraction(max(map(abs, self.nums.values()), default=0), self.den)
 
     def value(self, v: Vertex) -> Fraction:
         return Fraction(self.nums.get(v, 0), self.den)
@@ -211,11 +211,6 @@ def int_vector(x: SparseVector) -> IntVector:
 def sparse_vector(nums: Dict[Vertex, int], den: int) -> SparseVector:
     """The SparseVector nums / den; ``nums`` must hold no zeros."""
     return SparseVector._from_clean({key: Fraction(a, den) for key, a in nums.items()})
-
-
-def int_sup_norm(nums: Dict[Vertex, int], den: int) -> Fraction:
-    """Sup norm of nums / den, reduced on ints; one Fraction is built."""
-    return Fraction(max(map(abs, nums.values()), default=0), den)
 
 
 def apply(graph: C0Graph, x: SparseVector) -> SparseVector:
@@ -285,8 +280,10 @@ def operator_norm_profile(graph: C0Graph, n_trunc: int) -> List[Fraction]:
 
 
 def power_norms_sweep(graph: C0Graph, n_max: int, n_trunc: int) -> List[Fraction]:
-    """Truncated norms of T, T^2, ..., T^n_max along one orbit of the graph."""
-    orbit = graph.orbit(*int_vector(truncation_indicator(graph, n_trunc)))
+    """Truncated norms of T, T^2, ..., T^n_max along one orbit of the graph: the
+    orbit of the all-ones vector on the first n_trunc enumerated vertices,
+    started as int numerators over den 1."""
+    orbit = graph.orbit(dict.fromkeys(graph.vertices_up_to(n_trunc), 1))
     norms: List[Fraction] = []
     for _ in range(n_max):
         orbit.step()

@@ -770,20 +770,27 @@ def orbit_predicate(copy_index: Optional[int], k: int, n: int) -> int:
     return int(not target & (target - 1) and target.bit_length() - 3 >= k)
 
 
-def sink_readings(graph: LadderGraph, copies, n_max: int):
-    """Yield (n, k, simulated, predicted) for n = 1..n_max and each k of ``copies``.
+def sink_readings(graph: LadderGraph, copies, steps):
+    """Yield (n, k, simulated, predicted) for each n of ``steps`` and each k of ``copies``.
 
     simulated is the V(k) coordinate of the n-th orbit vector and predicted
     is orbit_predicate(graph.copy_index, k, n); the readings come in (n, k)
-    order, with the k in the order ``copies`` gives them.  One orbit serves
-    every copy: on the combined graph it starts at the source, and on a
-    standalone copy at its entry.  The orbit is the graph's own
-    (:meth:`LadderGraph.orbit`), in int numerators between readings.
+    order, with the k in the order ``copies`` gives them.  ``steps`` ascend
+    strictly from 1 on, such as ``range(1, n_max + 1)``; a step that does
+    not raises ValueError when reached.  One orbit serves every copy: on
+    the combined graph it starts at the source, and on a standalone copy at
+    its entry.  The orbit is the graph's own (:meth:`LadderGraph.orbit`),
+    in int numerators, and steps unread between the given steps.
     """
     index = graph.copy_index
     targets = [(k, sink(k)) for k in copies]
     orbit = graph.orbit({SOURCE if index is None else entry(index): 1})
-    for n in range(1, n_max + 1):
-        orbit.step()
+    done = 0  # steps taken
+    for n in steps:
+        if n <= done:
+            raise ValueError(f"steps must be positive and ascending, got {n} after {done}")
+        for _ in range(n - done):
+            orbit.step()
+        done = n
         for k, target in targets:
             yield n, k, orbit.value(target), orbit_predicate(index, k, n)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ergolab
-from ergolab import blockdiag, cli
+from ergolab import acceptance, blockdiag, cli, ladder
 
 
 def run(capsys, argv):
@@ -82,6 +82,16 @@ def test_orbit_combined_rows_come_in_step_then_copy_order(capsys):
     assert out == "\n".join(lines) + "\n"
 
 
+def test_orbit_exits_one_when_a_reading_misses_its_prediction(capsys, monkeypatch):
+    # the simulation never misses on these graphs, so a wrong prediction at
+    # step 3 stands in for a wrong simulation: its rows read match 0
+    predict = ladder.orbit_predicate
+    monkeypatch.setattr(ladder, "orbit_predicate", lambda i, k, n: predict(i, k, n) ^ (n == 3))
+    code, out, err = run(capsys, ["orbit", "--k-max", "1", "--n-max", "4"])
+    assert (code, err) == (1, "")
+    assert [row[4] for row in rows_of(out)[1:]] == ["1", "1", "1", "1", "0", "0", "1", "1"]
+
+
 def test_cesaro_csv_frozen(capsys):
     code, out, err = run(capsys, ["cesaro", "--schedule", "16,64"])
     assert code == 0
@@ -109,6 +119,26 @@ def test_cesaro_bound_checks(capsys):
     assert code == 0
     code, _, _ = run(capsys, ["cesaro", "--schedule", "128", "--bound", "1/100"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, option, at, below",
+    [
+        (["norms", "--graph", "combined", "--n-max", "40", "--trunc", "2000"], "--bound", "3", "2"),
+        (["cesaro", "--schedule", "1024"], "--bound", "1/128", "127/16384"),
+        # below the first window's value and above the second's
+        (["cesaro", "--schedule", "128,1024"], "--bound", "5/128", "1/32"),
+        (["block", "--windows", "10,100"], "--at-most",
+         "4623280765312793221/10000000000000000000", "4623280765312793220/10000000000000000000"),
+    ],
+    ids=["norms", "cesaro", "cesaro-two-windows", "block"],
+)
+def test_a_bound_equal_to_the_largest_value_passes(capsys, argv, option, at, below):
+    # the largest value printed is the bound itself: it passes, and a bound
+    # below it fails, with the same output, even where other values pass it
+    code, out, err = run(capsys, argv + [option, at])
+    assert (code, err) == (0, "") and out
+    assert run(capsys, argv + [option, below]) == (1, out, "")
 
 
 @pytest.mark.parametrize("factor", ["i", "-i"])
@@ -180,14 +210,17 @@ def test_step_by_step_pass_at_higher_powers_and_factor_minus_one_is_frozen(capsy
         ("--schedule 64 --factor -1 --max-support 100", "window 17: support 107 above --max-support 100"),
         ("--graph gk --k 2 --schedule 40 --powers 3 --factor -1 --max-support 300",
          "window 15: support 301 above --max-support 300"),
+        ("--schedule 64 --max-support 10 --out PATH", "window 6: support 14 above --max-support 10"),
     ],
-    ids=["power-2", "factor-minus-1", "gk-power-3-factor-minus-1"],
+    ids=["power-2", "factor-minus-1", "gk-power-3-factor-minus-1", "out-file"],
 )
-def test_step_by_step_pass_budget_exits(capsys, options, where):
-    options = options.split()
+def test_step_by_step_pass_budget_exits(capsys, tmp_path, options, where):
+    # a budget exit writes no rows: not to stdout, and no --out file
+    options = [str(tmp_path / "rows.csv") if o == "PATH" else o for o in options.split()]
     graph = [] if "--graph" in options else ["--graph", "g0"]
     code, out, err = run(capsys, ["cesaro", *graph, "--start", "entry", *options])
     assert (code, out, err) == (3, "", f"error: budget exceeded at {where}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_max_support_does_not_cap_the_structural_sweep(capsys):
@@ -649,6 +682,14 @@ def test_verify_json(capsys):
     assert len(payload) == 1
     assert payload[0]["number"] == 8
     assert payload[0]["passed"] is True
+
+
+def test_verify_exits_one_when_one_criterion_fails(capsys, monkeypatch):
+    name, _, budget = acceptance.CRITERIA[7]
+    monkeypatch.setitem(acceptance.CRITERIA, 7, (name, lambda: (False, "forced"), budget))
+    code, out, err = run(capsys, ["verify", "--criteria", "8,7"])
+    assert (code, err) == (1, "")
+    assert [line[:8] for line in out.splitlines()] == ["PASS #08", "FAIL #07"]
 
 
 def test_verify_unknown_criterion(capsys):

@@ -192,7 +192,7 @@ def test_orbit_predicate_on_the_combined_graph_is_the_copy_reading_delayed():
 def test_sink_readings_match_the_predicate_on_late_copies():
     # copies 5..10 first read 1 at steps 2**(k+2) from 128 to 4096, beyond
     # the reach of criterion 3 (copies k <= 4, steps n <= 300)
-    readings = list(ladder.sink_readings(ladder.make_counterexample(), range(11), 4100))
+    readings = list(ladder.sink_readings(ladder.make_counterexample(), range(11), range(1, 4101)))
     assert len(readings) == 11 * 4100
     assert [(n, k) for n, k, got, want in readings if got != want] == []
     first = {}
@@ -200,6 +200,35 @@ def test_sink_readings_match_the_predicate_on_late_copies():
         if got:
             first.setdefault(k, n)
     assert first == {k: 2 ** (k + 2) for k in range(11)}
+
+
+@pytest.mark.parametrize(
+    "graph, copies, steps",
+    [
+        (ladder.make_counterexample(), range(5), [4, 8, 16, 32, 64, 128, 256]),
+        (ladder.make_counterexample(), (3, 0), [1, 7, 32, 33, 100]),
+        (ladder.make_g0(), (0,), [1, 3, 5, 31, 32, 63, 200]),
+        (ladder.make_gk(2), (2,), [3, 13, 14, 29, 61, 125]),
+    ],
+    ids=["combined-witness-checkpoints", "combined-mixed-steps", "g0", "gk2"],
+)
+def test_sparse_steps_read_what_every_step_reads(graph, copies, steps):
+    every = ladder.sink_readings(graph, copies, range(1, steps[-1] + 1))
+    expected = [reading for reading in every if reading[0] in steps]
+    assert len(expected) == len(steps) * len(copies)
+    assert list(ladder.sink_readings(graph, copies, steps)) == expected
+    assert any(got for _, _, got, _ in expected)  # the steps hit a sink reading 1
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [[0], [-3], [2, 2], [3, 5, 4], [1, 2, 0]],
+    ids=["zero", "negative", "repeated", "descending", "zero-late"],
+)
+def test_sink_readings_reject_a_step_that_is_not_positive_and_ascending(steps):
+    readings = ladder.sink_readings(ladder.make_g0(), (0,), steps)
+    with pytest.raises(ValueError, match="steps must be positive and ascending"):
+        list(readings)
 
 
 def test_orbit_matches_simulation_on_standalone_copies():
