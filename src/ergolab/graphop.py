@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import ONE, ZERO, SparseVector, as_rational
+from .core import ZERO, SparseVector, as_rational
 
 Vertex = Tuple
 Edge = Tuple[Vertex, Fraction]
@@ -233,18 +233,16 @@ def power_apply(graph: C0Graph, x: SparseVector, n: int) -> SparseVector:
     return sparse_vector(nums, den)
 
 
-def truncation_indicator(graph: C0Graph, n: int) -> SparseVector:
-    """The all-ones vector on the first n enumerated vertices (all, if fewer)."""
-    return SparseVector._from_clean(dict.fromkeys(graph.vertices_up_to(n), ONE))
-
-
 def operator_norm_truncated(graph: C0Graph, n_trunc: int) -> Fraction:
     """Sup norm of the image of the indicator of the first n_trunc vertices.
 
     By positivity this increases with n_trunc toward the operator norm, so
-    any single value is a certified lower bound.
+    any single value is a certified lower bound.  The indicator's int ones
+    go through :func:`push` once, and only the largest entry becomes a
+    ``Fraction``.
     """
-    return apply(graph, truncation_indicator(graph, n_trunc)).sup_norm()
+    nums, den = push(graph.out_edges, dict.fromkeys(graph.vertices_up_to(n_trunc), 1), 1)
+    return Fraction(max(nums.values(), default=0), den)
 
 
 def operator_norm_profile(graph: C0Graph, n_trunc: int) -> List[Fraction]:
@@ -256,7 +254,8 @@ def operator_norm_profile(graph: C0Graph, n_trunc: int) -> List[Fraction]:
     finite graph with fewer vertices, the entries past its end repeat the
     whole graph's value.  Deliberate second route for
     :func:`operator_norm_truncated`: it sums columns directly, while that
-    goes through :func:`apply`, and the tests compare the two.
+    pushes the whole indicator through :func:`push`, and the tests compare
+    the two.
     """
     out: dict = {}
     den = 1

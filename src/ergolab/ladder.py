@@ -140,37 +140,6 @@ def _bottom_sup(cells: Dict[int, int], t: int, best: int, top: int) -> int:
     return max(best, top, 2 * max(map(abs, rest.values()), default=0))
 
 
-class _Ledger:
-    """Every change to a chain cell's stored numerator since :meth:`LadderOrbit.accumulate` began.
-
-    The orbit's own step files nothing; ``accumulate`` reads each change
-    off the orbit just before and just after the step that makes it.
-    Each chain is read in walking-down coordinates: a bottom cell's frame
-    key K is its key, a top or entry cell's is minus its key, and the cell
-    stands at y = K - t after t steps.  A change of c at step t0 is filed
-    under y = K - t0, the position where the cell took its new value, and
-    weighted (-1)**K for factor -1; ``sinks`` and ``source`` hold the
-    running sums of the sinks and the source, weighted (-1)**t.  Bottom
-    cells are filed as u, so only their births and drains are changes.
-    """
-
-    __slots__ = ("chains", "flip", "sinks", "source")
-
-    def __init__(self, flip: int):
-        self.chains: Dict[tuple, Dict[int, int]] = {}  # ("B" | "T" | "E", k) -> {y: change}
-        self.flip = flip  # 1 for factor -1, else 0
-        self.sinks: Dict[int, int] = {}
-        self.source = 0
-
-    def mark(self, chain: tuple, key: int, t0: int, c: int) -> None:
-        """File a change of c to the cell with frame key ``key`` of ``chain`` at step t0."""
-        table = self.chains.get(chain)
-        if table is None:
-            table = self.chains[chain] = {}
-        y = key - t0
-        table[y] = table.get(y, 0) + (-c if key & self.flip else c)
-
-
 def _chain_sup_and_support(marks: Dict[int, int], cells, end: int, flip: int):
     """Twice the sup, and the support, of one chain's running sum, from its ledger and cells.
 
@@ -462,9 +431,18 @@ class LadderOrbit:
         ``windows`` ascend, and the orbit steps on to the last of them.  The
         support is the number of nonzero entries of the sum.  No running sum
         is kept: every change to a chain cell's stored numerator, over den0,
-        goes into a :class:`_Ledger`, and each window reads every chain's sum
-        off the ledger and the current cells (:func:`_chain_sup_and_support`).
-        The changes are read off the orbit around each step from t to t + 1:
+        is filed in a ledger, and each window reads every chain's sum off the
+        ledger and the current cells (:func:`_chain_sup_and_support`).
+
+        The ledger reads each chain in walking-down coordinates: a bottom
+        cell's frame key K is its key, a top or entry cell's is minus its
+        key, and the cell stands at y = K - t after t steps.  A change of c
+        at step t0 is filed under y = K - t0, the position where the cell
+        took its new value, and weighted (-1)**K for factor -1.  Bottom cells
+        are filed as u, so only their births and drains are changes.  The
+        sinks keep running sums, weighted (-1)**t; the source's is its start
+        value, as nothing feeds it.  The orbit's own step files nothing: the
+        changes are read off the orbit around each step from t to t + 1:
 
         - births: before the step, each top (k, d) with numerator a births
           u = a under (1 << (d + t + 1)) - d - 1;
@@ -485,14 +463,22 @@ class LadderOrbit:
         """
         if factor not in (1, -1):
             raise ValueError(f"factor must be 1 or -1, got {factor}")
-        ledger = _Ledger(int(factor == -1))
-        mark, tops, entries = ledger.mark, self._tops, self._entries
+        flip = int(factor == -1)
+        ledger: Dict[tuple, Dict[int, int]] = {}  # ("B" | "T" | "E", k) -> {y: change}
+
+        def mark(chain: tuple, key: int, t0: int, c: int) -> None:
+            table = ledger.get(chain)
+            if table is None:
+                table = ledger[chain] = {}
+            y = key - t0
+            table[y] = table.get(y, 0) + (-c if key & flip else c)
+
+        tops, entries = self._tops, self._entries
         start = self._t
         for chain, cells in self._chains():
             for key, a in cells:
                 mark(chain, key, start, a)
-        ledger.sinks = dict(self._sinks)
-        ledger.source = self._source
+        sinks, start_source = dict(self._sinks), self._source
         for n in windows:
             while self._t < start + n - 1:
                 t, source = self._t, self._source
@@ -501,10 +487,10 @@ class LadderOrbit:
                     for d, a in cells.items():
                         mark(("B", k), (1 << (d + t + 1)) - d - 1, t + 1, a)
                 self.step()
-                sign = -1 if ledger.flip and (t + 1 - start) & 1 else 1
+                sign = -1 if flip and (t + 1 - start) & 1 else 1
                 for k, u in self._sinks.items():  # the one cell that drained from copy k
                     mark(("B", k), t + 1, t + 1, -u)
-                    ledger.sinks[k] = ledger.sinks.get(k, 0) + sign * u
+                    sinks[k] = sinks.get(k, 0) + sign * u
                 for e, a in fed:
                     if e in tops.get(e + t, ()):  # E(e + t) fed its top
                         mark(("T", e + t), -e, t + 1, a)
@@ -512,21 +498,17 @@ class LadderOrbit:
                         mark(("E", None), -e, t + 1, -a)
                 if source:  # S moved to E(0)
                     mark(("E", None), t + 1, t + 1, source)
-            yield (n, *self._window_sup_and_support(ledger, n))
-
-    def _window_sup_and_support(self, ledger: _Ledger, n: int):
-        """The sup norm of the n-term average read off the ledger, and the sum's support."""
-        single = [ledger.source, *ledger.sinks.values()]
-        best = 2 * max(map(abs, single))
-        support = len(single) - single.count(0)
-        chains = dict(self._chains())
-        for chain, marks in ledger.chains.items():
-            chain_best, chain_support = _chain_sup_and_support(
-                marks, chains.get(chain, ()), self._t + 1, ledger.flip
-            )
-            best = max(best, chain_best)
-            support += chain_support
-        return Fraction(best, n * self.den), support
+            single = [start_source, *sinks.values()]
+            best = 2 * max(map(abs, single))
+            support = len(single) - single.count(0)
+            current = dict(self._chains())
+            for chain, marks in ledger.items():
+                chain_best, chain_support = _chain_sup_and_support(
+                    marks, current.get(chain, ()), self._t + 1, flip
+                )
+                best = max(best, chain_best)
+                support += chain_support
+            yield n, Fraction(best, n * self.den), support
 
 
 class LadderGraph(C0Graph):

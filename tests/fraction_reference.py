@@ -35,7 +35,7 @@ def push(edges, x):
 
 def power_norms(graph, n_max, n_trunc):
     """Sup norms of T, ..., T**n_max on the truncation indicator."""
-    x = graphop.truncation_indicator(graph, n_trunc)
+    x = SparseVector(dict.fromkeys(graph.vertices_up_to(n_trunc), ONE))
     norms = []
     for _ in range(n_max):
         x = push(graph.successors, x)
