@@ -33,6 +33,17 @@ def a_coeff(m: int) -> Fraction:
     return Fraction(m - 1, m)
 
 
+def _block_arguments(m: int, n: int, p: int) -> None:
+    """Raise the ValueError for the first of the block index m, the power p
+    and the window n, in that order, that is below 1."""
+    if m < 1:
+        raise ValueError(f"block index must be positive, got {m}")
+    if p < 1:
+        raise ValueError(f"p must be a positive integer, got {p}")
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+
+
 def block_cesaro_entries(m: int, n: int, p: int) -> Tuple[int, int, int]:
     """(diagonal, off, den): the entries of the average of the first n powers
     of block m to the power p, as ints, not reduced.
@@ -46,12 +57,7 @@ def block_cesaro_entries(m: int, n: int, p: int) -> Tuple[int, int, int]:
     route that multiplies matrices and averages them literally is
     :func:`block_cesaro_literal`.
     """
-    if m < 1:
-        raise ValueError(f"block index must be positive, got {m}")
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _block_arguments(m, n, p)
     num, den = _geometric_average((1 - m) ** p, m**p, n)
     return den + num, den - num, 2 * den
 
@@ -68,12 +74,7 @@ def block_cesaro_literal(m: int, n_max: int, p: int) -> List[Tuple[Tuple[int, in
     :func:`block_cesaro_entries`; the tests and acceptance criterion 12
     compare the two.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max}")
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    if m < 1:
-        raise ValueError(f"block index must be positive, got {m}")
+    _block_arguments(m, n_max, p)
     block = (1, 2 * m - 1, 2 * m - 1, 1)
     step = block
     for _ in range(p - 1):
@@ -118,6 +119,7 @@ def block_deviation(m: int, n: int, p: int) -> Fraction:
     and V has max row sum 1, so the deviation is |c|.  The tests compare
     this closed form with the max row sum of the literal average minus U.
     """
+    _block_arguments(m, n, p)
     return abs(cesaro_geometric(a_coeff(m), p, n))
 
 
@@ -131,8 +133,9 @@ def block_deviation_float(m: int, n: int, p: int) -> float:
     denominator is 1 + s and the numerator 1 - s**n (n even) or 1 + s**n
     (n odd), sums of positive terms.
 
-    Any positive ints are accepted.  Once m, n or p reaches 2**1000, 1/m
-    may underflow and n or p pass the float range.  Below m = 2**53,
+    Any positive ints are accepted, and others raise the ValueErrors of
+    :func:`block_deviation`.  Once m, n or p reaches 2**1000, 1/m may
+    underflow and n or p pass the float range.  Below m = 2**53,
     |log1p(-1/m)| > 2**-53, so s or s**n is then 0: p is capped at 2**1000
     and n enters only by int true division.  From m = 2**53 on,
     -log1p(-1/m) is 1/m to double precision: L = -p/m and n*L = -n*p/m come
@@ -144,6 +147,7 @@ def block_deviation_float(m: int, n: int, p: int) -> float:
     error stays below 1e-14 wherever the result is a normal double; the
     tests check that against the exact value and a decimal evaluation.
     """
+    _block_arguments(m, n, p)
     if m == 1:
         return 1 / n
     if m >= 2**53 and max(m, n, p) >= 2**1000:
@@ -192,10 +196,7 @@ def deviation_argmax(deviation, m_max: int, n: int, p: int):
     ``tests/test_blockdiag.py`` compares the rule with the full int scan
     in ``tests/fraction_reference.py``.
     """
-    if m_max < 1:
-        raise ValueError(f"m_max must be positive, got {m_max}")
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be positive integers")
+    _block_arguments(m_max, n, p)
     m = 1 if p % 2 or n == 1 else m_max
     return m, deviation(m, n, p)
 

@@ -280,30 +280,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, run, summary):
+    def add(name, run, summary, graph=False):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", metavar="PATH", help="write output to a file")
+        if graph:
+            p.add_argument("--graph", choices=("g0", "gk", "combined"), default="combined")
+            p.add_argument("--k", type=int, help=f"copy index for --graph gk, 1..{MAX_COPY_INDEX}")
         return p
 
-    p = add("norms", _cmd_norms, "truncated norms of operator powers")
-    p.add_argument("--graph", choices=("g0", "gk", "combined"), default="combined")
-    p.add_argument("--k", type=int, help=f"copy index for --graph gk, 1..{MAX_COPY_INDEX}")
+    p = add("norms", _cmd_norms, "truncated norms of operator powers", graph=True)
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
     p.add_argument("--trunc", type=int, default=500)
     p.add_argument("--bound", help="fail (exit 1) if any norm exceeds this rational")
 
-    p = add("orbit", _cmd_orbit, "sink readings versus the orbit predicate")
-    p.add_argument("--graph", choices=("g0", "gk", "combined"), default="combined")
-    p.add_argument("--k", type=int, help=f"copy index for --graph gk, 1..{MAX_COPY_INDEX}")
+    p = add("orbit", _cmd_orbit, "sink readings versus the orbit predicate", graph=True)
     p.add_argument("--k-max", type=int, default=2, dest="k_max",
                    help=f"sinks 0..k_max (combined), k_max up to {MAX_COPY_INDEX}")
     p.add_argument("--n-max", type=int, default=64, dest="n_max")
 
-    p = add("cesaro", _cmd_cesaro, "sup norms of Cesaro averages")
-    p.add_argument("--graph", choices=("g0", "gk", "combined"), default="combined")
-    p.add_argument("--k", type=int, help=f"copy index for --graph gk, 1..{MAX_COPY_INDEX}")
+    p = add("cesaro", _cmd_cesaro, "sup norms of Cesaro averages", graph=True)
     p.add_argument("--start", choices=("source", "entry"), default="source")
     p.add_argument(
         "--x",

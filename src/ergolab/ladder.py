@@ -36,34 +36,49 @@ from .core import HALF, ONE, TWO, ZERO
 from .graphop import C0Graph, Vertex
 
 SOURCE: Vertex = ("S",)
+_ARITY = {"S": 1, "E": 2, "V": 2, "T": 3, "B": 3}
+
+
+def _vertex(v: Vertex) -> Vertex:
+    """v itself, when it is a vertex of the combined graph (the module's table).
+
+    The one place a vertex's shape is checked: the constructors, both
+    oracles and both indexes go through it.  Otherwise it raises a
+    ValueError naming the rule v breaks: its tag, its arity, copy index
+    k >= 0, top depth n >= k + 1 or bottom position j >= 1.
+    """
+    size = _ARITY.get(v[0]) if v else None
+    if size is None:
+        raise ValueError(f"not a ladder vertex: {v!r} has no ladder tag")
+    if len(v) != size:
+        raise ValueError(f"not a ladder vertex: {v!r} should have length {size}")
+    if size == 1:
+        return v
+    k = v[1]
+    if k < 0:
+        raise ValueError(f"copy index must be nonnegative, got {k}")
+    if v[0] == "T":
+        if v[2] <= k:
+            raise ValueError(f"top depth must be at least {k + 1} in copy {k}, got {v[2]}")
+    elif v[0] == "B" and v[2] < 1:
+        raise ValueError(f"bottom position must be positive, got {v[2]}")
+    return v
 
 
 def entry(k: int) -> Vertex:
-    if k < 0:
-        raise ValueError(f"entry index must be nonnegative, got {k}")
-    return ("E", k)
+    return _vertex(("E", k))
 
 
 def top(k: int, n: int) -> Vertex:
-    if k < 0:
-        raise ValueError(f"copy index must be nonnegative, got {k}")
-    if n < k + 1:
-        raise ValueError(f"top depth must be at least {k + 1} in copy {k}, got {n}")
-    return ("T", k, n)
+    return _vertex(("T", k, n))
 
 
 def bottom(k: int, j: int) -> Vertex:
-    if k < 0:
-        raise ValueError(f"copy index must be nonnegative, got {k}")
-    if j < 1:
-        raise ValueError(f"bottom position must be positive, got {j}")
-    return ("B", k, j)
+    return _vertex(("B", k, j))
 
 
 def sink(k: int) -> Vertex:
-    if k < 0:
-        raise ValueError(f"copy index must be nonnegative, got {k}")
-    return ("V", k)
+    return _vertex(("V", k))
 
 
 def rung_position(n: int) -> int:
@@ -99,8 +114,7 @@ def bottom_weight(j: int) -> Fraction:
     direct arithmetic: this one asks :func:`rung_index`, and the tests
     compare the two.
     """
-    if j < 1:
-        raise ValueError(f"bottom position must be positive, got {j}")
+    bottom(0, j)  # rejects positions below 1
     if rung_index(j) is not None:
         return TWO
     if rung_index(j - 1) is not None:
@@ -526,17 +540,11 @@ class LadderGraph(C0Graph):
         return LadderOrbit(self, nums, den)
 
 
-def _bad_vertex(v: Vertex) -> ValueError:
-    return ValueError(f"not a ladder vertex: {v!r}")
-
-
 def _out_edges(v: Vertex):
     """Out-edges of a vertex of the combined graph, as (vertex, p, q) triples."""
-    tag = v[0]
+    tag = _vertex(v)[0]
     if tag == "B":
         _, k, j = v
-        if j < 1 or k < 0:
-            raise _bad_vertex(v)
         if j == 1:
             return ((("V", k), 2, 1),)
         # the weight is bottom_weight(j) by direct arithmetic: with b the bit
@@ -550,30 +558,20 @@ def _out_edges(v: Vertex):
         return ((("B", k, j - 1), 1, 2 if j == after_landing else 1),)
     if tag == "T":
         _, k, n = v
-        if n <= k or k < 0:
-            raise _bad_vertex(v)
         return ((("T", k, n + 1), 1, 1), (("B", k, rung_position(n)), 1, 2))
     if tag == "E":
         k = v[1]
-        if k < 0:
-            raise _bad_vertex(v)
         return ((("E", k + 1), 1, 1), (("T", k, k + 1), 1, 1))
     if tag == "S":
         return ((("E", 0), 1, 1),)
-    if tag == "V":
-        if v[1] < 0:
-            raise _bad_vertex(v)
-        return ()
-    raise _bad_vertex(v)
+    return ()  # a sink
 
 
 def _in_edges(v: Vertex):
     """In-edges of a vertex of the combined graph, as (vertex, p, q) triples."""
-    tag = v[0]
+    tag = _vertex(v)[0]
     if tag == "B":
         _, k, j = v
-        if j < 1 or k < 0:
-            raise _bad_vertex(v)
         ((_, p, q),) = _out_edges(("B", k, j + 1))
         i = rung_index(j)
         if i is not None and i >= k + 1:
@@ -581,21 +579,13 @@ def _in_edges(v: Vertex):
         return ((("B", k, j + 1), p, q),)
     if tag == "T":
         _, k, n = v
-        if n <= k or k < 0:
-            raise _bad_vertex(v)
         return ((("E", k) if n == k + 1 else ("T", k, n - 1), 1, 1),)
     if tag == "E":
         k = v[1]
-        if k < 0:
-            raise _bad_vertex(v)
         return (((SOURCE if k == 0 else ("E", k - 1)), 1, 1),)
     if tag == "V":
-        if v[1] < 0:
-            raise _bad_vertex(v)
         return ((("B", v[1], 1), 2, 1),)
-    if tag == "S":
-        return ()
-    raise _bad_vertex(v)
+    return ()  # the source
 
 
 def _standalone_enumerate(k: int, i: int) -> Vertex:
@@ -608,23 +598,22 @@ def _standalone_enumerate(k: int, i: int) -> Vertex:
     return top(k, k + 1 + m) if off == 0 else bottom(k, 1 + m)
 
 
+def _copy_vertex(k: int, v: Vertex) -> Vertex:
+    """v itself, when it is a vertex of standalone copy k; otherwise ValueError."""
+    if _vertex(v)[0] == "S" or v[1] != k:
+        raise ValueError(f"vertex {v!r} is not in copy {k}")
+    return v
+
+
 def _standalone_index(k: int, v: Vertex) -> int:
-    tag = v[0]
-    if tag == "E" and v[1] == k:
+    tag = _copy_vertex(k, v)[0]
+    if tag == "E":
         return 0
-    if tag == "V" and v[1] == k:
+    if tag == "V":
         return 1
-    if tag == "T" and v[1] == k:
-        n = v[2]
-        if n < k + 1:
-            raise ValueError(f"top depth {n} below minimum {k + 1} for copy {k}")
-        return 2 + 2 * (n - k - 1)
-    if tag == "B" and v[1] == k:
-        j = v[2]
-        if j < 1:
-            raise ValueError(f"bottom position must be positive, got {j}")
-        return 3 + 2 * (j - 1)
-    raise ValueError(f"vertex {v!r} is not in copy {k}")
+    if tag == "T":
+        return 2 + 2 * (v[2] - k - 1)
+    return 3 + 2 * (v[2] - 1)
 
 
 def _make_standalone(k: int) -> LadderGraph:
@@ -632,18 +621,13 @@ def _make_standalone(k: int) -> LadderGraph:
 
     Vertices outside it are rejected.  Only the entry has edges to or from
     outside (to E(k+1), from S or E(k-1)), so only its edge lists are
-    filtered.
+    filtered: the one edge that stays is E(k) -> T(k, k+1).
     """
-
-    def keep(v: Vertex) -> bool:
-        return v[0] != "S" and v[1] == k
 
     def restricted(oracle):
         def edges(v: Vertex):
-            if not keep(v):
-                raise ValueError(f"vertex {v!r} is not in copy {k}")
-            if v[0] == "E":
-                return tuple(edge for edge in oracle(v) if keep(edge[0]))
+            if _copy_vertex(k, v)[0] == "E":
+                return tuple(edge for edge in oracle(v) if edge[0][0] == "T")
             return oracle(v)
 
         return edges
@@ -693,24 +677,17 @@ def _combined_enumerate(i: int) -> Vertex:
 
 
 def _combined_index(v: Vertex) -> int:
-    tag = v[0]
+    tag = _vertex(v)[0]
     if tag == "S":
         return 0
-    if tag not in ("E", "V", "T", "B") or v[1] < 0:
-        raise _bad_vertex(v)
+    k = v[1]
     if tag == "E":
-        return _tier_start(v[1])
+        return _tier_start(k)
     if tag == "V":
-        return _tier_start(v[1]) + 1
+        return _tier_start(k) + 1
     if tag == "T":
-        _, k, n = v
-        if n < k + 1:
-            raise ValueError(f"top depth {n} below minimum {k + 1} for copy {k}")
-        return _tier_start(n - 1) + 2 + k
-    _, k, j = v
-    if j < 1:
-        raise ValueError(f"bottom position must be positive, got {j}")
-    t = k + j - 1
+        return _tier_start(v[2] - 1) + 2 + k
+    t = k + v[2] - 1
     return _tier_start(t) + t + 3 + k
 
 

@@ -196,9 +196,20 @@ def test_domain_errors():
         b_coeff(2, 3, 0)
     with pytest.raises(ValueError):
         sup_deviation(0, 3, 1)
-    for n, p in ((0, 1), (3, 0)):  # the float formula would not raise on its own
+    for n, p in ((0, 1), (3, 0)):  # checked before a block is picked
         with pytest.raises(ValueError):
             deviation_argmax(block_deviation_float, 5, n, p)
+
+
+@pytest.mark.parametrize("m, n, p", [(0, 5, 1), (5, 0, 1), (5, 5, 0), (-3, 5, 1), (5, -2, 2)])
+def test_float_deviation_rejects_what_the_exact_one_rejects(m, n, p):
+    # the float formula would divide by zero at the first three and
+    # return a number at the last two
+    with pytest.raises(ValueError) as exact:
+        block_deviation(m, n, p)
+    with pytest.raises(ValueError) as approx:
+        block_deviation_float(m, n, p)
+    assert str(approx.value) == str(exact.value)
 
 
 def test_block_entries_are_the_ints_of_the_geometric_pair():

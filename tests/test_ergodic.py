@@ -254,6 +254,24 @@ def test_replay_detects_a_tampered_graph():
     assert any("out-edges" in issue for issue in replay.issues)
 
 
+@pytest.mark.parametrize("make", [ladder.make_counterexample, ladder.make_g0], ids=["combined", "g0"])
+@pytest.mark.parametrize("sample, rule", [
+    ((), "has no ladder tag"),
+    (("V",), "should have length 2"),
+    (("V", 0, 5), "should have length 2"),
+    (("V", 0, 0), "should have length 2"),
+], ids=str)
+def test_replay_reports_a_malformed_sample(make, sample, rule):
+    graph = make()
+    cert = fixed_space_certificate(graph)
+    sinks = cert.steps[0]
+    sinks.samples += (sample,)
+    replay = replay_certificate(cert, graph)
+    assert replay.issues == [
+        f"{sinks.label}: oracle rejected vertex {sample!r}: not a ladder vertex: {sample!r} {rule}"
+    ]
+
+
 def test_replay_detects_a_mismatched_graph():
     cert = fixed_space_certificate(ladder.make_counterexample())
     replay = replay_certificate(cert, ladder.make_g0())

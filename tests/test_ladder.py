@@ -1,5 +1,7 @@
 """Ladder graph structure: weights, enumeration, orbits, standalone copies."""
 
+import re
+
 import pytest
 
 import fraction_reference as ref
@@ -36,6 +38,8 @@ def test_bottom_weights_follow_the_rung_pattern():
     assert ladder.bottom_weight(1) == 2
     assert ladder.bottom_weight(2) == HALF
     assert ladder.bottom_weight(3) == 1
+    with pytest.raises(ValueError, match="^bottom position must be positive, got 0$"):
+        ladder.bottom_weight(0)
 
 
 def test_bottom_edges_carry_the_bottom_weight():
@@ -107,6 +111,50 @@ def test_index_rejects_foreign_vertices():
     for oracle in (combined.out_edges, combined.in_edges):
         with pytest.raises(ValueError):
             oracle(("V", -1))
+
+
+# every way a tuple can miss the vertex table, with the rule it breaks
+MALFORMED = [
+    ((), "no ladder tag"),
+    (("E",), "should have length 2"),
+    (("B", 0), "should have length 3"),
+    (("T", 0, 1, 1), "should have length 3"),
+    (("X", 0), "no ladder tag"),
+    (("E", 0, 9), "should have length 2"),
+    (("V", 0, 5), "should have length 2"),
+    (("S", 7), "should have length 1"),
+    (("V", -1), "copy index must be nonnegative, got -1"),
+    (("T", 3, 3), "top depth must be at least 4 in copy 3, got 3"),
+    (("B", 0, 0), "bottom position must be positive, got 0"),
+]
+
+
+@pytest.mark.parametrize("make", [ladder.make_counterexample, ladder.make_g0], ids=["combined", "g0"])
+@pytest.mark.parametrize("v, rule", MALFORMED, ids=[str(v) for v, _ in MALFORMED])
+def test_malformed_tuples_are_rejected_naming_the_rule(make, v, rule):
+    # on g0 too the shape is checked before copy membership, so the rule is
+    # named; orbits and apply reach it through out_edges
+    graph = make()
+    for ask in (
+        graph.out_edges,
+        graph.in_edges,
+        graph.index_of_vertex,
+        lambda v: graph.orbit({v: 1}),
+        lambda v: graphop.apply(graph, SparseVector.unit(v)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            ask(v)
+
+
+def test_constructors_name_the_rule_they_check():
+    for build, rule in (
+        (lambda: E(-1), "copy index must be nonnegative, got -1"),
+        (lambda: V(-2), "copy index must be nonnegative, got -2"),
+        (lambda: T(3, 3), "top depth must be at least 4 in copy 3, got 3"),
+        (lambda: B(0, 0), "bottom position must be positive, got 0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            build()
 
 
 def test_oracles_are_consistent_and_column_bounded():
