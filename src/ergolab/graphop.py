@@ -177,7 +177,7 @@ class PushOrbit:
 
     ``step()`` moves the vector one step.  ``items()`` yields its nonzero
     entries as (vertex, numerator) pairs over the shared denominator
-    ``den``; ``sup_norm()`` and ``value(v)`` read it as Fractions.  This is
+    ``den``; ``sup_norm()`` reads its sup norm as a Fraction.  This is
     the default orbit state of every graph, and the deliberate second route
     for the ladder graphs' moving-frame state
     (:class:`ergolab.ladder.LadderOrbit`): the tests step both and compare
@@ -194,9 +194,6 @@ class PushOrbit:
 
     def sup_norm(self) -> Fraction:
         return Fraction(max(map(abs, self.nums.values()), default=0), self.den)
-
-    def value(self, v: Vertex) -> Fraction:
-        return Fraction(self.nums.get(v, 0), self.den)
 
     def items(self):
         return self.nums.items()

@@ -206,7 +206,8 @@ class LadderOrbit:
     - one top arrival per entry cell, E(k) -> T(k, k+1);
     - the source, which moves to E(0);
     - one drain probe per copy, at the key t + 1 of B(k, 1), whose u goes to
-      V(k).  The sinks hold only what drained in the last step.
+      V(k).  The sinks hold only what drained in the last step, and
+      :meth:`sink_value` reads them by copy index.
 
     Far births.  The top under key d makes at step s (from t = s to s + 1)
     the birth u = a, its numerator, at the key K = 2**m - d - 1 with
@@ -237,8 +238,8 @@ class LadderOrbit:
       step, and the sink then holds that cell's u.
     - A far birth's value is at most |a|, which its top still holds, so
       :meth:`sup_norm` scans only the stored cells.  A stored table holds
-      at most R keys, and :meth:`items`, :meth:`value` and
-      :meth:`accumulate` read the far births off the tops that make them.
+      at most R keys, and :meth:`items` and :meth:`accumulate` read the
+      far births off the tops that make them.
 
     Tops neither change nor leave, so the orbit keeps their largest |a| as
     they arrive.  An unsigned orbit also keeps each copy's largest stored u
@@ -375,16 +376,6 @@ class LadderOrbit:
             best = _bottom_sup(cells, self._t, best, top)
         return Fraction(best, self.den)
 
-    def _far_u(self, k: int, key: int) -> int:
-        """The u of copy k's far birth under ``key``, or 0: key = 2**m - d - 1
-        with -1 <= d <= m - 1 gives m the bit length of key, or one less."""
-        far, t = self._far.get(k, {}), self._t
-        for m in (key.bit_length() - 1, key.bit_length()):
-            d = (1 << m) - key - 1
-            if far.get(d, t) <= m - d - 1 < t:
-                return self._tops[k][d]
-        return 0
-
     def _bottom_cells(self):
         """Every bottom cell as (k, frame key, u), the stored ones and then the far births."""
         for k, cells in self._bottoms.items():
@@ -396,21 +387,9 @@ class LadderOrbit:
                 for s in range(oldest, self._t):
                     yield k, (1 << (d + s + 1)) - d - 1, a
 
-    def value(self, v: Vertex) -> Fraction:
-        t, tag = self._t, v[0]
-        if tag == "B":
-            k, j = v[1], v[2]
-            key = j + t
-            u = self._bottoms.get(k, {}).get(key, 0) if key <= self._reach else self._far_u(k, key)
-            return Fraction(_halves(u, j), self.den) if u else ZERO
-        if tag == "T":
-            a = self._tops.get(v[1], {}).get(v[2] - t, 0)
-        elif tag == "E":
-            a = self._entries.get(v[1] - t, 0)
-        elif tag == "V":
-            a = self._sinks.get(v[1], 0)
-        else:
-            a = self._source if v == SOURCE else 0
+    def sink_value(self, k: int) -> Fraction:
+        """The value of the sink V(k): what drained from copy k in the last step."""
+        a = self._sinks.get(k)
         return Fraction(2 * a, self.den) if a else ZERO
 
     def items(self):
@@ -736,13 +715,14 @@ def sink_readings(graph: LadderGraph, copies, steps):
     is orbit_predicate(graph.copy_index, k, n); the readings come in (n, k)
     order, with the k in the order ``copies`` gives them.  ``steps`` ascend
     strictly from 1 on, such as ``range(1, n_max + 1)``; a step that does
-    not raises ValueError when reached.  One orbit serves every copy: on
+    not raises ValueError when reached, and a negative copy index at the
+    first reading, before the orbit steps.  One orbit serves every copy: on
     the combined graph it starts at the source, and on a standalone copy at
     its entry.  The orbit is the graph's own (:meth:`LadderGraph.orbit`),
     in int numerators, and steps unread between the given steps.
     """
     index = graph.copy_index
-    targets = [(k, sink(k)) for k in copies]
+    copies = [sink(k)[1] for k in copies]  # rejects a negative k before any step
     orbit = graph.orbit({SOURCE if index is None else entry(index): 1})
     done = 0  # steps taken
     for n in steps:
@@ -751,5 +731,5 @@ def sink_readings(graph: LadderGraph, copies, steps):
         for _ in range(n - done):
             orbit.step()
         done = n
-        for k, target in targets:
-            yield n, k, orbit.value(target), orbit_predicate(index, k, n)
+        for k in copies:
+            yield n, k, orbit.sink_value(k), orbit_predicate(index, k, n)

@@ -284,12 +284,9 @@ def values(orbit):
     return out
 
 
-def assert_same_state(framed, pushed, probes):
+def assert_same_state(framed, pushed):
     assert framed.sup_norm() == pushed.sup_norm()
-    expected = values(pushed)
-    assert values(framed) == expected
-    for v in list(probes) + list(expected):
-        assert framed.value(v) == pushed.value(v)
+    assert values(framed) == values(pushed)
 
 
 @pytest.mark.parametrize("name", sorted(LADDERS))
@@ -302,11 +299,11 @@ def test_framed_steps_match_push(name):
         framed = graph.orbit(*graphop.int_vector(x))
         assert isinstance(framed, ladder.LadderOrbit)
         pushed = push_orbit(graph, x)
-        assert_same_state(framed, pushed, dict(x.items()))
+        assert_same_state(framed, pushed)
         for _ in range(steps):
             framed.step()
             pushed.step()
-            assert_same_state(framed, pushed, dict(x.items()))
+            assert_same_state(framed, pushed)
 
     check()
 
@@ -324,7 +321,7 @@ def test_framed_orbit_matches_push_over_many_steps(name):
             framed.step()
             pushed.step()
             assert framed.sup_norm() == pushed.sup_norm()
-        assert_same_state(framed, pushed, dict(x.items()))
+        assert_same_state(framed, pushed)
 
     check()
 
@@ -629,10 +626,7 @@ def test_far_births_match_push_at_every_step(name):
         for _ in range(steps):
             framed.step()
             pushed.step()
-            # each bottom cell's neighbours along its chain
-            probes = [("B", v[1], v[2] + dj) for v, _ in pushed.items() if v[0] == "B"
-                      for dj in (-1, 1) if v[2] + dj]
-            assert_same_state(framed, pushed, probes)
+            assert_same_state(framed, pushed)
 
     check()
 
@@ -702,7 +696,7 @@ def test_accumulate_leaves_the_orbit_where_step_leaves_it(name):
             assert summed.den == stepped.den
             assert summed.sup_norm() == stepped.sup_norm()
             for k in copies:
-                assert summed.value(("V", k)) == stepped.value(("V", k))
+                assert summed.sink_value(k) == stepped.sink_value(k)
 
     check()
 

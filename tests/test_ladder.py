@@ -1,6 +1,7 @@
 """Ladder graph structure: weights, enumeration, orbits, standalone copies."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -277,6 +278,27 @@ def test_sink_readings_reject_a_step_that_is_not_positive_and_ascending(steps):
     readings = ladder.sink_readings(ladder.make_g0(), (0,), steps)
     with pytest.raises(ValueError, match="steps must be positive and ascending"):
         list(readings)
+
+
+def test_sink_readings_reject_a_negative_copy_before_any_step(monkeypatch):
+    monkeypatch.setattr(ladder.LadderOrbit, "step", lambda self: pytest.fail("the orbit stepped"))
+    readings = ladder.sink_readings(ladder.make_counterexample(), (0, -1), range(1, 9))
+    with pytest.raises(ValueError, match=r"copy index must be nonnegative, got -1"):
+        next(readings)
+
+
+def test_a_standalone_copy_reads_its_sink_by_copy_index():
+    # copy 2 from E(2) reads 1 where n + 3 = 2**(m+2) with m >= 2
+    orbit = ladder.make_gk(2).orbit({E(2): 1})
+    hits = []
+    for n in range(1, 62):
+        orbit.step()
+        got = orbit.sink_value(2)
+        assert got == Fraction(dict(orbit.items()).get(V(2), 0), orbit.den), n
+        assert orbit.sink_value(0) == 0
+        if got:
+            hits.append((n, got))
+    assert hits == [(13, 1), (29, 1), (61, 1)]
 
 
 def test_orbit_matches_simulation_on_standalone_copies():
