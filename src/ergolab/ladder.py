@@ -715,14 +715,17 @@ def sink_readings(graph: LadderGraph, copies, steps):
     is orbit_predicate(graph.copy_index, k, n); the readings come in (n, k)
     order, with the k in the order ``copies`` gives them.  ``steps`` ascend
     strictly from 1 on, such as ``range(1, n_max + 1)``; a step that does
-    not raises ValueError when reached, and a negative copy index at the
-    first reading, before the orbit steps.  One orbit serves every copy: on
-    the combined graph it starts at the source, and on a standalone copy at
-    its entry.  The orbit is the graph's own (:meth:`LadderGraph.orbit`),
-    in int numerators, and steps unread between the given steps.
+    not raises ValueError when reached, and a negative copy index, or one
+    the graph has no sink for, at the first reading, before the orbit
+    steps.  One orbit serves every copy: on the combined graph it starts at
+    the source, and on a standalone copy at its entry.  The orbit is the
+    graph's own (:meth:`LadderGraph.orbit`), in int numerators, and steps
+    unread between the given steps.
     """
     index = graph.copy_index
-    copies = [sink(k)[1] for k in copies]  # rejects a negative k before any step
+    copies = list(copies)
+    for k in copies:  # rejects a negative or foreign k before any step
+        orbit_predicate(index, k, 0)
     orbit = graph.orbit({SOURCE if index is None else entry(index): 1})
     done = 0  # steps taken
     for n in steps:

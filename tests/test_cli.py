@@ -664,7 +664,7 @@ def block_argv(draw):
     return argv
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(argv=block_argv())
 def test_block_argument_vectors_exit_cleanly(argv):
     code, _, err = run_quietly(argv)
@@ -732,7 +732,7 @@ def assert_exits_cleanly(tmp_path_factory, argv, fmt, budget_exit=False):
     return code, err
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(argv=cesaro_argv(), fmt=st.sampled_from(["csv", "json"]))
 def test_cesaro_argument_vectors_exit_cleanly(tmp_path_factory, argv, fmt):
     assert_exits_cleanly(tmp_path_factory, argv, fmt)
@@ -758,7 +758,7 @@ def cesaro_entry_argv(draw):
     return argv
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(argv=cesaro_entry_argv(), fmt=st.sampled_from(["csv", "json"]))
 def test_cesaro_entry_argument_vectors_exit_cleanly(tmp_path_factory, argv, fmt):
     """Exit 3 stops at a window of the schedule, at a support above the cap given."""
@@ -799,7 +799,7 @@ def norms_or_orbit_argv(draw):
     return argv
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(argv=norms_or_orbit_argv(), fmt=st.sampled_from(["csv", "json"]))
 def test_norms_and_orbit_argument_vectors_exit_cleanly(tmp_path_factory, argv, fmt):
     assert_exits_cleanly(tmp_path_factory, argv, fmt)
@@ -861,7 +861,7 @@ def verify_argv(draw):
     return ["verify", "--criteria", ",".join(tokens)]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(argv=verify_argv(), fmt=st.sampled_from(["csv", "json"]))
 def test_verify_argument_vectors_exit_cleanly(tmp_path_factory, argv, fmt):
     """Exit 0, 1 or 2 with no traceback and one error line on exit 2; each

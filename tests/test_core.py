@@ -1,7 +1,7 @@
-"""Exact scalar and sparse vector behaviour."""
+"""Exact scalar and sparse vector behaviour.  The closed form against the
+literal sum is a row of tests/test_routes.py."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -13,18 +13,6 @@ from ergolab.core import (
     cesaro_geometric_sum,
     fraction_str,
 )
-
-
-def test_cesaro_geometric_matches_literal_sum_on_a_grid():
-    """Closed form and literal summation must agree everywhere."""
-    rng = random.Random(7)
-    for _ in range(200):
-        a = Fraction(rng.randrange(0, 50), 49) / 1  # in [0, 50/49] -> clamp below
-        if a > 1:
-            a = Fraction(1)
-        p = rng.randrange(1, 7)
-        n = rng.randrange(1, 40)
-        assert cesaro_geometric(a, p, n) == cesaro_geometric_sum(a, p, n)
 
 
 @pytest.mark.parametrize(

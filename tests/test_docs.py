@@ -39,12 +39,19 @@ def lookup(target, dotted):
 def test_every_listed_second_route_says_so_where_it_is_defined():
     bullets = second_routes()
     assert len(bullets) >= 8, bullets
-    assert sum(len(names) - 1 for names in bullets) >= 6, bullets  # the partners are read
+    assert all(len(names) >= 2 for names in bullets), bullets  # each names a first route
     for route, *partners in bullets:
         for name in partners:
             resolve(name)
         doc = " ".join((resolve(route).__doc__ or "").split()).lower()
         assert "second route" in doc, route
+
+
+def test_the_route_table_has_one_row_per_listed_second_route():
+    from test_routes import ROWS  # test_routes imports this module
+
+    bullets = [(route, tuple(partners)) for route, *partners in second_routes()]
+    assert [(row.second, row.first) for row in ROWS] == bullets
 
 
 def test_every_name_readme_gives_a_module_of_exists():

@@ -273,7 +273,7 @@ SMALL_GRAPHS = st.dictionaries(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(edges=SMALL_GRAPHS, u=st.sampled_from("abcde"), v=st.sampled_from("abcde"),
        n_max=st.integers(0, 6))
 def test_pruned_paths_equal_the_unpruned_walk(edges, u, v, n_max):

@@ -1,90 +1,22 @@
 """The integer graph-operator kernel against the Fraction reference route,
-the all-endpoint path count against the per-endpoint sweep, criterion 12's
+the framed orbit's widening, running maxima and summed twin, criterion 12's
 int comparison under perturbed closed forms, and the ladder enumerations and
-oracles far out in the graph."""
+oracles far out in the graph.  The README pairs of routes are compared in
+tests/test_routes.py."""
 
 import tracemalloc
 from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
-from ergolab import acceptance, blockdiag, ergodic, graphop, ladder
+from ergolab import acceptance, blockdiag, graphop, ladder
 from ergolab.core import SparseVector
 from ergolab.ergodic import cesaro_trace, graph_handle
+from strategies import DEEP, DEPTHS, FAR_RULE, FRAMED, GRAPHS, LADDERS, SIGNED, start_vectors
 
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
-
-
-def settings(max_examples):
-    return hypothesis.settings(
-        max_examples=max_examples, deadline=None, derandomize=True, database=None
-    )
-
-
-# a finite graph with non-dyadic weights, a cycle and a sink
-THIRDS = graphop.graph_from_edges(
-    {
-        "a": [("b", Fraction(1, 3)), ("c", Fraction(2, 5))],
-        "b": [("a", 3), ("c", Fraction(7, 6))],
-        "c": [("c", Fraction(1, 3)), ("d", 1)],
-    },
-    "non-dyadic weights",
-)
-
-# bottom positions: small, around the landing rung_position(63), around 2**64
-POSITIONS = st.one_of(
-    st.integers(1, 300),
-    st.integers(ladder.rung_position(63) - 70, ladder.rung_position(63) + 70),
-    st.integers(2**64 - 70, 2**64 + 70),
-)
-DEPTHS = st.one_of(st.integers(0, 70), st.integers(1000, 1010))  # top depth above k + 1
-
-
-# bottom positions where the weights leave 1: the drain j = 1 and the
-# landings rung_position(n), with their neighbours on either side
-LANDINGS = st.one_of(
-    st.just(1),
-    st.builds(lambda n, d: ladder.rung_position(n) + d, st.integers(2, 70), st.integers(-1, 1)),
-)
-
-
-def ladder_vertices(copies, source: bool, entries, positions=POSITIONS):
-    """Vertices of the copies drawn from ``copies``, plus the given entries."""
-    options = [
-        entries,
-        st.builds(lambda k, d: ("T", k, k + 1 + d), copies, DEPTHS),
-        st.builds(lambda k, j: ("B", k, j), copies, positions),
-        st.builds(lambda k: ("V", k), copies),
-    ]
-    if source:
-        options.append(st.just(ladder.SOURCE))
-    return st.one_of(options)
-
-
-GRAPHS = {
-    "combined": (
-        ladder.make_counterexample(),
-        ladder_vertices(st.integers(0, 6), True, st.builds(lambda k: ("E", k), st.integers(0, 6))),
-    ),
-    "g0": (ladder.make_g0(), ladder_vertices(st.just(0), False, st.just(("E", 0)))),
-    "gk": (ladder.make_gk(2), ladder_vertices(st.just(2), False, st.just(("E", 2)))),
-    "thirds": (THIRDS, st.sampled_from(THIRDS.finite_vertices)),
-}
-
-
-LADDERS = {
-    "combined": (st.integers(0, 6), True, st.builds(lambda k: ("E", k), st.integers(0, 6))),
-    "g0": (st.just(0), False, st.just(("E", 0))),
-    "gk": (st.just(2), False, st.just(("E", 2))),
-}
-# start vertices for the framed orbits: landings and their neighbours as well
-FRAMED = {
-    name: ladder_vertices(*args, positions=st.one_of(POSITIONS, LANDINGS))
-    for name, args in LADDERS.items()
-}
 # a vertex inside each restricted graph, and vertices outside it
 FOREIGN = {
     "g0": (("E", 0), [("S",), ("E", 1), ("T", 1, 2), ("B", 1, 4), ("V", 2)]),
@@ -93,33 +25,12 @@ FOREIGN = {
 }
 
 
-def deep_vertices(copies):
-    """B(k, j) with j near 2**64 and T(k, n) with n in the thousands."""
-    return st.one_of(
-        st.builds(lambda k, j: ("B", k, j), copies, st.integers(2**64 - 70, 2**64 + 70)),
-        st.builds(lambda k, d: ("T", k, k + 1 + d), copies, st.integers(1000, 9999)),
-    )
-
-
-DEEP = {
-    "combined": deep_vertices(st.integers(0, 6)),
-    "g0": deep_vertices(st.just(0)),
-    "gk": deep_vertices(st.just(2)),
-}
-
-VALUES = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
-
-
-def start_vectors(vertices):
-    return st.dictionaries(vertices, VALUES, min_size=1, max_size=6).map(SparseVector)
-
-
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_apply_and_adjoint_match_the_fraction_push(name):
     graph, vertices = GRAPHS[name]
 
-    @settings(25)
-    @hypothesis.given(x=start_vectors(vertices))
+    @settings(max_examples=25)
+    @given(x=start_vectors(vertices))
     def check(x):
         image = graphop.apply(graph, x)
         assert image == ref.push(graph.successors, x)
@@ -138,8 +49,8 @@ def test_power_norms_sweep_matches_the_fraction_push(name):
     graph, _ = GRAPHS[name]
     size = len(graph.finite_vertices) if graph.finite_vertices else 200
 
-    @settings(5)
-    @hypothesis.given(n_max=st.integers(1, 6), n_trunc=st.integers(1, size))
+    @settings(max_examples=5)
+    @given(n_max=st.integers(1, 6), n_trunc=st.integers(1, size))
     def check(n_max, n_trunc):
         assert graphop.power_norms_sweep(graph, n_max, n_trunc) == ref.power_norms(
             graph, n_max, n_trunc
@@ -153,8 +64,8 @@ def test_generic_cesaro_trace_matches_the_fraction_push(name):
     graph, vertices = GRAPHS[name]
     op = graph_handle(graph)
 
-    @settings(8)
-    @hypothesis.given(
+    @settings(max_examples=8)
+    @given(
         x=start_vectors(vertices),
         step_power=st.integers(1, 3),
         factor=st.sampled_from([1, -1]),
@@ -176,35 +87,12 @@ def test_count_paths_profile_matches_the_fraction_sweep(name):
     graph, vertices = GRAPHS[name]
     size = len(graph.finite_vertices) if graph.finite_vertices else 400
 
-    @settings(8)
-    @hypothesis.given(v=vertices, n_max=st.integers(0, 8), n_trunc=st.integers(1, size))
+    @settings(max_examples=8)
+    @given(v=vertices, n_max=st.integers(0, 8), n_trunc=st.integers(1, size))
     def check(v, n_max, n_trunc):
         assert graphop.count_paths_profile(graph, v, n_max, n_trunc) == ref.count_paths(
             graph, v, n_max, n_trunc
         )
-
-    check()
-
-
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_count_paths_levels_match_the_profile_at_every_endpoint(name):
-    graph, _ = GRAPHS[name]
-    # a truncation past the end of a finite graph keeps all of it
-    size = len(graph.finite_vertices) + 2 if graph.finite_vertices else 80
-
-    @settings(6)
-    @hypothesis.given(n_max=st.integers(0, 9), n_trunc=st.integers(1, size))
-    def check(n_max, n_trunc):
-        levels = list(graphop.count_paths_levels(graph, n_max, n_trunc))
-        ends = graph.vertices_up_to(n_trunc)
-        assert len(levels) == n_max + 1
-        assert all(counts.keys() == weights.keys() <= set(ends) for counts, weights, _ in levels)
-        for v in ends:
-            got = [
-                graphop.PathCount(counts.get(v, 0), Fraction(weights.get(v, 0), den))
-                for counts, weights, den in levels
-            ]
-            assert got == graphop.count_paths_profile(graph, v, n_max, n_trunc), v
 
     check()
 
@@ -251,8 +139,8 @@ def test_criterion_12_compares_the_closed_form_entries(monkeypatch, perturb, mis
 def test_enumerations_are_bijections_near_2_64(name):
     graph, _ = GRAPHS[name]
 
-    @settings(50)
-    @hypothesis.given(i=st.integers(2**64 - 1000, 2**64 + 1000), v=DEEP[name])
+    @settings(max_examples=50)
+    @given(i=st.integers(2**64 - 1000, 2**64 + 1000), v=DEEP[name])
     def check(i, v):
         assert graph.index_of_vertex(graph.enumerate_vertex(i)) == i
         assert graph.enumerate_vertex(graph.index_of_vertex(v)) == v
@@ -264,16 +152,12 @@ def test_enumerations_are_bijections_near_2_64(name):
 def test_oracles_present_an_operator_at_deep_vertices(name):
     graph, _ = GRAPHS[name]
 
-    @settings(50)
-    @hypothesis.given(v=DEEP[name])
+    @settings(max_examples=50)
+    @given(v=DEEP[name])
     def check(v):
         assert ref.oracle_problems(graph, [v], 2) == []
 
     check()
-
-
-def push_orbit(graph, x):
-    return graphop.PushOrbit(graph.out_edges, *graphop.int_vector(x))
 
 
 def values(orbit):
@@ -282,48 +166,6 @@ def values(orbit):
     out = {v: Fraction(a, orbit.den) for v, a in pairs}
     assert len(out) == len(pairs) and all(out.values())
     return out
-
-
-def assert_same_state(framed, pushed):
-    assert framed.sup_norm() == pushed.sup_norm()
-    assert values(framed) == values(pushed)
-
-
-@pytest.mark.parametrize("name", sorted(LADDERS))
-def test_framed_steps_match_push(name):
-    graph, _ = GRAPHS[name]
-
-    @settings(40)
-    @hypothesis.given(x=start_vectors(FRAMED[name]), steps=st.integers(1, 3))
-    def check(x, steps):
-        framed = graph.orbit(*graphop.int_vector(x))
-        assert isinstance(framed, ladder.LadderOrbit)
-        pushed = push_orbit(graph, x)
-        assert_same_state(framed, pushed)
-        for _ in range(steps):
-            framed.step()
-            pushed.step()
-            assert_same_state(framed, pushed)
-
-    check()
-
-
-@pytest.mark.parametrize("name", sorted(LADDERS))
-def test_framed_orbit_matches_push_over_many_steps(name):
-    graph, _ = GRAPHS[name]
-
-    @settings(8)
-    @hypothesis.given(x=start_vectors(FRAMED[name]), steps=st.integers(20, 80))
-    def check(x, steps):
-        framed = graph.orbit(*graphop.int_vector(x))
-        pushed = push_orbit(graph, x)
-        for _ in range(steps):
-            framed.step()
-            pushed.step()
-            assert framed.sup_norm() == pushed.sup_norm()
-        assert_same_state(framed, pushed)
-
-    check()
 
 
 def first_half_crossing(graph, v, limit=200):
@@ -378,8 +220,8 @@ def test_framed_den_widens_at_the_step_push_does(name, kind):
     even = st.integers(-3, 3).filter(bool).map(lambda a: 2 * a)
     evens = st.dictionaries(FRAMED[name], even, max_size=4)
 
-    @settings(6)
-    @hypothesis.given(
+    @settings(max_examples=6)
+    @given(
         v=odd_cells(name, kind), a=st.integers(-3, 2), rest=evens, den0=st.sampled_from([1, 3])
     )
     def check(v, a, rest, den0):
@@ -415,24 +257,6 @@ def test_framed_orbit_rejects_foreign_vertices(name):
             graphop.PushOrbit(graph.out_edges, nums).step()
 
 
-def cancelling_pairs(copies):
-    """T(k, n) and B(k, rung_position(n) + 1) with opposite values: both reach
-    B(k, rung_position(n)) in one step, as a/2 and -a/2, and cancel there."""
-    return st.builds(
-        lambda k, d, a: {("T", k, k + 1 + d): a, ("B", k, ladder.rung_position(k + 1 + d) + 1): -a},
-        copies,
-        DEPTHS,
-        VALUES,
-    )
-
-
-def signed_starts(name):
-    """Random signed starts on a ladder graph, some holding a cancelling pair."""
-    copies = LADDERS[name][0]
-    single = st.dictionaries(FRAMED[name], VALUES, min_size=1, max_size=6)
-    paired = st.builds(lambda pair, rest: {**rest, **pair}, cancelling_pairs(copies), single)
-    return st.one_of(single, paired).map(SparseVector)
-
 
 @pytest.mark.parametrize("name", sorted(LADDERS))
 def test_moving_frame_sums_match_push_and_fraction_routes(name):
@@ -447,9 +271,9 @@ def test_moving_frame_sums_match_push_and_fraction_routes(name):
     # within 40 steps of T at power 1, 20 above
     for step_power, max_steps, examples in ((1, 40, 12), (2, 20, 4), (3, 20, 4)):
 
-        @settings(examples)
-        @hypothesis.given(
-            x=signed_starts(name),
+        @settings(max_examples=examples)
+        @given(
+            x=SIGNED[name],
             factor=st.sampled_from([1, -1]),
             steps=st.sets(st.integers(1, max_steps), min_size=1, max_size=4),
         )
@@ -472,9 +296,9 @@ def test_complex_generic_traces_match_the_gaussian_reference(name):
     graph, _ = GRAPHS[name]
     op = graph_handle(graph)
 
-    @settings(6)
-    @hypothesis.given(
-        x=signed_starts(name),
+    @settings(max_examples=6)
+    @given(
+        x=SIGNED[name],
         factor=st.sampled_from([(0, 1), (0, -1)]),
         step_power=st.integers(1, 3),
         windows=st.sets(st.integers(1, 16), min_size=1, max_size=3),
@@ -568,101 +392,10 @@ def test_signed_orbit_scans_past_a_cancelling_birth(start, norms):
     assert got == want and want[:3] == norms
 
 
-def rule_edge(k, n, s, values):
-    """Tops T(k, n) and T(k, n + 1), whose births at steps s and s - 1 land
-    on the start cells B(k, R) and B(k, R - 1), R = 2**(n+s+1) - n - 1 the
-    start's largest bottom key: those births are stored, the later ones far."""
-    r = (1 << (n + s + 1)) - n - 1
-    cells = [("T", k, n), ("T", k, n + 1), ("B", k, r), ("B", k, r - 1)]
-    return dict(zip(cells, values))
-
-
-def far_rule_starts(two_copies):
-    """Signed starts at the edges of LadderOrbit's far rule, on the combined
-    graph.  In one copy: the source and T(0, 1), both making births from
-    m = 2 on, or one edge in copy 0, with the source, entries and tops of
-    copy 0; the source and the entries also feed the later copies.  In two
-    copies: the edge n = 2, s = 1 (R = 13) in copies 0 and 1 at once, so
-    that their far births drain in the same steps, with tops of copies 0
-    to 3."""
-    values = st.lists(VALUES, min_size=8, max_size=8)
-    if two_copies:
-        edge = st.builds(lambda v: {**rule_edge(0, 2, 1, v[:4]), **rule_edge(1, 2, 1, v[4:])}, values)
-        extra = st.builds(lambda k, d: ("T", k, k + 1 + d), st.integers(0, 3), st.integers(0, 4))
-    else:
-        source_pair = st.builds(lambda a, b: {ladder.SOURCE: a, ("T", 0, 1): b}, VALUES, VALUES)
-        edge = st.one_of(
-            source_pair,
-            st.builds(lambda n, s, v: rule_edge(0, n, s, v), st.integers(1, 3), st.integers(1, 3), values),
-        )
-        extra = st.one_of(
-            st.just(ladder.SOURCE),
-            st.builds(lambda k: ("E", k), st.integers(0, 3)),
-            st.builds(lambda n: ("T", 0, n), st.integers(1, 5)),
-        )
-    rest = st.dictionaries(extra, VALUES, max_size=3)
-    return st.builds(lambda start, more: SparseVector({**more, **start}), edge, rest)
-
-
-FAR_RULE = {
-    "combined": (ladder.make_counterexample(), far_rule_starts(True)),
-    "combined-source": (ladder.make_counterexample(), far_rule_starts(False)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(FAR_RULE))
-def test_far_births_match_push_at_every_step(name):
-    # far births drain within the run: from the one-copy starts the source's
-    # top at steps 7, 15 and 31, E(0)'s at 6, 14 and 30, T(0, 1)'s at 13 and
-    # 29 past R = 6; from the two-copy ones those of T(k, 3) and T(k, 2) at
-    # 27 and 28 past R = 13
-    graph, starts = FAR_RULE[name]
-
-    @settings(5)
-    @hypothesis.given(x=starts, steps=st.integers(32, 40))
-    def check(x, steps):
-        framed = graph.orbit(*graphop.int_vector(x))
-        pushed = push_orbit(graph, x)
-        for _ in range(steps):
-            framed.step()
-            pushed.step()
-            assert_same_state(framed, pushed)
-
-    check()
-
-
-@pytest.mark.parametrize("name", sorted(FAR_RULE))
-def test_moving_frame_sums_from_an_orbit_with_far_births(name):
-    # accumulate() starts mid-orbit, so its first marks read the far births
-    graph, starts = FAR_RULE[name]
-
-    @settings(5)
-    @hypothesis.given(
-        x=starts,
-        warm=st.integers(0, 30),
-        turns=st.sampled_from([0, 2]),
-        windows=st.sets(st.integers(1, 36), min_size=1, max_size=3),
-    )
-    def check(x, warm, turns, windows):
-        wanted = sorted(windows)
-        framed = graph.orbit(*graphop.int_vector(x))
-        pushed = push_orbit(graph, x)
-        for _ in range(warm):
-            framed.step()
-            pushed.step()
-        moving = list(framed.accumulate(wanted, 1 - turns))
-        reference = [
-            (n, *ergodic._sup_and_support(re, im, den, n, True))
-            for n, re, im, den in ergodic._running_sums(pushed, wanted, 1, turns)
-        ]
-        assert moving == reference
-
-    check()
-
 
 # signed starts on every ladder graph, far-rule starts on the graphs they are made for
 TWINS = {
-    **{name: (GRAPHS[name][0], signed_starts(name)) for name in LADDERS},
+    **{name: (GRAPHS[name][0], SIGNED[name]) for name in LADDERS},
     **{f"{name}-far": FAR_RULE[name] for name in FAR_RULE},
 }
 
@@ -673,8 +406,8 @@ def test_accumulate_leaves_the_orbit_where_step_leaves_it(name):
     # twin orbit that only steps must stay equal to it after every window
     graph, starts = TWINS[name]
 
-    @settings(6)
-    @hypothesis.given(
+    @settings(max_examples=6)
+    @given(
         x=starts,
         warm=st.integers(0, 12),
         factor=st.sampled_from([1, -1]),

@@ -43,18 +43,6 @@ def test_bottom_weights_follow_the_rung_pattern():
         ladder.bottom_weight(0)
 
 
-def test_bottom_edges_carry_the_bottom_weight():
-    """The oracles' weight arithmetic against bottom_weight's rung_index route."""
-    graph = ladder.make_counterexample()
-    positions = list(range(1, 10**4 + 1))
-    for centre in (ladder.rung_position(63), 2**64, ladder.rung_position(200)):
-        positions += range(centre - 70, centre + 71)
-    for j in positions:
-        target = V(3) if j == 1 else B(3, j - 1)
-        assert graph.successors(B(3, j)) == ((target, ladder.bottom_weight(j)),), j
-        assert graph.predecessors(B(3, j))[0] == (B(3, j + 1), ladder.bottom_weight(j + 1)), j
-
-
 def test_window_products_stay_between_half_and_two():
     """Products of consecutive bottom weights never leave [1/2, 2]."""
     for start in range(1, 120):
@@ -280,10 +268,18 @@ def test_sink_readings_reject_a_step_that_is_not_positive_and_ascending(steps):
         list(readings)
 
 
-def test_sink_readings_reject_a_negative_copy_before_any_step(monkeypatch):
+@pytest.mark.parametrize(
+    "graph, copies, message",
+    [
+        (ladder.make_counterexample(), (0, -1), r"^copy index must be nonnegative, got -1$"),
+        (ladder.make_g0(), (1,), r"^copy 0 has no sink V\(1\)$"),
+    ],
+    ids=["negative", "foreign"],
+)
+def test_sink_readings_reject_a_negative_copy_before_any_step(monkeypatch, graph, copies, message):
     monkeypatch.setattr(ladder.LadderOrbit, "step", lambda self: pytest.fail("the orbit stepped"))
-    readings = ladder.sink_readings(ladder.make_counterexample(), (0, -1), range(1, 9))
-    with pytest.raises(ValueError, match=r"copy index must be nonnegative, got -1"):
+    readings = ladder.sink_readings(graph, copies, range(1, 9))
+    with pytest.raises(ValueError, match=message):
         next(readings)
 
 

@@ -1,4 +1,5 @@
-"""The structural Cesaro sweep against the coordinate-by-coordinate engine."""
+"""The structural Cesaro sweep against the coordinate-by-coordinate engine.
+The comparison on random schedules is a row of tests/test_routes.py."""
 
 import random
 from fractions import Fraction
@@ -74,35 +75,6 @@ def test_complex_factor_values_are_pinned_bit_for_bit(step_power, expected):
     # one float per window from the exact Gaussian sum; here the largest sum
     # lies on an axis, so each value is the float nearest an int over n
     assert combined_cesaro_sup_norms(sorted(expected), step_power, -1j) == expected
-
-
-def test_sweep_equals_generic_engine_on_random_schedules():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    op = graph_handle(ladder.make_counterexample())
-    x = SparseVector.unit(ladder.SOURCE)
-    # At step_power 1 the generic engine sums in the moving frame and reaches
-    # window 128 in well under a second.  At step_power 2 and 3 it adds every
-    # orbit cell at every step, which is cubic in the number of T steps (a
-    # step_power 3 window of 40, 117 steps, takes about 2 s), so those windows
-    # stop at 40 and at 78 T steps; step_power 3 reaches window 27.
-    max_steps = 78
-
-    @hypothesis.settings(max_examples=10, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(
-        step_power=st.integers(1, 3), factor=st.sampled_from([1, -1]), data=st.data()
-    )
-    def check(step_power, factor, data):
-        top = 128 if step_power == 1 else min(40, 1 + max_steps // step_power)
-        schedule = data.draw(st.sets(st.integers(1, top), min_size=1, max_size=6))
-        swept = combined_cesaro_sup_norms(schedule, step_power, factor)
-        generic = cesaro_trace(
-            op, x, schedule, engine="generic", step_power=step_power, factor=factor
-        )
-        assert swept == generic.norms()
-        assert all(type(value) is Fraction for value in swept.values())
-
-    check()
 
 
 @pytest.mark.parametrize("factor", [1, -1])
