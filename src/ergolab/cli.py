@@ -142,13 +142,16 @@ def _cmd_norms(args) -> bool:
 
 def _cmd_orbit(args) -> bool:
     _require_positive(args.n_max, "--n-max")
-    if args.k_max < 0:
-        raise UsageError(f"--k-max must be nonnegative, got {args.k_max}")
     graph = _make_graph(args.graph, args.k)
     if args.graph == "combined":
-        if args.k_max > MAX_COPY_INDEX:
-            raise UsageError(f"--k-max must be at most {MAX_COPY_INDEX}, got {args.k_max}")
-        copies = range(args.k_max + 1)
+        k_max = 2 if args.k_max is None else args.k_max
+        if k_max < 0:
+            raise UsageError(f"--k-max must be nonnegative, got {k_max}")
+        if k_max > MAX_COPY_INDEX:
+            raise UsageError(f"--k-max must be at most {MAX_COPY_INDEX}, got {k_max}")
+        copies = range(k_max + 1)
+    elif args.k_max is not None:
+        raise UsageError(f"--k-max applies only to --graph combined, not --graph {args.graph}")
     else:
         copies = (graph.copy_index,)
     rows = [
@@ -171,8 +174,10 @@ def _cmd_cesaro(args) -> bool:
     factor = _FACTORS[args.factor]
     bound = _parse_fraction(args.bound, "--bound") if args.bound is not None else None
     graph = _make_graph(args.graph, args.k)
-    start = args.start
+    start = args.start or "source"
     if args.x is not None:
+        if args.start is not None:
+            raise UsageError("--start and --x are mutually exclusive")
         start = "source" if args.x == "e_s" else "entry"
     if start == "source":
         if args.graph != "combined":
@@ -296,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", help="fail (exit 1) if any norm exceeds this rational")
 
     p = add("orbit", _cmd_orbit, "sink readings versus the orbit predicate", graph=True)
-    p.add_argument("--k-max", type=int, default=2, dest="k_max",
+    p.add_argument("--k-max", type=int, dest="k_max",
                    help=f"sinks 0..k_max (combined), k_max up to {MAX_COPY_INDEX}")
     p.add_argument("--n-max", type=int, default=64, dest="n_max")
 
     p = add("cesaro", _cmd_cesaro, "sup norms of Cesaro averages", graph=True)
-    p.add_argument("--start", choices=("source", "entry"), default="source")
+    p.add_argument("--start", choices=("source", "entry"))
     p.add_argument(
         "--x",
         choices=("e_s", "e_o"),

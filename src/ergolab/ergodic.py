@@ -250,10 +250,10 @@ class CheckResult(NamedTuple):
 
 def at_most(value: Union[Fraction, float], bound: Fraction) -> bool:
     """value <= bound, with no slack.  A :class:`sweeps.GaussianAbs` compares
-    its exact sum: |re + i*im| / scale <= bound iff bound >= 0 and
-    re**2 + im**2 <= (bound * scale)**2."""
+    its exact sum: |re + i*im| / divisor <= bound iff bound >= 0 and
+    re**2 + im**2 <= (bound * divisor)**2."""
     if isinstance(value, sweeps.GaussianAbs):
-        return bound >= 0 and value.re**2 + value.im**2 <= (bound * value.scale) ** 2
+        return bound >= 0 and value.re**2 + value.im**2 <= (bound * value.divisor) ** 2
     return value <= bound
 
 

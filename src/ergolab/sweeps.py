@@ -88,10 +88,10 @@ def cesaro_request(schedule: Iterable[int], step_power: int, factor) -> Tuple[Li
 
 
 class GaussianAbs(float):
-    """A float rounded from |re + i*im| / scale that keeps those ints, so that
+    """A float rounded from |re + i*im| / divisor that keeps those ints, so that
     :func:`ergodic.at_most` compares it with no slack."""
 
-    __slots__ = ("re", "im", "scale")
+    __slots__ = ("re", "im", "divisor")
 
 
 def gaussian_abs(re: int, im: int, den: int, n: int) -> GaussianAbs:
@@ -99,7 +99,7 @@ def gaussian_abs(re: int, im: int, den: int, n: int) -> GaussianAbs:
     division, which cannot overflow where float(re) would, then abs and / n.
     Both averaging engines make their complex values so (:class:`GaussianAbs`)."""
     value = GaussianAbs(abs(complex(re / den, im / den)) / n)
-    value.re, value.im, value.scale = re, im, den * n
+    value.re, value.im, value.divisor = re, im, den * n
     return value
 
 

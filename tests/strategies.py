@@ -80,7 +80,30 @@ def deep_vertices(copies):
 
 DEEP = {name: deep_vertices(copies) for name, (copies, _, _) in LADDERS.items()}
 
-VALUES = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
+
+def unit_starts(graph):
+    """Start vertices for unit vectors on a ladder graph, in its first copy
+    k: each kind of vertex, and the bottom cells B(k, 4), B(k, 11), B(k, 26)
+    and B(k, 12), whose sums at windows 1 and 2 peak on a landing, alone or
+    (from B(k, 12)) next to the position after it.  A landing holds half of
+    what it delivers to the sink."""
+    k = graph.copy_index or 0
+    starts = [("E", k), ("T", k, k + 1), ("T", k, k + 4), ("B", k, 1), ("B", k, 5), ("V", k)]
+    if graph.copy_index is None:
+        starts.append(ladder.SOURCE)
+    starts += [("B", k, 4), ("B", k, 11), ("B", k, 26), ("B", k, 12)]
+    if k <= 1:
+        starts.append(("T", k, 2))
+    return starts
+
+
+UNIT_STARTS = {name: unit_starts(GRAPHS[name][0]) for name in LADDERS}
+
+# every nonzero fraction in [-5, 5] with denominator at most 12, the domain of
+# st.fractions(-5, 5, max_denominator=12) less 0: a pool is drawn several times faster
+VALUES = st.sampled_from(
+    sorted({Fraction(a, q) for q in range(1, 13) for a in range(-5 * q, 5 * q + 1) if a})
+)
 
 
 def start_vectors(vertices):

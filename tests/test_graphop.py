@@ -116,18 +116,18 @@ def test_path_counts_reject_a_negative_length(diamond):
             count()
 
 
-def test_verify_c0_conditions_passes_on_consistent_graph(diamond):
+def test_oracle_problems_pass_a_consistent_graph(diamond):
     """The test-side oracle check passes a consistent graph."""
     assert ref.oracle_problems(diamond, diamond.finite_vertices, 2) == []
 
 
-def test_verify_c0_conditions_flags_bound_violation(diamond):
+def test_oracle_problems_flag_a_bound_violation(diamond):
     """A column above the bound is reported."""
     (problem,) = ref.oracle_problems(diamond, diamond.finite_vertices, H * 3)
     assert "'c'" in problem  # the incoming weight of "c" is 2
 
 
-def test_verify_c0_conditions_detects_oracle_mismatch():
+def test_oracle_problems_detect_an_oracle_mismatch():
     """An in-edge oracle that forgets an edge is reported."""
     forgetful = graphop.C0Graph(
         out_edges=lambda v: ((("b",), 1, 1),) if v == ("a",) else (),

@@ -15,7 +15,7 @@ import fraction_reference as ref
 from ergolab import acceptance, blockdiag, graphop, ladder
 from ergolab.core import SparseVector
 from ergolab.ergodic import cesaro_trace, graph_handle
-from strategies import DEEP, DEPTHS, FAR_RULE, FRAMED, GRAPHS, LADDERS, SIGNED, start_vectors
+from strategies import DEEP, DEPTHS, FAR_RULE, FRAMED, GRAPHS, LADDERS, SIGNED, UNIT_STARTS, start_vectors
 
 # a vertex inside each restricted graph, and vertices outside it
 FOREIGN = {
@@ -264,6 +264,11 @@ def test_moving_frame_sums_match_push_and_fraction_routes(name):
     framed = graph_handle(graph)
     # the same oracles without the ladder's orbit: _running_sums over PushOrbit
     pushed = graph_handle(graphop.C0Graph(graph.out_edges, graph.in_edges))
+    # window 1 of a unit start is the start: sup norm 1 on one entry
+    for v in UNIT_STARTS[name]:
+        for factor in (1, -1):
+            trace = cesaro_trace(framed, SparseVector.unit(v), [1], engine="generic", factor=factor)
+            assert trace.records == [(1, 1, 1)], (v, factor)
 
     # at powers 2 and 3 both handles run the step-by-step pass, one over the
     # framed orbit's items(), which checks its sign at factor -1, and one over
@@ -309,33 +314,6 @@ def test_complex_generic_traces_match_the_gaussian_reference(name):
         assert trace.norms() == ref.gaussian_cesaro_sup_norms(graph, x, windows, step_power, factor)
 
     check()
-
-
-@pytest.mark.parametrize("name", sorted(LADDERS))
-def test_moving_frame_sums_of_unit_vectors(name):
-    # numerators of 1 over the denominator 1 leave no room between the largest
-    # entry and the next, so a scan that misses the maximum shows here
-    graph, _ = GRAPHS[name]
-    k = graph.copy_index or 0
-    starts = [("E", k), ("T", k, k + 1), ("T", k, k + 4), ("B", k, 1), ("B", k, 5), ("V", k)]
-    if graph.copy_index is None:
-        starts.append(ladder.SOURCE)
-    # a bottom cell on a landing holds half of what it delivers to the sink;
-    # at windows 1 and 2 these sums' largest entries stand on a landing, alone
-    # or (from B(k, 12)) next to the position after it
-    starts += [("B", k, 4), ("B", k, 11), ("B", k, 26), ("B", k, 12)]
-    if k <= 1:
-        starts.append(("T", k, 2))
-    framed = graph_handle(graph)
-    pushed = graph_handle(graphop.C0Graph(graph.out_edges, graph.in_edges))
-    for v in starts:
-        x = SparseVector.unit(v)
-        for factor in (1, -1):
-            moving = cesaro_trace(framed, x, [1, 2, 3, 8], engine="generic", factor=factor)
-            assert moving.records == cesaro_trace(
-                pushed, x, [1, 2, 3, 8], engine="generic", factor=factor
-            ).records, (v, factor)
-            assert moving.records[0] == (1, 1, 1)
 
 
 # Copy 0 of g0: T(0, 3) and B(0, 12) both reach the landing B(0, 11) =

@@ -18,7 +18,7 @@ from ergolab.core import SparseVector
 from ergolab.ergodic import _sup_and_support, graph_handle
 from strategies import (
     COPY_INDICES, COPY_STARTS, FAR_RULE, GRAPH_VERTICES, GRAPHS, LADDER_STARTS, LADDERS, LANDINGS,
-    POSITIONS, SIGNED,
+    POSITIONS, SIGNED, UNIT_STARTS,
 )
 from test_docs import resolve
 
@@ -157,6 +157,10 @@ RATIOS = st.one_of(st.fractions(0, 1, max_denominator=60), POSITIONS.map(lambda 
 BLOCKS = st.one_of(st.integers(1, 300), POSITIONS)
 WINDOWS = st.sets(st.integers(1, 36), min_size=1, max_size=3).map(sorted)
 SIGNS = st.sampled_from([1, -1])
+# the factors of the sweep, with their labels, and its fixed windows at each power and factor
+FACTORS = {1: "1", -1: "-1", 1j: "i", -1j: "-i"}
+FIXED = [1, 2, 3, 5, 8, 13, 21, 34, 48]
+FIXED_REQUESTS = [(p, f) for p in (1, 2, 3) for f in (1, -1)] + [(p, f) for p in (1, 2) for f in (1j, -1j)]
 # every bottom position up to 10**4, and 70 on either side of three far ones
 FAR_BOTTOM = (ladder.rung_position(63), 2**64, ladder.rung_position(200))
 BOTTOM = [*range(1, 10**4 + 1), *(j + d for j in FAR_BOTTOM for d in range(-70, 71))]
@@ -189,6 +193,10 @@ ROWS = [
     Row("ergodic._running_sums", ("ladder.LadderOrbit.accumulate",), running_sums, accumulated, {
         **{f"{name}-far": (on(*FAR_RULE[name], st.integers(0, 30), SIGNS, WINDOWS), 5) for name in FAR_RULE},
         "signed": (joined(LADDER_STARTS, st.integers(0, 12), SIGNS, WINDOWS), 8),
+        # numerators of 1 over the den 1 leave no room between the largest
+        # entry and the next, so a scan that misses the maximum shows here
+        **{f"unit-{name}": [(GRAPHS[name][0], SparseVector.unit(v), 0, f, [1, 2, 3, 8])
+                            for v in UNIT_STARTS[name] for f in (1, -1)] for name in LADDERS},
     }),
     Row("graphop.count_paths_profile", ("graphop.count_paths_levels",),
         lambda profile, graph, n_max, n_trunc: {
@@ -200,8 +208,11 @@ ROWS = [
         }),
     Row("ergodic.cesaro_trace", ("sweeps.combined_cesaro_sup_norms",),
         generic_norms, lambda sweep, *request: typed(sweep(*request)), {
-            # the fixed windows at each power and factor, and criteria 5 and 6's
-            # windows 128 and 256, are tests of test_ergodic and test_sweeps
+            **{f"p{p}-f{FACTORS[f]}": [(FIXED, p, f)] for p, f in FIXED_REQUESTS},
+            "w4-16-48": [([4, 16, 48], 1, 1)],
+            "p2-w32": [([32], 2, 1)],
+            # two of criterion 5's windows, and criterion 6's sign twist
+            **{f"w128-256-f{FACTORS[f]}": [([128, 256], 1, f)] for f in (1, -1)},
             "real": (sweep_requests([1, -1]), 10),
             "imaginary": (sweep_requests([1j, -1j]), 4),
         }),

@@ -1,5 +1,6 @@
-"""The structural Cesaro sweep against the coordinate-by-coordinate engine.
-The comparison on random schedules is a row of tests/test_routes.py."""
+"""The structural Cesaro sweep against the Fraction references, pinned
+values and its engine dispatch.  Its comparison with the generic engine is
+the cesaro_trace row of tests/test_routes.py."""
 
 import random
 from fractions import Fraction
@@ -60,6 +61,7 @@ def test_long_window_values_are_frozen():
 def test_long_window_values_for_powers_and_signs():
     assert combined_cesaro_sup_norms([1024], step_power=2) == {1024: Fraction(9, 1024)}
     assert combined_cesaro_sup_norms([1024], step_power=3) == {1024: Fraction(5, 1024)}
+    assert combined_cesaro_sup_norms([128, 256], factor=-1) == {128: Fraction(5, 128), 256: Fraction(3, 128)}
     assert combined_cesaro_sup_norms([1024], factor=-1) == {1024: Fraction(1, 128)}
     assert combined_cesaro_sup_norms([1024], factor=1j) == {1024: 0.0078125}
 
@@ -75,24 +77,6 @@ def test_complex_factor_values_are_pinned_bit_for_bit(step_power, expected):
     # one float per window from the exact Gaussian sum; here the largest sum
     # lies on an axis, so each value is the float nearest an int over n
     assert combined_cesaro_sup_norms(sorted(expected), step_power, -1j) == expected
-
-
-@pytest.mark.parametrize("factor", [1, -1])
-def test_sweep_equals_generic_engine_at_the_criteria_windows(factor):
-    # windows 128 and 256 are two of criterion 5's; the generic engine reaches
-    # them from the source by the combined graph's moving-frame sums; the test
-    # below checks criterion 5's windows and criterion 6's sign twist copy by
-    # copy
-    generic = cesaro_trace(
-        graph_handle(ladder.make_counterexample()),
-        SparseVector.unit(ladder.SOURCE),
-        [128, 256],
-        engine="generic",
-        factor=factor,
-    )
-    assert generic.engine == "generic"
-    assert combined_cesaro_sup_norms([128, 256], factor=factor) == generic.norms()
-    assert generic.norms() == {128: Fraction(5, 128), 256: Fraction(3, 128)}
 
 
 @pytest.mark.parametrize(
@@ -227,13 +211,24 @@ def test_validation():
 
 
 def test_fast_route_is_advertised_only_for_the_combined_graph():
-    def engine(graph, start):
-        return cesaro_trace(graph_handle(graph), SparseVector.unit(start), [4]).engine
+    # auto runs the sweep from the combined graph's source, at every power and
+    # factor, and reports no supports; elsewhere, or forced, the generic engine
+    # runs and reports an int support per window
+    def trace(graph, start, engine, **request):
+        return cesaro_trace(graph_handle(graph), SparseVector.unit(start), [4, 16], engine=engine, **request)
 
-    assert engine(ladder.make_counterexample(), ladder.SOURCE) == "fast"
-    assert engine(ladder.make_g0(), ladder.entry(0)) == "generic"
+    combined = ladder.make_counterexample()
     plain = graphop.graph_from_edges({"a": [("b", ONE)], "b": []})
-    assert engine(plain, "a") == "generic"
+    generic = [(combined, ladder.SOURCE, "generic"), (combined, ladder.entry(0), "auto"),
+               (ladder.make_g0(), ladder.entry(0), "auto"), (plain, "a", "auto")]
+    for step_power in (1, 2, 3):
+        for factor in (1, -1, 1j, -1j):
+            fast = trace(combined, ladder.SOURCE, "auto", step_power=step_power, factor=factor)
+            assert fast.engine == "fast" and [rec.support for rec in fast.records] == [None, None]
+            for args in generic:
+                slow = trace(*args, step_power=step_power, factor=factor)
+                assert slow.engine == "generic", args
+                assert all(type(rec.support) is int for rec in slow.records), args
 
 
 def test_gaussian_abs_is_unchanged_by_doubling_every_part():
