@@ -301,19 +301,11 @@ def run_criterion(number: int) -> CriterionResult:
     )
 
 
-def run_all(
-    numbers: Optional[Sequence[int]] = None,
-    report: Optional[Callable[[CriterionResult], None]] = None,
-) -> List[CriterionResult]:
-    """Run the selected criteria (all by default), each once, in first-seen order."""
+def run_all(numbers: Optional[Sequence[int]] = None) -> List[CriterionResult]:
+    """Run the selected criteria (all by default), each once, in first-seen
+    order, and return their results; printing them is the caller's job."""
     selected = list(dict.fromkeys(numbers)) if numbers is not None else list(CRITERIA)
     unknown = [n for n in selected if n not in CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria {unknown}; known: {list(CRITERIA)}")
-    results = []
-    for number in selected:
-        result = run_criterion(number)
-        results.append(result)
-        if report is not None:
-            report(result)
-    return results
+    return [run_criterion(number) for number in selected]

@@ -14,9 +14,10 @@ column carries the exact fraction and a decimal rendered from it, so exact
 output is bit-reproducible across runs.
 
 Every subcommand writes its output to ``--out PATH`` instead of stdout when
-given.  Exit codes: 0 success, 1 a requested check failed, 2 usage error
-(including an ``--out`` path that cannot be written), 3 a computation
-exceeded its configured budget.
+given; :func:`main` writes it once the subcommand is done.  Exit codes: 0
+success, 1 a requested check failed, 2 usage error (including an ``--out``
+path or a stdout that cannot be written), 3 a computation exceeded its
+configured budget.
 """
 
 from __future__ import annotations
@@ -88,29 +89,30 @@ def _value_columns(value) -> Tuple[str, str]:
     return (decimal if isinstance(value, float) else fraction_str(value)), decimal
 
 
-def _emit(args, columns: Sequence[str], rows: List[Tuple[str, ...]]) -> None:
+def _emit(args, columns: Sequence[str], rows: List[Tuple[str, ...]]) -> str:
+    """The table as CSV, or as JSON under ``--format json``."""
     if args.format == "json":
         payload = {"columns": list(columns), "rows": [list(row) for row in rows]}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-        text = buffer.getvalue()
-    _write(args, text)
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
-def _write(args, text: str) -> None:
-    """Write a command's output to --out, or to stdout when it is not given."""
-    if args.out is None:
-        sys.stdout.write(text)
-        return
+def _write(path: Optional[str], text: str) -> None:
+    """Write a command's output to the --out file, or to stdout when path is None."""
     try:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}")
+        target = "to stdout" if path is None else f"--out {path}"
+        raise UsageError(f"cannot write {target}: {exc.strerror or exc}")
 
 
 def _make_graph(name: str, k: Optional[int]):
@@ -129,18 +131,18 @@ def _make_graph(name: str, k: Optional[int]):
     raise UsageError(f"unknown graph {name!r}")
 
 
-def _cmd_norms(args) -> bool:
+def _cmd_norms(args) -> Tuple[bool, str]:
     _require_positive(args.n_max, "--n-max")
     _require_positive(args.trunc, "--trunc")
     graph = _make_graph(args.graph, args.k)
     bound = _parse_fraction(args.bound, "--bound") if args.bound is not None else None
     norms = graphop.power_norms_sweep(graph, args.n_max, args.trunc)
     rows = [(str(n), str(args.trunc), *_value_columns(v)) for n, v in enumerate(norms, start=1)]
-    _emit(args, ("n", "trunc", "norm", "norm_decimal"), rows)
-    return bound is None or all(v <= bound for v in norms)
+    passed = bound is None or all(v <= bound for v in norms)
+    return passed, _emit(args, ("n", "trunc", "norm", "norm_decimal"), rows)
 
 
-def _cmd_orbit(args) -> bool:
+def _cmd_orbit(args) -> Tuple[bool, str]:
     _require_positive(args.n_max, "--n-max")
     graph = _make_graph(args.graph, args.k)
     if args.graph == "combined":
@@ -158,14 +160,14 @@ def _cmd_orbit(args) -> bool:
         (str(n), str(k), fraction_str(got), str(want), str(int(got == want)))
         for n, k, got, want in ladder.sink_readings(graph, copies, range(1, args.n_max + 1))
     ]
-    _emit(args, ("n", "k", "simulated", "predicate", "match"), rows)
-    return all(row[4] == "1" for row in rows)
+    passed = all(row[4] == "1" for row in rows)
+    return passed, _emit(args, ("n", "k", "simulated", "predicate", "match"), rows)
 
 
 _FACTORS = {"1": ONE, "-1": -ONE, "i": complex(0, 1), "-i": complex(0, -1)}
 
 
-def _cmd_cesaro(args) -> bool:
+def _cmd_cesaro(args) -> Tuple[bool, str]:
     if args.max_support is not None:
         _require_positive(args.max_support, "--max-support")
     schedule = _parse_int_list(args.schedule, "--schedule")
@@ -202,8 +204,8 @@ def _cmd_cesaro(args) -> bool:
                                      step_power=power, factor=factor)
         results += [(power, record.n, record.sup_norm) for record in trace.records]
     rows = [(str(power), str(n), *_value_columns(value)) for power, n, value in results]
-    _emit(args, ("power", "n", "sup_norm", "sup_norm_decimal"), rows)
-    return bound is None or all(ergodic.at_most(value, bound) for _, _, value in results)
+    passed = bound is None or all(ergodic.at_most(value, bound) for _, _, value in results)
+    return passed, _emit(args, ("power", "n", "sup_norm", "sup_norm_decimal"), rows)
 
 
 FLOAT_TOL = 1e-9  # absolute slack of the bounds on `block --mode float` values
@@ -220,7 +222,7 @@ def _block_at_most(value, bound: Fraction) -> bool:
     return value <= bound
 
 
-def _cmd_block(args) -> bool:
+def _cmd_block(args) -> Tuple[bool, str]:
     """One row per window from one deviation function, exact or float: at the
     block m <= --m-max that deviates most (``--deviation``), or at m = n and
     p = 2 * --j, where it is the positive coefficient b_coeff(n, n, j)."""
@@ -243,20 +245,15 @@ def _cmd_block(args) -> bool:
         p = 2 * _require_positive(1 if args.j is None else args.j, "--j")
         readings = [(n, deviation(n, n, p)) for n in windows]
     rows = [(str(m), str(n), str(p), *_value_columns(v)) for (m, v), n in zip(readings, windows)]
-    _emit(args, ("m", "n", "p", "value", "value_decimal"), rows)
-    return all((at_least is None or _block_at_most(-v, -at_least))
-               and (at_most is None or _block_at_most(v, at_most)) for _, v in readings)
+    passed = all((at_least is None or _block_at_most(-v, -at_least))
+                 and (at_most is None or _block_at_most(v, at_most)) for _, v in readings)
+    return passed, _emit(args, ("m", "n", "p", "value", "value_decimal"), rows)
 
 
-def _cmd_verify(args) -> bool:
+def _cmd_verify(args) -> Tuple[bool, str]:
     numbers = _parse_int_list(args.criteria, "--criteria") if args.criteria else None
-
-    def report(result):
-        if args.format != "json" and args.out is None:
-            print(result.line(), flush=True)
-
     try:
-        results = acceptance.run_all(numbers, report=report)
+        results = acceptance.run_all(numbers)
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.format == "json":
@@ -271,10 +268,10 @@ def _cmd_verify(args) -> bool:
             }
             for r in results
         ]
-        _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif args.out is not None:  # without --out each line went to stdout as its criterion ended
-        _write(args, "".join(r.line() + "\n" for r in results))
-    return all(r.passed for r in results)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "".join(r.line() + "\n" for r in results)
+    return all(r.passed for r in results), text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,15 +364,18 @@ def _glue_dash_values(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand; the one place that maps its outcome to an exit code.
-
-    A ``_cmd_*`` returns whether its checks held (0 or 1), or raises
-    :class:`UsageError` (2) or :class:`ergodic.BudgetExceeded` (3), for
-    which this prints the one ``error:`` line."""
+    """Run one subcommand: the one place that writes its output and maps its
+    outcome to an exit code.  A ``_cmd_*`` returns whether its checks held
+    (0 or 1) and its text, which this writes to stdout or ``--out``; or it
+    raises :class:`UsageError` (2) or :class:`ergodic.BudgetExceeded` (3).
+    Unwritable output is a usage error.  On 2 and 3 this prints the one
+    ``error:`` line."""
     parser = build_parser()
     args = parser.parse_args(_glue_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        return EXIT_OK if args.run(args) else EXIT_CHECK_FAILED
+        passed, text = args.run(args)
+        _write(args.out, text)
+        return EXIT_OK if passed else EXIT_CHECK_FAILED
     except UsageError as exc:
         code, message = EXIT_USAGE, str(exc)
     except ergodic.BudgetExceeded as exc:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import ergolab
 from ergolab import acceptance, blockdiag, cli, ladder
+from test_golden import drop_timings
 
 
 def run(capsys, argv):
@@ -40,9 +42,8 @@ def test_norms_csv(capsys):
 
 
 def test_norms_bound_violation_exits_one(capsys):
-    code, out, err = run(capsys, ["norms", "--graph", "g0", "--n-max", "2", "--bound", "1/2"])
-    assert code == 1
-    assert rows_of(out)[0] == ["n", "trunc", "norm", "norm_decimal"]
+    argv = ["norms", "--graph", "g0", "--n-max", "2", "--bound", "1/2"]
+    assert run(capsys, argv) == (1, "n,trunc,norm,norm_decimal\n1,500,2,2\n2,500,2,2\n", "")
 
 
 def test_orbit_standalone_copy(capsys):
@@ -298,17 +299,18 @@ def test_an_option_the_command_would_ignore_is_rejected(capsys, argv, message):
 
 
 def test_cesaro_usage_errors(capsys):
-    code, _, err = run(capsys, ["cesaro", "--graph", "g0", "--start", "source"])
-    assert code == 2 and "error:" in err
-    code, _, err = run(capsys, ["cesaro", "--graph", "g0", "--start", "entry", "--factor", "i"])
-    assert code == 2
-    code, _, err = run(capsys, ["cesaro", "--schedule", "0,4"])
-    assert code == 2
-    code, _, err = run(capsys, ["orbit", "--graph", "gk"])
-    assert code == 2
-    for start in (["--start", "entry"], ["--x", "e_o"]):
-        code, _, err = run(capsys, ["cesaro", "--graph", "combined", *start, "--schedule", "8"])
-        assert code == 2 and "error:" in err
+    for argv, message in [
+        (["cesaro", "--graph", "g0", "--start", "source"], "--start source needs --graph combined"),
+        (["cesaro", "--graph", "g0", "--start", "entry", "--factor", "i"],
+         "complex factors need --graph combined --start source"),
+        (["cesaro", "--schedule", "0,4"], "--schedule must be positive integers, got '0,4'"),
+        (["orbit", "--graph", "gk"], "--graph gk needs --k with a copy index from 1 to 1024"),
+        (["cesaro", "--graph", "combined", "--start", "entry", "--schedule", "8"],
+         "--start entry needs --graph g0 or --graph gk"),
+        (["cesaro", "--graph", "combined", "--x", "e_o", "--schedule", "8"],
+         "--start entry needs --graph g0 or --graph gk"),
+    ]:
+        assert run(capsys, argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_cesaro_factor_accepts_a_dash_led_value_after_a_space(capsys):
@@ -396,29 +398,23 @@ def test_verify_writes_its_output_to_the_out_file(tmp_path, capsys, fmt):
     target = tmp_path / "verify.out"
     code, out, err = run(capsys, argv + ["--out", str(target)])
     assert code == 0 and out == "" and err == ""
-    written = target.read_text(encoding="utf-8")
-    if fmt == "json":  # only the measured elapsed_seconds may differ
-        from_file, from_stdout = json.loads(written), json.loads(stdout_text)
-        for row in from_file + from_stdout:
-            row["elapsed_seconds"] = 0
-        assert from_file == from_stdout and len(from_file) == 2
-        assert written.endswith("]\n")
-    else:
-        strip = lambda text: [line.rsplit(" [", 1)[0] for line in text.splitlines(True)]
-        assert strip(written) == strip(stdout_text) and len(strip(written)) == 2
+    written = target.read_text(encoding="utf-8")  # only the timings may differ
+    assert drop_timings(written) == drop_timings(stdout_text)
+    assert criterion_numbers(written) == [7, 8] and written.endswith("]\n" if fmt == "json" else "\n")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["norms", "--graph", "g0", "--n-max", "2", "--trunc", "30"],
-        ["orbit", "--graph", "gk", "--k", "2", "--n-max", "8"],
-        ["cesaro", "--schedule", "16"],
-        ["block", "--windows", "10"],
-        ["verify", "--criteria", "8", "--format", "json"],
-        ["verify", "--criteria", "8"],
-    ],
-)
+# one cheap command line per subcommand and verify format
+CHEAP_ARGV = [
+    ["norms", "--graph", "g0", "--n-max", "2", "--trunc", "30"],
+    ["orbit", "--graph", "gk", "--k", "2", "--n-max", "8"],
+    ["cesaro", "--schedule", "16"],
+    ["block", "--windows", "10"],
+    ["verify", "--criteria", "8", "--format", "json"],
+    ["verify", "--criteria", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", CHEAP_ARGV)
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv):
     target = tmp_path / "missing" / "x.csv"
     for path in (str(target), ""):  # an empty path is a path, not a missing --out
@@ -426,6 +422,33 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv):
         assert code == 2 and out == ""
         assert err == f"error: cannot write --out {path}: No such file or directory\n"
     assert not target.exists()
+
+
+class FullDisk:
+    """A stdout whose every write and flush fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        self.write("")
+
+
+UNWRITABLE_STDOUT = "error: cannot write to stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("argv", CHEAP_ARGV)
+def test_unwritable_stdout_is_a_usage_error(argv):
+    # like an unwritable --out: exit 2 and one error line, not a traceback
+    assert run_quietly(argv, stdout=FullDisk()) == (2, "", UNWRITABLE_STDOUT)
+
+
+def assert_unwritable_stdout_exits_cleanly(argv, code, err):
+    """The run of ``argv`` that exited ``code`` with ``err``, against a full
+    disk: output that was due becomes the one stdout error line (exit 2),
+    and a usage or budget exit stays as it was, having written nothing."""
+    want = (2, "", UNWRITABLE_STDOUT) if code in (0, 1) else (code, "", err)
+    assert run_quietly(argv, stdout=FullDisk()) == want, argv
 
 
 def test_block_diagonal_thresholds(capsys):
@@ -578,19 +601,15 @@ def test_verify_exits_one_when_one_criterion_fails(capsys, monkeypatch):
 
 
 def test_verify_unknown_criterion(capsys):
-    code, _, err = run(capsys, ["verify", "--criteria", "99"])
-    assert code == 2
+    assert run(capsys, ["verify", "--criteria", "99"]) == (
+        2, "", "error: unknown criteria [99]; known: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]\n")
 
 
-def drop_timings(text):
-    """verify output without what it measures: each text line's trailing
-    ``[x.xxs / ys]``, and JSON's ``elapsed_seconds``."""
+def criterion_numbers(text):
+    """The criterion numbers a verify output shows, in order: text or JSON."""
     if text.startswith("["):
-        rows = json.loads(text)
-        for row in rows:
-            del row["elapsed_seconds"]
-        return rows
-    return [line.rsplit(" [", 1)[0] for line in text.splitlines(True)]
+        return [row["number"] for row in json.loads(text)]
+    return [int(line[6:8]) for line in text.splitlines()]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -598,7 +617,7 @@ def test_repeated_criteria_run_once(capsys, fmt):
     # a repeated criterion, like a repeated power, runs and prints once, in
     # the order in which the criteria first appear
     code, once, err = run(capsys, ["verify", "--criteria", "8,7", "--format", fmt])
-    assert code == 0 and err == "" and len(drop_timings(once)) == 2
+    assert code == 0 and err == "" and criterion_numbers(once) == [8, 7]
     code, repeated, err = run(capsys, ["verify", "--criteria", "8,7,8,7,7", "--format", fmt])
     assert (code, err) == (0, "")
     assert drop_timings(repeated) == drop_timings(once)
@@ -611,8 +630,8 @@ def test_norms_frozen_second_power(capsys):
 
 
 def test_norms_rejects_nonpositive_window(capsys):
-    code, _, err = run(capsys, ["norms", "--graph", "g0", "--n-max", "0"])
-    assert code == 2 and "--n-max" in err
+    assert run(capsys, ["norms", "--graph", "g0", "--n-max", "0"]) == (
+        2, "", "error: --n-max must be a positive integer, got 0\n")
 
 
 def test_cesaro_start_vector_aliases(capsys):
@@ -652,9 +671,11 @@ def test_block_rejects_flags_of_the_other_mode(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-def run_quietly(argv):
+def run_quietly(argv, stdout=None):
+    """Run ``argv`` in process: (exit code, stdout, stderr).  Pass ``stdout``
+    to write to that stream instead; the stdout returned is then empty."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(stdout or out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse rejects the line itself
@@ -686,15 +707,9 @@ def block_argv(draw):
 
 
 @settings(max_examples=120)
-@given(argv=block_argv())
-def test_block_argument_vectors_exit_cleanly(argv):
-    code, _, err = run_quietly(argv)
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in err
-    if code == 2:
-        assert sum("error:" in line for line in err.splitlines()) == 1, argv
-    else:
-        assert err == "", argv
+@given(argv=block_argv(), fmt=st.sampled_from(["csv", "json"]))
+def test_block_argument_vectors_exit_cleanly(tmp_path_factory, argv, fmt):
+    assert_exits_cleanly(tmp_path_factory, argv, fmt)
 
 
 def test_block_defaults_equal_the_spelled_out_values(capsys):
@@ -732,10 +747,13 @@ def assert_exits_cleanly(tmp_path_factory, argv, fmt, budget_exit=False):
     """Exit 0, 1 or 2, or 3 where ``budget_exit`` allows it, with no
     traceback; exit 2 and 3 print one error line, on exit 3 the budget line
     that names the window.  On exit 0 or 1 the JSON rows equal the CSV rows
-    and the --out bytes equal stdout.  Returns the exit code and stderr."""
+    and the --out bytes equal stdout.  An unwritable stdout exits as
+    :func:`assert_unwritable_stdout_exits_cleanly` says.  Returns the exit
+    code and stderr."""
     code, out, err = run_quietly(argv + ["--format", fmt])
     assert code in ((0, 1, 2, 3) if budget_exit else (0, 1, 2)), argv
     assert "Traceback" not in err
+    assert_unwritable_stdout_exits_cleanly(argv + ["--format", fmt], code, err)
     if code in (2, 3):
         assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, argv
         assert code == 2 or BUDGET_LINE.fullmatch(err), (argv, err)
@@ -883,20 +901,18 @@ def verify_argv(draw):
 def test_verify_argument_vectors_exit_cleanly(tmp_path_factory, argv, fmt):
     """Exit 0, 1 or 2 with no traceback and one error line on exit 2; each
     criterion runs once, in first-seen order; --out holds stdout's bytes but
-    for the timings."""
+    for the timings; an unwritable stdout exits as
+    :func:`assert_unwritable_stdout_exits_cleanly` says."""
     code, out, err = run_quietly(argv + ["--format", fmt])
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err
+    assert_unwritable_stdout_exits_cleanly(argv + ["--format", fmt], code, err)
     if code == 2:
         assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, argv
         return
     assert err == "", argv
     numbers = list(dict.fromkeys(int(token) for token in argv[2].split(",") if token))
-    shown = drop_timings(out)
-    if fmt == "json":
-        assert [row["number"] for row in shown] == numbers, argv
-    else:
-        assert [int(line[6:8]) for line in shown] == numbers, argv
+    assert criterion_numbers(out) == numbers, argv
     target = tmp_path_factory.mktemp("out") / "verify"
     assert run_quietly(argv + ["--format", fmt, "--out", str(target)]) == (code, "", "")
-    assert drop_timings(target.read_text(encoding="utf-8")) == shown
+    assert drop_timings(target.read_text(encoding="utf-8")) == drop_timings(out)

@@ -4,9 +4,10 @@
 code and the file in ``golden/`` that holds its exact stdout; command lines
 with the same output share one file.  An entry is added by hand, with the
 output of the command at the commit before the change that adds it;
-nothing here writes a golden file.  The one normalisation: ``verify
---format json`` loses its ``elapsed_seconds``, as
-``perfbench/workloads.cli_digest`` does before it hashes.
+nothing here writes a golden file.  The one normalisation,
+:func:`drop_timings`: ``verify --format json`` loses its
+``elapsed_seconds``, as ``perfbench/workloads.cli_digest`` does before it
+hashes.
 """
 
 import difflib
@@ -27,14 +28,16 @@ BY_ARGV = {tuple(shlex.split(entry["command"])): entry for entry in MANIFEST.val
 DIFF_LINES = 40
 
 
-def frozen_text(argv, out):
-    """The output as it is frozen: verify JSON without its timings."""
-    if argv[0] == "verify" and "json" in argv:
-        payload = json.loads(out)
-        for entry in payload:
-            entry.pop("elapsed_seconds", None)
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return out
+def drop_timings(text):
+    """verify output without what it measures: JSON's ``elapsed_seconds``,
+    and each text line's trailing ``[x.xxs / ys]``.  The tests' one rule for
+    comparing verify outputs."""
+    if text.startswith("["):
+        rows = json.loads(text)
+        for row in rows:
+            del row["elapsed_seconds"]
+        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    return "".join(line.rsplit(" [", 1)[0] + "\n" for line in text.splitlines())
 
 
 @pytest.mark.parametrize("name", list(MANIFEST))
@@ -44,7 +47,7 @@ def test_golden_output(capsys, name):
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert (code, captured.err) == (entry["exit"], "")
-    got = frozen_text(argv, captured.out)
+    got = drop_timings(captured.out) if argv[0] == "verify" else captured.out
     want = (GOLDEN / entry["stdout"]).read_bytes().decode("utf-8")
     if got != want:
         diff = difflib.unified_diff(
