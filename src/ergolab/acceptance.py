@@ -34,10 +34,6 @@ class CriterionResult:
         self.elapsed = elapsed
         self.budget = budget
 
-    @property
-    def within_budget(self) -> bool:
-        return self.elapsed < self.budget
-
     def line(self) -> str:
         state = "PASS" if self.passed else "FAIL"
         return (

@@ -23,6 +23,7 @@ configured budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -363,6 +364,20 @@ def _glue_dash_values(argv: Sequence[str]) -> List[str]:
     return out
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
+    """The parsed ``argv``.  argparse prints ``--help`` itself and exits 0; the
+    text is caught here and written by :func:`_write`, so an unwritable stdout
+    is a usage error for it too.  argparse's own errors go to stderr (exit 2)."""
+    shown = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(shown):
+            return parser.parse_args(_glue_dash_values(argv))
+    except SystemExit:
+        if shown.getvalue():
+            _write(None, shown.getvalue())
+        raise
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand: the one place that writes its output and maps its
     outcome to an exit code.  A ``_cmd_*`` returns whether its checks held
@@ -370,9 +385,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     raises :class:`UsageError` (2) or :class:`ergodic.BudgetExceeded` (3).
     Unwritable output is a usage error.  On 2 and 3 this prints the one
     ``error:`` line."""
-    parser = build_parser()
-    args = parser.parse_args(_glue_dash_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = _parse_args(build_parser(), sys.argv[1:] if argv is None else argv)
         passed, text = args.run(args)
         _write(args.out, text)
         return EXIT_OK if passed else EXIT_CHECK_FAILED

@@ -1,16 +1,20 @@
 """Reference routes that the tests compare the package against.
 
+``tests/test_routes.py`` ``REFERENCES`` holds every such comparison that is
+not part of a larger assertion: one row per public function here but
+:func:`oracle_problems`, naming the package routes it checks.
+
 ``graphop.push`` steps int numerators over a shared denominator.  Most
 functions here step the same graphs the way the package did before that
 kernel: one ``Fraction`` product per edge and per entry, read through the
-``successors`` and ``predecessors`` views; :func:`paths_up_to` enumerates
-paths so.  :func:`oracle_problems` checks that a graph's int-triple oracles
-present an operator.
-:func:`deviation_argmaxes` is the block deviation scan over every block, in
-ints.  :func:`batched_sweep` is the structural Cesaro sweep that files
-every contribution record.  :func:`source_sup_norm_by_copies` sums the
-average from the combined graph's source copy by copy, on the standalone
-copies.
+``successors`` and ``predecessors`` views, with vectors as plain
+``{vertex: Fraction}`` dicts; :func:`paths_up_to` enumerates paths so.
+:func:`oracle_problems` checks that a graph's int-triple oracles present an
+operator.  :func:`deviation_argmaxes` is the block deviation scan over every
+block, in ints.  :func:`batched_sweep` is the structural Cesaro sweep that
+files every contribution record.  :func:`source_sup_norm_by_copies` sums
+the average from the combined graph's source copy by copy, on the
+standalone copies.
 """
 
 from fractions import Fraction
@@ -25,61 +29,52 @@ from ergolab.sweeps import normalize_factor
 
 
 def push(edges, x):
-    """x pushed along ``edges`` (a Fraction-weight oracle), entry by entry."""
+    """x pushed along ``edges`` (a Fraction-weight oracle), entry by entry:
+    the nonzero entries of the image as a dict."""
     out = {}
     for u, xu in x.items():
         for v, w in edges(u):
             out[v] = out.get(v, 0) + xu * w
-    return SparseVector(out)
+    return {v: value for v, value in out.items() if value}
 
 
 def power_norms(graph, n_max, n_trunc):
     """Sup norms of T, ..., T**n_max on the truncation indicator."""
-    x = SparseVector(dict.fromkeys(graph.vertices_up_to(n_trunc), ONE))
+    x = dict.fromkeys(graph.vertices_up_to(n_trunc), ONE)
     norms = []
     for _ in range(n_max):
         x = push(graph.successors, x)
-        norms.append(x.sup_norm())
+        norms.append(max(map(abs, x.values()), default=ZERO))
     return norms
 
 
-def cesaro_sup_norms(graph, x, windows, step_power=1, factor=ONE):
-    """Sup norm of the n-th Cesaro average of factor * T**step_power at x, per window."""
-    cur, sums, out = x, dict(x.items()), {}
-    for k in range(1, max(windows) + 1):
-        if k > 1:
-            for _ in range(step_power):
-                cur = push(graph.successors, cur)
-            cur = cur.scale(factor)
-            for key, value in cur.items():
-                sums[key] = sums.get(key, ZERO) + value
-        if k in windows:
-            out[k] = max(map(abs, sums.values()), default=ZERO) / k
-    return out
+def cesaro_sup_norms(graph, x, windows, step_power=1, factor=1):
+    """Sup norm of the n-th Cesaro average of factor * T**step_power at x, per
+    window, for factor 1, -1, i or -i.
 
-
-def gaussian_cesaro_sup_norms(graph, x, windows, step_power, factor):
-    """:func:`cesaro_sup_norms` for a Gaussian-rational factor (re, im), as floats.
-
-    The k-th vector T**(step_power*k) x is stepped in Fractions and weighted
-    by factor**k, kept as an exact pair; every sum is an exact pair (re, im).
-    The entry with the largest re**2 + im**2 gives the one float,
-    abs(complex(float(re), float(im))) / k: each part rounded once, as the
+    The k-th vector T**(step_power*k) x is stepped in Fractions, and its
+    quarter turn factor**k adds each entry to the real or the imaginary part
+    of that entry's sum, with a sign; every sum is an exact pair (re, im).
+    At +-1 a window's value is the largest |re| / n, a Fraction.  At +-i the
+    entry with the largest re**2 + im**2 gives the one float
+    abs(complex(float(re), float(im))) / n: each part rounded once, as the
     package rounds its exact sums.
     """
-    a, b = map(Fraction, factor)
-    cur, (wr, wi) = x, (ONE, ZERO)
-    sums = {key: (value, ZERO) for key, value in x.items()}
-    out = {}
+    turns = normalize_factor(factor)
+    cur, out = x, {}
+    sums = {key: [value, ZERO] for key, value in x.items()}
     for k in range(1, max(windows) + 1):
         if k > 1:
             for _ in range(step_power):
                 cur = push(graph.successors, cur)
-            wr, wi = wr * a - wi * b, wr * b + wi * a
+            turn = turns * (k - 1) % 4
             for key, value in cur.items():
-                re, im = sums.get(key, (ZERO, ZERO))
-                sums[key] = (re + wr * value, im + wi * value)
-        if k in windows:
+                sums.setdefault(key, [ZERO, ZERO])[turn % 2] += value if turn < 2 else -value
+        if k not in windows:
+            continue
+        if turns % 2 == 0:
+            out[k] = max((abs(re) for re, _ in sums.values()), default=ZERO) / k
+        else:
             re, im = max(sums.values(), key=lambda z: z[0] * z[0] + z[1] * z[1])
             out[k] = abs(complex(float(re), float(im))) / k
     return out
@@ -165,12 +160,6 @@ def deviation_argmaxes(m_max, n, p):
             best_m, best_num, best_den = m, num, den
         running.append((best_m, best_num, best_den))
     return running
-
-
-def deviation_argmax(m_max, n, p):
-    """(m, value) of the largest block deviation over m <= m_max."""
-    m, num, den = deviation_argmaxes(m_max, n, p)[-1]
-    return m, Fraction(num, den)
 
 
 def batched_sweep(schedule, step_power=1, factor=1):

@@ -21,6 +21,17 @@ THIRDS = graphop.graph_from_edges(
     "non-dyadic weights",
 )
 
+# a finite graph with the weights 2/3, 3/5 and 7/2, cycles and a self-loop
+ODD_WEIGHTS = graphop.graph_from_edges(
+    {
+        "a": [("b", "2/3"), ("c", "3/5")],
+        "b": [("c", "7/2"), ("a", "3/5")],
+        "c": [("a", "7/2"), ("d", "2/3"), ("c", "3/5")],
+        "d": [("b", "7/2")],
+    },
+    "odd weights",
+)
+
 # bottom positions: small, around the landing rung_position(63), around 2**64
 POSITIONS = st.one_of(
     st.integers(1, 300),

@@ -1,4 +1,6 @@
-"""Block averages on ints, averaging coefficients and deviation sweeps."""
+"""Block averages on ints, averaging coefficients and deviation sweeps.  The
+argmax rule against the full scan of every block is the deviation_argmaxes
+row of tests/test_routes.py."""
 
 import sys
 from decimal import Decimal, localcontext
@@ -7,7 +9,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import fraction_reference as ref
 from ergolab.blockdiag import (
     a_coeff,
     b_coeff,
@@ -95,27 +96,6 @@ def test_block_deviation_closed_form_matches_the_matrix_norm():
                 assert block_deviation(m, n, p) == Fraction(row_sum, 2 * den), (m, n, p)
                 if p % 2 == 0:  # b_coeff is the V-coefficient of even-power averages
                     assert Fraction(2 * a - den, den) == b_coeff(m, n, p // 2), (m, n, p)
-
-
-@settings(max_examples=20)
-@given(m_max=st.integers(1, 300), n=st.integers(1, 1200), p=st.integers(1, 5))
-@example(m_max=300, n=1, p=1)  # every block deviates by exactly 1: the first wins
-@example(m_max=300, n=1, p=4)
-@example(m_max=50, n=7, p=2)
-@example(m_max=30, n=9, p=4)
-@example(m_max=200, n=300, p=3)
-def test_argmax_rule_matches_the_full_scan(m_max, n, p):
-    assert deviation_argmax(block_deviation, m_max, n, p) == ref.deviation_argmax(m_max, n, p)
-
-
-def test_argmax_rule_matches_the_full_scan_on_a_grid():
-    # one reference scan per (p, n) gives the full scan's answer at every m_max
-    for p in range(1, 7):
-        for n in range(1, 41):
-            for m_max, (m, num, den) in enumerate(ref.deviation_argmaxes(200, n, p), start=1):
-                got_m, value = deviation_argmax(block_deviation, m_max, n, p)
-                assert got_m == m, (m_max, n, p)
-                assert value.numerator * den == num * value.denominator, (m_max, n, p)
 
 
 def test_sup_deviation_float_tracks_exact():

@@ -443,6 +443,17 @@ def test_unwritable_stdout_is_a_usage_error(argv):
     assert run_quietly(argv, stdout=FullDisk()) == (2, "", UNWRITABLE_STDOUT)
 
 
+HELP_ARGV = [["--help"], *([name, "--help"] for name in ("norms", "orbit", "cesaro", "block", "verify"))]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=" ".join)
+def test_help_on_an_unwritable_stdout_is_a_usage_error(argv):
+    # argparse prints the help itself; main writes it like any other output
+    code, out, err = run_quietly(argv)
+    assert (code, err) == (0, "") and out.startswith(" ".join(["usage: ergolab", *argv[:-1]]))
+    assert run_quietly(argv, stdout=FullDisk()) == (2, "", UNWRITABLE_STDOUT)
+
+
 def assert_unwritable_stdout_exits_cleanly(argv, code, err):
     """The run of ``argv`` that exited ``code`` with ``err``, against a full
     disk: output that was due becomes the one stdout error line (exit 2),

@@ -1,8 +1,9 @@
-"""README's names, its list of deliberate second routes, and the cross-references
-of the docstrings, against the code."""
+"""README's names, its list of deliberate second routes, the reference table's
+rows, and the cross-references of the docstrings, against the code."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -52,6 +53,16 @@ def test_the_route_table_has_one_row_per_listed_second_route():
 
     bullets = [(route, tuple(partners)) for route, *partners in second_routes()]
     assert [(row.second, row.first) for row in ROWS] == bullets
+
+
+def test_every_reference_is_the_second_of_one_reference_row():
+    import fraction_reference
+    from test_routes import REFERENCES
+
+    public = [name for name, value in inspect.getmembers(fraction_reference, inspect.isfunction)
+              if value.__module__ == "fraction_reference" and not name.startswith("_")]
+    public.remove("oracle_problems")  # a checker of oracles, not a route
+    assert sorted(row.second for row in REFERENCES) == sorted(public)
 
 
 def test_every_name_readme_gives_a_module_of_exists():

@@ -1,8 +1,9 @@
-"""The integer graph-operator kernel against the Fraction reference route,
-the framed orbit's widening, running maxima and summed twin, criterion 12's
-int comparison under perturbed closed forms, and the ladder enumerations and
-oracles far out in the graph.  The README pairs of routes are compared in
-tests/test_routes.py."""
+"""The integer graph-operator kernel: the framed orbit's widening, running
+maxima and summed twin, the moving-frame sums against push and the Fraction
+reference, criterion 12's int comparison under perturbed closed forms, and
+the ladder enumerations and oracles far out in the graph.  The kernel's
+plain comparisons with the Fraction references, and the README pairs of
+routes, are rows of tests/test_routes.py."""
 
 import tracemalloc
 from fractions import Fraction
@@ -15,7 +16,7 @@ import fraction_reference as ref
 from ergolab import acceptance, blockdiag, graphop, ladder
 from ergolab.core import SparseVector
 from ergolab.ergodic import cesaro_trace, graph_handle
-from strategies import DEEP, DEPTHS, FAR_RULE, FRAMED, GRAPHS, LADDERS, SIGNED, UNIT_STARTS, start_vectors
+from strategies import DEEP, DEPTHS, FAR_RULE, FRAMED, GRAPHS, LADDERS, SIGNED, UNIT_STARTS
 
 # a vertex inside each restricted graph, and vertices outside it
 FOREIGN = {
@@ -23,78 +24,6 @@ FOREIGN = {
     "gk": (("E", 2), [("S",), ("E", 0), ("T", 0, 3), ("B", 3, 1), ("V", 1)]),
     "combined": (("S",), [("B", 0, 0), ("T", 2, 2), ("V", -1), ("X", 1)]),
 }
-
-
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_apply_and_adjoint_match_the_fraction_push(name):
-    graph, vertices = GRAPHS[name]
-
-    @settings(max_examples=25)
-    @given(x=start_vectors(vertices))
-    def check(x):
-        image = graphop.apply(graph, x)
-        assert image == ref.push(graph.successors, x)
-        assert graphop.apply_adjoint(graph, x) == ref.push(graph.predecessors, x)
-        assert all(type(value) is Fraction and value for _, value in image.items())
-        expected = x
-        for _ in range(3):
-            expected = ref.push(graph.successors, expected)
-        assert graphop.power_apply(graph, x, 3) == expected
-
-    check()
-
-
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_power_norms_sweep_matches_the_fraction_push(name):
-    graph, _ = GRAPHS[name]
-    size = len(graph.finite_vertices) if graph.finite_vertices else 200
-
-    @settings(max_examples=5)
-    @given(n_max=st.integers(1, 6), n_trunc=st.integers(1, size))
-    def check(n_max, n_trunc):
-        assert graphop.power_norms_sweep(graph, n_max, n_trunc) == ref.power_norms(
-            graph, n_max, n_trunc
-        )
-
-    check()
-
-
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_generic_cesaro_trace_matches_the_fraction_push(name):
-    graph, vertices = GRAPHS[name]
-    op = graph_handle(graph)
-
-    @settings(max_examples=8)
-    @given(
-        x=start_vectors(vertices),
-        step_power=st.integers(1, 3),
-        factor=st.sampled_from([1, -1]),
-        windows=st.sets(st.integers(1, 8), min_size=1, max_size=4),
-    )
-    def check(x, step_power, factor, windows):
-        trace = cesaro_trace(
-            op, x, windows, engine="generic", step_power=step_power, factor=factor
-        )
-        expected = ref.cesaro_sup_norms(graph, x, windows, step_power, factor)
-        assert trace.norms() == expected
-        assert all(type(value) is Fraction for value in trace.norms().values())
-
-    check()
-
-
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_count_paths_profile_matches_the_fraction_sweep(name):
-    graph, vertices = GRAPHS[name]
-    size = len(graph.finite_vertices) if graph.finite_vertices else 400
-
-    @settings(max_examples=8)
-    @given(v=vertices, n_max=st.integers(0, 8), n_trunc=st.integers(1, size))
-    def check(v, n_max, n_trunc):
-        assert graphop.count_paths_profile(graph, v, n_max, n_trunc) == ref.count_paths(
-            graph, v, n_max, n_trunc
-        )
-
-    check()
 
 
 def _two_points_moved(entries):
@@ -294,26 +223,6 @@ def test_moving_frame_sums_match_push_and_fraction_routes(name):
             assert moving.norms() == want
 
         check()
-
-
-@pytest.mark.parametrize("name", ["combined", "g0", "gk"])
-def test_complex_generic_traces_match_the_gaussian_reference(name):
-    graph, _ = GRAPHS[name]
-    op = graph_handle(graph)
-
-    @settings(max_examples=6)
-    @given(
-        x=SIGNED[name],
-        factor=st.sampled_from([(0, 1), (0, -1)]),
-        step_power=st.integers(1, 3),
-        windows=st.sets(st.integers(1, 16), min_size=1, max_size=3),
-    )
-    def check(x, factor, step_power, windows):
-        rotation = complex(*factor)
-        trace = cesaro_trace(op, x, windows, engine="generic", step_power=step_power, factor=rotation)
-        assert trace.norms() == ref.gaussian_cesaro_sup_norms(graph, x, windows, step_power, factor)
-
-    check()
 
 
 # Copy 0 of g0: T(0, 3) and B(0, 12) both reach the landing B(0, 11) =

@@ -26,8 +26,6 @@ DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # The names nothing reaches that stay for now, each with its reason and the
 # ROADMAP item that removes or re-points it.  This list may only shrink.
 ALLOWED = {
-    "acceptance.CriterionResult.within_budget": (
-        "the budget gate: tests/test_acceptance.py asserts it for every criterion", 1),
     "core.SparseVector.scale": ("perfbench/workloads.py _generic scales its step", 17),
     "ergodic.CesaroTrace.norms": ("perfbench/workloads.py _generic reads its trace through it", 1),
     "ergodic.CheckResult": ("the result type of scalar_rotation_check", 17),
@@ -127,7 +125,7 @@ def test_every_unreached_name_is_a_second_route_or_allowed(closure):
 def test_the_allow_list_holds_only_unreached_names_with_a_reason(closure):
     # an entry whose name is gone or now reached must leave the list
     defined, reached = closure
-    assert len(ALLOWED) <= 7
+    assert len(ALLOWED) <= 6
     for name, (reason, item) in ALLOWED.items():
         assert name in defined, f"{name} no longer exists; drop it from ALLOWED"
         assert name not in reached, f"{name} is reached now; drop it from ALLOWED"

@@ -1,9 +1,12 @@
-"""README's deliberate second routes, each against the routes it checks: one
-row per bullet of README's list, in its order (``tests/test_docs.py`` checks
-that), with a reading of each route and cases of arguments.  A case is a
-hypothesis strategy of argument tuples with its example count, or a grid of
-tuples that are all read.  Both readings must be equal: Fractions and ints
-exactly, floats to the last bit."""
+"""Two tables of routes, each row a route against the routes it checks, with a
+reading of each route and cases of arguments.  ``ROWS`` holds README's
+deliberate second routes, one row per bullet of README's list, in its order;
+``REFERENCES`` holds the functions of ``tests/fraction_reference.py``, one
+row each but the oracle checker ``oracle_problems`` (``tests/test_docs.py``
+checks both).  A case is a hypothesis strategy of argument tuples with its
+example count, or a grid of tuples that are all read.  Both readings must be
+equal: Fractions and ints exactly, floats to the last bit, and types where a
+reading gives them."""
 
 import random
 from fractions import Fraction
@@ -13,12 +16,15 @@ from typing import Callable, Dict, NamedTuple, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_reference as ref
 from ergolab import graphop, ladder
+from ergolab.blockdiag import block_deviation
 from ergolab.core import SparseVector
 from ergolab.ergodic import _sup_and_support, graph_handle
+from ergolab.sweeps import GaussianAbs
 from strategies import (
     COPY_INDICES, COPY_STARTS, FAR_RULE, GRAPH_VERTICES, GRAPHS, LADDER_STARTS, LADDERS, LANDINGS,
-    POSITIONS, SIGNED, UNIT_STARTS,
+    ODD_WEIGHTS, POSITIONS, SIGNED, UNIT_STARTS, start_vectors,
 )
 from test_docs import resolve
 
@@ -99,9 +105,15 @@ def path_count_levels(levels, graph, n_max, n_trunc):
                 for counts, weights, den in rows] for v in ends}
 
 
-def typed(norms):
-    """Each window's value with its type: a Fraction at +-1, a float at +-i."""
-    return {n: (type(value), value) for n, value in norms.items()}
+def typed(values, kind=type):
+    """Each value with its type, or with ``kind`` of it."""
+    return {key: (kind(value), value) for key, value in values.items()}
+
+
+def packaged(value):
+    """The package's type for a reference value: a Fraction at +-1, and at
+    +-i a float that keeps its exact parts, a GaussianAbs."""
+    return GaussianAbs if type(value) is float else type(value)
 
 
 def generic_norms(trace, schedule, step_power, factor):
@@ -223,13 +235,127 @@ ROWS = [
                        25),
         }),
 ]
-CASES = [(row, label) for row in ROWS for label in row.cases]
-IDS = [f"{row.second}-{label}".rstrip("-") for row, label in CASES]
 
 
-@pytest.mark.parametrize("row, label", CASES, ids=IDS)
-def test_second_route_equals_the_first(row, label):
-    second, first = resolve(row.second), [resolve(name) for name in row.first]
+def pushed(push, graph, x):
+    """x's images under T and T*, and T**3 x, each as its typed entries."""
+    cubed = x
+    for _ in range(3):
+        cubed = push(graph.successors, cubed)
+    return [typed(push(graph.successors, x)), typed(push(graph.predecessors, x)), typed(cubed)]
+
+
+def averages(sums, graph, x, windows, step_power, factor, engine):
+    """The reference's averages, typed as the package types them, for every engine."""
+    return typed(sums(graph, x, windows, step_power, factor), packaged)
+
+
+def traced(trace, graph, x, windows, step_power, factor, engine):
+    """cesaro_trace's typed averages by ``engine``; ``auto`` must run the sweep."""
+    run = trace(graph_handle(graph), x, windows, engine=engine, step_power=step_power, factor=factor)
+    assert run.engine == {"auto": "fast"}.get(engine, engine)
+    return typed(run.norms())
+
+
+def generic(graph, x, top, size, factors):
+    """A generic-engine request: up to ``size`` windows up to ``top``, powers 1 to 3."""
+    windows = st.sets(st.integers(1, top), min_size=1, max_size=size)
+    return on(graph, x, windows, st.integers(1, 3), st.sampled_from(factors), st.just("generic"))
+
+
+def scanned(argmaxes, m_maxes, n, p):
+    """The full scan's (m, value) at each m_max of ``m_maxes``, from one scan."""
+    running = argmaxes(max(m_maxes), n, p)
+    return [(m, Fraction(num, den)) for m, num, den in (running[k - 1] for k in m_maxes)]
+
+
+def pruned_requests():
+    """(schedule, step_power, factor) at every request of ``PRUNED``: every
+    window up to 150 and one log-uniform window from 150 to 20000, in two
+    cases one from 10000 as well; then single windows at -i, every one up to
+    60 and three random ones up to 3000, at powers 1 to 3."""
+    rng = random.Random(16)
+    requests = []
+    for i, (step_power, factor) in enumerate(PRUNED):
+        schedule = {*range(1, 151), int(150 * (20000 / 150) ** rng.random())}
+        schedule |= {rng.randint(10000, 20000)} if i % 11 == 1 else set()
+        requests.append((schedule, step_power, factor))
+    for step_power in (1, 2, 3):
+        windows = [*range(1, 61), *(rng.randint(100, 3000) for _ in range(3))]
+        requests += [([n], step_power, -1j) for n in windows]
+    return requests
+
+
+# powers 1 to 8 give the prune's residue counts of 2**nn mod step_power
+# their different shapes: 2 has order 1, 2, 4 and 3 modulo 1, 3, 5 and 7,
+# and modulo an even power the first residues do not repeat
+PRUNED = [(p, f) for p in (1, 2, 3) for f in FACTORS] + [(p, f) for p in range(4, 9) for f in (1, -1)]
+SOURCE = (ladder.make_counterexample(), SparseVector.unit(ladder.SOURCE))
+
+
+def sizes(graph, infinite):
+    """Truncations up to a finite graph's size, or up to ``infinite``."""
+    return st.integers(1, len(graph.finite_vertices) if graph.finite_vertices else infinite)
+
+
+REFERENCES = [
+    Row("push", ("graphop.apply", "graphop.apply_adjoint", "graphop.power_apply"), pushed,
+        lambda apply, adjoint, power, graph, x: [
+            typed(apply(graph, x)), typed(adjoint(graph, x)), typed(power(graph, x, 3))], {
+            name: (on(graph, start_vectors(vertices)), 25)
+            for name, (graph, vertices) in sorted(GRAPHS.items())
+        }),
+    Row("power_norms", ("graphop.power_norms_sweep",), call, call, {
+        name: (on(graph, st.integers(1, 6), sizes(graph, 200)), 5)
+        for name, (graph, _) in sorted(GRAPHS.items())
+    }),
+    Row("cesaro_sup_norms", ("ergodic.cesaro_trace",), averages, traced, {
+            **{f"generic-{name}": (generic(graph, start_vectors(vertices), 8, 4, [1, -1]), 8)
+               for name, (graph, vertices) in sorted(GRAPHS.items())},
+            **{f"imaginary-{name}": (generic(GRAPHS[name][0], SIGNED[name], 16, 3, [1j, -1j]), 6)
+               for name in sorted(LADDERS)},
+            # the sweep, which auto runs from the combined graph's source
+            "auto-f1": [(*SOURCE, range(1, 41), 1, 1, "auto")],
+            "auto-f-1": [(*SOURCE, range(1, 41), 1, -1, "auto")],
+            "auto-p2": [(*SOURCE, range(1, 25), 2, 1, "auto")],
+            "auto-p3": [(*SOURCE, range(1, 17), 3, 1, "auto")],
+            "auto-imaginary": [(*SOURCE, [1, 2, 3, 8, 20, 32], 1, f, "auto") for f in (1j, -1j)],
+        }),
+    Row("count_paths", ("graphop.count_paths_profile",), call, call, {
+        name: (on(graph, vertices, st.integers(0, 8), sizes(graph, 400)), 8)
+        for name, (graph, vertices) in sorted(GRAPHS.items())
+    }),
+    Row("paths_up_to", ("graphop.enumerate_paths_up_to",), call, call, {
+        "odd-weights": [(ODD_WEIGHTS, u, v, 8) for u, v in (("a", "c"), ("a", "a"), ("d", "d"))],
+    }),
+    Row("deviation_argmaxes", ("blockdiag.deviation_argmax",),
+        scanned, lambda argmax, m_maxes, n, p: [argmax(block_deviation, k, n, p) for k in m_maxes], {
+            # one reference scan per (p, n) gives the full scan's answer at every m_max
+            "grid": [(range(1, 201), n, p) for p in range(1, 7) for n in range(1, 41)],
+            # at n = 1 every block deviates by exactly 1, and the first wins
+            "examples": [([300], 1, 1), ([300], 1, 4), ([50], 7, 2), ([30], 9, 4), ([200], 300, 3)],
+            "random": (st.tuples(st.integers(1, 300).map(lambda m: [m]), st.integers(1, 1200),
+                                 st.integers(1, 5)), 20),
+        }),
+    Row("batched_sweep", ("sweeps.combined_cesaro_sup_norms",), call, call, {"pruned": pruned_requests()}),
+    # criterion 5's windows and criterion 6's sign twist
+    Row("source_sup_norm_by_copies", ("sweeps.combined_cesaro_sup_norms",), call,
+        lambda sweep, n, factor: sweep([n], factor=factor)[n], {
+            f"w{n}-f{FACTORS[f]}": [(n, f)] for n, f in [(128, 1), (256, 1), (512, 1), (1024, 1), (1024, -1)]
+        }),
+]
+
+
+def over(table):
+    """Parametrize a test by every case of ``table``, as (row, label)."""
+    pairs = [(row, label) for row in table for label in row.cases]
+    ids = [f"{row.second}-{label}".rstrip("-") for row, label in pairs]
+    return pytest.mark.parametrize("row, label", pairs, ids=ids)
+
+
+def check_cases(row, label, second):
+    """Read ``second`` and the row's first routes at every argument tuple of the case."""
+    first = [resolve(name) for name in row.first]
 
     def check(args):
         assert row.read_second(second, *args) == row.read_first(*first, *args), args
@@ -241,3 +367,13 @@ def test_second_route_equals_the_first(row, label):
     else:
         strategy, examples = case
         settings(max_examples=examples)(given(strategy)(check))()
+
+
+@over(ROWS)
+def test_second_route_equals_the_first(row, label):
+    check_cases(row, label, resolve(row.second))
+
+
+@over(REFERENCES)
+def test_reference_equals_the_package(row, label):
+    check_cases(row, label, getattr(ref, row.second))

@@ -1,6 +1,6 @@
-"""The structural Cesaro sweep against the Fraction references, pinned
-values and its engine dispatch.  Its comparison with the generic engine is
-the cesaro_trace row of tests/test_routes.py."""
+"""The structural Cesaro sweep: pinned values, batched schedules, the prune's
+counts and its engine dispatch.  Its comparisons with the generic engine
+and with the Fraction references are rows of tests/test_routes.py."""
 
 import random
 from fractions import Fraction
@@ -12,40 +12,6 @@ from ergolab import graphop, ladder, sweeps
 from ergolab.core import ONE, SparseVector
 from ergolab.ergodic import cesaro_trace, graph_handle
 from ergolab.sweeps import combined_cesaro_sup_norms
-
-
-def test_sweep_matches_direct_engine_every_window():
-    schedule = set(range(1, 41))
-    graph, x = ladder.make_counterexample(), SparseVector.unit(ladder.SOURCE)
-    assert combined_cesaro_sup_norms(schedule) == ref.cesaro_sup_norms(graph, x, schedule)
-
-
-def test_sweep_matches_direct_engine_with_sign():
-    schedule = set(range(1, 41))
-    graph, x = ladder.make_counterexample(), SparseVector.unit(ladder.SOURCE)
-    fast = combined_cesaro_sup_norms(schedule, factor=-1)
-    assert fast == ref.cesaro_sup_norms(graph, x, schedule, factor=-ONE)
-
-
-@pytest.mark.parametrize("step_power,top", [(2, 24), (3, 16)])
-def test_sweep_matches_direct_engine_for_higher_powers(step_power, top):
-    schedule = set(range(1, top + 1))
-    graph, x = ladder.make_counterexample(), SparseVector.unit(ladder.SOURCE)
-    fast = combined_cesaro_sup_norms(schedule, step_power=step_power)
-    assert fast == ref.cesaro_sup_norms(graph, x, schedule, step_power=step_power)
-
-
-def test_sweep_matches_complex_reference():
-    # the reference sums the orbit's Fractions as exact Gaussian pairs and
-    # rounds once at the end, so the floats agree to the last bit; each float
-    # keeps the exact sum it was rounded from
-    graph = ladder.make_counterexample()
-    x = SparseVector.unit(ladder.SOURCE)
-    windows = [1, 2, 3, 8, 20, 32]
-    for factor, pair in ((1j, (0, 1)), (-1j, (0, -1))):
-        fast = combined_cesaro_sup_norms(windows, factor=factor)
-        assert all(type(value) is sweeps.GaussianAbs for value in fast.values())
-        assert fast == ref.gaussian_cesaro_sup_norms(graph, x, windows, 1, pair)
 
 
 def test_long_window_values_are_frozen():
@@ -77,16 +43,6 @@ def test_complex_factor_values_are_pinned_bit_for_bit(step_power, expected):
     # one float per window from the exact Gaussian sum; here the largest sum
     # lies on an axis, so each value is the float nearest an int over n
     assert combined_cesaro_sup_norms(sorted(expected), step_power, -1j) == expected
-
-
-@pytest.mark.parametrize(
-    "window, factor", [(128, 1), (256, 1), (512, 1), (1024, 1), (1024, -1)]
-)
-def test_sweep_equals_the_copy_by_copy_sums_at_the_criteria_windows(window, factor):
-    # criterion 5's windows and criterion 6's sign twist, summed by the
-    # generic engine on the standalone copies (fraction_reference)
-    swept = combined_cesaro_sup_norms([window], factor=factor)[window]
-    assert swept == ref.source_sup_norm_by_copies(window, factor)
 
 
 def test_batched_schedule_equals_separate_runs():
@@ -133,32 +89,6 @@ def test_the_prune_counts_each_residue_shape_once_per_call(monkeypatch):
         assert values == ref.batched_sweep(schedule, step_power, 1), step_power
         runs.append((values, len(built)))
     assert runs[0] == runs[2] and runs[1][1] > 0
-
-
-# powers 1 to 8 give the prune's residue counts of 2**nn mod step_power
-# their different shapes: 2 has order 1, 2, 4 and 3 modulo 1, 3, 5 and 7,
-# and modulo an even power the first residues do not repeat
-REFERENCE_CASES = [(p, f) for p in (1, 2, 3) for f in (1, -1, 1j, -1j)] + [
-    (p, f) for p in range(4, 9) for f in (1, -1)
-]
-
-
-def test_pruned_sweep_equals_the_batched_reference_bit_for_bit():
-    # The reference files every record of every stream, so it checks the
-    # prune at windows far beyond the generic engine's reach: every window
-    # up to 150, then random ones up to 20000, and then single windows,
-    # where the reference tracks only the cells of that window.
-    rng = random.Random(16)
-    for i, (step_power, factor) in enumerate(REFERENCE_CASES):
-        # one log-uniform window from 150 up, and in two cases one from 10000
-        schedule = {*range(1, 151), int(150 * (20000 / 150) ** rng.random())}
-        schedule |= {rng.randint(10000, 20000)} if i % 11 == 1 else set()
-        swept = combined_cesaro_sup_norms(schedule, step_power, factor)
-        assert swept == ref.batched_sweep(schedule, step_power, factor), (step_power, factor)
-    for step_power in (1, 2, 3):
-        for n in [*range(1, 61), *(rng.randint(100, 3000) for _ in range(3))]:
-            swept = combined_cesaro_sup_norms([n], step_power, -1j)
-            assert swept == ref.batched_sweep([n], step_power, -1j), (step_power, n)
 
 
 def streams_built(monkeypatch, n, step_power, factor):
