@@ -117,19 +117,16 @@ def _write(path: Optional[str], text: str) -> None:
 
 
 def _make_graph(name: str, k: Optional[int]):
-    if k is not None and name != "gk":
-        raise UsageError(f"--k applies only to --graph gk, not --graph {name}")
-    if name == "g0":
-        return ladder.make_g0()
-    if name == "gk":
-        if k is None:
-            raise UsageError(f"--graph gk needs --k with a copy index from 1 to {MAX_COPY_INDEX}")
-        if not 1 <= k <= MAX_COPY_INDEX:
-            raise UsageError(f"--k must be a copy index from 1 to {MAX_COPY_INDEX}, got {k}")
-        return ladder.make_gk(k)
-    if name == "combined":
-        return ladder.make_counterexample()
-    raise UsageError(f"unknown graph {name!r}")
+    """The graph of ``--graph`` (one of the parser's choices) and ``--k``."""
+    if name != "gk":
+        if k is not None:
+            raise UsageError(f"--k applies only to --graph gk, not --graph {name}")
+        return {"g0": ladder.make_g0, "combined": ladder.make_counterexample}[name]()
+    if k is None:
+        raise UsageError(f"--graph gk needs --k with a copy index from 1 to {MAX_COPY_INDEX}")
+    if not 1 <= k <= MAX_COPY_INDEX:
+        raise UsageError(f"--k must be a copy index from 1 to {MAX_COPY_INDEX}, got {k}")
+    return ladder.make_gk(k)
 
 
 def _cmd_norms(args) -> Tuple[bool, str]:
@@ -384,12 +381,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     (0 or 1) and its text, which this writes to stdout or ``--out``; or it
     raises :class:`UsageError` (2) or :class:`ergodic.BudgetExceeded` (3).
     Unwritable output is a usage error.  On 2 and 3 this prints the one
-    ``error:`` line."""
+    ``error:`` line.  argparse's exits, after its help (0) or its own error
+    message (2), return their code too."""
     try:
         args = _parse_args(build_parser(), sys.argv[1:] if argv is None else argv)
         passed, text = args.run(args)
         _write(args.out, text)
         return EXIT_OK if passed else EXIT_CHECK_FAILED
+    except SystemExit as exc:
+        return exc.code
     except UsageError as exc:
         code, message = EXIT_USAGE, str(exc)
     except ergodic.BudgetExceeded as exc:
