@@ -1,11 +1,13 @@
-"""The command line beyond its pinned lines.
+"""The command line's properties.
 
 Every fixed command line with its exit code, stdout and stderr is an entry
 of ``golden/manifest.json``, checked by ``test_golden.py``.  Here: the
-property slices, which draw command lines and run each through
-``test_golden.run_four_ways``; runs under a patched module; the process
-entry point and its import cost; ``--help``, whose text is argparse's; and
-two checks of float mode against exact mode."""
+properties that entries and ``same`` pairs show, each test naming the
+entries and pairs that show it and checking them with
+``test_golden.check``; the property slices, which draw command lines and
+run each through ``test_golden.run_four_ways``; runs under a patched
+module; the process entry point and its import cost; ``--help``, whose
+text is argparse's; and two checks of float mode against exact mode."""
 
 import csv
 import io
@@ -20,11 +22,234 @@ from hypothesis import given, settings, strategies as st
 
 import ergolab
 from ergolab import acceptance, blockdiag, cli, ladder
-from test_golden import BUDGET_LINE, UNWRITABLE_STDOUT, FullDisk, criterion_numbers, run_four_ways, run_quietly
+from test_golden import BUDGET_LINE, UNWRITABLE_STDOUT, FullDisk, check, criterion_numbers, run_four_ways, run_quietly
 
 
 def rows_of(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+# Properties shown by entries and same pairs of golden/manifest.json: each
+# test names the entries and pairs that show its property, and test_golden's
+# one driver checks them.
+
+
+def test_norms_csv():
+    check("norms-g0-n-max-3-trunc-100")
+
+
+def test_norms_frozen_second_power():
+    check("norms-g0-n-max-2-trunc-30")
+
+
+def test_norms_bound_violation_exits_one():
+    check("norms-g0-bound-below")
+
+
+def test_norms_rejects_nonpositive_window():
+    check("norms-n-max-zero")
+
+
+def test_orbit_standalone_copy():
+    check("orbit-gk-2-n-max-64")
+
+
+def test_orbit_combined_sinks():
+    check("orbit-combined-k-max-2")
+
+
+def test_cesaro_csv_frozen():
+    check("cesaro-16-64")
+
+
+def test_cesaro_bound_checks():
+    check("cesaro-bound-1-20", "cesaro-bound-1-100")
+
+
+@pytest.mark.parametrize("names", [
+    pytest.param(("norms-bound-at-largest", "norms-bound-below-largest"), id="norms"),
+    pytest.param(("cesaro-bound-at-largest", "cesaro-bound-below-largest"), id="cesaro"),
+    pytest.param(("cesaro-two-windows-bound-at-largest", "cesaro-two-windows-bound-below-largest"),
+                 id="cesaro-two-windows"),
+    pytest.param(("block-at-most-at-largest", "block-at-most-below-largest"), id="block"),
+])
+def test_a_bound_equal_to_the_largest_value_passes(names):
+    check(*names)
+
+
+@pytest.mark.parametrize("factor", ["i", "-i"])
+def test_bounds_at_plus_minus_i_have_no_float_slack(factor):
+    stem = "cesaro-factor-" + factor.replace("-", "minus-")
+    check(f"{stem}-bound-equal", f"{stem}-bound-below")
+
+
+def test_cesaro_budget_exit_reports_where_it_stopped():
+    check("cesaro-g0-entry-64-cap-10")
+
+
+def test_cesaro_budget_boundary():
+    check("cesaro-g0-entry-64", "cesaro-g0-entry-64-cap-1775", "cesaro-g0-entry-64-cap-1774")
+
+
+def test_cesaro_default_cap_past_the_moving_frame_windows():
+    check("cesaro-g0-entry-4096", "cesaro-g0-entry-4097")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("cesaro-g0-entry-power-2-cap-100", id="power-2"),
+    pytest.param("cesaro-g0-entry-factor-minus-1-cap-100", id="factor-minus-1"),
+    pytest.param("cesaro-gk-entry-power-3-cap-300", id="gk-power-3-factor-minus-1"),
+    pytest.param("cesaro-g0-entry-64-cap-10", id="out-file"),  # the driver's --out run leaves no file
+])
+def test_step_by_step_pass_budget_exits(name):
+    check(name)
+
+
+def test_max_support_does_not_cap_the_structural_sweep():
+    check("cesaro-1000", "cesaro-1000-cap-1")
+
+
+def test_structural_sweep_needs_no_cap_at_a_huge_window():
+    check("cesaro-1e20-powers-1-2-3")
+
+
+def test_rotations_by_i_keep_their_phase_at_huge_windows():
+    check("cesaro-huge-factor-1", "cesaro-huge-factor-i", "cesaro-huge-factor-minus-i")
+
+
+def test_repeated_powers_print_their_rows_once():
+    check("cesaro-powers-2-1", "cesaro-3-power-1", "cesaro-repeated-powers-and-windows", "cesaro-repeated-power")
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_max_support_must_be_positive(cap):
+    check("cesaro-max-support-" + cap.replace("-", "minus-"))
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("orbit-g0-k", id="orbit --graph g0 --k 5"),
+    pytest.param("orbit-combined-k", id="orbit --graph combined --k 3"),
+    pytest.param("norms-g0-k", id="norms --graph g0 --k 4"),
+    pytest.param("norms-combined-k", id="norms --graph combined --k 1"),
+    pytest.param("cesaro-combined-k", id="cesaro --graph combined --k 2"),
+    pytest.param("cesaro-g0-k", id="cesaro --graph g0 --k 1"),
+])
+def test_k_is_rejected_outside_gk(name):
+    check(name)
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("orbit-g0-k-max", id="orbit --graph g0 --k-max 5 --n-max 4-"),
+    pytest.param("orbit-g0-huge-k-max", id="orbit --graph g0 --n-max 4 --k-max 100000000000000000000-"),
+    pytest.param("orbit-gk-k-max", id="orbit --graph gk --k 3 --k-max 2000-"),
+    pytest.param("cesaro-start-and-x", id="cesaro --graph g0 --start source --x e_o-"),
+])
+def test_an_option_the_command_would_ignore_is_rejected(name):
+    check(name)
+
+
+def test_cesaro_usage_errors():
+    check("cesaro-g0-start-source", "cesaro-g0-entry-factor-i", "cesaro-schedule-zero", "orbit-gk-without-k",
+          "cesaro-combined-start-entry", "cesaro-combined-x-e-o")
+
+
+def test_cesaro_factor_accepts_a_dash_led_value_after_a_space():
+    check("cesaro-16-factor-minus-i", "cesaro-factor-minus-i-after-a-space")
+
+
+@pytest.mark.parametrize("names", [
+    pytest.param(("cesaro-16-bound-minus-half", "cesaro-bound-after-a-space"), id="cesaro-bound"),
+    pytest.param(("block-10-at-least-minus-half", "block-at-least-after-a-space"), id="block-at-least"),
+    pytest.param(("block-10-at-most-minus-half", "block-at-most-after-a-space"), id="block-at-most"),
+])
+def test_bound_options_accept_a_dash_led_value_after_a_space(names):
+    check(*names)
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("norms-empty-bound", id="norms-bound"),
+    pytest.param("cesaro-empty-bound", id="cesaro-bound"),
+    pytest.param("block-empty-at-least", id="block-at-least"),
+    pytest.param("block-empty-at-most", id="block-at-most"),
+])
+def test_an_empty_bound_is_a_usage_error(name):
+    check(name)
+
+
+def test_block_diagonal_thresholds():
+    check("block-10-at-least-half")
+
+
+def test_block_exact_bounds_have_no_float_slack():
+    check("block-deviation-at-most-below-by-1e-25", "block-at-least-above-by-1e-31")
+
+
+def test_block_deviation_frozen_row():
+    check("block-deviation-m-max-50")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("block-float-deviation-at-most-1e999", id="argv0-0"),
+    pytest.param("block-float-deviation-at-most-minus-1e999", id="argv1-1"),
+    pytest.param("block-float-at-least-1e999", id="argv2-1"),
+    pytest.param("block-float-at-least-minus-1e999", id="argv3-0"),
+    pytest.param("cesaro-factor-i-bound-1e999", id="argv4-0"),
+    pytest.param("cesaro-factor-i-bound-minus-1e999", id="argv5-1"),
+])
+def test_float_values_compare_with_bounds_beyond_the_float_range(name):
+    check(name)
+
+
+@pytest.mark.parametrize("where", ["p-1e400", "n-1e400", "diagonal-1e320", "diagonal-1e400"])
+def test_block_float_mode_beyond_the_float_range(where):
+    check("block-float-" + where)
+
+
+def test_verify_selected_criteria():
+    check("verify-2-8")
+
+
+def test_verify_json():
+    check("verify-8-json")
+
+
+def test_verify_unknown_criterion():
+    check("verify-unknown-criterion")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_repeated_criteria_run_once(fmt):
+    suffix = "-json" if fmt == "json" else ""
+    check("verify-8-7" + suffix, "verify-repeated-criteria" + suffix)
+
+
+def test_cesaro_start_vector_aliases():
+    check("cesaro-start-source-spelled-out", "cesaro-x-e-s-alias", "cesaro-g0-x-e-s")
+
+
+def test_block_flag_aliases():
+    check("block-sweep-diag-n-alias", "block-sweep-diag-and-deviation")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("block-sweep-diag-p", id="block --sweep-diag --p 3-"),
+    pytest.param("block-diagonal-p", id="block --windows 10 --p 1-"),
+    pytest.param("block-diagonal-m-max", id="block --m-max 50-"),
+    pytest.param("block-sweep-diag-m-max", id="block --sweep-diag --j 2 --m-max 1000-"),
+    pytest.param("block-deviation-j", id="block --deviation --j 2-"),
+    pytest.param("block-float-deviation-j", id="block --deviation --m-max 10 --j 1 --mode float-"),
+])
+def test_block_rejects_flags_of_the_other_mode(name):
+    check(name)
+
+
+def test_block_defaults_equal_the_spelled_out_values():
+    check("block-deviation-defaults-spelled-out", "block-j-default-spelled-out")
+
+
+@pytest.mark.parametrize("command", ["norms", "orbit", "cesaro"])
+def test_copy_index_bound(command):
+    check(*(f"{command}-gk-k-{k}" for k in ("1024", "1025", "1e20", "0")))
 
 
 def test_orbit_combined_rows_come_in_step_then_copy_order():

@@ -13,7 +13,9 @@ entry, so the second is pinned to the same text.
 :func:`run_four_ways` runs every entry, every second command line of
 ``same`` and every command line that the property slices in
 ``test_cli.py`` draw: as written, with ``--out``, against a stdout that
-cannot be written, and in the other ``--format``.
+cannot be written, and in the other ``--format``.  :func:`check` runs named
+entries and pairs through it, here and in the named properties of
+``test_cli.py``.
 
 An entry is added by hand, with the output of the command at the commit
 before the change that adds it; nothing here writes a golden file.  The one
@@ -162,15 +164,25 @@ def assert_pinned(command, entry):
         pytest.fail("".join(itertools.islice(diff, DIFF_LINES)), pytrace=False)
 
 
+def check(*names):
+    """Check each named entry, or the second line of each named ``same``
+    pair against its first, through :func:`assert_pinned`."""
+    for name in names:
+        if name in SAME:
+            first, second = SAME[name]
+            assert_pinned(second, BY_ARGV[tuple(shlex.split(first))])
+        else:
+            assert_pinned(ENTRIES[name]["command"], ENTRIES[name])
+
+
 @pytest.mark.parametrize("name", list(ENTRIES))
 def test_golden_output(name):
-    assert_pinned(ENTRIES[name]["command"], ENTRIES[name])
+    check(name)
 
 
 @pytest.mark.parametrize("name", list(SAME))
 def test_same_output(name):
-    first, second = SAME[name]
-    assert_pinned(second, BY_ARGV[tuple(shlex.split(first))])
+    check(name)
 
 
 def error_patterns():
