@@ -345,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# options whose values may start with a dash: -i, -1 or -1/2
-_DASH_VALUED = ("--factor", "--bound", "--at-least", "--at-most")
+# options whose values may start with a dash: -i, -1, -1/2 or a list like -1,4
+_DASH_VALUED = ("--factor", "--bound", "--at-least", "--at-most",
+                "--schedule", "--powers", "--windows", "--n", "--criteria")
 
 
 def _glue_dash_values(argv: Sequence[str]) -> List[str]:

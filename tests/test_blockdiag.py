@@ -6,7 +6,6 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ergolab.blockdiag import (
@@ -20,6 +19,7 @@ from ergolab.blockdiag import (
     sup_deviation,
 )
 from ergolab.core import HALF, cesaro_geometric_pair
+from test_rejections import rejection_test
 
 
 def test_blocks_split_along_the_projections():
@@ -61,10 +61,7 @@ def test_block_cesaro_literal_denominators_and_domain():
         for p in range(1, 4):
             dens = [den for _, den in block_cesaro_literal(m, 24, p)]
             assert dens == [(2 * m) ** (p * (n - 1)) * n for n in range(1, 25)], (m, p)
-    assert block_cesaro_literal(3, 1, 2) == [((1, 0, 0, 1), 1)]
-    for m, n_max, p in ((1, 0, 1), (1, 3, 0)):
-        with pytest.raises(ValueError):
-            block_cesaro_literal(m, n_max, p)
+    assert block_cesaro_literal(3, 1, 2) == [((1, 0, 0, 1), 1)]  # its domain errors are rows of test_rejections.py
 
 
 def test_diagonal_coefficients_stay_bounded_below():
@@ -164,29 +161,9 @@ def test_float_deviation_where_1_over_m_underflows():
     assert block_deviation_float(10**400, 3, 3) == 1 / 3
 
 
-def test_domain_errors():
-    with pytest.raises(ValueError):
-        a_coeff(0)
-    with pytest.raises(ValueError):
-        block_cesaro_entries(1, 0, 1)
-    with pytest.raises(ValueError):
-        b_coeff(2, 3, 0)
-    with pytest.raises(ValueError):
-        sup_deviation(0, 3, 1)
-    for n, p in ((0, 1), (3, 0)):  # checked before a block is picked
-        with pytest.raises(ValueError):
-            deviation_argmax(block_deviation_float, 5, n, p)
-
-
-@pytest.mark.parametrize("m, n, p", [(0, 5, 1), (5, 0, 1), (5, 5, 0), (-3, 5, 1), (5, -2, 2)])
-def test_float_deviation_rejects_what_the_exact_one_rejects(m, n, p):
-    # the float formula would divide by zero at the first three and
-    # return a number at the last two
-    with pytest.raises(ValueError) as exact:
-        block_deviation(m, n, p)
-    with pytest.raises(ValueError) as approx:
-        block_deviation_float(m, n, p)
-    assert str(approx.value) == str(exact.value)
+test_domain_errors = rejection_test("test_domain_errors")
+test_float_deviation_rejects_what_the_exact_one_rejects = rejection_test(
+    "test_float_deviation_rejects_what_the_exact_one_rejects")
 
 
 def test_block_entries_are_the_ints_of_the_geometric_pair():
@@ -196,18 +173,4 @@ def test_block_entries_are_the_ints_of_the_geometric_pair():
                 num, den = cesaro_geometric_pair(a_coeff(m), p, n)
                 assert block_cesaro_entries(m, n, p) == (den + num, den - num, 2 * den)
 
-
-@pytest.mark.parametrize(
-    "m, n, p, message",
-    [
-        (0, 3, 1, "block index must be positive, got 0"),
-        (-2, 3, 1, "block index must be positive, got -2"),
-        (3, 0, 1, "n must be a positive integer, got 0"),
-        (3, 2, 0, "p must be a positive integer, got 0"),
-        (0, 0, 0, "block index must be positive, got 0"),  # m is checked first, then p
-        (3, 0, 0, "p must be a positive integer, got 0"),
-    ],
-)
-def test_block_entries_reject_nonpositive_arguments(m, n, p, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        block_cesaro_entries(m, n, p)
+test_block_entries_reject_nonpositive_arguments = rejection_test("test_block_entries_reject_nonpositive_arguments")

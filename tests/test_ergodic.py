@@ -22,6 +22,7 @@ from ergolab.ergodic import (
     scalar_rotation_check,
     weak_compactness_witness,
 )
+from test_rejections import rejection_test
 
 
 def test_trace_from_a_dead_end_vertex():
@@ -33,20 +34,7 @@ def test_trace_from_a_dead_end_vertex():
         trace.records[0].sup_norm = ZERO
 
 
-def test_engine_forcing_and_validation():
-    op = graph_handle(ladder.make_g0())
-    x = SparseVector.unit(ladder.entry(0))
-    # "fast" names the sweep in a trace's report; only "auto" picks it
-    with pytest.raises(ValueError, match="unknown engine 'fast'"):
-        cesaro_trace(op, x, [4], engine="fast")
-    with pytest.raises(ValueError):
-        cesaro_trace(op, x, [4], engine="warp")
-    with pytest.raises(ValueError):
-        cesaro_trace(op, x, [])
-    with pytest.raises(ValueError, match="schedule must be a nonempty collection of positive lengths"):
-        cesaro_trace(op, x, [0])
-    with pytest.raises(ValueError, match="step_power must be a positive integer, got 0"):
-        cesaro_trace(op, x, [4], step_power=0)
+test_engine_forcing_and_validation = rejection_test("test_engine_forcing_and_validation")
 
 
 def test_scalar_rotation_cross_engine():
@@ -94,17 +82,7 @@ def test_at_most_compares_floats_with_no_slack():
     assert (zero.passed, zero.value) == (True, 0.0)
 
 
-def test_scalar_rotation_rejects_bad_factors():
-    op = graph_handle(ladder.make_g0())
-    x = SparseVector.unit(ladder.entry(0))
-    with pytest.raises(ValueError):
-        scalar_rotation_check(op, x, 2, 4, 1)
-    for factor in (0.5 + 0.5j, 0.6 + 0.8j):
-        with pytest.raises(ValueError):
-            scalar_rotation_check(op, x, factor, 4, 1)
-    plain = OperatorHandle(apply=lambda v: graphop.apply(op.graph, v))
-    with pytest.raises(ValueError, match="complex factors need a graph-backed handle"):
-        scalar_rotation_check(plain, x, 1j, 4, 1)
+test_scalar_rotation_rejects_bad_factors = rejection_test("test_scalar_rotation_rejects_bad_factors")
 
 
 def test_complex_trace_past_the_float_range_of_its_denominator():
@@ -159,11 +137,7 @@ def test_weak_compactness_witness_small_triangle():
     assert weak_compactness_witness(graph, 3, 1) == [
         [ONE, 0, 0, 0],
         [ONE, ONE, 0, 0],
-    ]
-    with pytest.raises(ValueError):
-        weak_compactness_witness(graph, -1, 0)
-    with pytest.raises(ValueError, match="needs the combined graph, not copy 2"):
-        weak_compactness_witness(ladder.make_gk(2), 2, 1)  # a standalone copy has no source
+    ]  # its errors are rows of test_rejections.py
 
 
 def test_weak_compactness_witness_over_512_steps():

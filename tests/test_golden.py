@@ -14,8 +14,9 @@ entry, so the second is pinned to the same text.
 ``same`` and every command line that the property slices in
 ``test_cli.py`` draw: as written, with ``--out``, against a stdout that
 cannot be written, and in the other ``--format``.  :func:`check` runs named
-entries and pairs through it, here and in the named properties of
-``test_cli.py``.
+entries and pairs through it: in the named properties of ``test_cli.py``,
+which :func:`pinned` and :func:`pinned_cases` make, and here for the rest,
+so that each runs once per suite (:func:`check_once`).
 
 An entry is added by hand, with the output of the command at the commit
 before the change that adds it; nothing here writes a golden file.  The one
@@ -37,6 +38,7 @@ import os
 import re
 import shlex
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -102,6 +104,18 @@ def run_quietly(argv, stdout=None):
     return code, out.getvalue(), err.getvalue()
 
 
+@contextlib.contextmanager
+def in_empty_directory():
+    """Work in a new empty directory, then go back (``contextlib.chdir`` is new in Python 3.11)."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            yield
+        finally:
+            os.chdir(home)
+
+
 def run_four_ways(argv):
     """Run the command line ``argv`` four ways, in an empty working
     directory, and return (exit code, stdout, stderr) of the plain run.
@@ -120,7 +134,7 @@ def run_four_ways(argv):
        the JSON rows equal the CSV rows (for verify, the same criteria).
     """
     with_out = [argv[0], "--out", "out", *argv[1:]]
-    with tempfile.TemporaryDirectory() as workdir, contextlib.chdir(workdir):
+    with in_empty_directory():
         code, out, err = run_quietly(argv)
         assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, err)
         if code in (2, 3):
@@ -175,35 +189,74 @@ def check(*names):
             assert_pinned(ENTRIES[name]["command"], ENTRIES[name])
 
 
+CLAIMS = Counter()  # named properties per entry and pair, counted as test_cli.py is imported
+
+
+def pinned(*names):
+    """A named property: a test that checks the entries and pairs ``names``."""
+    CLAIMS.update(names)
+
+    def test():
+        check(*names)
+    return test
+
+
+def pinned_cases(cases):
+    """A named property with one case per id of ``cases``, each checking its names."""
+    for names in cases.values():
+        CLAIMS.update(names)
+
+    @pytest.mark.parametrize("case", list(cases))
+    def test(case):
+        check(*cases[case])
+    return test
+
+
+def check_once(name):
+    """Check ``name``, unless a named property checks it; then that must be the only one."""
+    if CLAIMS[name]:
+        assert CLAIMS[name] == 1, name
+    else:
+        check(name)
+
+
 @pytest.mark.parametrize("name", list(ENTRIES))
 def test_golden_output(name):
-    check(name)
+    check_once(name)
 
 
 @pytest.mark.parametrize("name", list(SAME))
 def test_same_output(name):
-    check(name)
+    check_once(name)
+
+
+def message_pattern(node):
+    """The regex of the messages that the expression ``node`` can make: an
+    f-string's fields, and any other expression, match anything."""
+    if isinstance(node, ast.Constant):
+        return re.escape(node.value)
+    if isinstance(node, ast.JoinedStr):
+        return "".join(map(message_pattern, node.values))
+    return ".*"
+
+
+def raise_patterns(path, *kinds):
+    """(kind, :func:`message_pattern` of its message) of every ``raise
+    KIND(message, ...)`` in the module at ``path``, for each KIND of ``kinds``."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    return [(node.exc.func.id, message_pattern(node.exc.args[0])) for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) in kinds]
 
 
 def error_patterns():
     """Each message that ``cli`` can print after ``error:``, as a regex: the
-    argument of every ``raise UsageError(...)`` and ``main``'s budget line.
-    An f-string's fields, and any other expression, match anything."""
+    argument of every ``raise UsageError(...)`` and ``main``'s budget line."""
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     main = next(node for node in tree.body if getattr(node, "name", None) == "main")
-    messages = [node.exc.args[0] for node in ast.walk(tree) if isinstance(node, ast.Raise)
-                and isinstance(node.exc, ast.Call) and getattr(node.exc.func, "id", None) == "UsageError"]
-    messages += [node.value for node in ast.walk(main) if isinstance(node, ast.Assign)
-                 and isinstance(node.value, ast.JoinedStr) and ast.unparse(node.targets[0]) == "message"]
-
-    def pattern(node):
-        if isinstance(node, ast.Constant):
-            return re.escape(node.value)
-        if isinstance(node, ast.JoinedStr):
-            return "".join(map(pattern, node.values))
-        return ".*"
-
-    return [pattern(node) for node in messages]
+    budget = [node.value for node in ast.walk(main) if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.JoinedStr) and ast.unparse(node.targets[0]) == "message"]
+    return [p for _, p in raise_patterns(cli.__file__, "UsageError")] + [message_pattern(node) for node in budget]
 
 
 def test_every_error_message_is_pinned():

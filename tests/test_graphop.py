@@ -13,6 +13,7 @@ from ergolab import graphop, ladder
 from ergolab.core import ONE, ZERO, SparseVector
 from ergolab.graphop import PathCount, graph_from_edges
 from strategies import ODD_WEIGHTS
+from test_rejections import rejection_test
 
 H = Fraction(1, 2)
 
@@ -109,14 +110,7 @@ def test_path_records_are_immutable_values(diamond):
     assert path.weight == H
 
 
-def test_path_counts_reject_a_negative_length(diamond):
-    for count in (
-        lambda: graphop.count_paths_profile(diamond, "d", -1, 10),
-        lambda: graphop.count_paths_to(diamond, "d", -1, 10),
-        lambda: graphop.count_paths_levels(diamond, -1, 10),  # before any level is read
-    ):
-        with pytest.raises(ValueError, match="path length must be nonnegative, got -1"):
-            count()
+test_path_counts_reject_a_negative_length = rejection_test("test_path_counts_reject_a_negative_length")
 
 
 def test_oracle_problems_pass_a_consistent_graph(diamond):
@@ -141,11 +135,7 @@ def test_oracle_problems_detect_an_oracle_mismatch():
     assert "missing" in problem
 
 
-def test_graph_from_edges_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        graph_from_edges({"a": [("b", 0)]})
-    with pytest.raises(ValueError):
-        graph_from_edges({"a": [("b", -1)]})
+test_graph_from_edges_rejects_bad_weights = rejection_test("test_graph_from_edges_rejects_bad_weights")
 
 
 def test_truncated_norm_monotone_in_truncation():
@@ -201,12 +191,7 @@ def test_power_norms_sweep_matches_pointwise():
     assert graphop.power_norms_sweep(graph, 5, 0) == [ZERO] * 5
 
 
-def test_missing_enumeration_raises():
-    g = graphop.C0Graph(out_edges=lambda v: (), in_edges=lambda v: ())
-    with pytest.raises(ValueError):
-        g.enumerate_vertex(0)
-    with pytest.raises(ValueError):
-        g.index_of_vertex(("a",))
+test_missing_enumeration_raises = rejection_test("test_missing_enumeration_raises")
 
 
 def test_cancelled_entries_are_dropped():

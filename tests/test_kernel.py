@@ -17,13 +17,7 @@ from ergolab import acceptance, blockdiag, graphop, ladder
 from ergolab.core import SparseVector
 from ergolab.ergodic import cesaro_trace, graph_handle
 from strategies import DEEP, DEPTHS, FAR_RULE, FRAMED, GRAPHS, LADDERS, SIGNED, UNIT_STARTS
-
-# a vertex inside each restricted graph, and vertices outside it
-FOREIGN = {
-    "g0": (("E", 0), [("S",), ("E", 1), ("T", 1, 2), ("B", 1, 4), ("V", 2)]),
-    "gk": (("E", 2), [("S",), ("E", 0), ("T", 0, 3), ("B", 3, 1), ("V", 1)]),
-    "combined": (("S",), [("B", 0, 0), ("T", 2, 2), ("V", -1), ("X", 1)]),
-}
+from test_rejections import rejection_test
 
 
 def _two_points_moved(entries):
@@ -174,16 +168,7 @@ def test_framed_den_widens_at_the_step_push_does(name, kind):
     check()
 
 
-@pytest.mark.parametrize("name", sorted(FOREIGN))
-def test_framed_orbit_rejects_foreign_vertices(name):
-    graph, _ = GRAPHS[name]
-    inside, outside = FOREIGN[name]
-    for v in outside:
-        nums = {inside: 1, v: 1}
-        with pytest.raises(ValueError):
-            graph.orbit(nums)
-        with pytest.raises(ValueError):
-            graphop.PushOrbit(graph.out_edges, nums).step()
+test_framed_orbit_rejects_foreign_vertices = rejection_test("test_framed_orbit_rejects_foreign_vertices")
 
 
 
@@ -253,6 +238,8 @@ def test_running_bottom_maximum_falls_when_it_drains():
     got, want = framed_and_pushed_norms(RISING, 16, range(17))
     assert got == want
     assert want[1] == Fraction(9, 2) and want[12] == 9 and want[13:] == [4] * 4
+    # zero entries in the start hold nothing: the framed orbit skips them
+    assert framed_and_pushed_norms({**RISING, ("E", 0): 0, ("B", 0, 7): 0}, 16, range(17)) == (want, want)
 
 
 @pytest.mark.parametrize("reads", [{16}, {0, 16}], ids=["last", "first-and-last"])

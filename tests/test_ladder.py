@@ -1,6 +1,5 @@
 """Ladder graph structure: weights, enumeration, orbits, standalone copies."""
 
-import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +7,7 @@ import pytest
 import fraction_reference as ref
 from ergolab import graphop, ladder
 from ergolab.core import HALF, ONE, TWO, SparseVector
+from test_rejections import rejection_test
 
 E, T, B, V, S = ladder.entry, ladder.top, ladder.bottom, ladder.sink, ladder.SOURCE
 
@@ -38,9 +38,7 @@ def test_bottom_weights_follow_the_rung_pattern():
         assert ladder.bottom_weight(j) == expected
     assert ladder.bottom_weight(1) == 2
     assert ladder.bottom_weight(2) == HALF
-    assert ladder.bottom_weight(3) == 1
-    with pytest.raises(ValueError, match="^bottom position must be positive, got 0$"):
-        ladder.bottom_weight(0)
+    assert ladder.bottom_weight(3) == 1  # position 0 is a row of test_rejections.py
 
 
 def test_window_products_stay_between_half_and_two():
@@ -52,17 +50,7 @@ def test_window_products_stay_between_half_and_two():
             assert HALF <= product <= TWO
 
 
-def test_vertex_constructors_validate():
-    with pytest.raises(ValueError):
-        ladder.top(2, 2)
-    with pytest.raises(ValueError):
-        ladder.bottom(0, 0)
-    with pytest.raises(ValueError):
-        ladder.entry(-1)
-    with pytest.raises(ValueError):
-        ladder.make_gk(0)
-    with pytest.raises(ValueError):
-        ladder.rung_position(0)
+test_vertex_constructors_validate = rejection_test("test_vertex_constructors_validate")
 
 
 def test_combined_enumeration_prefix_is_frozen():
@@ -82,68 +70,10 @@ def test_enumerations_are_bijective():
             assert graph.index_of_vertex(graph.enumerate_vertex(i)) == i
 
 
-def test_index_rejects_foreign_vertices():
-    combined = ladder.make_counterexample()
-    for graph, foreign in (
-        (ladder.make_gk(2), (E(3), S)),
-        (
-            combined,
-            (
-                ("T", 3, 2),  # top depth below the copy minimum
-                ("V", -1), ("E", -1), ("T", -1, 0), ("B", -1, 3), ("X", 0),
-            ),
-        ),
-    ):
-        for v in foreign:
-            with pytest.raises(ValueError):
-                graph.index_of_vertex(v)
-    for oracle in (combined.out_edges, combined.in_edges):
-        with pytest.raises(ValueError):
-            oracle(("V", -1))
-
-
-# every way a tuple can miss the vertex table, with the rule it breaks
-MALFORMED = [
-    ((), "no ladder tag"),
-    (("E",), "should have length 2"),
-    (("B", 0), "should have length 3"),
-    (("T", 0, 1, 1), "should have length 3"),
-    (("X", 0), "no ladder tag"),
-    (("E", 0, 9), "should have length 2"),
-    (("V", 0, 5), "should have length 2"),
-    (("S", 7), "should have length 1"),
-    (("V", -1), "copy index must be nonnegative, got -1"),
-    (("T", 3, 3), "top depth must be at least 4 in copy 3, got 3"),
-    (("B", 0, 0), "bottom position must be positive, got 0"),
-]
-
-
-@pytest.mark.parametrize("make", [ladder.make_counterexample, ladder.make_g0], ids=["combined", "g0"])
-@pytest.mark.parametrize("v, rule", MALFORMED, ids=[str(v) for v, _ in MALFORMED])
-def test_malformed_tuples_are_rejected_naming_the_rule(make, v, rule):
-    # on g0 too the shape is checked before copy membership, so the rule is
-    # named; orbits and apply reach it through out_edges
-    graph = make()
-    for ask in (
-        graph.out_edges,
-        graph.in_edges,
-        graph.index_of_vertex,
-        lambda v: graph.orbit({v: 1}),
-        lambda v: graphop.apply(graph, SparseVector.unit(v)),
-    ):
-        with pytest.raises(ValueError, match=re.escape(rule)):
-            ask(v)
-
-
-def test_constructors_name_the_rule_they_check():
-    for build, rule in (
-        (lambda: E(-1), "copy index must be nonnegative, got -1"),
-        (lambda: V(-2), "copy index must be nonnegative, got -2"),
-        (lambda: T(3, 3), "top depth must be at least 4 in copy 3, got 3"),
-        (lambda: B(0, 0), "bottom position must be positive, got 0"),
-    ):
-        with pytest.raises(ValueError, match=f"^{rule}$"):
-            build()
+test_index_rejects_foreign_vertices = rejection_test("test_index_rejects_foreign_vertices")
+test_malformed_tuples_are_rejected_naming_the_rule = rejection_test(
+    "test_malformed_tuples_are_rejected_naming_the_rule")
+test_constructors_name_the_rule_they_check = rejection_test("test_constructors_name_the_rule_they_check")
 
 
 def test_oracles_are_consistent_and_column_bounded():
@@ -207,14 +137,7 @@ def test_orbit_predicate_values():
     assert ladder.orbit_predicate(None, 3, 16) == 0
 
 
-def test_orbit_predicate_validates():
-    with pytest.raises(ValueError, match="step count must be nonnegative, got -1"):
-        ladder.orbit_predicate(None, 0, -1)
-    with pytest.raises(ValueError, match="copy index must be nonnegative, got -1"):
-        ladder.orbit_predicate(None, -1, 3)
-    for copy_index, k in ((0, 1), (1, 0), (2, 3)):  # a sink outside the standalone copy
-        with pytest.raises(ValueError, match=rf"copy {copy_index} has no sink V\({k}\)"):
-            ladder.orbit_predicate(copy_index, k, 3)
+test_orbit_predicate_validates = rejection_test("test_orbit_predicate_validates")
 
 
 def test_orbit_predicate_on_the_combined_graph_is_the_copy_reading_delayed():
@@ -257,30 +180,11 @@ def test_sparse_steps_read_what_every_step_reads(graph, copies, steps):
     assert any(got for _, _, got, _ in expected)  # the steps hit a sink reading 1
 
 
-@pytest.mark.parametrize(
-    "steps",
-    [[0], [-3], [2, 2], [3, 5, 4], [1, 2, 0]],
-    ids=["zero", "negative", "repeated", "descending", "zero-late"],
-)
-def test_sink_readings_reject_a_step_that_is_not_positive_and_ascending(steps):
-    readings = ladder.sink_readings(ladder.make_g0(), (0,), steps)
-    with pytest.raises(ValueError, match="steps must be positive and ascending"):
-        list(readings)
+test_sink_readings_reject_a_step_that_is_not_positive_and_ascending = rejection_test(
+    "test_sink_readings_reject_a_step_that_is_not_positive_and_ascending")
 
-
-@pytest.mark.parametrize(
-    "graph, copies, message",
-    [
-        (ladder.make_counterexample(), (0, -1), r"^copy index must be nonnegative, got -1$"),
-        (ladder.make_g0(), (1,), r"^copy 0 has no sink V\(1\)$"),
-    ],
-    ids=["negative", "foreign"],
-)
-def test_sink_readings_reject_a_negative_copy_before_any_step(monkeypatch, graph, copies, message):
-    monkeypatch.setattr(ladder.LadderOrbit, "step", lambda self: pytest.fail("the orbit stepped"))
-    readings = ladder.sink_readings(graph, copies, range(1, 9))
-    with pytest.raises(ValueError, match=message):
-        next(readings)
+test_sink_readings_reject_a_negative_copy_before_any_step = rejection_test(
+    "test_sink_readings_reject_a_negative_copy_before_any_step")
 
 
 def test_a_standalone_copy_reads_its_sink_by_copy_index():
@@ -324,16 +228,9 @@ def test_source_orbit_on_a_copy_is_the_standalone_orbit_from_its_entry():
 
 
 @pytest.mark.parametrize(
-    "graph, entry_vertex, entry_edges, foreign",
-    [
-        (ladder.make_g0(), E(0), ((T(0, 1), ONE),), (T(3, 5), B(1, 4), V(2), E(1), S)),
-        (ladder.make_gk(2), E(2), ((T(2, 3), ONE),), (T(3, 5), B(0, 4), V(0), E(0), S)),
-    ],
+    "graph, entry_vertex, entry_edges",
+    [(ladder.make_g0(), E(0), ((T(0, 1), ONE),)), (ladder.make_gk(2), E(2), ((T(2, 3), ONE),))],
 )
-def test_restricted_oracles_reject_foreign_vertices(graph, entry_vertex, entry_edges, foreign):
-    for v in foreign:
-        with pytest.raises(ValueError):
-            graph.successors(v)
-        with pytest.raises(ValueError):
-            graph.predecessors(v)
+def test_restricted_oracles_reject_foreign_vertices(graph, entry_vertex, entry_edges):
+    # the foreign vertices' errors are rows of test_rejections.py
     assert graph.successors(entry_vertex) == entry_edges  # edges out of the graph dropped

@@ -12,6 +12,7 @@ from ergolab import graphop, ladder, sweeps
 from ergolab.core import ONE, SparseVector
 from ergolab.ergodic import cesaro_trace, graph_handle
 from ergolab.sweeps import combined_cesaro_sup_norms
+from test_rejections import rejection_test
 
 
 def test_long_window_values_are_frozen():
@@ -122,22 +123,7 @@ def test_results_are_exact_rationals_for_exact_factors():
             assert isinstance(value, Fraction)
 
 
-def test_validation():
-    with pytest.raises(ValueError):
-        combined_cesaro_sup_norms([])
-    with pytest.raises(ValueError):
-        combined_cesaro_sup_norms([0, 4])
-    with pytest.raises(ValueError):
-        combined_cesaro_sup_norms([4], step_power=0)
-    with pytest.raises(ValueError):
-        combined_cesaro_sup_norms([4], factor=2)
-    for factor in (0.5 + 0.5j, 0.6 + 0.8j, complex(1 + 5e-13, 0)):
-        with pytest.raises(ValueError):
-            combined_cesaro_sup_norms([4], factor=factor)
-        with pytest.raises(ValueError):
-            sweeps.normalize_factor(factor)
-    with pytest.raises(TypeError):
-        combined_cesaro_sup_norms([4], factor=0.5)
+test_validation = rejection_test("test_validation")
 
 
 def test_fast_route_is_advertised_only_for_the_combined_graph():
