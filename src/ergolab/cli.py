@@ -350,12 +350,20 @@ _DASH_VALUED = ("--factor", "--bound", "--at-least", "--at-most",
                 "--schedule", "--powers", "--windows", "--n", "--criteria")
 
 
+def _dash_valued(arg: str) -> bool:
+    """Whether ``arg`` names an option of _DASH_VALUED, in full or as a prefix
+    of one, as argparse accepts it; argparse reports an ambiguous prefix.
+    ``--`` ends the options, so it names none."""
+    return len(arg) > 2 and any(name.startswith(arg) for name in _DASH_VALUED)
+
+
 def _glue_dash_values(argv: Sequence[str]) -> List[str]:
     """Write ``--bound -1/2`` as ``--bound=-1/2``, and likewise for the other
-    options of _DASH_VALUED: argparse reads a lone -1/2 or -i as an option."""
+    options of _DASH_VALUED and their prefixes (``--bou -1/2``): argparse
+    reads a lone -1/2 or -i as an option."""
     out: List[str] = []
     for arg in argv:
-        if out and out[-1] in _DASH_VALUED and arg.startswith("-") and not arg.startswith("--"):
+        if out and _dash_valued(out[-1]) and arg.startswith("-") and not arg.startswith("--"):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)

@@ -154,14 +154,10 @@ def combined_cesaro_sup_norms(
                 # (rises in birth order), which is what makes every suffix
                 # realizable by some copy.
                 re = im = 0
-                kmax = last
                 for nn in reversed(range(b, last)):
                     t = (1 << nn) - j
                     if t > horizon or t % step_power or t < max(3, nn + 1):
                         continue
-                    if nn - 2 >= kmax:
-                        raise AssertionError("copy bounds must increase along a contribution stream")
-                    kmax = nn - 2
                     turn_re, turn_im = _QUARTER_TURNS[turns * (t // step_power) % 4]
                     re += turn_re * halves
                     im += turn_im * halves

@@ -6,7 +6,8 @@ Run with ``pytest -v tests/test_acceptance.py`` or ``ergolab verify``.
 
 import pytest
 
-from ergolab import acceptance, blockdiag, ergodic, ladder
+from ergolab import acceptance, blockdiag, ergodic, graphop, ladder
+from ergolab.core import ONE, SparseVector
 
 
 def _run_criterion(number: int):
@@ -72,6 +73,45 @@ def test_criteria_9_and_12_report_their_frozen_counts():
     assert acceptance.run_criterion(12).detail == (
         "5120 grid points (m <= 20, n <= 64, p <= 4), 0 mismatches"
     )
+
+
+def test_criterion_3_sees_one_wrong_sink_prediction(monkeypatch):
+    predicate = ladder.orbit_predicate  # the combined graph's V(4) first reads 1 at step 64: predict 0 there
+    monkeypatch.setattr(ladder, "orbit_predicate",
+                        lambda index, k, n: 0 if (index, k, n) == (None, 4, 64) else predicate(index, k, n))
+    result = acceptance.run_criterion(3)
+    assert (result.passed, result.detail) == (False, "2100 sink readings compared, 1 mismatches; "
+                                              "first: ('combined ladder graph', 4, 64, Fraction(1, 1), 0)")
+
+
+CRITERION_9_ONE_WRONG = ("420 power/path-sum comparisons and 3000 duality pairings on the first 60 vertices, "
+                         "1 disagreements")
+
+
+def test_criterion_9_sees_one_wrong_path_sum(monkeypatch):
+    path_sums = acceptance._path_sums
+
+    def perturbed(graph, u, n_max):
+        sums = path_sums(graph, u, n_max)
+        if u == ladder.SOURCE:
+            sums[2][ladder.entry(5)] = ONE  # two steps from S reach E(1), never E(5)
+        return sums
+
+    monkeypatch.setattr(acceptance, "_path_sums", perturbed)
+    result = acceptance.run_criterion(9)
+    assert (result.passed, result.detail) == (False, CRITERION_9_ONE_WRONG)
+
+
+def test_criterion_9_sees_one_wrong_adjoint_entry(monkeypatch):
+    adjoint, calls = graphop.apply_adjoint, []
+
+    def perturbed(graph, y):  # the fourth call is T*^4 e_S, which is 0; it reads 1 at S
+        calls.append(y)
+        return SparseVector({ladder.SOURCE: ONE}) if len(calls) == 4 else adjoint(graph, y)
+
+    monkeypatch.setattr(graphop, "apply_adjoint", perturbed)
+    result = acceptance.run_criterion(9)
+    assert (result.passed, result.detail) == (False, CRITERION_9_ONE_WRONG)
 
 
 @pytest.mark.parametrize("entry", range(4), ids="abcd")

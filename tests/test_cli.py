@@ -93,6 +93,9 @@ test_bound_options_accept_a_dash_led_value_after_a_space = pinned_cases({
     "block-at-least": ("block-10-at-least-minus-half", "block-at-least-after-a-space"),
     "block-at-most": ("block-10-at-most-minus-half", "block-at-most-after-a-space"),
 })
+test_a_prefix_of_a_dash_valued_option_takes_a_dash_led_value = pinned(
+    "cesaro-bound-abbreviated", "cesaro-factor-abbreviated", "block-at-least-abbreviated",
+    "cesaro-schedule-abbreviated")
 test_an_empty_bound_is_a_usage_error = pinned_cases({
     "norms-bound": ("norms-empty-bound",),
     "cesaro-bound": ("cesaro-empty-bound",),
@@ -245,6 +248,16 @@ def test_argparse_errors_are_returned_as_exit_2():
     code, out, err = run_quietly(["cesaro", "--factor", "2"])
     assert (code, out) == (2, "") and err.startswith("usage: ergolab cesaro ")
     assert err.splitlines()[-1].startswith("ergolab cesaro: error: argument --factor: invalid choice: ")
+
+
+@pytest.mark.parametrize("argv, matches", [(["block", "--at", "-1/2"], "--at-least, --at-most"),
+                                           (["cesaro", "--s", "-1,4"], "--start, --schedule"),
+                                           (["cesaro", "--f", "-i"], "--format, --factor")], ids=["at", "s", "f"])
+def test_an_ambiguous_prefix_of_a_dash_valued_option_is_argparse_s_error(argv, matches):
+    # the value is glued to the prefix, and argparse refuses the prefix
+    error = f"ergolab {argv[0]}: error: ambiguous option: {argv[1]}={argv[2]} could match {matches}"
+    code, out, err = run_quietly(argv)
+    assert (code, out, err.splitlines()[-1]) == (2, "", error)
 
 
 def test_block_float_mode_tracks_exact():

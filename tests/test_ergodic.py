@@ -1,28 +1,25 @@
 """Averaging engines, compactness witness, and fixed-space certificates."""
 
+import ast
+import re
 from fractions import Fraction
-from types import SimpleNamespace
+from pathlib import Path
 
 import pytest
 
 import fraction_reference as ref
 
-from ergolab import graphop, ladder
+from ergolab import ergodic, graphop, ladder
 from ergolab.core import HALF, ONE, ZERO, SparseVector
-from ergolab.ergodic import (
-    BudgetExceeded,
-    DerivationStep,
-    FixedSpaceCertificate,
-    OperatorHandle,
-    at_most,
-    cesaro_trace,
-    fixed_space_certificate,
-    graph_handle,
-    replay_certificate,
-    scalar_rotation_check,
-    weak_compactness_witness,
-)
-from test_rejections import rejection_test
+from ergolab.ergodic import (BudgetExceeded, DerivationStep, FixedSpaceCertificate, OperatorHandle, _tag_step, at_most,
+                             cesaro_trace, fixed_space_certificate, graph_handle, replay_certificate,
+                             scalar_rotation_check, weak_compactness_witness)
+from test_golden import message_pattern
+from test_rejections import rejection_test, table_test
+
+E, T, B, V, S = ladder.entry, ladder.top, ladder.bottom, ladder.sink, ladder.SOURCE
+CHAIN = graphop.graph_from_edges(
+    {("a",): [(("b",), ONE)], ("b",): [(("c",), HALF)], ("c",): []}, description="three-vertex chain")
 
 
 def test_trace_from_a_dead_end_vertex():
@@ -35,19 +32,6 @@ def test_trace_from_a_dead_end_vertex():
 
 
 test_engine_forcing_and_validation = rejection_test("test_engine_forcing_and_validation")
-
-
-def test_scalar_rotation_cross_engine():
-    op = graph_handle(ladder.make_counterexample())
-    x = SparseVector.unit(ladder.SOURCE)
-    fast = scalar_rotation_check(op, x, -1, 32, 1)
-    slow = scalar_rotation_check(op, x, -1, 32, 1, engine="generic")
-    assert fast.value == slow.value
-    assert isinstance(fast.value, Fraction)
-    rot_fast = scalar_rotation_check(op, x, 1j, 24, 1)
-    rot_slow = scalar_rotation_check(op, x, 1j, 24, 1, engine="generic")
-    assert rot_fast.value == rot_slow.value
-    assert isinstance(rot_fast.value, float)
 
 
 @pytest.mark.parametrize("engine", ["auto", "generic"])
@@ -147,137 +131,91 @@ def test_weak_compactness_witness_over_512_steps():
     assert witness == [[ONE if k <= m else 0 for k in range(5)] for m in range(8)]
 
 
-@pytest.mark.parametrize(
-    "make",
-    [ladder.make_counterexample, ladder.make_g0, lambda: ladder.make_gk(1), lambda: ladder.make_gk(3)],
-)
-def test_ladder_certificates_replay_cleanly(make):
-    graph = make()
-    cert = fixed_space_certificate(graph)
-    assert cert.conclusion == "only_zero"
-    replay = replay_certificate(cert, graph)
-    assert replay.ok, replay.issues
-    assert replay.coverage_checked == 200
-
-
 def test_certificate_structure_for_the_combined_graph():
     cert = fixed_space_certificate(ladder.make_counterexample())
-    assert [step.rule for step in cert.steps] == [
-        "sink",
-        "chain_to_zero",
-        "null_class",
-        "null_class",
-        "substitution",
-    ]
-    for v in (ladder.SOURCE, ladder.top(2, 9), ladder.bottom(4, 7), ladder.entry(3)):
+    assert [step.rule for step in cert.steps] == ["sink", "chain_to_zero", "null_class", "null_class", "substitution"]
+    for v in (S, T(2, 9), B(4, 7), E(3)):
         assert sum(step.members(v) for step in cert.steps) == 1, v
     assert not any(step.members(("X", 0)) for step in cert.steps)
+    # a finite graph's certificate zeroes one vertex per step
+    assert [(step.rule, step.label) for step in fixed_space_certificate(CHAIN).steps] == [
+        ("sink", "vertex ('c',)"), ("substitution", "vertex ('b',)"), ("substitution", "vertex ('a',)")]
 
 
-def test_replay_detects_a_tampered_graph():
-    base = ladder.make_g0()
+# ---------------------------------------------------------------------------
+# Every certificate replay, as one table: ``REPLAYS`` maps a test name to its
+# rows, or to its case ids and theirs.  A row is a build, which gives a
+# certificate and the graph to replay it on, then the replay's exact issues,
+# its coverage_checked and the certificate's conclusion.  Copy 0's certificate
+# samples V(0); B(0,j) for j = 1, 2, 5, 11; T(0,n) for n = 1, 2, 4; then E(0).
+# Its first 200 vertices are E(0), V(0) and T(0,n), B(0,n) for n < 100, each
+# checked after the samples of the step that holds it.
 
-    def bad_out_edges(v):
-        if v == ladder.sink(0):
-            return ((ladder.sink(0), 1, 1),)
-        return base.out_edges(v)
-
-    tampered = graphop.C0Graph(
-        out_edges=bad_out_edges,
-        in_edges=base.in_edges,
-        enumerate_vertex=base.enumerate_vertex,
-        index_of_vertex=base.index_of_vertex,
-        description="copy 0 with a looped sink",
-    )
-    replay = replay_certificate(fixed_space_certificate(base), tampered)
-    assert not replay.ok
-    assert any("out-edges" in issue for issue in replay.issues)
-
-
-@pytest.mark.parametrize("make", [ladder.make_counterexample, ladder.make_g0], ids=["combined", "g0"])
-@pytest.mark.parametrize("sample, rule", [
-    ((), "has no ladder tag"),
-    (("V",), "should have length 2"),
-    (("V", 0, 5), "should have length 2"),
-    (("V", 0, 0), "should have length 2"),
-], ids=str)
-def test_replay_reports_a_malformed_sample(make, sample, rule):
-    graph = make()
-    cert = fixed_space_certificate(graph)
-    sinks = cert.steps[0]
-    sinks.samples += (sample,)
-    replay = replay_certificate(cert, graph)
-    assert replay.issues == [
-        f"{sinks.label}: oracle rejected vertex {sample!r}: not a ladder vertex: {sample!r} {rule}"
-    ]
+ONLY, INCONCLUSIVE = "only_zero", "inconclusive"
+SINKS, BOTTOMS, TOPS = "V(k) for k = 0", "B(k,j), j >= 1 for k = 0", "T(k,n), n >= k+1 for k = 0"
+B3 = B(0, 3)
+TWO_EXITS = f"{BOTTOMS}: vertex ('B', 0, 3) is not single-exit"
+TOPS_IN_REPLAY_ORDER = (1, 2, 4, 3, *range(5, 100))  # samples first, then the covered rest
+DEEP = (65, 2**70)  # deep samples descend one hop, with no limit on their height above V(0)
+DEEP_BOTTOMS = _tag_step("chain_to_zero", "B", BOTTOMS, [B(0, j) for j in DEEP])
+FINITE_TOPS = _tag_step("null_class", "T", TOPS, [T(0, n) for n in (1, 2, 4)])  # not infinite
+FINITE = f"{TOPS}: null_class needs an infinite class"
 
 
-def test_replay_detects_a_mismatched_graph():
-    cert = fixed_space_certificate(ladder.make_counterexample())
-    replay = replay_certificate(cert, ladder.make_g0())
-    assert not replay.ok
-    assert any("rejected" in issue for issue in replay.issues)
+def certified(make=ladder.make_g0, edit=None, on=None):
+    """A build: the certificate of the graph ``make()``, changed in place by
+    ``edit``, replayed on ``on()``, or on that graph."""
+    def build():
+        graph = make()
+        cert = fixed_space_certificate(graph)
+        if edit is not None:
+            edit(cert.steps)
+        return cert, graph if on is None else on()
+    return build
 
 
-# Each replay premise, broken on its own: copy 0 with some out-edges
-# replaced, or its certificate with one step replaced or dropped.  Copy 0's
-# certificate samples V(0); B(0,j) for j = 1, 2, 5, 11; T(0,n) for n = 1, 2,
-# 4; then E(0).  Its first 200 vertices are E(0), V(0) and T(0,n), B(0,n)
-# for n < 100, each checked after the samples of the step that holds it.
-
-BOTTOMS = "B(k,j), j >= 1 for k = 0"
-TOPS = "T(k,n), n >= k+1 for k = 0"
-
-
-def _patched_g0(edges):
-    """Copy 0 with the out-edges of the vertices ``edges`` names replaced,
-    or computed by ``edges`` when it is a function of the vertex."""
-    base = ladder.make_g0()
+def patched(edges, edit=None):
+    """A build: copy 0's certificate, changed by ``edit``, replayed on copy 0
+    with the out-edges of the vertices ``edges`` names replaced, or computed
+    by ``edges`` when it is a function of the vertex."""
     patch = edges if callable(edges) else edges.get
 
-    def out_edges(v):
-        out = patch(v)
-        return base.out_edges(v) if out is None else out
-
-    return graphop.C0Graph(
-        out_edges=out_edges,
-        in_edges=base.in_edges,
-        enumerate_vertex=base.enumerate_vertex,
-        index_of_vertex=base.index_of_vertex,
-        description="copy 0, patched",
-    )
+    def on():
+        base = ladder.make_g0()
+        return graphop.C0Graph(out_edges=lambda v: base.out_edges(v) if patch(v) is None else patch(v),
+                               in_edges=base.in_edges, enumerate_vertex=base.enumerate_vertex,
+                               index_of_vertex=base.index_of_vertex, description="copy 0, patched")
+    return certified(edit=edit, on=on)
 
 
-def _hand_step(rule, label, members, samples, infinite=False):
-    """A derivation step built by hand.  Replay reads a step only through
-    these attributes."""
-    return SimpleNamespace(
-        rule=rule, label=label, members=members, samples=tuple(samples), infinite=infinite
-    )
+def claimed(step):
+    """A build: a certificate of ``step`` alone that claims only zero, replayed on copy 0."""
+    return lambda: (FixedSpaceCertificate([step], ONLY), ladder.make_g0())
 
 
-def _replay_g0_issues(graph, swap=None):
-    """The issues of copy 0's certificate replayed on ``graph``, with step i
-    replaced by ``swap[1]`` when ``swap`` is (i, step)."""
-    cert = fixed_space_certificate(ladder.make_g0())
-    if swap is not None:
-        cert.steps[swap[0]] = swap[1]
-    replay = replay_certificate(cert, graph)
-    assert replay.ok == (not replay.issues)
-    return replay.issues
+def swap(i, step):
+    """An edit: ``step`` in place of step i."""
+    return lambda steps: steps.__setitem__(i, step)
+
+
+def sampled(sample):
+    """An edit: ``sample`` appended to the first step's samples."""
+    return lambda steps: setattr(steps[0], "samples", (*steps[0].samples, sample))
+
+
+def rejected(label, *vertices):
+    """The issues of samples of ``label`` that copy 0's oracle rejects."""
+    return [f"{label}: oracle rejected vertex {v!r}: vertex {v!r} is not in copy 0" for v in vertices]
 
 
 def _climbing_bottoms(v):
     """Every bottom above B(0,1) steps up, so none descends."""
-    return ((ladder.bottom(0, v[2] + 1), 1, 1),) if v[0] == "B" and v[2] >= 2 else None
+    return ((B(0, v[2] + 1), 1, 1),) if v[0] == "B" and v[2] >= 2 else None
 
 
 def _doubled_tops(v):
     """Copy 0's top edges, with weight 2 on the edge deeper into the top chain."""
-    if v[0] == "T":
-        _, k, n = v
-        return ((ladder.top(k, n + 1), 2, 1), (ladder.bottom(k, ladder.rung_position(n)), 1, 2))
-    return None
+    return ((T(0, v[2] + 1), 2, 1), (B(0, ladder.rung_position(v[2])), 1, 2)) if v[0] == "T" else None
 
 
 def _doubled_top_issue(n):
@@ -286,150 +224,145 @@ def _doubled_top_issue(n):
 
 
 def _climbing_issue(j):
-    return (f"{BOTTOMS}: vertex ('B', 0, {j}) steps to ('B', 0, {j + 1}), "
-            "whose index is not smaller")
+    return f"{BOTTOMS}: vertex ('B', 0, {j}) steps to ('B', 0, {j + 1}), whose index is not smaller"
 
 
-B3, T2, T4 = ladder.bottom(0, 3), ladder.top(0, 2), ladder.top(0, 4)
-TWO_EXITS = f"{BOTTOMS}: vertex ('B', 0, 3) is not single-exit"
-TOPS_IN_REPLAY_ORDER = (1, 2, 4, 3, *range(5, 100))  # samples first, then the covered rest
-
-
-@pytest.mark.parametrize("edges, issues", [
-    pytest.param(
-        {ladder.entry(0): ((ladder.top(0, 1), 1, 1), (("X", 0), 1, 1))},
-        ["the entry vertex E(0): vertex ('E', 0) has non-zeroed targets [('X', 0)]"],
-        id="substitution-onto-a-target-not-zeroed"),
-    pytest.param({B3: ((ladder.bottom(0, 2), 1, 1), (ladder.sink(0), 1, 1))}, [TWO_EXITS],
-                 id="chain-vertex-with-two-exits"),
-    pytest.param({B3: ()}, [TWO_EXITS], id="chain-vertex-with-no-exit"),
-    pytest.param(
-        {B3: ((ladder.top(0, 5), 1, 1),)},
-        [f"{BOTTOMS}: vertex ('B', 0, 3) leaves the family at ('T', 0, 5)"],
-        id="chain-leaves-its-family"),
-    pytest.param(
-        {B3: ((("B", 0, 0), 1, 1),)},
-        [f"{BOTTOMS}: no index to descend by at ('B', 0, 3): bottom position must be positive, got 0"],
-        id="chain-vertex-the-oracle-rejects"),
-    pytest.param(
-        _climbing_bottoms,
-        [_climbing_issue(j) for j in (2, 5, 11, 3, 4, *range(6, 11), *range(12, 100))],
-        id="chain-longer-than-the-limit"),
-    pytest.param(_doubled_tops, [_doubled_top_issue(n) for n in TOPS_IN_REPLAY_ORDER],
-                 id="null-class-deeper-edge-of-weight-2"),
-    pytest.param(
-        {T2: ((("X", 0), 1, 1), (ladder.bottom(0, 5), 1, 2))},
-        [f"{TOPS}: vertex ('T', 0, 2) does not step to a single same-class "
-         "weight-1 successor (got [(('X', 0), Fraction(1, 1))])"],
-        id="null-class-deeper-edge-out-of-its-class"),
-    pytest.param(
-        {T4: ((ladder.top(0, 5), 1, 1), (ladder.top(0, 6), 1, 1))},
-        [f"{TOPS}: vertex ('T', 0, 4) does not step to a single same-class weight-1 successor "
-         "(got [(('T', 0, 5), Fraction(1, 1)), (('T', 0, 6), Fraction(1, 1))])"],
-        id="null-class-two-deeper-edges"),
-])
-def test_replay_flags_each_broken_premise(edges, issues):
-    assert _replay_g0_issues(_patched_g0(edges)) == issues
-
-
-def test_replay_checks_chain_to_zero_as_a_one_hop_descent():
-    g0 = ladder.make_g0()
-    # a family's premise is checked at each covered member, not only at its samples
-    everything = DerivationStep("sink", "every vertex", lambda v: True, [ladder.sink(0)])
-    replay = replay_certificate(FixedSpaceCertificate([everything], "only_zero"), g0)
-    assert replay.issues == [f"every vertex: vertex {v!r} has out-edges"
-                             for v in g0.vertices_up_to(200) if v != ladder.sink(0)]
-    assert replay.coverage_checked == 200
-    # a step onto an equal index does not descend
-    assert _replay_g0_issues(_patched_g0({B3: ((B3, 1, 1),)})) == [
-        f"{BOTTOMS}: vertex ('B', 0, 3) steps to ('B', 0, 3), whose index is not smaller"
-    ]
-    # deep samples descend one hop, with no limit on their height above V(0)
-    deep = (65, 2**70)
-    bottoms = _hand_step("chain_to_zero", BOTTOMS, lambda v: v[0] == "B",
-                         [ladder.bottom(0, j) for j in deep])
-    assert _replay_g0_issues(g0, (1, bottoms)) == []
-    assert _replay_g0_issues(_patched_g0(_climbing_bottoms), (1, bottoms)) == [
-        _climbing_issue(j) for j in (*deep, *range(2, 65), *range(66, 100))
-    ]
-
-
-def test_replay_flags_null_class_on_a_finite_family():
-    tops = _hand_step("null_class", TOPS, lambda v: v[0] == "T",
-                      [ladder.top(0, n) for n in (1, 2, 4)])
-    finite = f"{TOPS}: null_class needs an infinite class"
-    # once per step, however many vertices it covers
-    assert _replay_g0_issues(ladder.make_g0(), (2, tops)) == [finite]
-    # the class's edges are still checked: a finite class can fail both ways
-    assert _replay_g0_issues(_patched_g0(_doubled_tops), (2, tops)) == [
-        finite, *(_doubled_top_issue(n) for n in TOPS_IN_REPLAY_ORDER)
-    ]
-
-
-def test_replay_flags_an_unknown_rule():
-    sinks = _hand_step("by_inspection", "V(k) for k = 0", lambda v: v[0] == "V", [ladder.sink(0)])
-    assert _replay_g0_issues(ladder.make_g0(), (0, sinks)) == ["unknown rule 'by_inspection'"]
-    # once per step, however many samples it has
-    tops = _hand_step("by_inspection", TOPS, lambda v: v[0] == "T",
-                      [ladder.top(0, n) for n in (1, 2, 4)])
-    assert _replay_g0_issues(ladder.make_g0(), (2, tops)) == ["unknown rule 'by_inspection'"]
-    # and for its rule when it has no samples either
-    everything = DerivationStep("bogus", "every vertex", lambda v: True, ())
-    replay = replay_certificate(FixedSpaceCertificate([everything], "only_zero"), ladder.make_g0())
-    assert replay.issues == ["unknown rule 'bogus'"]
-    assert replay.coverage_checked == 200
-
-
-@pytest.mark.parametrize("rule", ["sink", "chain_to_zero", "null_class", "substitution"])
-def test_replay_flags_a_step_with_no_samples(rule):
+REPLAYS = {
+    "test_ladder_certificates_replay_cleanly": {
+        name: [(certified(make), [], 200, ONLY)]
+        for name, make in (("make_counterexample", ladder.make_counterexample), ("make_g0", ladder.make_g0),
+                           ("<lambda>0", lambda: ladder.make_gk(1)), ("<lambda>1", lambda: ladder.make_gk(3)))
+    },
+    "test_replay_detects_a_tampered_graph": [
+        (patched({V(0): ((V(0), 1, 1),)}), [f"{SINKS}: vertex ('V', 0) has out-edges"], 200, ONLY)],
+    "test_replay_reports_a_malformed_sample": {
+        f"{sample}-{rule}-{name}": [(certified(make, sampled(sample)), [
+            f"{label}: oracle rejected vertex {sample!r}: not a ladder vertex: {sample!r} {rule}"], 200, ONLY)]
+        for sample, rule in (((), "has no ladder tag"), (("V",), "should have length 2"),
+                             (("V", 0, 5), "should have length 2"), (("V", 0, 0), "should have length 2"))
+        for name, make, label in (("combined", ladder.make_counterexample, "V(k) for all k >= 0"),
+                                  ("g0", ladder.make_g0, SINKS))
+    },
+    # the combined graph's certificate on copy 0: each sample outside copy 0 is
+    # rejected, and g0's entry steps only to T(0,1), which the tops zeroed
+    "test_replay_detects_a_mismatched_graph": [(certified(ladder.make_counterexample, on=ladder.make_g0), [
+        *rejected("V(k) for all k >= 0", V(1), V(3)),
+        *rejected("B(k,j), j >= 1 for all k >= 0", *(B(k, j) for k in (1, 3) for j in (1, 2, 5, 11))),
+        *rejected("T(k,n), n >= k+1, one infinite class per k", T(1, 2), T(1, 3), T(1, 5), T(3, 4), T(3, 5), T(3, 7)),
+        "E(k), k >= 0, one infinite class: vertex ('E', 0) does not step to a single same-class "
+        "weight-1 successor (got [])",
+        *rejected("E(k), k >= 0, one infinite class", E(1), E(4)),
+        *rejected("the source S", S),
+    ], 200, ONLY)],
+    # each premise, broken on its own in copy 0's out-edges
+    "test_replay_flags_each_broken_premise": {
+        "substitution-onto-a-target-not-zeroed": [(patched({E(0): ((T(0, 1), 1, 1), (("X", 0), 1, 1))}), [
+            "the entry vertex E(0): vertex ('E', 0) has non-zeroed targets [('X', 0)]"], 200, ONLY)],
+        "chain-vertex-with-two-exits": [(patched({B3: ((B(0, 2), 1, 1), (V(0), 1, 1))}), [TWO_EXITS], 200, ONLY)],
+        "chain-vertex-with-no-exit": [(patched({B3: ()}), [TWO_EXITS], 200, ONLY)],
+        "chain-leaves-its-family": [(patched({B3: ((T(0, 5), 1, 1),)}), [
+            f"{BOTTOMS}: vertex ('B', 0, 3) leaves the family at ('T', 0, 5)"], 200, ONLY)],
+        "chain-vertex-the-oracle-rejects": [(patched({B3: ((("B", 0, 0), 1, 1),)}), [
+            f"{BOTTOMS}: no index to descend by at ('B', 0, 3): bottom position must be positive, got 0"],
+            200, ONLY)],
+        "chain-longer-than-the-limit": [(patched(_climbing_bottoms), [
+            _climbing_issue(j) for j in (2, 5, 11, 3, 4, *range(6, 11), *range(12, 100))], 200, ONLY)],
+        "null-class-deeper-edge-of-weight-2": [
+            (patched(_doubled_tops), [_doubled_top_issue(n) for n in TOPS_IN_REPLAY_ORDER], 200, ONLY)],
+        "null-class-deeper-edge-out-of-its-class": [(patched({T(0, 2): ((("X", 0), 1, 1), (B(0, 5), 1, 2))}), [
+            f"{TOPS}: vertex ('T', 0, 2) does not step to a single same-class "
+            "weight-1 successor (got [(('X', 0), Fraction(1, 1))])"], 200, ONLY)],
+        "null-class-two-deeper-edges": [(patched({T(0, 4): ((T(0, 5), 1, 1), (T(0, 6), 1, 1))}), [
+            f"{TOPS}: vertex ('T', 0, 4) does not step to a single same-class weight-1 successor "
+            "(got [(('T', 0, 5), Fraction(1, 1)), (('T', 0, 6), Fraction(1, 1))])"], 200, ONLY)],
+    },
+    "test_replay_checks_chain_to_zero_as_a_one_hop_descent": [
+        # a family's premise is checked at each covered member, not only at its samples
+        (claimed(DerivationStep("sink", "every vertex", lambda v: True, [V(0)])), [
+            f"every vertex: vertex {v!r} has out-edges" for v in ladder.make_g0().vertices_up_to(200) if v != V(0)],
+         200, ONLY),
+        # a step onto an equal index does not descend
+        (patched({B3: ((B3, 1, 1),)}), [
+            f"{BOTTOMS}: vertex ('B', 0, 3) steps to ('B', 0, 3), whose index is not smaller"], 200, ONLY),
+        (certified(edit=swap(1, DEEP_BOTTOMS)), [], 200, ONLY),
+        (patched(_climbing_bottoms, swap(1, DEEP_BOTTOMS)), [
+            _climbing_issue(j) for j in (*DEEP, *range(2, 65), *range(66, 100))], 200, ONLY),
+    ],
+    "test_replay_flags_null_class_on_a_finite_family": [
+        # once per step, however many vertices it covers
+        (certified(edit=swap(2, FINITE_TOPS)), [FINITE], 200, ONLY),
+        # the class's edges are still checked: a finite class can fail both ways
+        (patched(_doubled_tops, swap(2, FINITE_TOPS)), [
+            FINITE, *(_doubled_top_issue(n) for n in TOPS_IN_REPLAY_ORDER)], 200, ONLY),
+    ],
+    "test_replay_flags_an_unknown_rule": [
+        (certified(edit=swap(0, _tag_step("by_inspection", "V", SINKS, [V(0)]))),
+         ["unknown rule 'by_inspection'"], 200, ONLY),
+        # once per step, however many samples it has
+        (certified(edit=swap(2, _tag_step("by_inspection", "T", TOPS, [T(0, n) for n in (1, 2, 4)]))),
+         ["unknown rule 'by_inspection'"], 200, ONLY),
+        # and for its rule when it has no samples either
+        (claimed(DerivationStep("bogus", "every vertex", lambda v: True, ())), ["unknown rule 'bogus'"], 200, ONLY),
+    ],
     # the samples test a family beyond the covered prefix, so a step needs some
-    empty = DerivationStep(rule, "every vertex", lambda v: True, (), infinite=True)
-    replay = replay_certificate(FixedSpaceCertificate([empty], "only_zero"), ladder.make_g0())
-    assert replay.issues == [f"every vertex: no samples to check the {rule} premise at"]
-    assert not replay.ok
+    "test_replay_flags_a_step_with_no_samples": {
+        rule: [(claimed(DerivationStep(rule, "every vertex", lambda v: True, (), infinite=True)),
+                [f"every vertex: no samples to check the {rule} premise at"], 200, ONLY)]
+        for rule in ("sink", "chain_to_zero", "null_class", "substitution")
+    },
+    # with its last step dropped, nothing zeroes the entry E(0)
+    "test_replay_flags_a_coverage_gap": [
+        (certified(edit=list.pop), ["vertex ('E', 0) (index 0) not covered by any step"], 200, ONLY)],
+    "test_finite_chain_certificate": [(certified(lambda: CHAIN), [], 3, ONLY)],
+    # nothing is claimed, so nothing is checked and nothing fails
+    "test_self_loop_is_reported_not_guessed": [(certified(lambda: graphop.graph_from_edges(
+        {("a",): [(("a",), ONE)]}, description="one self-loop")), [], 0, INCONCLUSIVE)],
+    "test_unpresented_graph_is_inconclusive": [(certified(lambda: graphop.C0Graph(
+        out_edges=lambda v: (), in_edges=lambda v: (), description="opaque graph")), [], 0, INCONCLUSIVE)],
+}
 
 
-def test_replay_flags_a_coverage_gap():
-    graph = ladder.make_g0()
-    cert = fixed_space_certificate(graph)
-    assert cert.steps[-1].rule == "substitution"
-    del cert.steps[-1]  # nothing zeroes the entry E(0) now
-    replay = replay_certificate(cert, graph)
-    index = graph.index_of_vertex(ladder.entry(0))
-    assert not replay.ok
-    assert replay.issues == [f"vertex ('E', 0) (index {index}) not covered by any step"]
-    assert replay.coverage_checked == 200
+def assert_replays(rows):
+    """Each row's certificate has its conclusion, and its replay gives exactly
+    its issues and coverage."""
+    for build, issues, coverage, conclusion in rows:
+        cert, graph = build()
+        replay = replay_certificate(cert, graph)
+        assert (replay.issues, replay.coverage_checked, cert.conclusion) == (issues, coverage, conclusion)
+        assert replay.ok == (not issues)
 
 
-def test_finite_chain_certificate():
-    graph = graphop.graph_from_edges(
-        {("a",): [(("b",), ONE)], ("b",): [(("c",), HALF)], ("c",): []},
-        description="three-vertex chain",
-    )
-    cert = fixed_space_certificate(graph)
-    assert cert.conclusion == "only_zero"
-    assert len(cert.steps) == 3
-    replay = replay_certificate(cert, graph)
-    assert replay.ok, replay.issues
-    assert replay.coverage_checked == 3
+def replay_test(name):
+    """The test ``name`` of ``REPLAYS``."""
+    return table_test(REPLAYS, name, assert_replays)
 
 
-def test_self_loop_is_reported_not_guessed():
-    graph = graphop.graph_from_edges(
-        {("a",): [(("a",), ONE)]}, description="one self-loop"
-    )
-    cert = fixed_space_certificate(graph)
-    assert cert.conclusion == "inconclusive"
-    replay = replay_certificate(cert, graph)
-    assert replay.ok  # nothing was claimed, so nothing fails
-    assert replay.coverage_checked == 0
+test_ladder_certificates_replay_cleanly = replay_test("test_ladder_certificates_replay_cleanly")
+test_replay_detects_a_tampered_graph = replay_test("test_replay_detects_a_tampered_graph")
+test_replay_reports_a_malformed_sample = replay_test("test_replay_reports_a_malformed_sample")
+test_replay_detects_a_mismatched_graph = replay_test("test_replay_detects_a_mismatched_graph")
+test_replay_flags_each_broken_premise = replay_test("test_replay_flags_each_broken_premise")
+test_replay_checks_chain_to_zero_as_a_one_hop_descent = replay_test(
+    "test_replay_checks_chain_to_zero_as_a_one_hop_descent")
+test_replay_flags_null_class_on_a_finite_family = replay_test("test_replay_flags_null_class_on_a_finite_family")
+test_replay_flags_an_unknown_rule = replay_test("test_replay_flags_an_unknown_rule")
+test_replay_flags_a_step_with_no_samples = replay_test("test_replay_flags_a_step_with_no_samples")
+test_replay_flags_a_coverage_gap = replay_test("test_replay_flags_a_coverage_gap")
+test_finite_chain_certificate = replay_test("test_finite_chain_certificate")
+test_self_loop_is_reported_not_guessed = replay_test("test_self_loop_is_reported_not_guessed")
+test_unpresented_graph_is_inconclusive = replay_test("test_unpresented_graph_is_inconclusive")
 
 
-def test_unpresented_graph_is_inconclusive():
-    graph = graphop.C0Graph(
-        out_edges=lambda v: (),
-        in_edges=lambda v: (),
-        description="opaque graph",
-    )
-    cert = fixed_space_certificate(graph)
-    assert cert.conclusion == "inconclusive"
+def test_every_issue_has_a_row():
+    """Every f-string that ``_premise_issues`` and ``replay_certificate`` can
+    put in ``issues`` matches the issue of some row, and every row's issue
+    matches one of them."""
+    tree = ast.parse(Path(ergodic.__file__).read_text(encoding="utf-8"))
+    patterns = [message_pattern(node) for func in tree.body
+                if getattr(func, "name", None) in ("_premise_issues", "replay_certificate")
+                for node in ast.walk(func) if isinstance(node, ast.JoinedStr)]
+    assert len(patterns) >= 12
+    issues = {issue for rows in REPLAYS.values() for case in (rows.values() if isinstance(rows, dict) else [rows])
+              for row in case for issue in row[1]}
+    assert [p for p in patterns if not any(re.fullmatch(p, issue) for issue in issues)] == []
+    assert [issue for issue in issues if not any(re.fullmatch(p, issue) for p in patterns)] == []

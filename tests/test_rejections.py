@@ -2,9 +2,10 @@
 
 ``REJECTIONS`` maps a test name to its rows, or to its case ids and theirs:
 a call, the exception type it raises and its exact message.  ``rejection_test``
-makes each test, here and, under their old names, in the other modules.
+makes each test, here and, under their old names, in the other modules;
+``table_test`` does that for this table and for ``test_ergodic.REPLAYS``.
 The guards tie the rows to every ``raise ValueError(...)`` and ``raise
-TypeError(...)`` in ``src/ergolab``, and each name of the table to one test.
+TypeError(...)`` in ``src/ergolab``, and each name of both tables to one test.
 """
 
 import ast
@@ -239,18 +240,23 @@ def assert_rejects(rows):
         assert str(raised.value) == message
 
 
-def rejection_test(name):
-    """The test ``name`` of the table: one test, or one case per case id."""
-    rows = REJECTIONS[name]
+def table_test(table, name, check):
+    """The test ``name`` of ``table``: one test, or one case per case id; each runs ``check`` on its rows."""
+    rows = table[name]
     if isinstance(rows, list):
         def test():
-            assert_rejects(rows)
+            check(rows)
         return test
 
     @pytest.mark.parametrize("case", list(rows))
     def test_case(case):
-        assert_rejects(rows[case])
+        check(rows[case])
     return test_case
+
+
+def rejection_test(name):
+    """The test ``name`` of ``REJECTIONS``."""
+    return table_test(REJECTIONS, name, assert_rejects)
 
 
 test_rejection = rejection_test("test_rejection")
@@ -269,8 +275,11 @@ def test_every_raise_has_a_row():
 
 
 def test_each_table_name_is_one_test():
-    """Each name of the table is made once, by ``name = rejection_test("name")``."""
+    """Each name of a table is made once, by ``name = rejection_test("name")``,
+    or ``name = replay_test("name")`` for ``test_ergodic.REPLAYS``."""
+    from test_ergodic import REPLAYS  # test_ergodic imports this module
+    tables = {"rejection_test": REJECTIONS, "replay_test": REPLAYS}
     made = [(node.targets[0].id, ast.unparse(node.value)) for path in Path(__file__).parent.glob("test_*.py")
             for node in ast.parse(path.read_text(encoding="utf-8")).body
-            if isinstance(node, ast.Assign) and ast.unparse(node.value).startswith("rejection_test(")]
-    assert sorted(made) == sorted((name, f"rejection_test({name!r})") for name in REJECTIONS)
+            if isinstance(node, ast.Assign) and ast.unparse(node.value).split("(")[0] in tables]
+    assert sorted(made) == sorted((name, f"{maker}({name!r})") for maker, table in tables.items() for name in table)

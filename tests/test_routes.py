@@ -225,6 +225,8 @@ ROWS = [
             "p2-w32": [([32], 2, 1)],
             # two of criterion 5's windows, and criterion 6's sign twist
             **{f"w128-256-f{FACTORS[f]}": [([128, 256], 1, f)] for f in (1, -1)},
+            # one window each, as scalar_rotation_check asks for
+            **{f"w{w}-f{FACTORS[f]}": [([w], 1, f)] for w, f in ((32, -1), (24, 1j))},
             "real": (sweep_requests([1, -1]), 10),
             "imaginary": (sweep_requests([1j, -1j]), 4),
         }),
