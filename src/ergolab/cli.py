@@ -350,20 +350,26 @@ _DASH_VALUED = ("--factor", "--bound", "--at-least", "--at-most",
                 "--schedule", "--powers", "--windows", "--n", "--criteria")
 
 
-def _dash_valued(arg: str) -> bool:
-    """Whether ``arg`` names an option of _DASH_VALUED, in full or as a prefix
-    of one, as argparse accepts it; argparse reports an ambiguous prefix.
+def _dash_valued(arg: str, options: dict) -> bool:
+    """Whether argparse reads ``arg`` as an option of _DASH_VALUED among the
+    subcommand's ``options``: in full, or as a prefix of that option alone.
     ``--`` ends the options, so it names none."""
-    return len(arg) > 2 and any(name.startswith(arg) for name in _DASH_VALUED)
+    named = [arg] if arg in options else [name for name in options if len(arg) > 2 and name.startswith(arg)]
+    return len(named) == 1 and named[0] in _DASH_VALUED
 
 
-def _glue_dash_values(argv: Sequence[str]) -> List[str]:
+def _glue_dash_values(parser: argparse.ArgumentParser, argv: Sequence[str]) -> List[str]:
     """Write ``--bound -1/2`` as ``--bound=-1/2``, and likewise for the other
     options of _DASH_VALUED and their prefixes (``--bou -1/2``): argparse
-    reads a lone -1/2 or -i as an option."""
+    reads a lone -1/2 or -i as an option.  The options are those of the
+    subcommand ``argv[0]`` in ``parser``, so an ambiguous prefix is left as
+    it was given, for argparse to report."""
+    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    command = commands.choices.get(argv[0]) if argv else None
+    options = command._option_string_actions if command else {}
     out: List[str] = []
     for arg in argv:
-        if out and _dash_valued(out[-1]) and arg.startswith("-") and not arg.startswith("--"):
+        if out and _dash_valued(out[-1], options) and arg.startswith("-") and not arg.startswith("--"):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
@@ -377,7 +383,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argpars
     shown = io.StringIO()
     try:
         with contextlib.redirect_stdout(shown):
-            return parser.parse_args(_glue_dash_values(argv))
+            return parser.parse_args(_glue_dash_values(parser, argv))
     except SystemExit:
         if shown.getvalue():
             _write(None, shown.getvalue())

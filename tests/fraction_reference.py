@@ -2,7 +2,10 @@
 
 ``tests/test_routes.py`` ``REFERENCES`` holds every such comparison that is
 not part of a larger assertion: one row per public function here but
-:func:`oracle_problems`, naming the package routes it checks.
+:func:`oracle_problems`, naming the package routes it checks.  The
+``cesaro_sup_norms`` row checks ``cesaro_trace`` on each ladder graph from
+signed starts at windows up to 40 steps of T, summed in the moving frame
+at power 1 and step by step at powers 2 and 3.
 
 ``graphop.push`` steps int numerators over a shared denominator.  Most
 functions here step the same graphs the way the package did before that

@@ -254,8 +254,8 @@ def test_argparse_errors_are_returned_as_exit_2():
                                            (["cesaro", "--s", "-1,4"], "--start, --schedule"),
                                            (["cesaro", "--f", "-i"], "--format, --factor")], ids=["at", "s", "f"])
 def test_an_ambiguous_prefix_of_a_dash_valued_option_is_argparse_s_error(argv, matches):
-    # the value is glued to the prefix, and argparse refuses the prefix
-    error = f"ergolab {argv[0]}: error: ambiguous option: {argv[1]}={argv[2]} could match {matches}"
+    # the value is not glued to a prefix of two options: argparse names the prefix as given
+    error = f"ergolab {argv[0]}: error: ambiguous option: {argv[1]} could match {matches}"
     code, out, err = run_quietly(argv)
     assert (code, out, err.splitlines()[-1]) == (2, "", error)
 

@@ -1,9 +1,10 @@
-"""The integer graph-operator kernel: the framed orbit's widening, running
-maxima and summed twin, the moving-frame sums against push and the Fraction
-reference, criterion 12's int comparison under perturbed closed forms, and
-the ladder enumerations and oracles far out in the graph.  The kernel's
-plain comparisons with the Fraction references, and the README pairs of
-routes, are rows of tests/test_routes.py."""
+"""The integer graph-operator kernel: the framed orbit's den widening and
+summed twin, criterion 12's int comparison under perturbed closed forms,
+and the ladder enumerations and oracles far out in the graph.  The
+kernel's comparisons with the Fraction references and README's pairs of
+routes are rows of tests/test_routes.py, among them the framed orbit's
+running maxima between unread steps and its moving-frame sums at windows
+up to 40."""
 
 import tracemalloc
 from fractions import Fraction
@@ -14,9 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
 from ergolab import acceptance, blockdiag, graphop, ladder
-from ergolab.core import SparseVector
-from ergolab.ergodic import cesaro_trace, graph_handle
-from strategies import DEEP, DEPTHS, FAR_RULE, FRAMED, GRAPHS, LADDERS, SIGNED, UNIT_STARTS
+from strategies import DEEP, DEPTHS, FAR_RULE, FRAMED, GRAPHS, LADDERS, SIGNED
 from test_rejections import rejection_test
 
 
@@ -169,102 +168,6 @@ def test_framed_den_widens_at_the_step_push_does(name, kind):
 
 
 test_framed_orbit_rejects_foreign_vertices = rejection_test("test_framed_orbit_rejects_foreign_vertices")
-
-
-
-@pytest.mark.parametrize("name", sorted(LADDERS))
-def test_moving_frame_sums_match_push_and_fraction_routes(name):
-    graph, _ = GRAPHS[name]
-    framed = graph_handle(graph)
-    # the same oracles without the ladder's orbit: _running_sums over PushOrbit
-    pushed = graph_handle(graphop.C0Graph(graph.out_edges, graph.in_edges))
-    # window 1 of a unit start is the start: sup norm 1 on one entry
-    for v in UNIT_STARTS[name]:
-        for factor in (1, -1):
-            trace = cesaro_trace(framed, SparseVector.unit(v), [1], engine="generic", factor=factor)
-            assert trace.records == [(1, 1, 1)], (v, factor)
-
-    # at powers 2 and 3 both handles run the step-by-step pass, one over the
-    # framed orbit's items(), which checks its sign at factor -1, and one over
-    # PushOrbit, which checks the pass's rescale on a widening; windows stay
-    # within 40 steps of T at power 1, 20 above
-    for step_power, max_steps, examples in ((1, 40, 12), (2, 20, 4), (3, 20, 4)):
-
-        @settings(max_examples=examples)
-        @given(
-            x=SIGNED[name],
-            factor=st.sampled_from([1, -1]),
-            steps=st.sets(st.integers(1, max_steps), min_size=1, max_size=4),
-        )
-        def check(x, factor, steps):
-            windows = {-(-t // step_power) for t in steps}
-            assert isinstance(graph.orbit(*graphop.int_vector(x)), ladder.LadderOrbit)
-            kwargs = dict(engine="generic", step_power=step_power, factor=factor)
-            moving = cesaro_trace(framed, x, windows, **kwargs)
-            reference = cesaro_trace(pushed, x, windows, **kwargs)
-            assert moving.records == reference.records
-            assert all(type(rec.support) is int for rec in moving.records)
-            want = ref.cesaro_sup_norms(graph, x, windows, step_power=step_power, factor=factor)
-            assert moving.norms() == want
-
-        check()
-
-
-# Copy 0 of g0: T(0, 3) and B(0, 12) both reach the landing B(0, 11) =
-# B(0, rung_position(3)) in one step, the rung's birth adding to the cell.
-# With 4 and 5 the cell's u becomes 9, the largest bottom u, which drains at
-# step 12; from step 13 on the top chain's 4 is the largest entry.
-RISING = {("T", 0, 3): 4, ("B", 0, 12): 5, ("B", 0, 40): 3}
-
-
-def framed_and_pushed_norms(start, steps, reads):
-    """Sup norms of g0's framed orbit and of PushOrbit from ``start``, read at
-    the steps in ``reads`` (0 is the start) and nowhere else."""
-    graph = ladder.make_g0()
-    framed = graph.orbit(dict(start))
-    pushed = graphop.PushOrbit(graph.out_edges, dict(start))
-    got, want = [], []
-    for t in range(steps + 1):
-        if t:
-            framed.step()
-            pushed.step()
-        if t in reads:
-            got.append(framed.sup_norm())
-            want.append(pushed.sup_norm())
-    return got, want
-
-
-def test_running_bottom_maximum_falls_when_it_drains():
-    got, want = framed_and_pushed_norms(RISING, 16, range(17))
-    assert got == want
-    assert want[1] == Fraction(9, 2) and want[12] == 9 and want[13:] == [4] * 4
-    # zero entries in the start hold nothing: the framed orbit skips them
-    assert framed_and_pushed_norms({**RISING, ("E", 0): 0, ("B", 0, 7): 0}, 16, range(17)) == (want, want)
-
-
-@pytest.mark.parametrize("reads", [{16}, {0, 16}], ids=["last", "first-and-last"])
-def test_running_bottom_maximum_between_unread_steps(reads):
-    # read at the start, the maximum is set; the unread steps raise it at the
-    # birth of step 1 and must drop it at the drain of step 12.  Read only at
-    # the end, no maximum may be known before that read scans for it.
-    got, want = framed_and_pushed_norms(RISING, 16, reads)
-    assert got == want and want[-1] == 4
-
-
-@pytest.mark.parametrize(
-    "start, norms",
-    [
-        # a birth of -4 cuts the largest cell's u from 9 to 5
-        ({("T", 0, 3): -4, ("B", 0, 12): 9, ("B", 0, 40): 3}, [9, 4, 5]),
-        # a birth of -9 cancels it; the top chain then holds 9
-        ({("T", 0, 3): -9, ("B", 0, 12): 9, ("B", 0, 40): 3}, [9, 9, 9]),
-    ],
-    ids=["cut", "cancelled"],
-)
-def test_signed_orbit_scans_past_a_cancelling_birth(start, norms):
-    got, want = framed_and_pushed_norms(start, 16, range(17))
-    assert got == want and want[:3] == norms
-
 
 
 # signed starts on every ladder graph, far-rule starts on the graphs they are made for

@@ -6,7 +6,9 @@ row each but the oracle checker ``oracle_problems`` (``tests/test_docs.py``
 checks both).  A case is a hypothesis strategy of argument tuples with its
 example count, or a grid of tuples that are all read.  Both readings must be
 equal: Fractions and ints exactly, floats to the last bit, and types where a
-reading gives them."""
+reading gives them.  The ``graphop.PushOrbit`` row reads both orbits at every
+step, or at the steps a case chooses, so that the framed orbit's running
+maxima are checked between unread steps too."""
 
 import random
 from fractions import Fraction
@@ -24,7 +26,7 @@ from ergolab.ergodic import _sup_and_support, graph_handle
 from ergolab.sweeps import GaussianAbs
 from strategies import (
     COPY_INDICES, COPY_STARTS, FAR_RULE, GRAPH_VERTICES, GRAPHS, LADDER_STARTS, LADDERS, LANDINGS,
-    ODD_WEIGHTS, POSITIONS, SIGNED, UNIT_STARTS, start_vectors,
+    ODD_WEIGHTS, POSITIONS, SIGNED, THIRDS, UNIT_STARTS, start_vectors,
 )
 from test_docs import resolve
 
@@ -61,8 +63,9 @@ def applied(apply, graph, u, n_max):
 
 def walk(make, graph, x, warm=0):
     """x's orbit after ``warm`` steps: a PushOrbit over the out-edges, or the
-    graph's own orbit, which must be a ``make``."""
-    nums = graphop.int_vector(x)
+    graph's own orbit, which must be a ``make``.  x is a SparseVector, or a
+    dict of int numerators over den 1 that may hold zeros."""
+    nums = (x,) if isinstance(x, dict) else graphop.int_vector(x)
     orbit = make(graph.out_edges, *nums) if make is graphop.PushOrbit else graph.orbit(*nums)
     assert type(orbit) is make
     for _ in range(warm):
@@ -70,14 +73,17 @@ def walk(make, graph, x, warm=0):
     return orbit
 
 
-def orbit_states(make, graph, x, steps):
-    """The entries and sup norm of x's orbit at each step 0..steps.  The
+def orbit_states(make, graph, x, steps, reads=None):
+    """The entries and sup norm of x's orbit at each step of ``reads``, or at
+    each step 0..steps; the orbit steps on unread between reads.  The
     entries are (den, numerators) divided by the gcd of them all, one form
     for each vector, however wide the orbit's den."""
     orbit, states = walk(make, graph, x), []
     for t in range(steps + 1):
         if t:
             orbit.step()
+        if reads is not None and t not in reads:
+            continue
         pairs = list(orbit.items())
         nums = dict(pairs)
         assert len(nums) == len(pairs) and all(nums.values())
@@ -176,6 +182,12 @@ FIXED_REQUESTS = [(p, f) for p in (1, 2, 3) for f in (1, -1)] + [(p, f) for p in
 # every bottom position up to 10**4, and 70 on either side of three far ones
 FAR_BOTTOM = (ladder.rung_position(63), 2**64, ladder.rung_position(200))
 BOTTOM = [*range(1, 10**4 + 1), *(j + d for j in FAR_BOTTOM for d in range(-70, 71))]
+# Copy 0 of g0: T(0, 3) and B(0, 12) both reach the landing B(0, 11) =
+# B(0, rung_position(3)) in one step, the rung's birth adding to the cell.
+# With 4 and 5 the cell's u becomes 9, the largest bottom u, which drains at
+# step 12; from step 13 on the top chain's 4 is the largest entry.
+G0 = GRAPHS["g0"][0]
+RISING = {("T", 0, 3): 4, ("B", 0, 12): 5, ("B", 0, 40): 3}
 
 ROWS = [
     Row("core.cesaro_geometric_sum", ("core.cesaro_geometric",), call, call, {
@@ -201,6 +213,22 @@ ROWS = [
         **{f"{name}-long": (on(GRAPHS[name][0], SIGNED[name], st.integers(20, 80)), 8) for name in LADDERS},
         **{f"{name}-far": (on(*FAR_RULE[name], st.integers(32, 40)), 5) for name in FAR_RULE},
         "copies": (joined(COPY_STARTS, st.integers(1, 40)), 5),
+        # sup norms 9/2 at step 1, 9 at step 12 and 4 from step 13 on: the
+        # running maximum rises at the birth and falls when its holder drains
+        "rising": [(G0, RISING, 16)],
+        # zero entries hold nothing: LadderOrbit.__init__ skips them
+        "rising-zeros": [(G0, {**RISING, ("E", 0): 0, ("B", 0, 7): 0}, 16)],
+        # read at step 0 the maximum is set, and the unread steps must raise it
+        # at the birth of step 1 and drop it at the drain of step 12; read only
+        # at step 16, no maximum may be known before that read scans for it.
+        # Both read 4 at step 16
+        "rising-last": [(G0, RISING, 16, {16})],
+        "rising-first-and-last": [(G0, RISING, 16, {0, 16})],
+        # signed: a birth of -4 cuts the largest cell's u from 9 to 5, sup
+        # norms 9, 4, 5 at steps 0 to 2; a birth of -9 cancels it, and the top
+        # chain then holds 9: 9, 9, 9
+        "cut": [(G0, {("T", 0, 3): -4, ("B", 0, 12): 9, ("B", 0, 40): 3}, 16)],
+        "cancelled": [(G0, {("T", 0, 3): -9, ("B", 0, 12): 9, ("B", 0, 40): 3}, 16)],
     }),
     Row("ergodic._running_sums", ("ladder.LadderOrbit.accumulate",), running_sums, accumulated, {
         **{f"{name}-far": (on(*FAR_RULE[name], st.integers(0, 30), SIGNS, WINDOWS), 5) for name in FAR_RULE},
@@ -256,6 +284,8 @@ def traced(trace, graph, x, windows, step_power, factor, engine):
     """cesaro_trace's typed averages by ``engine``; ``auto`` must run the sweep."""
     run = trace(graph_handle(graph), x, windows, engine=engine, step_power=step_power, factor=factor)
     assert run.engine == {"auto": "fast"}.get(engine, engine)
+    # the generic engine counts each window's support, the sweep none
+    assert all(type(rec.support) is (int if engine == "generic" else type(None)) for rec in run.records)
     return typed(run.norms())
 
 
@@ -263,6 +293,14 @@ def generic(graph, x, top, size, factors):
     """A generic-engine request: up to ``size`` windows up to ``top``, powers 1 to 3."""
     windows = st.sets(st.integers(1, top), min_size=1, max_size=size)
     return on(graph, x, windows, st.integers(1, 3), st.sampled_from(factors), st.just("generic"))
+
+
+def stepped(graph, x, step_power, max_steps):
+    """A generic-engine request at factor +-1 whose windows take at most
+    ``max_steps`` steps of T."""
+    windows = st.sets(st.integers(1, max_steps), min_size=1, max_size=4).map(
+        lambda steps: {-(-t // step_power) for t in steps})
+    return on(graph, x, windows, st.just(step_power), SIGNS, st.just("generic"))
 
 
 def scanned(argmaxes, m_maxes, n, p):
@@ -308,14 +346,27 @@ REFERENCES = [
             for name, (graph, vertices) in sorted(GRAPHS.items())
         }),
     Row("power_norms", ("graphop.power_norms_sweep",), call, call, {
-        name: (on(graph, st.integers(1, 6), sizes(graph, 200)), 5)
-        for name, (graph, _) in sorted(GRAPHS.items())
+        **{name: (on(graph, st.integers(1, 6), sizes(graph, 200)), 5)
+           for name, (graph, _) in sorted(GRAPHS.items())},
+        "g0-n5-t60": [(G0, 5, 60)],
     }),
     Row("cesaro_sup_norms", ("ergodic.cesaro_trace",), averages, traced, {
             **{f"generic-{name}": (generic(graph, start_vectors(vertices), 8, 4, [1, -1]), 8)
                for name, (graph, vertices) in sorted(GRAPHS.items())},
             **{f"imaginary-{name}": (generic(GRAPHS[name][0], SIGNED[name], 16, 3, [1j, -1j]), 6)
                for name in sorted(LADDERS)},
+            # at power 1 the generic engine sums in the moving frame, at powers 2
+            # and 3 step by step over the framed orbit's items(); windows stay
+            # within 40 steps of T at power 1, 20 above
+            **{f"signed-{name}-p{p}": (stepped(GRAPHS[name][0], SIGNED[name], p, max_steps), examples)
+               for name in sorted(LADDERS) for p, max_steps, examples in ((1, 40, 12), (2, 20, 4), (3, 20, 4))},
+            # thirds widens its den at every step, so at powers 2 and 3 the
+            # step-by-step pass over PushOrbit rescales its sums between terms
+            "widening-thirds": [(THIRDS, SparseVector.unit(v), [1, 2, 3, 8], p, f, "generic")
+                                for v in THIRDS.finite_vertices for p in (2, 3) for f in (1, -1)],
+            # window 1 of a unit start is the start: sup norm 1
+            **{f"unit-{name}": [(GRAPHS[name][0], SparseVector.unit(v), [1], 1, f, "generic")
+                                for v in UNIT_STARTS[name] for f in (1, -1)] for name in sorted(LADDERS)},
             # the sweep, which auto runs from the combined graph's source
             "auto-f1": [(*SOURCE, range(1, 41), 1, 1, "auto")],
             "auto-f-1": [(*SOURCE, range(1, 41), 1, -1, "auto")],
