@@ -27,6 +27,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -41,9 +42,10 @@ EXIT_BUDGET = 3
 
 DEFAULT_MAX_SUPPORT = 250000  # the running-sum cap of the generic engine's step-by-step pass
 # The moving-frame sums keep no running sum to cap, but their cost grows with
-# the window: from g0's entry 0.05 s and 4.2 MiB traced at 4096, 0.6 s and
-# 55 MiB at 16384, less than the step-by-step pass spends before
-# DEFAULT_MAX_SUPPORT stops it.
+# the window and the power.  From g0's entry at window 4096 they take 0.03,
+# 0.11 and 0.19 s in process at powers 1, 2 and 3, with traced peaks of 4.4,
+# 15 and 27 MiB, less than the step-by-step pass spends before
+# DEFAULT_MAX_SUPPORT stops it; at 16384 the peaks are 56, 214 and 396 MiB.
 MOVING_FRAME_MAX_WINDOW = 4096
 # The largest --k.  Copy k's rungs land from bottom position 2**(k+2) - k - 3
 # on, above every bottom cell of a start with --trunc below about 2**(k+3), so
@@ -192,11 +194,11 @@ def _cmd_cesaro(args) -> Tuple[bool, str]:
     op = ergodic.graph_handle(graph)
     results = []  # (power, n, sup norm)
     for power in powers:
-        # without --max-support, power 1 up to MOVING_FRAME_MAX_WINDOW sums in
-        # the moving frame; everything else keeps the step-by-step pass, capped.
-        # From the combined graph's source the sweep runs, and no cap applies.
+        # without --max-support, windows up to MOVING_FRAME_MAX_WINDOW sum in
+        # the moving frame; past it the step-by-step pass runs, capped.  From
+        # the combined graph's source the sweep runs, and no cap applies.
         cap = args.max_support
-        if cap is None and (power != 1 or max(schedule) > MOVING_FRAME_MAX_WINDOW):
+        if cap is None and max(schedule) > MOVING_FRAME_MAX_WINDOW:
             cap = DEFAULT_MAX_SUPPORT
         trace = ergodic.cesaro_trace(op, x, schedule, max_support=cap,
                                      step_power=power, factor=factor)
@@ -282,6 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, run, summary, graph=False):
         p = sub.add_parser(name, help=summary)
+        # argparse reads an argument that starts with a dash as an option
+        # unless it matches this pattern, a private attribute with no public
+        # setting.  Widened from negative numbers to -i, -1/2 and -1,4, it lets
+        # --factor, --bound and the lists take those values after a space.
+        p._negative_number_matcher = re.compile(r"^-(i|\.?[0-9].*)$")
         p.set_defaults(run=run)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", metavar="PATH", help="write output to a file")
@@ -316,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         dest="max_support",
         help="support cap on the generic engine's running sum (exit 3 when exceeded); "
-        f"default {DEFAULT_MAX_SUPPORT}, none at power 1 with windows up to "
-        f"{MOVING_FRAME_MAX_WINDOW}; the structural sweep from the combined graph's "
+        f"default {DEFAULT_MAX_SUPPORT}, none with windows up to {MOVING_FRAME_MAX_WINDOW}, which "
+        "an entry start sums in the moving frame; the structural sweep from the combined graph's "
         "source keeps no running sum, so no cap applies there",
     )
 
@@ -345,37 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# options whose values may start with a dash: -i, -1, -1/2 or a list like -1,4
-_DASH_VALUED = ("--factor", "--bound", "--at-least", "--at-most",
-                "--schedule", "--powers", "--windows", "--n", "--criteria")
-
-
-def _dash_valued(arg: str, options: dict) -> bool:
-    """Whether argparse reads ``arg`` as an option of _DASH_VALUED among the
-    subcommand's ``options``: in full, or as a prefix of that option alone.
-    ``--`` ends the options, so it names none."""
-    named = [arg] if arg in options else [name for name in options if len(arg) > 2 and name.startswith(arg)]
-    return len(named) == 1 and named[0] in _DASH_VALUED
-
-
-def _glue_dash_values(parser: argparse.ArgumentParser, argv: Sequence[str]) -> List[str]:
-    """Write ``--bound -1/2`` as ``--bound=-1/2``, and likewise for the other
-    options of _DASH_VALUED and their prefixes (``--bou -1/2``): argparse
-    reads a lone -1/2 or -i as an option.  The options are those of the
-    subcommand ``argv[0]`` in ``parser``, so an ambiguous prefix is left as
-    it was given, for argparse to report."""
-    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
-    command = commands.choices.get(argv[0]) if argv else None
-    options = command._option_string_actions if command else {}
-    out: List[str] = []
-    for arg in argv:
-        if out and _dash_valued(out[-1], options) and arg.startswith("-") and not arg.startswith("--"):
-            out[-1] = f"{out[-1]}={arg}"
-        else:
-            out.append(arg)
-    return out
-
-
 def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
     """The parsed ``argv``.  argparse prints ``--help`` itself and exits 0; the
     text is caught here and written by :func:`_write`, so an unwritable stdout
@@ -383,7 +359,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argpars
     shown = io.StringIO()
     try:
         with contextlib.redirect_stdout(shown):
-            return parser.parse_args(_glue_dash_values(parser, argv))
+            return parser.parse_args(argv)
     except SystemExit:
         if shown.getvalue():
             _write(None, shown.getvalue())

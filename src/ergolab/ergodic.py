@@ -13,10 +13,10 @@ sum adds about t**3/6 cells by window t, so it hands those averages to the
 exact structural sweep in :mod:`ergolab.sweeps`; the two engines are
 verified against each other in the tests, and ``engine="generic"`` forces
 the generic one there.
-On the ladder graphs at power 1 with factor +1 or -1 the generic engine
-sums in the orbit's moving frame (:meth:`ladder.LadderOrbit.accumulate`),
-paying per orbit event rather than per orbit cell and step.  The rotation
-check compares one record of a trace with a threshold.
+On the ladder graphs with factor +1 or -1 the generic engine sums in the
+orbit's moving frame (:meth:`ladder.LadderOrbit.accumulate`) at every
+power, paying per orbit event rather than per orbit cell and step.  The
+rotation check compares one record of a trace with a threshold.
 
 The certificate machinery addresses the other half of mean ergodicity.  An
 average of powers can only converge to 0 for every start vector if no
@@ -96,7 +96,9 @@ def _running_sums(orbit, windows: Sequence[int], step_power: int = 1, turns: int
     orbit's den widens.  Raises :class:`BudgetExceeded` when the keys
     outgrow ``max_support``.  Stepping a :class:`graphop.PushOrbit`, this is
     the deliberate second route for the ladder graphs' moving-frame sums
-    (:meth:`ladder.LadderOrbit.accumulate`): the tests compare the two.
+    (:meth:`ladder.LadderOrbit.accumulate`): the tests compare the two at
+    powers 1 to 3.  :func:`cesaro_trace` steps a ladder orbit here only under
+    a cap or at factor +-i.
     """
     re: dict = {}
     im: dict = {}
@@ -183,10 +185,10 @@ def cesaro_trace(
     The generic engine builds T's exact orbit once: the graph's own orbit
     state (:meth:`C0Graph.orbit`), or on a handle without a graph an
     :class:`_ApplyOrbit` over ``op.apply``, which takes exact factors only.
-    On a ladder graph at step_power 1 with factor +1 or -1 and no
-    ``max_support``, it sums in the orbit's moving frame
-    (:meth:`ladder.LadderOrbit.accumulate`).  Every other case, capped runs
-    included, takes the step-by-step pass (:func:`_running_sums`), which
+    On a ladder graph with factor +1 or -1 and no ``max_support``, it sums
+    in the orbit's moving frame (:meth:`ladder.LadderOrbit.accumulate`) at
+    every step_power.  Every other case, capped runs included, takes the
+    step-by-step pass (:func:`_running_sums`), which
     over :class:`graphop.PushOrbit` is the moving-frame sums' deliberate
     second route.  Both report the support of the sum as an int.  Raises
     :class:`BudgetExceeded` when the running sum outgrows ``max_support``.
@@ -210,8 +212,9 @@ def cesaro_trace(
         orbit = _ApplyOrbit(op.apply, x)
     else:
         raise ValueError("complex factors need a graph-backed handle")
-    if isinstance(orbit, ladder.LadderOrbit) and step_power == 1 and exact and max_support is None:
-        records = [TraceRecord(*reading) for reading in orbit.accumulate(wanted, 1 - turns)]
+    if isinstance(orbit, ladder.LadderOrbit) and exact and max_support is None:
+        readings = orbit.accumulate(wanted, 1 - turns, step_power)
+        records = [TraceRecord(*reading) for reading in readings]
     else:
         records = [
             TraceRecord(k, *_sup_and_support(re, im, den, k, exact))

@@ -154,31 +154,33 @@ def _bottom_sup(cells: Dict[int, int], t: int, best: int, top: int) -> int:
     return max(best, top, 2 * max(map(abs, rest.values()), default=0))
 
 
-def _chain_sup_and_support(marks: Dict[int, int], cells, end: int, flip: int):
+def _chain_sup_and_support(marks: Dict[int, int], cells, end: int, flip: int, p: int):
     """Twice the sup, and the support, of one chain's running sum, from its ledger and cells.
 
-    The sum at y is the sum of the changes filed at y' >= y, less that of
-    the current cells still above y, those with K - end >= y: each cell
-    counts the values it held while it passed y.  So it is constant between
-    breakpoints, and one descending scan of them reads it off.  ``cells``
-    holds (frame key, numerator) pairs; the sum ends at 0 below the chain.
-    On a bottom chain the sum is of u, and a landing holds half of it:
-    that matters only where the landing is alone between two breakpoints,
-    since landings are at least three apart.  Top and entry chains stand at
-    y <= 0, where no landing is.
+    At power p the ledger and ``cells`` hold one class of frame keys mod p,
+    and the sum stands at every p-th position.  The sum at y is the sum of the
+    changes filed at y' >= y, less that of the current cells still above y,
+    those with K - end >= y: each cell counts the values it held while it
+    passed y.  So it is constant between breakpoints, and one descending
+    scan of them reads it off.  ``cells`` holds (frame key, numerator)
+    pairs; the sum ends at 0 below the chain.  On a bottom chain the sum is
+    of u, and a landing holds half of it: that matters only where every
+    position between two breakpoints is a landing, which landings three or
+    more apart allow for one position, or for 4 and 1 at p = 3.  Top and
+    entry chains stand at y <= 0, where no landing is.
     """
     marks = dict(marks)
     get = marks.get
     for key, c in cells:
         y = key - end
-        marks[y] = get(y, 0) - (-c if key & flip else c)
+        marks[y] = get(y, 0) - (-c if flip and key // p & 1 else c)
     best = support = total = 0
     prev = None
     for y in sorted(marks, reverse=True):
-        if total:  # the running sum on (y, prev]
-            support += prev - y
+        if total:  # the running sum on the positions of (y, prev]
+            support += (prev - y) // p
             if 2 * abs(total) > best:
-                if prev - y == 1 and rung_index(prev) is not None:
+                if all(rung_index(z) is not None for z in range(prev, y, -p)):
                     best = max(best, abs(total))
                 else:
                     best = 2 * abs(total)
@@ -417,25 +419,31 @@ class LadderOrbit:
             yield ("T", k), [(-d, a) for d, a in cells.items()]
         yield ("E", None), [(-e, a) for e, a in self._entries.items()]
 
-    def accumulate(self, windows, factor=1):
+    def accumulate(self, windows, factor=1, step_power=1):
         """Yield (n, sup norm, support) of x + Sx + ... + S**(n-1) x for each n of ``windows``.
 
-        x is the current vector, S = factor * T with factor +1 or -1, the
-        ``windows`` ascend, and the orbit steps on to the last of them.  The
-        support is the number of nonzero entries of the sum.  No running sum
-        is kept: every change to a chain cell's stored numerator, over den0,
-        is filed in a ledger, and each window reads every chain's sum off the
-        ledger and the current cells (:func:`_chain_sup_and_support`).
+        x is the current vector, S = factor * T**p with factor +1 or -1 and
+        p = ``step_power``, the ``windows`` ascend, and the orbit steps on to
+        the last of them, p * (n - 1) steps.  The support is the number of
+        nonzero entries of the sum.  No running sum is kept: every change to
+        a chain cell's stored numerator, over den0, is filed in a ledger, and
+        each window reads every chain's sum off the ledger and the current
+        cells (:func:`_chain_sup_and_support`).
 
         The ledger reads each chain in walking-down coordinates: a bottom
         cell's frame key K is its key, a top or entry cell's is minus its
-        key, and the cell stands at y = K - t after t steps.  A change of c
-        at step t0 is filed under y = K - t0, the position where the cell
-        took its new value, and weighted (-1)**K for factor -1.  Bottom cells
-        are filed as u, so only their births and drains are changes.  The
-        sinks keep running sums, weighted (-1)**t; the source's is its start
-        value, as nothing feeds it.  The orbit's own step files nothing: the
-        changes are read off the orbit around each step from t to t + 1:
+        key, and the cell stands at y = K - t after t steps.  The sum samples
+        the steps start + p * q, so a cell passes only the positions of its
+        class K - start mod p, and each chain keeps one ledger per class of K
+        mod p.  A change of c at step t0 is filed under y = K - t0 -
+        (start - t0) mod p, the position of the cell at the first sampled
+        step at or after t0, and weighted (-1)**(K // p) for factor -1: at a
+        position, K // p and q differ by a constant.  Bottom cells are filed
+        as u, so only their births and drains are changes.  The sinks keep
+        running sums of what drained into them by each sampled step,
+        weighted (-1)**q; the source's is its start value, as nothing feeds
+        it.  The orbit's own step files nothing: the changes are read off the
+        orbit around each step from t to t + 1:
 
         - births: before the step, each top (k, d) with numerator a births
           u = a under (1 << (d + t + 1)) - d - 1;
@@ -449,41 +457,43 @@ class LadderOrbit:
           entry table.
 
         So the cost is the orbit's, a pass over the tops per step, and one
-        sort per chain and window.
+        sort per ledger and window.
         ``_running_sums`` in :mod:`ergolab.ergodic`, over
         :class:`graphop.PushOrbit`, is the deliberate second route, and the
         tests compare the two.
         """
         if factor not in (1, -1):
             raise ValueError(f"factor must be 1 or -1, got {factor}")
-        flip = int(factor == -1)
-        ledger: Dict[tuple, Dict[int, int]] = {}  # ("B" | "T" | "E", k) -> {y: change}
-
-        def mark(chain: tuple, key: int, t0: int, c: int) -> None:
-            table = ledger.get(chain)
-            if table is None:
-                table = ledger[chain] = {}
-            y = key - t0
-            table[y] = table.get(y, 0) + (-c if key & flip else c)
-
+        flip, p = int(factor == -1), step_power
+        ledger: Dict[tuple, Dict[int, int]] = {}  # (("B" | "T" | "E", k), K mod p) -> {y: change}
         tops, entries = self._tops, self._entries
         start = self._t
+
+        def mark(chain: tuple, key: int, t0: int, c: int) -> None:
+            table = ledger.get((chain, key % p))
+            if table is None:
+                table = ledger[chain, key % p] = {}
+            y = key - t0 - (start - t0) % p
+            table[y] = table.get(y, 0) + (-c if flip and key // p & 1 else c)
+
         for chain, cells in self._chains():
             for key, a in cells:
                 mark(chain, key, start, a)
         sinks, start_source = dict(self._sinks), self._source
         for n in windows:
-            while self._t < start + n - 1:
+            while self._t < start + p * (n - 1):
                 t, source = self._t, self._source
                 fed = list(entries.items()) if entries else ()
                 for k, cells in tops.items():  # every top births u = a
                     for d, a in cells.items():
                         mark(("B", k), (1 << (d + t + 1)) - d - 1, t + 1, a)
                 self.step()
-                sign = -1 if flip and (t + 1 - start) & 1 else 1
+                q, off = divmod(t + 1 - start, p)
+                sign = -1 if flip and q & 1 else 1
                 for k, u in self._sinks.items():  # the one cell that drained from copy k
                     mark(("B", k), t + 1, t + 1, -u)
-                    sinks[k] = sinks.get(k, 0) + sign * u
+                    if not off:
+                        sinks[k] = sinks.get(k, 0) + sign * u
                 for e, a in fed:
                     if e in tops.get(e + t, ()):  # E(e + t) fed its top
                         mark(("T", e + t), -e, t + 1, a)
@@ -494,10 +504,13 @@ class LadderOrbit:
             single = [start_source, *sinks.values()]
             best = 2 * max(map(abs, single))
             support = len(single) - single.count(0)
-            current = dict(self._chains())
-            for chain, marks in ledger.items():
+            current: Dict[tuple, list] = {}
+            for chain, cells in self._chains():
+                for key, a in cells:
+                    current.setdefault((chain, key % p), []).append((key, a))
+            for name, marks in ledger.items():
                 chain_best, chain_support = _chain_sup_and_support(
-                    marks, current.get(chain, ()), self._t + 1, flip
+                    marks, current.get(name, ()), self._t + p, flip, p
                 )
                 best = max(best, chain_best)
                 support += chain_support

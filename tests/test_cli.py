@@ -254,7 +254,7 @@ def test_argparse_errors_are_returned_as_exit_2():
                                            (["cesaro", "--s", "-1,4"], "--start, --schedule"),
                                            (["cesaro", "--f", "-i"], "--format, --factor")], ids=["at", "s", "f"])
 def test_an_ambiguous_prefix_of_a_dash_valued_option_is_argparse_s_error(argv, matches):
-    # the value is not glued to a prefix of two options: argparse names the prefix as given
+    # a prefix of two options is argparse's error, named as given, whatever value follows it
     error = f"ergolab {argv[0]}: error: ambiguous option: {argv[1]} could match {matches}"
     code, out, err = run_quietly(argv)
     assert (code, out, err.splitlines()[-1]) == (2, "", error)
@@ -344,20 +344,22 @@ def test_cesaro_argument_vectors_exit_cleanly(argv, fmt):
 
 
 @st.composite
-def cesaro_entry_argv(draw):
-    """A cesaro command line from an entry of g0 or gk, where the generic
-    engine's step-by-step pass runs under an explicit --max-support of at
-    most 2000, so that no draw runs long: windows up to 200, powers 1 to 3
-    with repeats, factors 1 and -1, and a few invalid caps and bounds."""
+def cesaro_entry_argv(draw, top=200, capped=True):
+    """A cesaro command line from an entry of g0 or gk: windows up to
+    ``top``, powers 1 to 3 with repeats, factors 1 and -1, and a few invalid
+    windows and bounds.  With ``capped``, the generic engine's step-by-step
+    pass runs under an explicit --max-support of at most 2000, some invalid,
+    so that no draw runs long; without it, the moving frame sums every power."""
     graph = draw(st.sampled_from(["g0", "gk"]))
     argv = ["cesaro", "--graph", graph, *draw(st.sampled_from([["--start", "entry"], ["--x", "e_o"]]))]
     if graph == "gk":
         argv += ["--k", str(draw(st.integers(1, 4)))]
-    windows = draw(st.lists(st.integers(0, 200), min_size=1, max_size=3))
+    windows = draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
     powers = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     argv += ["--schedule", ",".join(map(str, windows)), "--powers", ",".join(map(str, powers))]
     argv += ["--factor", draw(st.sampled_from(["1", "-1"]))]
-    argv += ["--max-support", str(draw(st.integers(-1, 2000)))]
+    if capped:
+        argv += ["--max-support", str(draw(st.integers(-1, 2000)))]
     if draw(st.booleans()):
         argv += ["--bound", draw(st.sampled_from(["0", "1/10", "1/2", "1", "x"]))]
     return argv
@@ -373,6 +375,15 @@ def test_cesaro_entry_argument_vectors_exit_cleanly(argv, fmt):
         schedule = argv[argv.index("--schedule") + 1].split(",")
         assert 1 < window <= max(map(int, schedule)), (argv, err)
         assert support > cap == int(argv[argv.index("--max-support") + 1]), (argv, err)
+
+
+@settings(max_examples=40)
+@given(argv=cesaro_entry_argv(top=512, capped=False), fmt=st.sampled_from(["csv", "json"]))
+def test_uncapped_cesaro_entry_argument_vectors_exit_cleanly(argv, fmt):
+    """Without --max-support, windows up to MOVING_FRAME_MAX_WINDOW sum in
+    the moving frame at every power and never exit 3."""
+    code, _, _ = run_four_ways(argv + ["--format", fmt])
+    assert code in (0, 1, 2), argv
 
 
 # --k values: small ones, the bound, one past it and one whose shift used to overflow

@@ -34,6 +34,21 @@ def test_trace_from_a_dead_end_vertex():
 test_engine_forcing_and_validation = rejection_test("test_engine_forcing_and_validation")
 
 
+def test_uncapped_ladder_sums_at_plus_minus_one_never_take_the_pass(monkeypatch):
+    # every power sums in the moving frame; the pass steps a ladder orbit
+    # only under a cap or at +-i
+    def refuse(*args):
+        raise AssertionError("the step-by-step pass ran")
+
+    monkeypatch.setattr(ergodic, "_running_sums", refuse)
+    for graph in (ladder.make_g0(), ladder.make_gk(2), ladder.make_counterexample()):
+        x = SparseVector.unit(E(graph.copy_index or 0))
+        for step_power in (1, 2, 3):
+            for factor in (1, -1):
+                trace = cesaro_trace(graph_handle(graph), x, [1, 8], step_power=step_power, factor=factor)
+                assert trace.engine == "generic"
+
+
 @pytest.mark.parametrize("engine", ["auto", "generic"])
 @pytest.mark.parametrize("factor", [1j, -1j])
 def test_bounds_at_plus_minus_i_compare_the_exact_sum(engine, factor):

@@ -180,7 +180,9 @@ TWINS = {
 @pytest.mark.parametrize("name", sorted(TWINS))
 def test_accumulate_leaves_the_orbit_where_step_leaves_it(name):
     # accumulate() reads its ledger marks off the orbit around each step; a
-    # twin orbit that only steps must stay equal to it after every window
+    # twin orbit that only steps must stay equal to it after every window,
+    # step_power * (n - 1) steps from the start, at every power; windows stay
+    # within 35 steps of T
     graph, starts = TWINS[name]
 
     @settings(max_examples=6)
@@ -190,7 +192,7 @@ def test_accumulate_leaves_the_orbit_where_step_leaves_it(name):
         factor=st.sampled_from([1, -1]),
         windows=st.sets(st.integers(1, 36), min_size=1, max_size=3),
     )
-    def check(x, warm, factor, windows):
+    def check(step_power, x, warm, factor, windows):
         copies = {v[1] for v, _ in x.items() if v[0] != "S"} | {graph.copy_index or 0}
         summed = graph.orbit(*graphop.int_vector(x))
         stepped = graph.orbit(*graphop.int_vector(x))
@@ -198,17 +200,19 @@ def test_accumulate_leaves_the_orbit_where_step_leaves_it(name):
             summed.step()
             stepped.step()
         done = 0
-        for n, _, _ in summed.accumulate(sorted(windows), factor):
-            for _ in range(n - 1 - done):
+        windows = sorted({1 + (n - 1) // step_power for n in windows})
+        for n, _, _ in summed.accumulate(windows, factor, step_power):
+            for _ in range(step_power * (n - 1) - done):
                 stepped.step()
-            done = n - 1
+            done = step_power * (n - 1)
             assert list(summed.items()) == list(stepped.items())
             assert summed.den == stepped.den
             assert summed.sup_norm() == stepped.sup_norm()
             for k in copies:
                 assert summed.sink_value(k) == stepped.sink_value(k)
 
-    check()
+    for step_power in (1, 2, 3):
+        check(step_power)
 
 
 def test_norms_orbit_memory_follows_the_tops():
