@@ -15,24 +15,19 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import blockdiag, ergodic, graphop, ladder, sweeps
 from .core import ONE, TWO, ZERO, SparseVector, fraction_str
 
 
-class CriterionResult:
-    __slots__ = ("number", "name", "passed", "detail", "elapsed", "budget")
-
-    def __init__(
-        self, number: int, name: str, passed: bool, detail: str, elapsed: float, budget: float
-    ):
-        self.number = number
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-        self.elapsed = elapsed
-        self.budget = budget
+class CriterionResult(NamedTuple):
+    number: int
+    name: str
+    passed: bool
+    detail: str
+    elapsed: float
+    budget: float
 
     def line(self) -> str:
         state = "PASS" if self.passed else "FAIL"
@@ -291,10 +286,7 @@ def run_criterion(number: int) -> CriterionResult:
     name, check, budget = CRITERIA[number]
     start = time.perf_counter()
     passed, detail = check()
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        number=number, name=name, passed=passed, detail=detail, elapsed=elapsed, budget=budget
-    )
+    return CriterionResult(number, name, passed, detail, time.perf_counter() - start, budget)
 
 
 def run_all(numbers: Optional[Sequence[int]] = None) -> List[CriterionResult]:

@@ -42,11 +42,13 @@ EXIT_BUDGET = 3
 
 DEFAULT_MAX_SUPPORT = 250000  # the running-sum cap of the generic engine's step-by-step pass
 # The moving-frame sums keep no running sum to cap, but their cost grows with
-# the window and the power.  From g0's entry at window 4096 they take 0.03,
-# 0.11 and 0.19 s in process at powers 1, 2 and 3, with traced peaks of 4.4,
-# 15 and 27 MiB, less than the step-by-step pass spends before
-# DEFAULT_MAX_SUPPORT stops it; at 16384 the peaks are 56, 214 and 396 MiB.
+# the p * (n - 1) steps of T that window n covers at power p.  From g0's entry
+# at window 4096, powers 1, 2 and 3 take 0.03, 0.11 and 0.19 s in process and
+# peak at 4.4, 15 and 27 MiB traced (56, 214 and 396 MiB at 16384), less than
+# the step-by-step pass spends before DEFAULT_MAX_SUPPORT stops it; powers 4
+# to 12285 peak at 21 to 33 MiB over MOVING_FRAME_MAX_STEPS steps.
 MOVING_FRAME_MAX_WINDOW = 4096
+MOVING_FRAME_MAX_STEPS = 3 * (MOVING_FRAME_MAX_WINDOW - 1)
 # The largest --k.  Copy k's rungs land from bottom position 2**(k+2) - k - 3
 # on, above every bottom cell of a start with --trunc below about 2**(k+3), so
 # the orbit stores none of those births and a sup norm probes no landing that
@@ -194,11 +196,12 @@ def _cmd_cesaro(args) -> Tuple[bool, str]:
     op = ergodic.graph_handle(graph)
     results = []  # (power, n, sup norm)
     for power in powers:
-        # without --max-support, windows up to MOVING_FRAME_MAX_WINDOW sum in
-        # the moving frame; past it the step-by-step pass runs, capped.  From
-        # the combined graph's source the sweep runs, and no cap applies.
+        # without --max-support the moving frame sums windows up to MOVING_FRAME_MAX_WINDOW
+        # over up to MOVING_FRAME_MAX_STEPS steps, and past either the pass runs, capped.
+        # From the combined graph's source the sweep runs, and no cap applies.
         cap = args.max_support
-        if cap is None and max(schedule) > MOVING_FRAME_MAX_WINDOW:
+        n = max(schedule)
+        if cap is None and (n > MOVING_FRAME_MAX_WINDOW or power * (n - 1) > MOVING_FRAME_MAX_STEPS):
             cap = DEFAULT_MAX_SUPPORT
         trace = ergodic.cesaro_trace(op, x, schedule, max_support=cap,
                                      step_power=power, factor=factor)
@@ -323,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         dest="max_support",
         help="support cap on the generic engine's running sum (exit 3 when exceeded); "
-        f"default {DEFAULT_MAX_SUPPORT}, none with windows up to {MOVING_FRAME_MAX_WINDOW}, which "
-        "an entry start sums in the moving frame; the structural sweep from the combined graph's "
+        f"default {DEFAULT_MAX_SUPPORT}, none with windows up to {MOVING_FRAME_MAX_WINDOW} that "
+        f"cover at most {MOVING_FRAME_MAX_STEPS} steps (power * (window - 1)), which an entry start "
+        "sums in the moving frame; the structural sweep from the combined graph's "
         "source keeps no running sum, so no cap applies there",
     )
 
@@ -352,18 +356,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a path that the widened pattern of build_parser reads as a value, and argparse's own would not
+_DASH_PATH = re.compile(r"^-(?!\d+$|\d*\.\d+$)(i|\.?[0-9][^ ]*)$")
+
+
 def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
     """The parsed ``argv``.  argparse prints ``--help`` itself and exits 0; the
     text is caught here and written by :func:`_write`, so an unwritable stdout
-    is a usage error for it too.  argparse's own errors go to stderr (exit 2)."""
+    is a usage error for it too.  argparse's own errors go to stderr (exit 2).
+    A _DASH_PATH after a bare ``--out`` (or ``--o``), as ``--out -i``, is a
+    usage error, so a mistyped option names no file; ``--out=-i`` is not."""
     shown = io.StringIO()
     try:
         with contextlib.redirect_stdout(shown):
-            return parser.parse_args(argv)
+            args = parser.parse_args(argv)
     except SystemExit:
         if shown.getvalue():
             _write(None, shown.getvalue())
         raise
+    after_out = {value for opt, value in zip(argv, argv[1:]) if len(opt) > 2 and "--out".startswith(opt)}
+    if args.out in after_out and _DASH_PATH.match(args.out):
+        raise UsageError(f"--out {args.out}: a path that starts with a dash needs --out={args.out}")
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

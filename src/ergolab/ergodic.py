@@ -213,8 +213,7 @@ def cesaro_trace(
     else:
         raise ValueError("complex factors need a graph-backed handle")
     if isinstance(orbit, ladder.LadderOrbit) and exact and max_support is None:
-        readings = orbit.accumulate(wanted, 1 - turns, step_power)
-        records = [TraceRecord(*reading) for reading in readings]
+        records = [TraceRecord(*reading) for reading in orbit.accumulate(wanted, 1 - turns, step_power)]
     else:
         records = [
             TraceRecord(k, *_sup_and_support(re, im, den, k, exact))

@@ -9,6 +9,7 @@ run each through ``test_golden.run_four_ways``; runs under a patched
 module; the process entry point and its import cost; ``--help``, whose
 text is argparse's; and two checks of float mode against exact mode."""
 
+import argparse
 import csv
 import io
 import os
@@ -21,9 +22,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ergolab
-from ergolab import acceptance, blockdiag, cli, ladder
+from ergolab import acceptance, blockdiag, cli, ergodic, ladder
 from test_golden import (
-    BUDGET_LINE, UNWRITABLE_STDOUT, FullDisk, criterion_numbers, pinned, pinned_cases, run_four_ways, run_quietly,
+    BUDGET_LINE, UNWRITABLE_STDOUT, FullDisk, criterion_numbers, in_empty_directory, pinned, pinned_cases,
+    run_four_ways, run_quietly,
 )
 
 
@@ -56,7 +58,8 @@ test_bounds_at_plus_minus_i_have_no_float_slack = pinned_cases({
 test_cesaro_budget_exit_reports_where_it_stopped = pinned("cesaro-g0-entry-64-cap-10")
 test_cesaro_budget_boundary = pinned(
     "cesaro-g0-entry-64", "cesaro-g0-entry-64-cap-1775", "cesaro-g0-entry-64-cap-1774")
-test_cesaro_default_cap_past_the_moving_frame_windows = pinned("cesaro-g0-entry-4096", "cesaro-g0-entry-4097")
+test_cesaro_default_cap_past_the_moving_frame_windows = pinned(
+    "cesaro-g0-entry-4096", "cesaro-g0-entry-4097", "cesaro-g0-entry-power-4-3073")
 test_step_by_step_pass_budget_exits = pinned_cases({
     "power-2": ("cesaro-g0-entry-power-2-cap-100",),
     "factor-minus-1": ("cesaro-g0-entry-factor-minus-1-cap-100",),
@@ -258,6 +261,52 @@ def test_an_ambiguous_prefix_of_a_dash_valued_option_is_argparse_s_error(argv, m
     error = f"ergolab {argv[0]}: error: ambiguous option: {argv[1]} could match {matches}"
     code, out, err = run_quietly(argv)
     assert (code, out, err.splitlines()[-1]) == (2, "", error)
+
+
+def test_subcommands_widen_argparse_s_negative_number_pattern():
+    # build_parser sets this private attribute of argparse; were it renamed,
+    # the assignment would do nothing and --factor -i would be an option again
+    assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
+    args = cli.build_parser().parse_args(["cesaro", "--factor", "-i", "--bound", "-1/2", "--schedule", "-1,4"])
+    assert (args.factor, args.bound, args.schedule) == ("-i", "-1/2", "-1,4")
+
+
+# --out arguments, with the file each writes (None: a usage error)
+DASH_LED_OUT = [
+    (["--out", "-i"], None), (["--o", "-1,4"], None), (["--ou", "-1x"], None), (["--out", "-1/2"], None),
+    (["--out=-i"], "-i"), (["--o=-1,4"], "-1,4"), (["--out", "-1"], "-1"), (["--out", "-.5"], "-.5"),
+    (["--out", "-"], "-"), (["--out", "-1 x"], "-1 x"),
+]
+
+
+@pytest.mark.parametrize("argv, written", DASH_LED_OUT, ids=[" ".join(argv) for argv, _ in DASH_LED_OUT])
+def test_a_dash_led_out_path_after_a_space_must_be_a_number(argv, written):
+    # the widened pattern lets --out take -i after a space; so that a
+    # mistyped option names no file, only argparse's own numbers may
+    with in_empty_directory():
+        code, out, err = run_quietly(["cesaro", "--schedule", "4", *argv])
+        files = os.listdir()
+    if written is None:
+        refused = f"error: --out {argv[1]}: a path that starts with a dash needs --out={argv[1]}\n"
+        assert (code, out, err, files) == (2, "", refused, []), argv
+    else:
+        assert (code, out, err, files) == (0, "", "", [written]), argv
+
+
+@pytest.mark.parametrize("power, window, capped", [
+    (1, 4096, False), (1, 4097, True), (3, 4096, False), (2, 4097, True), (4, 3072, False), (4, 3073, True),
+    (64, 192, False), (64, 193, True), (12285, 2, False), (12286, 2, True),
+])
+def test_the_moving_frame_covers_a_bounded_number_of_steps(monkeypatch, power, window, capped):
+    """Without --max-support an entry start keeps the default cap off when
+    its largest window is at most MOVING_FRAME_MAX_WINDOW and covers at most
+    MOVING_FRAME_MAX_STEPS = 3 * 4095 steps of T at its power."""
+    caps = []
+    monkeypatch.setattr(ergodic, "cesaro_trace", lambda *a, max_support, **kw: caps.append(max_support) or
+                        ergodic.CesaroTrace([], "generic"))
+    argv = ["cesaro", "--graph", "g0", "--start", "entry", "--powers", str(power), "--schedule", f"1,{window}"]
+    assert run_quietly(argv)[0] == 0
+    assert caps == [cli.DEFAULT_MAX_SUPPORT if capped else None]
 
 
 def test_block_float_mode_tracks_exact():

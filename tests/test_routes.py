@@ -248,6 +248,12 @@ ROWS = [
         # meet at B(0, 8) one term apart, and cancel there at factor -1
         "meeting-p2": [(G0, {("B", 0, 10): 1, ("B", 0, 8): 1}, warm, f, [1, 2, 3, 8], 2)
                        for warm in (0, 1) for f in (1, -1)],
+        # the command line sums powers past 3 in the frame too, while p * (n - 1)
+        # stays within cli.MOVING_FRAME_MAX_STEPS; from the combined graph's
+        # source and entry the pass takes seconds at power 64, so 10 there
+        "high-powers": [(GRAPHS[name][0], SparseVector.unit(v), warm, f, [1, 2, 3, 8], p)
+                        for name in LADDERS for v in UNIT_STARTS[name][::3] for warm, f, p in
+                        ((0, 1, 4), (1, -1, 5), (0, -1, 7), (2, 1, 10 if name == "combined" else 64))],
     }),
     Row("graphop.count_paths_profile", ("graphop.count_paths_levels",),
         lambda profile, graph, n_max, n_trunc: {
