@@ -40,13 +40,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-DEFAULT_MAX_SUPPORT = 250000  # the running-sum cap of the generic engine's step-by-step pass
-# The moving-frame sums keep no running sum to cap, but their cost grows with
-# the p * (n - 1) steps of T that window n covers at power p.  From g0's entry
-# at window 4096, powers 1, 2 and 3 take 0.03, 0.11 and 0.19 s in process and
-# peak at 4.4, 15 and 27 MiB traced (56, 214 and 396 MiB at 16384), less than
-# the step-by-step pass spends before DEFAULT_MAX_SUPPORT stops it; powers 4
-# to 12285 peak at 21 to 33 MiB over MOVING_FRAME_MAX_STEPS steps.
+DEFAULT_MAX_SUPPORT = 250000  # the vertices an entry start's sum may touch; the moving frame decides it
+# The moving frame's cost grows with the p * (n - 1) steps of T that window n
+# covers at power p.  From g0's entry at window 4096, powers 1, 2 and 3 take
+# 0.03, 0.11 and 0.19 s in process and peak at 4.4, 15 and 27 MiB traced (56,
+# 214 and 396 MiB at 16384); powers 4 to 12285 peak at 21 to 33 MiB over
+# MOVING_FRAME_MAX_STEPS steps.  Past either bound the default cap applies.
 MOVING_FRAME_MAX_WINDOW = 4096
 MOVING_FRAME_MAX_STEPS = 3 * (MOVING_FRAME_MAX_WINDOW - 1)
 # The largest --k.  Copy k's rungs land from bottom position 2**(k+2) - k - 3
@@ -196,9 +195,8 @@ def _cmd_cesaro(args) -> Tuple[bool, str]:
     op = ergodic.graph_handle(graph)
     results = []  # (power, n, sup norm)
     for power in powers:
-        # without --max-support the moving frame sums windows up to MOVING_FRAME_MAX_WINDOW
-        # over up to MOVING_FRAME_MAX_STEPS steps, and past either the pass runs, capped.
-        # From the combined graph's source the sweep runs, and no cap applies.
+        # without --max-support, windows past MOVING_FRAME_MAX_WINDOW or MOVING_FRAME_MAX_STEPS
+        # steps are capped.  From the combined graph's source the sweep runs, and no cap applies.
         cap = args.max_support
         n = max(schedule)
         if cap is None and (n > MOVING_FRAME_MAX_WINDOW or power * (n - 1) > MOVING_FRAME_MAX_STEPS):
@@ -322,14 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", choices=tuple(_FACTORS), default="1")
     p.add_argument("--bound", help="fail (exit 1) if any norm exceeds this rational")
     p.add_argument(
-        "--max-support",
-        type=int,
-        dest="max_support",
-        help="support cap on the generic engine's running sum (exit 3 when exceeded); "
-        f"default {DEFAULT_MAX_SUPPORT}, none with windows up to {MOVING_FRAME_MAX_WINDOW} that "
-        f"cover at most {MOVING_FRAME_MAX_STEPS} steps (power * (window - 1)), which an entry start "
-        "sums in the moving frame; the structural sweep from the combined graph's "
-        "source keeps no running sum, so no cap applies there",
+        "--max-support", type=int, dest="max_support",
+        help="cap on the vertices an entry start's sum touches, decided in the moving frame before any "
+        f"sum (exit 3 at the first window over it); default {DEFAULT_MAX_SUPPORT}, none with windows up "
+        f"to {MOVING_FRAME_MAX_WINDOW} that cover at most {MOVING_FRAME_MAX_STEPS} steps (power * "
+        "(window - 1)); the structural sweep from the combined graph's source is never capped",
     )
 
     p = add("block", _cmd_block, "block-diagonal averaging coefficients")

@@ -7,16 +7,15 @@ applies one step, and compute Cesaro averages
 
 in a single incremental pass.  :func:`cesaro_trace` is the one entry point
 for averages of S = factor * T**step_power: it checks the factor, builds
-T's orbit once and picks the engine.  For the combined ladder graph started
-at its source, the generic pass that adds every orbit vector into a running
-sum adds about t**3/6 cells by window t, so it hands those averages to the
-exact structural sweep in :mod:`ergolab.sweeps`; the two engines are
-verified against each other in the tests, and ``engine="generic"`` forces
-the generic one there.
-On the ladder graphs with factor +1 or -1 the generic engine sums in the
-orbit's moving frame (:meth:`ladder.LadderOrbit.accumulate`) at every
-power, paying per orbit event rather than per orbit cell and step.  The
-rotation check compares one record of a trace with a threshold.
+T's orbit once and picks the engine.  From the combined ladder graph's
+source it hands them to the exact structural sweep in :mod:`ergolab.sweeps`
+(a pass that adds every orbit vector into a running sum adds about t**3/6
+cells by window t); ``engine="generic"`` forces the generic engine, which
+the tests compare with the sweep.  On the ladder graphs at factor +1 or -1
+the generic engine sums in the orbit's moving frame
+(:meth:`ladder.LadderOrbit.accumulate`), paying per orbit event rather than
+per orbit cell and step, and it decides a support cap there, before any sum.
+The rotation check compares one record of a trace with a threshold.
 
 The certificate machinery addresses the other half of mean ergodicity.  An
 average of powers can only converge to 0 for every start vector if no
@@ -30,6 +29,7 @@ oracles step by step.
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -39,11 +39,8 @@ from .graphop import C0Graph, Vertex
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when an averaging pass outgrows its configured support cap.
-
-    ``window`` is the window being accumulated, ``support`` the running
-    sum's support there and ``cap`` the cap it exceeded.
-    """
+    """Raised when a Cesaro sum touches more vertices than its ``cap``: at
+    ``window``, the first window that does, where it touched ``support``."""
 
     def __init__(self, window: int, support: int, cap: int):
         super().__init__(f"support {support} exceeded cap {cap} at window {window}")
@@ -84,8 +81,7 @@ def graph_handle(graph: C0Graph) -> OperatorHandle:
     )
 
 
-def _running_sums(orbit, windows: Sequence[int], step_power: int = 1, turns: int = 0,
-                  max_support: Optional[int] = None):
+def _running_sums(orbit, windows: Sequence[int], step_power: int = 1, turns: int = 0):
     """Yield (n, re, im, den) for each n of the ascending ``windows``, in one pass.
 
     ``(re[key] + i * im[key]) / den`` is the entry of x + Sx + ... +
@@ -93,12 +89,10 @@ def _running_sums(orbit, windows: Sequence[int], step_power: int = 1, turns: int
     T**step_power.  The k-th term steps the orbit ``step_power`` times; its
     turn i**(turns * k mod 4) adds its int numerators to ``re`` or ``im``,
     with a sign.  Both dicts are updated in place and rescaled when the
-    orbit's den widens.  Raises :class:`BudgetExceeded` when the keys
-    outgrow ``max_support``.  Stepping a :class:`graphop.PushOrbit`, this is
-    the deliberate second route for the ladder graphs' moving-frame sums
-    (:meth:`ladder.LadderOrbit.accumulate`): the tests compare the two at
-    powers 1 to 3.  :func:`cesaro_trace` steps a ladder orbit here only under
-    a cap or at factor +-i.
+    orbit's den widens.  Stepping a :class:`graphop.PushOrbit`, this is the
+    deliberate second route for the ladder graphs' moving-frame sums
+    (:meth:`ladder.LadderOrbit.accumulate`) and their support cap, which the
+    tests compare; :func:`cesaro_trace` steps a ladder orbit here only at +-i.
     """
     re: dict = {}
     im: dict = {}
@@ -120,10 +114,6 @@ def _running_sums(orbit, windows: Sequence[int], step_power: int = 1, turns: int
         pairs = orbit.items() if r < 2 else ((key, -a) for key, a in orbit.items())
         for key, value in pairs:
             sums[key] = get(key, 0) + value
-        if k > 1 and max_support is not None:
-            support = len(re.keys() | im.keys()) if im else len(re)
-            if support > max_support:
-                raise BudgetExceeded(k, support, max_support)
         if k in wanted:
             yield k, re, im, den
 
@@ -172,26 +162,29 @@ def cesaro_trace(
     """Record sup norms of the Cesaro averages of S = factor * T**step_power.
 
     For every n in the schedule, the sup norm of A_n x with S in place of T,
-    in one pass.  ``factor`` is 1, -1, i or -i; every sum is exact, and at
-    +-i the value is one float that keeps its exact sum
-    (:func:`sweeps.gaussian_abs`); :func:`sweeps.cesaro_request` checks the
-    request, as for the sweep.  engine
-    "auto" uses the exact structural sweep, and reports engine "fast", when
-    the handle is the combined ladder graph started at the source;
-    "generic" forces the generic engine, the sweep's deliberate second
-    route: the tests and the benchmark's output checks compare the two on
-    shared windows.
+    in one pass, as :func:`sweeps.cesaro_request` checks the request.
+    ``factor`` is 1, -1, i or -i; every sum is exact, and at +-i the value
+    is one float that keeps its exact sum (:func:`sweeps.gaussian_abs`).
+    engine "auto" runs the exact structural sweep (engine "fast") from the
+    combined ladder graph's source; "generic" forces the generic engine, the
+    sweep's deliberate second route, which the tests and the benchmark check.
 
     The generic engine builds T's exact orbit once: the graph's own orbit
     state (:meth:`C0Graph.orbit`), or on a handle without a graph an
     :class:`_ApplyOrbit` over ``op.apply``, which takes exact factors only.
-    On a ladder graph with factor +1 or -1 and no ``max_support``, it sums
-    in the orbit's moving frame (:meth:`ladder.LadderOrbit.accumulate`) at
-    every step_power.  Every other case, capped runs included, takes the
-    step-by-step pass (:func:`_running_sums`), which
-    over :class:`graphop.PushOrbit` is the moving-frame sums' deliberate
-    second route.  Both report the support of the sum as an int.  Raises
-    :class:`BudgetExceeded` when the running sum outgrows ``max_support``.
+    On a ladder graph at factor +1 or -1 it sums in the orbit's moving frame
+    (:meth:`ladder.LadderOrbit.accumulate`); every other case takes the
+    step-by-step pass (:func:`_running_sums`), which over
+    :class:`graphop.PushOrbit` is the frame's deliberate second route.  Both
+    report the support of the sum as an int.
+
+    ``max_support`` caps the vertices the sum has touched by each window
+    from 2 to the last.  T is positive, so from a start with no negative
+    entry they are the support of the sum at factor +1, at every factor, and
+    no window has fewer than an earlier one.  So the frame decides the cap
+    before any sum: doubling, then bisection, over its reads at +1 from fresh
+    orbits finds the first window over the cap, and :class:`BudgetExceeded`
+    is raised there.  A cap needs a ladder graph and such a start.
     """
     wanted, turns = sweeps.cesaro_request(schedule, step_power, factor)
     if engine not in ("auto", "generic"):
@@ -212,13 +205,24 @@ def cesaro_trace(
         orbit = _ApplyOrbit(op.apply, x)
     else:
         raise ValueError("complex factors need a graph-backed handle")
-    if isinstance(orbit, ladder.LadderOrbit) and exact and max_support is None:
+    if max_support is not None:
+        if not isinstance(orbit, ladder.LadderOrbit) or any(a < 0 for _, a in x.items()):
+            raise ValueError("a support cap needs a ladder graph and a start with no negative entry")
+
+        def support(n: int) -> int:
+            return next(op.graph.orbit(*graphop.int_vector(x)).accumulate([n], 1, step_power))[2]
+
+        last, lo, hi = wanted[-1], 1, 2  # doubling first: no read goes past twice the exit window
+        while hi < last and support(hi) <= max_support:
+            lo, hi = hi, 2 * hi
+        n = lo + 1 + bisect.bisect_right(range(lo + 1, min(hi, last) + 1), max_support, key=support)
+        if n <= last:
+            raise BudgetExceeded(n, support(n), max_support)
+    if isinstance(orbit, ladder.LadderOrbit) and exact:
         records = [TraceRecord(*reading) for reading in orbit.accumulate(wanted, 1 - turns, step_power)]
     else:
-        records = [
-            TraceRecord(k, *_sup_and_support(re, im, den, k, exact))
-            for k, re, im, den in _running_sums(orbit, wanted, step_power, turns, max_support)
-        ]
+        records = [TraceRecord(k, *_sup_and_support(re, im, den, k, exact))
+                   for k, re, im, den in _running_sums(orbit, wanted, step_power, turns)]
     return CesaroTrace(records, "generic")
 
 

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 import ergolab
 from ergolab import acceptance, blockdiag, cli, ergodic, ladder
 from test_golden import (
-    BUDGET_LINE, UNWRITABLE_STDOUT, FullDisk, criterion_numbers, in_empty_directory, pinned, pinned_cases,
+    BUDGET_LINE, ENTRIES, UNWRITABLE_STDOUT, FullDisk, criterion_numbers, in_empty_directory, pinned, pinned_cases,
     run_four_ways, run_quietly,
 )
 
@@ -309,6 +310,22 @@ def test_the_moving_frame_covers_a_bounded_number_of_steps(monkeypatch, power, w
     assert caps == [cli.DEFAULT_MAX_SUPPORT if capped else None]
 
 
+def test_default_cap_exits_never_run_the_step_by_step_pass(monkeypatch):
+    """An entry start's cap is decided in the moving frame.  With the pass
+    refused, cesaro-g0-entry-4097 exits 3 with its pinned line, and so does
+    the same line with every window up to 4097, which a step-by-step pass
+    reads one by one until the cap stops it."""
+    def refuse(*args):
+        raise AssertionError("the step-by-step pass ran")
+
+    monkeypatch.setattr(ergodic, "_running_sums", refuse)
+    entry = ENTRIES["cesaro-g0-entry-4097"]
+    argv = shlex.split(entry["command"])
+    assert argv[-2:] == ["--schedule", "4097"]
+    for schedule in ("4097", ",".join(map(str, range(1, 4098)))):
+        assert run_quietly([*argv[:-1], schedule]) == (3, "", entry["stderr"]), schedule
+
+
 def test_block_float_mode_tracks_exact():
     windows = ",".join(str(n) for n in [*range(1, 41), 64])
     for p in range(1, 9):
@@ -396,9 +413,9 @@ def test_cesaro_argument_vectors_exit_cleanly(argv, fmt):
 def cesaro_entry_argv(draw, top=200, capped=True):
     """A cesaro command line from an entry of g0 or gk: windows up to
     ``top``, powers 1 to 3 with repeats, factors 1 and -1, and a few invalid
-    windows and bounds.  With ``capped``, the generic engine's step-by-step
-    pass runs under an explicit --max-support of at most 2000, some invalid,
-    so that no draw runs long; without it, the moving frame sums every power."""
+    windows and bounds.  The moving frame sums every power.  With ``capped``,
+    it first decides an explicit --max-support of at most 2000, some
+    invalid, so that no draw runs long."""
     graph = draw(st.sampled_from(["g0", "gk"]))
     argv = ["cesaro", "--graph", graph, *draw(st.sampled_from([["--start", "entry"], ["--x", "e_o"]]))]
     if graph == "gk":

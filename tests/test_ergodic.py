@@ -34,19 +34,27 @@ def test_trace_from_a_dead_end_vertex():
 test_engine_forcing_and_validation = rejection_test("test_engine_forcing_and_validation")
 
 
-def test_uncapped_ladder_sums_at_plus_minus_one_never_take_the_pass(monkeypatch):
-    # every power sums in the moving frame; the pass steps a ladder orbit
-    # only under a cap or at +-i
+def test_ladder_sums_at_plus_minus_one_never_take_the_pass(monkeypatch):
+    # every power sums in the moving frame, and the frame decides a cap too,
+    # hit or not; the pass steps a ladder orbit only at +-i
     def refuse(*args):
         raise AssertionError("the step-by-step pass ran")
 
     monkeypatch.setattr(ergodic, "_running_sums", refuse)
     for graph in (ladder.make_g0(), ladder.make_gk(2), ladder.make_counterexample()):
-        x = SparseVector.unit(E(graph.copy_index or 0))
+        op, x = graph_handle(graph), SparseVector.unit(E(graph.copy_index or 0))
         for step_power in (1, 2, 3):
+            # the vertices the sum touches by window 8: its support at factor 1
+            touched = cesaro_trace(op, x, [8], step_power=step_power).records[0].support
             for factor in (1, -1):
-                trace = cesaro_trace(graph_handle(graph), x, [1, 8], step_power=step_power, factor=factor)
+                kwargs = dict(step_power=step_power, factor=factor)
+                trace = cesaro_trace(op, x, [1, 8], **kwargs)
                 assert trace.engine == "generic"
+                assert cesaro_trace(op, x, [1, 8], max_support=touched, **kwargs).records == trace.records
+                for cap in (2, touched - 1):
+                    with pytest.raises(BudgetExceeded) as info:
+                        cesaro_trace(op, x, [1, 8], max_support=cap, **kwargs)
+                    assert 1 < info.value.window <= 8 and info.value.support > cap
 
 
 @pytest.mark.parametrize("engine", ["auto", "generic"])

@@ -33,6 +33,7 @@ G0_HANDLE, G0_ENTRY = graph_handle(G0), SparseVector.unit(E(0))
 PLAIN_HANDLE = OperatorHandle(apply=lambda v: graphop.apply(G0, v))
 FLOAT = "refusing to coerce float to rational; pass a Fraction or string"
 SCHEDULE = "schedule must be a nonempty collection of positive lengths"
+CAP = "a support cap needs a ladder graph and a start with no negative entry"
 # every way a tuple can miss the vertex table, with the rule it breaks
 MALFORMED = [
     ((), "not a ladder vertex: () has no ladder tag"),
@@ -67,6 +68,15 @@ REJECTIONS = {
                                    "path length must be nonnegative, got -1")],
         "accumulate": [(lambda: list(G0.orbit({E(0): 1}).accumulate([4], 2)), ValueError,
                         "factor must be 1 or -1, got 2")],
+        # a cap counts the vertices a sum touches off the moving frame's sum
+        # at factor +1: from a signed start that sum can cancel, and an orbit
+        # that is not a LadderOrbit has no frame
+        "cesaro_trace-cap": [
+            (lambda: cesaro_trace(G0_HANDLE, SparseVector({E(0): 1, B(0, 3): -1}), [4], max_support=10),
+             ValueError, CAP),
+            (lambda: cesaro_trace(PLAIN_HANDLE, G0_ENTRY, [4], max_support=10), ValueError, CAP),
+            (lambda: cesaro_trace(graph_handle(A_TO_D), SparseVector.unit("a"), [4], max_support=10),
+             ValueError, CAP)],
         "run_criterion": [(lambda: acceptance.run_criterion(13), ValueError,
                            "no criterion 13; known: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]")],
         "run_all": [(lambda: acceptance.run_all([2, 13, 0]), ValueError,

@@ -23,7 +23,7 @@ import fraction_reference as ref
 from ergolab import graphop, ladder
 from ergolab.blockdiag import block_deviation
 from ergolab.core import SparseVector
-from ergolab.ergodic import _sup_and_support, graph_handle
+from ergolab.ergodic import BudgetExceeded, _sup_and_support, cesaro_trace, graph_handle
 from ergolab.sweeps import GaussianAbs
 from strategies import (
     COPY_INDICES, COPY_STARTS, FAR_RULE, GRAPH_VERTICES, GRAPHS, LADDER_STARTS, LADDERS, LANDINGS,
@@ -93,14 +93,33 @@ def orbit_states(make, graph, x, steps, reads=None):
     return states
 
 
-def running_sums(sums, graph, x, warm, factor, windows, step_power):
-    """(n, sup norm, support) per window, summed step by step over PushOrbit."""
-    pairs = sums(walk(graphop.PushOrbit, graph, x, warm), windows, step_power, 1 - factor)  # turns 0 or 2
-    return [(n, *_sup_and_support(re, im, den, n, True)) for n, re, im, den in pairs]
+def running_sums(sums, graph, x, warm, factor, windows, step_power, cap=None):
+    """(n, sup norm, support) per window, summed step by step over PushOrbit.
+    With a ``cap``, the first window n from 2 on whose sums, read at every
+    window, have held more than ``cap`` keys, and that count; None if no
+    window up to the last has."""
+    orbit = walk(graphop.PushOrbit, graph, x, warm)
+    if cap is None:
+        pairs = sums(orbit, windows, step_power, TURNS[factor])
+        return [(n, *_sup_and_support(re, im, den, n, True)) for n, re, im, den in pairs]
+    for n, re, im, _ in sums(orbit, range(1, windows[-1] + 1), step_power, TURNS[factor]):
+        if n > 1 and len(re.keys() | im.keys()) > cap:
+            return n, len(re.keys() | im.keys())
+    return None
 
 
-def accumulated(accumulate, graph, x, warm, factor, windows, step_power):
-    return list(accumulate(walk(ladder.LadderOrbit, graph, x, warm), windows, factor, step_power))
+def accumulated(accumulate, graph, x, warm, factor, windows, step_power, cap=None):
+    """The moving frame's (n, sup norm, support) per window; with a ``cap``,
+    the window and support of the budget exit that ``cesaro_trace`` decides
+    in the frame, or None if it sums."""
+    if cap is None:
+        return list(accumulate(walk(ladder.LadderOrbit, graph, x, warm), windows, factor, step_power))
+    assert warm == 0
+    try:
+        cesaro_trace(graph_handle(graph), x, windows, cap, "generic", step_power, factor)
+    except BudgetExceeded as exc:
+        return exc.window, exc.support
+    return None
 
 
 def path_count_levels(levels, graph, n_max, n_trunc):
@@ -177,13 +196,17 @@ BLOCKS = st.one_of(st.integers(1, 300), POSITIONS)
 WINDOWS = st.sets(st.integers(1, 36), min_size=1, max_size=3).map(sorted)
 SIGNS = st.sampled_from([1, -1])
 POWERS = st.integers(1, 3)
-# the factors of the sweep, with their labels, and its fixed windows at each power and factor
+# the factors of the sweep, with their labels and turns, and its fixed windows at each power and factor
 FACTORS = {1: "1", -1: "-1", 1j: "i", -1j: "-i"}
+TURNS = {1: 0, 1j: 1, -1: 2, -1j: 3}
 FIXED = [1, 2, 3, 5, 8, 13, 21, 34, 48]
 FIXED_REQUESTS = [(p, f) for p in (1, 2, 3) for f in (1, -1)] + [(p, f) for p in (1, 2) for f in (1j, -1j)]
 # every bottom position up to 10**4, and 70 on either side of three far ones
 FAR_BOTTOM = (ladder.rung_position(63), 2**64, ladder.rung_position(200))
 BOTTOM = [*range(1, 10**4 + 1), *(j + d for j in FAR_BOTTOM for d in range(-70, 71))]
+# (graph, unit start) on every ladder kind, the combined graph's source among them
+UNITS = st.sampled_from([(GRAPHS[name][0], SparseVector.unit(v)) for name in LADDERS for v in UNIT_STARTS[name]])
+SOURCE = (ladder.make_counterexample(), SparseVector.unit(ladder.SOURCE))
 # Copy 0 of g0: T(0, 3) and B(0, 12) both reach the landing B(0, 11) =
 # B(0, rung_position(3)) in one step, the rung's birth adding to the cell.
 # With 4 and 5 the cell's u becomes 9, the largest bottom u, which drains at
@@ -254,6 +277,16 @@ ROWS = [
         "high-powers": [(GRAPHS[name][0], SparseVector.unit(v), warm, f, [1, 2, 3, 8], p)
                         for name in LADDERS for v in UNIT_STARTS[name][::3] for warm, f, p in
                         ((0, 1, 4), (1, -1, 5), (0, -1, 7), (2, 1, 10 if name == "combined" else 64))],
+        # the keys the pass's sums have held by each window, against the exit
+        # the frame finds by doubling and bisection: the same window and count
+        # at every factor, from unit starts, which have no negative entry
+        "capped": (joined(UNITS, st.just(0), st.sampled_from(list(FACTORS)),
+                          st.sets(st.integers(1, 120), min_size=1, max_size=3).map(sorted),
+                          st.integers(1, 6), st.integers(1, 3000)), 60),
+        # at power 4 from the source, the sum at factor -1 cancels to 0 on one
+        # vertex at windows 3 and 4, which it has touched: 34 and 96 nonzero
+        # entries of 35 and 97 keys, so only the count at factor 1 exits here
+        "capped-cancelling": [(*SOURCE, 0, f, [n], 4, cap) for f in FACTORS for n, cap in ((3, 34), (4, 96))],
     }),
     Row("graphop.count_paths_profile", ("graphop.count_paths_levels",),
         lambda profile, graph, n_max, n_trunc: {
@@ -347,7 +380,6 @@ def pruned_requests():
 # their different shapes: 2 has order 1, 2, 4 and 3 modulo 1, 3, 5 and 7,
 # and modulo an even power the first residues do not repeat
 PRUNED = [(p, f) for p in (1, 2, 3) for f in FACTORS] + [(p, f) for p in range(4, 9) for f in (1, -1)]
-SOURCE = (ladder.make_counterexample(), SparseVector.unit(ladder.SOURCE))
 
 
 def sizes(graph, infinite):
